@@ -34,7 +34,7 @@ class UsageError(Exception):
 
 def _load_raw(spec: str) -> dict:
     text = spec
-    if not spec.lstrip().startswith("{"):
+    if not spec.lstrip().startswith(("{", "[")):
         try:
             with open(spec) as fh:
                 text = fh.read()
@@ -207,9 +207,9 @@ def cmd_expand(args) -> dict:
 def cmd_weyl_verify(args) -> dict:
     gtype = args.type
     twisted = gtype in ("A", "D")
-    datum = weyl.RootDatum(gtype, args.rank, twisted=twisted)
     if args.rank > args.rank_bound:
         raise UsageError(f"rank exceeds bound {args.rank_bound}")
+    datum = weyl.RootDatum(gtype, args.rank, twisted=twisted)
     res = weyl.restricted_roots(datum)
     splits = weyl.catalog_split_data(datum, res)
     if args.split is not None:
@@ -307,6 +307,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    # argparse drops a value that is exactly "--", so "--eps=--" and
+    # "--s=--" arrive as an empty list
+    for name in ("eps", "s"):
+        if getattr(args, name, None) == []:
+            setattr(args, name, "--")
     args.zeta = PLUS if args.zeta_str == "+" else MINUS
     try:
         payload = args.fn(args)

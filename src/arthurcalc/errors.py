@@ -10,6 +10,14 @@ class DomainError(ValueError):
     """Base class for violations of a documented precondition."""
 
 
+class BadGroup(DomainError):
+    """A group form of unknown kind or negative rank."""
+
+
+class BadBlock(DomainError):
+    """A Jordan block with a size below one or a zeta against sign(a - b)."""
+
+
 class OddLeftover(DomainError):
     """The non-parity part of a parameter has no dual pairing."""
 
@@ -72,3 +80,7 @@ class OutOfRange(DomainError):
 
 class AmbiguousChoice(DomainError):
     """A construction step requires an explicit branch choice."""
+
+
+class RankTooSmall(DomainError):
+    """A root datum below the smallest rank of its type."""

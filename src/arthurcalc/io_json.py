@@ -61,8 +61,17 @@ def rho_to_json(rho: RhoLabel) -> Dict[str, Any]:
     return out
 
 
+def _int_field(d: Dict[str, Any], key: str, default: Optional[int] = None
+               ) -> int:
+    """An integer schema field; bools and floats are schema errors."""
+    v = d[key] if default is None else d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{key!r} must be an integer, got {v!r}")
+    return v
+
+
 def rho_from_json(d: Dict[str, Any]) -> RhoLabel:
-    return RhoLabel(d["id"], d.get("dim", 1),
+    return RhoLabel(d["id"], _int_field(d, "dim", 1),
                     _TYPE_IN[d.get("type", "orthogonal")],
                     quadchar_from_json(d.get("det")))
 
@@ -73,8 +82,9 @@ def block_to_json(blk: JordanBlock) -> Dict[str, Any]:
 
 
 def block_from_json(d: Dict[str, Any]) -> JordanBlock:
-    return JordanBlock(rho_from_json(d["rho"]), d["a"], d["b"],
-                       d.get("mult", 1), _ZETA_IN[d.get("zeta", "unset")])
+    return JordanBlock(rho_from_json(d["rho"]), _int_field(d, "a"),
+                       _int_field(d, "b"), _int_field(d, "mult", 1),
+                       _ZETA_IN[d.get("zeta", "unset")])
 
 
 def group_to_json(g: GroupForm) -> Dict[str, Any]:
@@ -88,7 +98,8 @@ def group_from_json(d: Dict[str, Any]) -> GroupForm:
     kind = d["kind"]
     if kind not in (SP, SO_ODD, SO_EVEN):
         raise DomainError(f"bad group kind {kind!r}")
-    return GroupForm(kind, d["n"], quadchar_from_json(d.get("eta")))
+    return GroupForm(kind, _int_field(d, "n"),
+                     quadchar_from_json(d.get("eta")))
 
 
 def parameter_to_json(psi: ArthurParameter) -> Dict[str, Any]:

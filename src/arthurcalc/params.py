@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (DomainError, NotDDR, OddLeftover, OrderViolation,
-                     UnresolvedZeta)
+from .errors import (BadBlock, BadGroup, DomainError, NotDDR, OddLeftover,
+                     OrderViolation, UnresolvedZeta)
 from .halfint import HalfInt, hrange
 from .labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, QuadCharacter,
                      RhoLabel)
@@ -37,9 +37,9 @@ class GroupForm:
 
     def __post_init__(self):
         if self.kind not in (SP, SO_ODD, SO_EVEN):
-            raise ValueError(f"bad group kind {self.kind!r}")
+            raise BadGroup(f"bad group kind {self.kind!r}")
         if self.n < 0:
-            raise ValueError("rank must be nonnegative")
+            raise BadGroup("rank must be nonnegative")
 
     @property
     def N(self) -> int:
@@ -75,15 +75,15 @@ class JordanBlock:
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1 or self.mult < 1:
-            raise ValueError("a, b, mult must be positive")
+            raise BadBlock("a, b, mult must be positive")
         if self.a != self.b:
             forced = PLUS if self.a > self.b else MINUS
             if self.zeta is None:
                 object.__setattr__(self, "zeta", forced)
             elif self.zeta != forced:
-                raise ValueError("zeta must equal sign(a-b) when a != b")
+                raise BadBlock("zeta must equal sign(a-b) when a != b")
         elif self.zeta not in (None, PLUS, MINUS):
-            raise ValueError("zeta must be +1, -1 or None")
+            raise BadBlock("zeta must be +1, -1 or None")
 
     @property
     def A(self) -> HalfInt:
@@ -105,7 +105,7 @@ class JordanBlock:
 
     def with_zeta(self, zeta: int) -> "JordanBlock":
         if self.a != self.b and zeta != self.zeta:
-            raise ValueError("cannot override zeta of an unbalanced block")
+            raise BadBlock("cannot override zeta of an unbalanced block")
         return replace(self, zeta=zeta)
 
     def segment(self) -> Tuple[HalfInt, HalfInt]:

@@ -11,11 +11,14 @@ identities and the alternating double-coset sum.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from math import gcd, lcm
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    Optional, Sequence, Tuple, TypeVar)
 
-from .errors import DomainError
+from .errors import DomainError, RankTooSmall
 
 Vec = Tuple[int, ...]
 
@@ -30,6 +33,23 @@ def _add(u: Vec, v: Vec) -> Vec:
 
 def _neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
+
+
+T = TypeVar("T")
+
+
+def _memo(cache: Dict[Hashable, T], key: Hashable,
+          build: Callable[[], T]) -> T:
+    """The value stored under key, built on first use.
+
+    Each cache belongs to one value, and each entry is a pure function of
+    that value and an immutable key, so a race between threads only
+    stores an equal value twice.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,66 +135,76 @@ def _closure(gens: Sequence[SignedPerm], n: int) -> FrozenSet[SignedPerm]:
 
 # -- exact subspaces ----------------------------------------------------------
 
-FVec = Tuple[Fraction, ...]
+def _lead(row: Vec) -> int:
+    return next(i for i, c in enumerate(row) if c)
 
 
-def _rref(rows: List[FVec]) -> Tuple[FVec, ...]:
-    """Reduced row echelon form (canonical basis of the row space)."""
-    work = [list(map(Fraction, r)) for r in rows if any(r)]
-    out: List[List[Fraction]] = []
-    for r in work:
-        for o in out:
-            lead = next(i for i, c in enumerate(o) if c)
-            if r[lead]:
-                f = r[lead] / o[lead]
-                r = [a - f * b for a, b in zip(r, o)]
-        if any(r):
-            out.append(r)
-    out.sort(key=lambda r: next(i for i, c in enumerate(r) if c))
-    # normalize pivots and clear entries above them
-    for idx, r in enumerate(out):
-        lead_i = next(i for i, c in enumerate(r) if c)
-        out[idx] = [c / r[lead_i] for c in r]
-    for idx in range(len(out) - 1, -1, -1):
-        lead_i = next(i for i, c in enumerate(out[idx]) if c)
-        for above in range(idx):
-            f = out[above][lead_i]
-            if f:
-                out[above] = [a - f * b
-                              for a, b in zip(out[above], out[idx])]
-    return tuple(tuple(r) for r in out)
+def _eliminate(r: Vec, o: Vec, p: int) -> Vec:
+    """r with column p cleared by o, fraction-free; o[p] > 0 keeps the
+    orientation of r."""
+    f, g = o[p], r[p]
+    return tuple(f * a - g * b for a, b in zip(r, o))
+
+
+def _primitive(row: Vec) -> Vec:
+    """The row divided by the gcd of its entries, with a positive pivot."""
+    g = gcd(*row)
+    if row[_lead(row)] < 0:
+        g = -g
+    return tuple(c // g for c in row)
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> Tuple[Vec, ...]:
+    """Canonical integer basis of the row space.
+
+    Fraction-free Gauss-Jordan elimination.  Row k of the result is the
+    primitive integer multiple, with positive pivot, of row k of the
+    reduced row echelon form, so equal row spaces give equal tuples.
+    """
+    out: List[Tuple[int, Vec]] = []  # (pivot column, row)
+    for r in rows:
+        r = tuple(r)
+        for p, o in out:
+            if r[p]:
+                r = _eliminate(r, o, p)
+        if not any(r):
+            continue
+        r = _primitive(r)
+        q = _lead(r)
+        out = [(p, _primitive(_eliminate(o, r, q)) if o[q] else o)
+               for p, o in out]
+        out.append((q, r))
+    out.sort()
+    return tuple(o for _, o in out)
 
 
 @dataclass(frozen=True)
 class Subspace:
     dim_ambient: int
-    basis: Tuple[FVec, ...]  # reduced row echelon form
+    basis: Tuple[Vec, ...]  # canonical integer rows, see _echelon
 
     @staticmethod
-    def of(vectors: Sequence[Sequence], n: int) -> "Subspace":
-        return Subspace(n, _rref([tuple(Fraction(c) for c in v)
-                                  for v in vectors]))
+    def of(vectors: Iterable[Sequence[int]], n: int) -> "Subspace":
+        return Subspace(n, _echelon(vectors))
 
     @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace.of([[1 if j == i else 0 for j in range(n)]
                             for i in range(n)], n)
 
-    def contains(self, v: Sequence) -> bool:
-        r = [Fraction(c) for c in v]
+    def contains(self, v: Sequence[int]) -> bool:
+        if len(self.basis) == self.dim_ambient:
+            return True
+        r = tuple(v)
         for o in self.basis:
-            lead = next(i for i, c in enumerate(o) if c)
-            if r[lead]:
-                f = r[lead] / o[lead]
-                r = [a - f * b for a, b in zip(r, o)]
+            p = _lead(o)
+            if r[p]:
+                r = _eliminate(r, o, p)
         return not any(r)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
-    def transform(self, w: SignedPerm) -> "Subspace":
-        return Subspace(self.dim_ambient,
-                        _rref([w.apply(v) for v in self.basis]))
+    def contains_image(self, other: "Subspace", w: SignedPerm) -> bool:
+        """Whether w maps the other subspace into this one."""
+        return all(self.contains(w.apply(v)) for v in other.basis)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -185,32 +215,29 @@ class Subspace:
 
 def _nullspace_of_roots(roots: Sequence[Vec], n: int) -> Subspace:
     """Vectors orthogonal to every given root."""
-    rows = _rref([tuple(Fraction(c) for c in r) for r in roots])
-    pivots = [next(i for i, c in enumerate(r) if c) for r in rows]
-    free = [i for i in range(n) if i not in pivots]
+    rows = _echelon(roots)
+    pivots = [_lead(r) for r in rows]
+    scale = lcm(1, *(r[p] for r, p in zip(rows, pivots)))
     vecs = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in zip(reversed(rows), reversed(pivots)):
-            v[p] = -sum(r[i] * v[i] for i in range(p + 1, n)) / r[p]
-        vecs.append(tuple(v))
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = scale
+        for r, p in zip(rows, pivots):
+            v[p] = -r[f] * scale // r[p]
+        vecs.append(v)
     return Subspace.of(vecs, n)
 
 
 def _fixed_subspace(w: SignedPerm) -> Subspace:
+    """Vectors v with w(v) = v: the nullspace of the matrix of w - 1."""
     n = len(w.perm)
-    rows = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        img = list(w.apply(tuple(e)))
-        img[i] -= 1
-        rows.append(img)
-    # fixed space = nullspace of (w - 1) acting on coordinates; rows are
-    # images of basis vectors, so solve v with w(v) = v via transpose
-    mat = [[Fraction(rows[j][i]) for j in range(n)] for i in range(n)]
-    return _nullspace_of_roots([tuple(r) for r in mat], n)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        rows[w.perm[j]][j] += w.signs[j]
+        rows[j][j] -= 1
+    return _nullspace_of_roots(rows, n)
 
 
 # -- ambient root data --------------------------------------------------------
@@ -305,16 +332,14 @@ def _ambient_theta(gtype: str, rank: int, twisted: bool) -> SignedPerm:
     raise DomainError("only types A and D admit the diagram flip")
 
 
-def _longest_in(group: FrozenSet[SignedPerm],
+def _longest_in(group: Iterable[SignedPerm],
                 positives: Sequence[Vec]) -> SignedPerm:
+    """The element sending every given positive root to a negative one."""
+    pos = set(positives)
     for w in group:
-        if all(_is_negative(w.apply(a), positives) for a in positives):
+        if all(_neg(w.apply(a)) in pos for a in positives):
             return w
     raise DomainError("no longest element found")  # pragma: no cover
-
-
-def _is_negative(v: Vec, positives: Sequence[Vec]) -> bool:
-    return _neg(v) in set(positives)
 
 
 @dataclass(frozen=True)
@@ -328,6 +353,10 @@ class RootDatum:
     def __post_init__(self):
         if self.gtype not in (TYPE_A, TYPE_B, TYPE_C, TYPE_D):
             raise DomainError(f"bad type {self.gtype}")
+        least = 2 if self.gtype == TYPE_D else 1
+        if self.rank < least:
+            raise RankTooSmall(
+                f"type {self.gtype} needs rank at least {least}")
         if self.twisted and self.gtype in (TYPE_B, TYPE_C):
             raise DomainError("types B and C have no diagram flip")
         if not self.twisted and self.gtype in (TYPE_A, TYPE_D):
@@ -396,10 +425,17 @@ class RestrictedData:
     weyl: FrozenSet[SignedPerm]           # acting on the restricted space
     ambient_of: Dict[SignedPerm, SignedPerm]
     w_long_g: SignedPerm                  # restriction of the longest element
+    # derived sets per Levi, built on first use
+    _cache: Dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def roots(self) -> Tuple[Vec, ...]:
         return self.positives + tuple(_neg(v) for v in self.positives)
+
+    @cached_property
+    def _positive_set(self) -> FrozenSet[Vec]:
+        return frozenset(self.positives)
 
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
@@ -639,7 +675,7 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
             "centralizer weight space of dimension > 1")  # pragma: no cover
     roots = set(mult)
     for beta in roots:
-        if beta not in set(res.roots):
+        if beta not in res.roots:
             raise DomainError(
                 f"centralizer weight {beta} escapes the restricted system"
             )  # pragma: no cover
@@ -647,10 +683,11 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
 
 
 def _simples_of(positives: Sequence[Vec]) -> Tuple[Vec, ...]:
+    """The positive roots that are not a sum of two others."""
     pos = set(positives)
     out = []
     for a in positives:
-        if not any(_add(b, c) == a for b in pos for c in pos):
+        if not any(_add(a, _neg(b)) in pos for b in pos):
             out.append(a)
     return tuple(sorted(out))
 
@@ -678,9 +715,22 @@ class SplitData:
     d_h: FrozenSet[SignedPerm]
     mh_simples: Tuple[Vec, ...]   # ambient-standard Levi cut out by a_h
     w_long_mh: SignedPerm
+    # derived sets per Levi, built on first use
+    _cache: Dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def galois_h(self) -> Optional[SignedPerm]:
         return self.split.galois
+
+    @cached_property
+    def _h_roots(self) -> Tuple[Vec, ...]:
+        return self.h_positives + tuple(_neg(b) for b in self.h_positives)
+
+    @cached_property
+    def _a_h_stabilizer(self) -> FrozenSet[SignedPerm]:
+        """The elements w with w(a_h) = a_h."""
+        return frozenset(w for w in self.res.weyl
+                         if self.a_h.contains_image(self.a_h, w))
 
 
 def _roots_of_split(datum: RootDatum, res: RestrictedData,
@@ -702,8 +752,7 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
                      split: EndoscopicSplit) -> SplitData:
     m = datum.restricted_dim()
     h_roots = _roots_of_split(datum, res, split)
-    pos_all = set(res.positives)
-    h_pos = tuple(sorted(b for b in h_roots if b in pos_all))
+    h_pos = tuple(sorted(b for b in h_roots if _positive_in(res, b)))
     if len(h_pos) * 2 != len(h_roots):
         raise DomainError("centralizer roots unbalanced")  # pragma: no cover
     h_simples = _simples_of(h_pos)
@@ -724,15 +773,12 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
     else:
         a_h = Subspace.full(m)
 
-    d_h = frozenset(w for w in res.weyl
-                    if all(_positive_in(res, w.inv().apply(b))
-                           for b in h_simples))
+    d_h = _min_reps(res, h_simples)
 
     mh_simples = tuple(sorted(
-        b for b in res.simples
-        if all(_pairs_to_zero(b, v) for v in a_h.basis)))
+        b for b in res.simples if not any(_dot(b, v) for v in a_h.basis)))
     span_roots = [b for b in res.roots
-                  if all(_pairs_to_zero(b, v) for v in a_h.basis)]
+                  if not any(_dot(b, v) for v in a_h.basis)]
     allowed = _root_span(res, mh_simples)
     if set(span_roots) != set(allowed):
         raise DomainError(
@@ -743,32 +789,40 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
                      mh_simples, w_long_mh)
 
 
-def _pairs_to_zero(beta: Vec, v: FVec) -> bool:
-    return sum(Fraction(c) * x for c, x in zip(beta, v)) == 0
-
-
 def _positive_in(res: RestrictedData, v: Vec) -> bool:
-    return v in set(res.positives)
+    return v in res._positive_set
 
 
-def _root_span(res: RestrictedData, simples: Sequence[Vec]) -> List[Vec]:
+def _span_of(roots: Sequence[Vec], simples: Sequence[Vec],
+             n: int) -> Tuple[Vec, ...]:
+    """The given roots that lie in the rational span of the simples."""
+    sub = Subspace.of(simples, n)
+    return tuple(b for b in roots if sub.contains(b))
+
+
+def _root_span(res: RestrictedData,
+               simples: Sequence[Vec]) -> Tuple[Vec, ...]:
     """Roots lying in the rational span of the given simple roots."""
-    if not simples:
-        return []
-    sub = Subspace.of(list(simples), res.datum.restricted_dim())
-    return [b for b in res.roots if sub.contains(b)]
+    simples = tuple(simples)
+    return _memo(res._cache, ("span", simples), lambda: _span_of(
+        res.roots, simples, res.datum.restricted_dim()))
+
+
+def _min_reps(res: RestrictedData,
+              simples: Tuple[Vec, ...]) -> FrozenSet[SignedPerm]:
+    """The elements w with w^-1 positive on each given root: when the
+    roots are a base of W_S, the minimal representatives of the cosets
+    W_S w, so that W = W_S * D_S."""
+    return _memo(res._cache, ("reps", simples), lambda: frozenset(
+        w for w in res.weyl
+        if all(_positive_in(res, w.inv().apply(b)) for b in simples)))
 
 
 def _levi_longest(res: RestrictedData, simples: Sequence[Vec]) -> SignedPerm:
-    m = res.datum.restricted_dim()
-    if not simples:
-        return SignedPerm.identity(m)
-    pos = [b for b in _root_span(res, simples) if b in set(res.positives)]
-    group = _closure([_reflection(b) for b in simples], m)
-    for w in group:
-        if all(_neg(w.apply(b)) in set(pos) for b in pos):
-            return w
-    raise DomainError("levi longest element missing")  # pragma: no cover
+    pos = [b for b in _root_span(res, simples) if _positive_in(res, b)]
+    group = _closure([_reflection(b) for b in simples],
+                     res.datum.restricted_dim())
+    return _longest_in(group, pos)
 
 
 # -- Levi subgroups of the ambient group --------------------------------------
@@ -789,45 +843,42 @@ def levi_g_all(res: RestrictedData) -> List[LeviG]:
     return out
 
 
-def _levi_g_roots(res: RestrictedData, levi: LeviG) -> List[Vec]:
+def _levi_g_roots(res: RestrictedData, levi: LeviG) -> Tuple[Vec, ...]:
     return _root_span(res, levi.simples)
 
 
 def _w_m_theta(res: RestrictedData, levi: LeviG) -> FrozenSet[SignedPerm]:
     m = res.datum.restricted_dim()
-    if not levi.simples:
-        return frozenset({SignedPerm.identity(m)})
-    return _closure([_reflection(b) for b in levi.simples], m)
+    return _memo(res._cache, ("w_m", levi.simples), lambda: _closure(
+        [_reflection(b) for b in levi.simples], m))
 
 
 def _d_m_theta(res: RestrictedData, levi: LeviG) -> FrozenSet[SignedPerm]:
-    return frozenset(w for w in res.weyl
-                     if all(_positive_in(res, w.inv().apply(b))
-                            for b in levi.simples))
+    return _min_reps(res, levi.simples)
 
 
 def _s_m_subspace(res: RestrictedData, levi: LeviG) -> Subspace:
-    m = res.datum.restricted_dim()
-    return _nullspace_of_roots(list(levi.simples) or [(0,) * m], m)
+    return _memo(res._cache, ("s_m", levi.simples),
+                 lambda: _nullspace_of_roots(levi.simples,
+                                             res.datum.restricted_dim()))
 
 
 def _d_m_tilde(res: RestrictedData, levi: LeviG,
                data: SplitData) -> FrozenSet[SignedPerm]:
-    base = _d_m_theta(res, levi)
-    s_m = _s_m_subspace(res, levi)
-    out = set()
-    for w in base:
-        moved = s_m.transform(w.inv())
-        if data.a_h.contains_subspace(moved):
-            out.add(w)
-    return frozenset(out)
+    """The w in D_M with w^-1(S_M) inside a_h."""
+    def build():
+        s_m = _s_m_subspace(res, levi)
+        return frozenset(w for w in _d_m_theta(res, levi)
+                         if data.a_h.contains_image(s_m, w.inv()))
+    return _memo(data._cache, ("tilde", levi.simples), build)
 
 
 def _d_h_m(res: RestrictedData, levi: LeviG,
            data: SplitData, tilde: bool) -> FrozenSet[SignedPerm]:
-    dm = _d_m_tilde(res, levi, data) if tilde else _d_m_theta(res, levi)
-    dm_inv = frozenset(w.inv() for w in dm)
-    return dm_inv & data.d_h
+    def build():
+        dm = _d_m_tilde(res, levi, data) if tilde else _d_m_theta(res, levi)
+        return frozenset(w.inv() for w in dm) & data.d_h
+    return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
 
 
 def levi_h_all(data: SplitData, galois_stable: bool = True) -> List[Tuple[Vec, ...]]:
@@ -863,41 +914,35 @@ def _m_prime_of(data: SplitData, levi: LeviG, w: SignedPerm
     """Base of the standard Levi of the centralizer attached to a double
     coset representative: the centralizer roots inside w of the Levi's
     restricted roots."""
-    res = data.res
-    levi_roots = set(_levi_g_roots(res, levi))
-    moved = {w.apply(b) for b in levi_roots}
+    moved = {w.apply(b) for b in _levi_g_roots(data.res, levi)}
     inter = [b for b in data.h_positives if b in moved]
     simples = _simples_of(tuple(inter))
     if not set(simples) <= set(data.h_simples):
         raise DomainError("double-coset Levi is not standard")
-    full = {b for b in set(data.h_positives) | {_neg(x)
-                                                for x in data.h_positives}
-            if b in moved}
-    span = set(_root_span_h(data, simples))
-    if full != span:
+    full = {b for b in data._h_roots if b in moved}
+    if full != set(_root_span_h(data, simples)):
         raise DomainError(
             "double-coset Levi is not spanned by base roots")
     return simples
 
 
-def _root_span_h(data: SplitData, simples: Sequence[Vec]) -> List[Vec]:
-    if not simples:
-        return []
-    m = data.res.datum.restricted_dim()
-    sub = Subspace.of(list(simples), m)
-    allr = list(data.h_positives) + [_neg(b) for b in data.h_positives]
-    return [b for b in allr if sub.contains(b)]
+def _root_span_h(data: SplitData, simples: Tuple[Vec, ...]
+                 ) -> Tuple[Vec, ...]:
+    return _memo(data._cache, ("span_h", simples), lambda: _span_of(
+        data._h_roots, simples, data.res.datum.restricted_dim()))
+
+
+def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:
+    """How many admissible double cosets attach each centralizer Levi."""
+    return _memo(data._cache, ("tally", levi.simples), lambda: Counter(
+        _m_prime_of(data, levi, w)
+        for w in _d_h_m(data.res, levi, data, tilde=True)))
 
 
 def a_count(data: SplitData, levi: LeviG,
             m_prime: Tuple[Vec, ...]) -> int:
     """Number of admissible double cosets whose attached Levi is m_prime."""
-    res = data.res
-    count = 0
-    for w in _d_h_m(res, levi, data, tilde=True):
-        if _m_prime_of(data, levi, w) == tuple(sorted(m_prime)):
-            count += 1
-    return count
+    return _m_prime_tally(data, levi)[tuple(sorted(m_prime))]
 
 
 # -- group ring and the identities --------------------------------------------
@@ -933,8 +978,8 @@ def _ring_add(a: Ring, b: Ring) -> Ring:
 
 
 def _truncate_h(a: Ring, data: SplitData) -> Ring:
-    return {w: c for w, c in a.items()
-            if data.a_h.transform(w) == data.a_h}
+    stable = data._a_h_stabilizer
+    return {w: c for w, c in a.items() if w in stable}
 
 
 def verify_identity_A(data: SplitData) -> bool:
@@ -956,11 +1001,9 @@ def verify_identity_B(data: SplitData) -> bool:
     res = data.res
     total: Ring = {}
     for simples in levi_h_all(data):
-        d_mp = [w for w in res.weyl
-                if all(_positive_in(res, w.inv().apply(b)) for b in simples)]
         sign = -1 if _h_orbit_count(data, simples) % 2 else 1
         total = _ring_add(total, _ring_scale(
-            _truncate_h(_ring_sum(d_mp), data), sign))
+            _truncate_h(_ring_sum(_min_reps(res, simples)), data), sign))
     xi_h = _ring_sum(sorted(data.d_h, key=lambda w: (w.perm, w.signs)))
     target = _truncate_h(_ring_mul(
         xi_h, {res.w_long_g * data.w_long_mh: 1}), data)
@@ -979,10 +1022,8 @@ def verify_algebraic_identity(data: SplitData, levi: LeviG) -> bool:
         count = a_count(data, levi, simples)
         if not count:
             continue
-        d_mp = [w for w in res.weyl
-                if all(_positive_in(res, w.inv().apply(b)) for b in simples)]
         rhs = _ring_add(rhs, _ring_scale(
-            _truncate_h(_ring_sum(d_mp), data), count))
+            _truncate_h(_ring_sum(_min_reps(res, simples)), data), count))
     return lhs == rhs
 
 
@@ -1009,10 +1050,9 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
         rhs = -1 if rhs_exp % 2 else 1
         rows.append((m_prime, lhs, rhs))
     # every admissible double coset must land on a Galois-stable Levi
+    g = data.galois_h()
     for levi in levis:
-        for w in _d_h_m(res, levi, data, tilde=True):
-            mp = _m_prime_of(data, levi, w)
-            g = data.galois_h()
+        for mp in _m_prime_tally(data, levi):
             if g is not None and set(g.apply(b) for b in mp) != set(mp):
                 raise DomainError(
                     "admissible coset lands on an unstable Levi"
@@ -1165,12 +1205,11 @@ def _coordinate_flip(m: int, j: int) -> SignedPerm:
                       tuple(-1 if i == j else 1 for i in range(m)))
 
 
-def _galois_candidates(datum: RootDatum, res: RestrictedData,
-                       split: EndoscopicSplit) -> List[SignedPerm]:
+def _galois_candidates(base: SplitData) -> List[SignedPerm]:
     """Coordinate flips that can act as the quasisplit twist on the
-    centralizer: they must preserve its base and fix the defining torus
-    element."""
-    base = build_split_data(datum, res, split)
+    centralizer of a split without twist: they must preserve its base and
+    fix the defining torus element."""
+    datum, split = base.res.datum, base.split
     m = datum.restricted_dim()
     out = []
     for j in range(m):
@@ -1199,9 +1238,9 @@ def catalog_split_data(datum: RootDatum,
         ts = [tuple([1] * (n - k) + [-1] * k) for k in range(n + 1)]
     for t in ts:
         name = "".join("+" if x == 1 else "-" for x in t)
-        split = EndoscopicSplit(t, None, name)
-        out.append(build_split_data(datum, res, split))
-        for flip in _galois_candidates(datum, res, split):
+        base = build_split_data(datum, res, EndoscopicSplit(t, None, name))
+        out.append(base)
+        for flip in _galois_candidates(base):
             j = flip.signs.index(-1)
             gsplit = EndoscopicSplit(t, flip, f"{name}|flip{j}")
             try:

@@ -124,3 +124,69 @@ def test_halfint_and_signvector_roundtrip():
     v = SignVector(MULT, (1, -1, -1))
     again = js.signvector_from_json(js.signvector_to_json(v), 3)
     assert again == v
+
+
+def run_cli_err(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _block(**kw):
+    blk = {"rho": {"id": "r", "dim": 1, "type": "orthogonal"},
+           "a": 3, "b": 1, "mult": 1}
+    blk.update(kw)
+    return blk
+
+
+@pytest.mark.parametrize("gtype,rank", [("B", 0), ("B", -1), ("C", 0),
+                                        ("A", 0), ("D", 1)])
+def test_weyl_rank_below_minimum_domain_error(gtype, rank):
+    rc, out = run_cli(["weyl-verify", "--type", gtype, "--rank", str(rank)])
+    assert rc == 1
+    assert json.loads(out)["type"] == "RankTooSmall"
+
+
+@pytest.mark.parametrize("block", [_block(a=0), _block(zeta="-")])
+def test_block_preconditions_domain_error(block):
+    rc, out = run_cli(["classify", json.dumps(
+        {"group": {"kind": "Sp", "n": 2}, "blocks": [block]})])
+    assert rc == 1
+    payload = json.loads(out)
+    assert set(payload) == {"error", "type"}
+    assert payload["type"] == "BadBlock"
+
+
+def test_sign_string_of_two_minus_signs():
+    param = json.dumps({"group": {"kind": "SOeven", "n": 1}, "blocks": [
+        {"rho": {"id": "r", "dim": 1, "type": "orthogonal"},
+         "a": 1, "b": 1, "mult": 2, "zeta": "+"}]})
+    rc, out = run_cli(["packet", param, "--eps=--"])
+    assert rc == 0
+    # blocks with a = b = 1 have l = 0, so eta is the sign vector itself
+    assert [c["eta"] for c in json.loads(out)["classes"]] == [[-1, -1]]
+    rc, out = run_cli(["endoscopy", param, "--s=--"])
+    assert rc == 0
+    assert json.loads(out)["psi_one"]["blocks"] == []
+
+
+@pytest.mark.parametrize("group,block", [
+    ({"kind": "Sp", "n": 2}, _block(mult=1.5)),
+    ({"kind": "Sp", "n": 2}, _block(a=True)),
+    ({"kind": "Sp", "n": 2}, _block(b=1.0)),
+    ({"kind": "Sp", "n": 2}, _block(rho={"id": "r", "dim": 1.0})),
+    ({"kind": "Sp", "n": 2.0}, _block()),
+])
+def test_non_integer_schema_field_usage_error(group, block):
+    rc, out, err = run_cli_err(["classify", json.dumps(
+        {"group": group, "blocks": [block]})])
+    assert rc == 2
+    assert out == ""
+    assert "bad parameter schema" in err
+
+
+def test_inline_json_array_schema_error():
+    rc, out, err = run_cli_err(["classify", "[]"])
+    assert rc == 2
+    assert "bad parameter schema" in err

@@ -1,4 +1,9 @@
 import itertools
+import math
+import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
@@ -183,3 +188,132 @@ def test_coset_reps_tuple():
         assert d_m_t <= d_m
         assert d_hm_t <= d_hm
         assert d_hm <= d_h
+
+
+def _rank_q(rows):
+    """Rank over the rationals, by Fraction elimination."""
+    work = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def test_subspace_canonical_and_contains_exact():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 4))]
+        s = W.Subspace.of(rows, n)
+        variants = [
+            [tuple(k * c for c in r)
+             for r, k in zip(rows, rng.choices((-3, -2, -1, 1, 2, 5),
+                                               k=len(rows)))],
+            [tuple(-c for c in r) for r in rows],
+            rng.sample(rows, len(rows)),
+            rows + [tuple(a + b for a, b in zip(rows[0], rows[-1]))]
+            if rows else rows,
+        ]
+        for other in variants:
+            t = W.Subspace.of(other, n)
+            assert t == s and hash(t) == hash(s)
+            assert t.basis == s.basis
+        assert len(s.basis) == _rank_q(rows)
+        leads = [next(i for i, c in enumerate(row) if c) for row in s.basis]
+        assert leads == sorted(set(leads))
+        for row in s.basis:
+            # reduced: zero in the pivot column of every other row
+            assert [row[i] != 0 for i in leads].count(True) == 1
+            assert next(c for c in row if c) > 0
+            assert math.gcd(*row) == 1
+        for _ in range(10):
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            expect = _rank_q(list(rows) + [v]) == _rank_q(rows)
+            assert s.contains(v) == expect
+        if rows:
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            combo = tuple(sum(k * r[j] for k, r in zip(coeffs, rows))
+                          for j in range(n))
+            assert s.contains(combo)
+
+
+def test_rank_below_minimum_raises():
+    from arthurcalc.errors import RankTooSmall
+    for gtype, rank, twisted in [(W.TYPE_B, 0, False), (W.TYPE_C, -1, False),
+                                 (W.TYPE_A, 0, True), (W.TYPE_D, 1, True)]:
+        with pytest.raises(RankTooSmall):
+            W.RootDatum(gtype, rank, twisted=twisted)
+    assert W.RootDatum(W.TYPE_D, 2, twisted=True).restricted_dim() == 1
+
+
+def _verify_all(data, order):
+    out = {}
+    for name in order:
+        result = getattr(W, name)(data)
+        if isinstance(result, W.AlternatingReport):
+            result = result.entries
+        out[name] = result
+    return out
+
+
+def test_memo_does_not_leak_between_calls():
+    names = ["verify_identity_A", "verify_identity_B",
+             "verify_alternating_sum", "verify_coset_representatives"]
+    for datum in W.datum_catalog():
+        first = [_verify_all(data, names)
+                 for data in W.catalog_split_data(datum)]
+        second = [_verify_all(data, names[::-1])
+                  for data in reversed(W.catalog_split_data(datum))]
+        assert first == second[::-1]
+        assert all(r["verify_identity_A"] and r["verify_identity_B"]
+                   and r["verify_coset_representatives"] for r in first)
+
+
+def test_a_count_matches_direct_count():
+    for datum in [W.RootDatum(W.TYPE_B, 3),
+                  W.RootDatum(W.TYPE_D, 4, twisted=True)]:
+        res = W.restricted_roots(datum)
+        for data in W.catalog_split_data(datum, res):
+            for levi in W.levi_g_all(res):
+                reps = W._d_h_m(res, levi, data, tilde=True)
+                for m_prime in W.levi_h_all(data, galois_stable=False):
+                    direct = sum(1 for w in reps
+                                 if W._m_prime_of(data, levi, w) == m_prime)
+                    assert W.a_count(data, levi, m_prime) == direct
+
+
+def test_shared_splits_across_threads():
+    datum = W.RootDatum(W.TYPE_B, 3)
+    names = ["verify_alternating_sum", "verify_identity_A",
+             "verify_identity_B", "verify_coset_representatives"]
+    expect = [_verify_all(data, names)
+              for data in W.catalog_split_data(datum)]
+    shared = W.catalog_split_data(datum)
+    results = {}
+
+    def work(k):
+        order = names[k % 4:] + names[:k % 4]
+        results[k] = [_verify_all(data, order) for data in shared]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[k] for k in range(4)] == [expect] * 4
