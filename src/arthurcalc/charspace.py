@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import NotACharacter, SupportMismatch, TooLarge
+from .errors import SupportMismatch, TooLarge
 from .halfint import sign_pow
-from .params import SO_EVEN, ArthurParameter, Instance, JordanBlock
+from .params import SO_EVEN, ArthurParameter, Instance
 
 MULT = "mult"
 CLASS = "class"
@@ -85,13 +85,6 @@ def value_at(psi: ArthurParameter, v: SignVector, inst: Instance) -> int:
     if v.support != MULT:
         raise SupportMismatch("instance lookup needs mult support")
     return v.signs[psi.instances().index(inst)]
-
-
-def class_value(psi: ArthurParameter, v: SignVector, blk: JordanBlock) -> int:
-    if v.support != CLASS:
-        raise SupportMismatch("class lookup needs class support")
-    keys = [b.key() for b in psi.classes()]
-    return v.signs[keys.index(blk.key())]
 
 
 def s_psi(psi: ArthurParameter) -> SignVector:
@@ -253,9 +246,3 @@ def enumerate_elements(psi: ArthurParameter, sigma0: bool = False,
             seen.add(tuple(-x for x in signs))
         out.append(v)
     return out
-
-
-def require_character(eps: SignVector, psi: ArthurParameter,
-                      space: str) -> None:
-    if not in_character_space(eps, psi, space):
-        raise NotACharacter(f"{eps} is not in {space}")

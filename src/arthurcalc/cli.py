@@ -100,6 +100,10 @@ def _order_for(psi: ArthurParameter, mode: str,
                              "in the input")
         insts = psi.instances()
         positions = raw["order"]
+        if not isinstance(positions, list) or any(
+                isinstance(i, bool) or not isinstance(i, int)
+                for i in positions):
+            raise UsageError("order array must hold integer block indices")
         if sorted(positions) != list(range(len(insts))):
             raise UsageError("order array must permute the block indices")
         return BlockOrder(tuple(insts[i] for i in positions))
@@ -278,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("packet", cmd_packet)
     p.add_argument("input")
     p.add_argument("--eps", required=True)
-    p.add_argument("--order", default="natural")
     p = add("cuspidal-support", cmd_cuspidal_support)
     p.add_argument("input")
     p.add_argument("--eps", required=True)

@@ -14,6 +14,10 @@ class BadGroup(DomainError):
     """A group form of unknown kind or negative rank."""
 
 
+class BadRho(DomainError):
+    """A supercuspidal label of dimension below one or of unknown type."""
+
+
 class BadBlock(DomainError):
     """A Jordan block with a size below one or a zeta against sign(a - b)."""
 

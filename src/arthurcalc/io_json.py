@@ -18,7 +18,7 @@ from .labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, QuadCharacter,
                      RhoLabel)
 from .params import (MINUS, PLUS, SO_EVEN, SO_ODD, SP, ArthurParameter,
                      GroupForm, JordanBlock)
-from .segments import EpsMap, GeneralizedSegment, Segment
+from .segments import EpsMap, Segment
 
 _TYPE_OUT = {ORTHOGONAL: "orthogonal", SYMPLECTIC: "symplectic",
              NOT_SELF_DUAL: "none"}
@@ -129,12 +129,6 @@ def signvector_from_json(d: Dict[str, Any], size: int) -> SignVector:
 def segment_to_json(seg: Segment) -> Dict[str, Any]:
     return {"rho": seg.rho.id, "from": halfint_to_json(seg.x),
             "to": halfint_to_json(seg.y)}
-
-
-def gensegment_to_json(gs: GeneralizedSegment) -> Dict[str, Any]:
-    return {"rho": gs.rho.id,
-            "rows": [[halfint_to_json(x) for x in row]
-                     for row in gs.entries]}
 
 
 def epsmap_to_json(eps: EpsMap) -> List[Dict[str, Any]]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet
 
+from .errors import BadRho
+
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
 NOT_SELF_DUAL = "not_self_dual"
@@ -58,9 +60,9 @@ class RhoLabel:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dim must be positive")
+            raise BadRho("dim must be positive")
         if self.self_dual_type not in (ORTHOGONAL, SYMPLECTIC, NOT_SELF_DUAL):
-            raise ValueError(f"bad self-dual type {self.self_dual_type!r}")
+            raise BadRho(f"bad self-dual type {self.self_dual_type!r}")
 
     def is_self_dual(self) -> bool:
         return self.self_dual_type != NOT_SELF_DUAL

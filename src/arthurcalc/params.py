@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (BadBlock, BadGroup, DomainError, NotDDR, OddLeftover,
-                     OrderViolation, UnresolvedZeta)
+from .errors import (BadBlock, BadGroup, DomainError, NotDDR, NotDominating,
+                     OddLeftover, OrderViolation, UnresolvedZeta)
 from .halfint import HalfInt, hrange
 from .labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, QuadCharacter,
                      RhoLabel)
@@ -342,13 +342,6 @@ class BlockOrder:
     """A total order on Jord(psi_p) with multiplicity, smallest first."""
 
     sequence: Tuple[Instance, ...]
-
-    def position(self, inst: Instance) -> int:
-        return self.sequence.index(inst)
-
-    def greater(self, x: Instance, y: Instance) -> bool:
-        """x >_psi y."""
-        return self.position(x) > self.position(y)
 
 
 def _nested(x: JordanBlock, y: JordanBlock) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .charspace import CLASS, SignVector, vector_on_classes
+from .charspace import CLASS, SignVector
 from .errors import (DomainError, NotACharacter, NotDiscrete, NotDominating,
                      UnresolvedZeta)
 from .halfint import HalfInt, hrange
@@ -224,10 +224,6 @@ class EpsMap:
             raise NotACharacter("character must live on the block classes")
         return EpsMap({(blk.rho.id, blk.a): sg
                        for blk, sg in zip(phi.classes(), eps.signs)})
-
-    def to_vector(self, phi: ArthurParameter) -> SignVector:
-        return vector_on_classes(
-            phi, lambda blk: self.values[(blk.rho.id, blk.a)])
 
     def product(self) -> int:
         p = 1

@@ -1060,70 +1060,76 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
     return AlternatingReport(rows)
 
 
-def _double_cosets(weyl: FrozenSet[SignedPerm],
-                   left_gens: Sequence[SignedPerm],
-                   right_gens: Sequence[SignedPerm]) -> List[set]:
-    """Partition of the group into (left, right) double cosets."""
-    unvisited = set(weyl)
-    out = []
-    while unvisited:
-        seed = next(iter(unvisited))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in left_gens:
-                    y = g * x
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-                for g in right_gens:
-                    y = x * g
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        unvisited -= orbit
-        out.append(orbit)
-    return out
+def _elements(res: RestrictedData
+              ) -> Tuple[Tuple[SignedPerm, ...], Dict[SignedPerm, int]]:
+    """The twisted Weyl group in a fixed order, and each element's index."""
+    def build():
+        elts = tuple(sorted(res.weyl, key=lambda w: (w.perm, w.signs)))
+        return elts, {w: i for i, w in enumerate(elts)}
+    return _memo(res._cache, "elements", build)
+
+
+def _mult_table(res: RestrictedData, g: SignedPerm,
+                left: bool) -> Tuple[int, ...]:
+    """Index of g * x (left) or x * g (right) for each element x."""
+    def build():
+        elts, index = _elements(res)
+        return tuple(index[g * x] if left else index[x * g] for x in elts)
+    return _memo(res._cache, ("mult", g, left), build)
+
+
+def _double_cosets(res: RestrictedData, left: Sequence[Vec],
+                   right: Sequence[Vec]) -> List[int]:
+    """Label of each element's (W_left, W_right) double coset, where the
+    subgroups are generated by the reflections in the given roots; labels
+    run 0, 1, ... in order of first appearance."""
+    tables = [_mult_table(res, _reflection(b), True) for b in left] + \
+        [_mult_table(res, _reflection(b), False) for b in right]
+    label = [-1] * len(res.weyl)
+    count = 0
+    for seed in range(len(label)):
+        if label[seed] >= 0:
+            continue
+        label[seed] = count
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for t in tables:
+                y = t[x]
+                if label[y] < 0:
+                    label[y] = count
+                    stack.append(y)
+        count += 1
+    return label
+
+
+def _unique_factorization(group: FrozenSet[SignedPerm],
+                          reps: FrozenSet[SignedPerm], order: int) -> bool:
+    """Whether the products u * d, u in group, d in reps, are pairwise
+    distinct and number order."""
+    if len(group) * len(reps) != order:
+        return False
+    return len({u * d for u in group for d in reps}) == order
 
 
 def verify_coset_representatives(data: SplitData) -> bool:
     """Unique factorization through the minimal representative sets."""
     res = data.res
-    m = res.datum.restricted_dim()
-    # every element factors uniquely as w_h * d with d in the H-set
-    seen = set()
-    for w_h in data.w_h:
-        for d in data.d_h:
-            x = w_h * d
-            if x in seen:
-                return False
-            seen.add(x)
-    if len(seen) != len(res.weyl):
+    order = len(res.weyl)
+    if not _unique_factorization(data.w_h, data.d_h, order):
         return False
-    h_gens = [_reflection(b) for b in data.h_simples] or \
-        [SignedPerm.identity(m)]
+    _, index = _elements(res)
     for levi in levi_g_all(res):
-        w_m = _w_m_theta(res, levi)
-        d_m = _d_m_theta(res, levi)
-        seen_m = set()
-        for u in w_m:
-            for d in d_m:
-                x = u * d
-                if x in seen_m:
-                    return False
-                seen_m.add(x)
-        if len(seen_m) != len(res.weyl):
+        if not _memo(res._cache, ("factor", levi.simples),
+                     lambda: _unique_factorization(
+                         _w_m_theta(res, levi), _d_m_theta(res, levi), order)):
             return False
         # the double-coset set meets every double coset exactly once
-        dhm = _d_h_m(res, levi, data, tilde=False)
-        m_gens = [_reflection(b) for b in levi.simples] or \
-            [SignedPerm.identity(m)]
-        for orbit in _double_cosets(res.weyl, h_gens, m_gens):
-            if len(orbit & dhm) != 1:
-                return False
+        label = _double_cosets(res, data.h_simples, levi.simples)
+        hits = sorted(label[index[w]]
+                      for w in _d_h_m(res, levi, data, tilde=False))
+        if hits != list(range(max(label) + 1)):
+            return False
     return True
 
 

@@ -190,3 +190,24 @@ def test_inline_json_array_schema_error():
     rc, out, err = run_cli_err(["classify", "[]"])
     assert rc == 2
     assert "bad parameter schema" in err
+
+
+def test_rho_of_dimension_zero_domain_error():
+    rc, out = run_cli(["classify", json.dumps(
+        {"group": {"kind": "Sp", "n": 2},
+         "blocks": [_block(rho={"id": "r", "dim": 0,
+                                "type": "orthogonal"})]})])
+    assert rc == 1
+    assert json.loads(out) == {"error": "dim must be positive",
+                               "type": "BadRho"}
+
+
+@pytest.mark.parametrize("order", [[0, 1, "a"], [0, True, 2], [0, 1.0, 2], 3])
+def test_non_integer_order_entry_usage_error(order):
+    param = {"group": {"kind": "Sp", "n": 2},
+             "blocks": [_block(), _block(a=1, b=1, mult=2)], "order": order}
+    rc, out, err = run_cli_err(["signs", json.dumps(param),
+                                "--order", "file"])
+    assert rc == 2
+    assert out == ""
+    assert "order array" in err

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from arthurcalc.errors import NotDDR, OddLeftover, OrderViolation
+from arthurcalc.errors import (NotDDR, NotDominating, OddLeftover,
+                               OrderViolation)
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC,
                                QuadCharacter, RhoLabel)
@@ -180,6 +181,12 @@ def test_dominate_order_violation():
     order = BlockOrder(tuple(by_A))
     with pytest.raises(OrderViolation):
         dominate(psi, order, shifts={0: 5})
+
+
+def test_dominate_negative_shift():
+    psi = make_parameter([from_AB(RHO, HalfInt(4), HalfInt(2), PLUS)])
+    with pytest.raises(NotDominating):
+        dominate(psi, natural_order(psi), shifts={0: -1})
 
 
 def test_dominance_translates_segments():

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -317,3 +318,67 @@ def test_shared_splits_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert [results[k] for k in range(4)] == [expect] * 4
+
+
+def _sorted_elements(group):
+    return sorted(group, key=lambda w: (w.perm, w.signs))
+
+
+def test_coset_representatives_reject_tampered_d_h():
+    for datum in [W.RootDatum(W.TYPE_B, 3),
+                  W.RootDatum(W.TYPE_A, 3, twisted=True)]:
+        res = W.restricted_roots(datum)
+        for data in W.catalog_split_data(datum, res):
+            assert W.verify_coset_representatives(data)
+            d_h = data.d_h
+            dropped = replace(data, d_h=d_h - {_sorted_elements(d_h)[-1]})
+            assert not W.verify_coset_representatives(dropped)
+            if not data.h_simples:
+                continue  # D_H is the whole group
+            extra = _sorted_elements(res.weyl - d_h)[0]
+            added = replace(data, d_h=d_h | {extra})
+            assert not W.verify_coset_representatives(added)
+            # the same coset, so W = W_H * D_H still factors uniquely, but
+            # the whole group is no longer met by the full Levi's D_{H,M}
+            s = W._reflection(data.h_simples[0])
+            one = W.SignedPerm.identity(datum.restricted_dim())
+            swapped = replace(data, d_h=(d_h - {one}) | {s})
+            assert W._unique_factorization(swapped.w_h, swapped.d_h,
+                                           len(res.weyl))
+            assert not W.verify_coset_representatives(swapped)
+
+
+def _double_cosets_by_products(group, left, right):
+    """The (W_left, W_right) double cosets by a SignedPerm-product search."""
+    lgens = [W._reflection(b) for b in left]
+    rgens = [W._reflection(b) for b in right]
+    unvisited = set(group)
+    out = set()
+    while unvisited:
+        orbit = {unvisited.pop()}
+        frontier = list(orbit)
+        while frontier:
+            x = frontier.pop()
+            for y in [g * x for g in lgens] + [x * g for g in rgens]:
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        unvisited -= orbit
+        out.add(frozenset(orbit))
+    return out
+
+
+def test_double_cosets_match_product_search():
+    for datum in W.datum_catalog():
+        res = W.restricted_roots(datum)
+        elts, _ = W._elements(res)
+        for data in W.catalog_split_data(datum, res):
+            for levi in W.levi_g_all(res):
+                label = W._double_cosets(res, data.h_simples, levi.simples)
+                parts = {}
+                for w, k in zip(elts, label):
+                    parts.setdefault(k, set()).add(w)
+                assert sorted(parts) == list(range(len(parts)))
+                assert {frozenset(p) for p in parts.values()} == \
+                    _double_cosets_by_products(res.weyl, data.h_simples,
+                                               levi.simples)
