@@ -48,6 +48,8 @@ def quadchar_to_json(q: QuadCharacter) -> str:
 
 
 def quadchar_from_json(s: Optional[str]) -> QuadCharacter:
+    if s is not None and not isinstance(s, str):
+        raise TypeError(f"a quadratic character must be a string, got {s!r}")
     if not s:
         return QuadCharacter.trivial()
     return QuadCharacter(frozenset(s.split("*")))

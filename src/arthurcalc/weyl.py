@@ -511,24 +511,6 @@ def _restrict_elt(datum: RootDatum, w: SignedPerm) -> SignedPerm:
 Mat = Tuple[Tuple[int, ...], ...]
 
 
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def _mat_inv_monomial(a: Mat) -> Mat:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j]:
-                if a[i][j] not in (1, -1):
-                    raise DomainError("not monomial")  # pragma: no cover
-                out[j][i] = a[i][j]
-    return tuple(tuple(r) for r in out)
-
-
 def _basis_matrix(n: int, entries: Dict[Tuple[int, int], int]) -> Mat:
     m = [[0] * n for _ in range(n)]
     for (i, j), c in entries.items():
@@ -598,37 +580,40 @@ def _algebra_basis(datum: RootDatum) -> List[Tuple[Vec, Mat]]:
     return out
 
 
+def _monomial_conjugation(sigma: Sequence[int], signs: Sequence[int]
+                          ) -> Callable[[Mat], Mat]:
+    """x -> g x g^-1 for the signed permutation matrix g with
+    g[i][sigma(i)] = s_i: entry (i, j) is s_i s_j x[sigma(i)][sigma(j)]."""
+    if any(c not in (1, -1) for c in signs):
+        raise DomainError("not monomial")  # pragma: no cover
+    n = len(sigma)
+
+    def conj(x: Mat) -> Mat:
+        return tuple(tuple(signs[i] * signs[j] * x[sigma[i]][sigma[j]]
+                           for j in range(n)) for i in range(n))
+    return conj
+
+
 def _gamma_matrices(datum: RootDatum, t: Tuple[int, ...]):
     """The conjugation data for the centralizer of t * theta."""
     n = datum.matrix_size
     if datum.gtype == TYPE_A:
-        tj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            tj[i][n - 1 - i] = t[i] * (1 if (n - i) % 2 else -1)
-        # columns carry the alternating pinning signs of the flip
-        g = tuple(tuple(r) for r in tj)
+        # g is antidiagonal; its columns carry the alternating pinning
+        # signs of the flip
+        conj = _monomial_conjugation(
+            [n - 1 - i for i in range(n)],
+            [t[i] * (1 if (n - i) % 2 else -1) for i in range(n)])
 
         def gamma(x: Mat) -> Mat:
-            xt = tuple(tuple(x[j][i] for j in range(n)) for i in range(n))
-            neg = tuple(tuple(-c for c in r) for r in xt)
-            return _mat_mul(_mat_mul(g, neg), _mat_inv_monomial(g))
+            return conj(tuple(tuple(-x[j][i] for j in range(n))
+                              for i in range(n)))
         return gamma
     # twisted even orthogonal: swap the two middle coordinates
     half = n // 2
-    tp = [[0] * n for _ in range(n)]
-    for i in range(n):
-        tgt = i
-        if i == half - 1:
-            tgt = half
-        elif i == half:
-            tgt = half - 1
-        val = t[i] if i < half else t[n - 1 - i]
-        tp[tgt][i] = val
-    g = tuple(tuple(r) for r in tp)
-
-    def gamma(x: Mat) -> Mat:
-        return _mat_mul(_mat_mul(g, x), _mat_inv_monomial(g))
-    return gamma
+    sigma = list(range(n))
+    sigma[half - 1], sigma[half] = half, half - 1
+    return _monomial_conjugation(
+        sigma, [t[k] if k < half else t[n - 1 - k] for k in sigma])
 
 
 def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
@@ -757,8 +742,7 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
         raise DomainError("centralizer roots unbalanced")  # pragma: no cover
     h_simples = _simples_of(h_pos)
 
-    gens = [_reflection(b) for b in h_simples]
-    w_h = _closure(gens, m)
+    w_h = _reflection_group(res, h_simples)
     if not w_h <= res.weyl:
         raise DomainError(
             "centralizer Weyl group escapes the twisted group")
@@ -808,21 +792,56 @@ def _root_span(res: RestrictedData,
         res.roots, simples, res.datum.restricted_dim()))
 
 
+def _inverses(res: RestrictedData) -> Dict[SignedPerm, SignedPerm]:
+    """The inverse of each element of the twisted Weyl group."""
+    return _memo(res._cache, "inv", lambda: {w: w.inv() for w in res.weyl})
+
+
+def _reflection_in(res: RestrictedData, beta: Vec) -> SignedPerm:
+    """The reflection in a restricted root, built once per datum."""
+    return _memo(res._cache, ("refl", beta), lambda: _reflection(beta))
+
+
+def _inversions(res: RestrictedData) -> Dict[SignedPerm, int]:
+    """The inversion set N(w^-1) = {b > 0 : w^-1(b) < 0} of each element,
+    as a bit mask over the indices of res.positives."""
+    def build():
+        inv = _inverses(res)
+        return {w: sum(1 << k for k, b in enumerate(res.positives)
+                       if not _positive_in(res, inv[w].apply(b)))
+                for w in res.weyl}
+    return _memo(res._cache, "inversions", build)
+
+
 def _min_reps(res: RestrictedData,
               simples: Tuple[Vec, ...]) -> FrozenSet[SignedPerm]:
     """The elements w with w^-1 positive on each given root: when the
     roots are a base of W_S, the minimal representatives of the cosets
-    W_S w, so that W = W_S * D_S."""
-    return _memo(res._cache, ("reps", simples), lambda: frozenset(
-        w for w in res.weyl
-        if all(_positive_in(res, w.inv().apply(b)) for b in simples)))
+    W_S w, so that W = W_S * D_S (Bjorner-Brenti, 2.4).  These are the w
+    whose inversion set N(w^-1) misses the given roots, which must
+    therefore be positive."""
+    def build():
+        index = {b: k for k, b in enumerate(res.positives)}
+        if not all(b in index for b in simples):
+            raise DomainError("coset representatives need positive roots")
+        mask = sum(1 << index[b] for b in set(simples))
+        return frozenset(w for w, n in _inversions(res).items()
+                         if not n & mask)
+    return _memo(res._cache, ("reps", simples), build)
 
 
-def _levi_longest(res: RestrictedData, simples: Sequence[Vec]) -> SignedPerm:
-    pos = [b for b in _root_span(res, simples) if _positive_in(res, b)]
-    group = _closure([_reflection(b) for b in simples],
-                     res.datum.restricted_dim())
-    return _longest_in(group, pos)
+def _reflection_group(res: RestrictedData,
+                      roots: Tuple[Vec, ...]) -> FrozenSet[SignedPerm]:
+    """The subgroup generated by the reflections in the given roots."""
+    return _memo(res._cache, ("group", roots), lambda: _closure(
+        [_reflection_in(res, b) for b in roots], res.datum.restricted_dim()))
+
+
+def _levi_longest(res: RestrictedData, simples: Tuple[Vec, ...]
+                  ) -> SignedPerm:
+    return _memo(res._cache, ("longest", simples), lambda: _longest_in(
+        _reflection_group(res, simples),
+        [b for b in _root_span(res, simples) if _positive_in(res, b)]))
 
 
 # -- Levi subgroups of the ambient group --------------------------------------
@@ -848,9 +867,7 @@ def _levi_g_roots(res: RestrictedData, levi: LeviG) -> Tuple[Vec, ...]:
 
 
 def _w_m_theta(res: RestrictedData, levi: LeviG) -> FrozenSet[SignedPerm]:
-    m = res.datum.restricted_dim()
-    return _memo(res._cache, ("w_m", levi.simples), lambda: _closure(
-        [_reflection(b) for b in levi.simples], m))
+    return _reflection_group(res, levi.simples)
 
 
 def _d_m_theta(res: RestrictedData, levi: LeviG) -> FrozenSet[SignedPerm]:
@@ -867,9 +884,9 @@ def _d_m_tilde(res: RestrictedData, levi: LeviG,
                data: SplitData) -> FrozenSet[SignedPerm]:
     """The w in D_M with w^-1(S_M) inside a_h."""
     def build():
-        s_m = _s_m_subspace(res, levi)
+        s_m, inv = _s_m_subspace(res, levi), _inverses(res)
         return frozenset(w for w in _d_m_theta(res, levi)
-                         if data.a_h.contains_image(s_m, w.inv()))
+                         if data.a_h.contains_image(s_m, inv[w]))
     return _memo(data._cache, ("tilde", levi.simples), build)
 
 
@@ -877,7 +894,8 @@ def _d_h_m(res: RestrictedData, levi: LeviG,
            data: SplitData, tilde: bool) -> FrozenSet[SignedPerm]:
     def build():
         dm = _d_m_tilde(res, levi, data) if tilde else _d_m_theta(res, levi)
-        return frozenset(w.inv() for w in dm) & data.d_h
+        inv = _inverses(res)
+        return frozenset(inv[w] for w in dm) & data.d_h
     return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
 
 
@@ -1083,8 +1101,9 @@ def _double_cosets(res: RestrictedData, left: Sequence[Vec],
     """Label of each element's (W_left, W_right) double coset, where the
     subgroups are generated by the reflections in the given roots; labels
     run 0, 1, ... in order of first appearance."""
-    tables = [_mult_table(res, _reflection(b), True) for b in left] + \
-        [_mult_table(res, _reflection(b), False) for b in right]
+    tables = [_mult_table(res, _reflection_in(res, b), True)
+              for b in left] + \
+        [_mult_table(res, _reflection_in(res, b), False) for b in right]
     label = [-1] * len(res.weyl)
     count = 0
     for seed in range(len(label)):
@@ -1139,24 +1158,24 @@ def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
     w_m = _w_m_theta(res, levi)
     d_m = _d_m_theta(res, levi)
     dhm = _d_h_m(res, levi, data, tilde=False)
-    d_m_inv = {d.inv() for d in d_m}
+    inv = _inverses(res)
     for x in res.weyl:
         for w in dhm:
-            u = w.inv() * x
+            u = inv[w] * x
             # factor u = w_m(x,w) * d_m(x,w)
             d_fac = None
             for d in d_m:
-                if u * d.inv() in w_m:
+                if u * inv[d] in w_m:
                     d_fac = d
                     break
             if d_fac is None:
                 return False
-            candidate = x * d_fac.inv()
+            candidate = x * inv[d_fac]
             double = {a * w * b for a in data.w_h for b in w_m}
             # (x D_M^-1 cap D_H) cap W_H w W_M, computed directly
             actual = set()
             for d in d_m:
-                y = x * d.inv()
+                y = x * inv[d]
                 if y in data.d_h and y in double:
                     actual.add(y)
             expect = {candidate} if candidate in data.d_h else set()

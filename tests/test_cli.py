@@ -211,3 +211,17 @@ def test_non_integer_order_entry_usage_error(order):
     assert rc == 2
     assert out == ""
     assert "order array" in err
+
+
+@pytest.mark.parametrize("value", [1, True, ["c"], {"c": 1}])
+@pytest.mark.parametrize("where", ["eta", "det"])
+def test_non_string_quadratic_character_usage_error(where, value):
+    group = {"kind": "SOeven", "n": 1}
+    rho = {"id": "r", "dim": 1, "type": "orthogonal"}
+    (group if where == "eta" else rho)[where] = value
+    rc, out, err = run_cli_err(["classify", json.dumps(
+        {"group": group,
+         "blocks": [{"rho": rho, "a": 1, "b": 1, "mult": 2}]})])
+    assert rc == 2
+    assert out == ""
+    assert "bad parameter schema" in err

@@ -382,3 +382,81 @@ def test_double_cosets_match_product_search():
                 assert {frozenset(p) for p in parts.values()} == \
                     _double_cosets_by_products(res.weyl, data.h_simples,
                                                levi.simples)
+
+
+def _frontier_data():
+    """The catalog plus the rank-four frontier."""
+    return W.datum_catalog() + [W.RootDatum(W.TYPE_B, 4),
+                                W.RootDatum(W.TYPE_C, 4),
+                                W.RootDatum(W.TYPE_D, 5, twisted=True)]
+
+
+def test_min_reps_from_inversion_sets_match_positivity_filter():
+    for datum in _frontier_data():
+        res = W.restricted_roots(datum)
+        bases = [levi.simples for levi in W.levi_g_all(res)] + \
+            [data.h_simples for data in W.catalog_split_data(datum, res)]
+        for simples in bases:
+            direct = frozenset(
+                w for w in res.weyl
+                if all(W._positive_in(res, w.inv().apply(b))
+                       for b in simples))
+            assert W._min_reps(res, simples) == direct
+
+
+def test_min_reps_need_positive_roots():
+    datum = W.RootDatum(W.TYPE_B, 3)
+    res = W.restricted_roots(datum)
+    a, b = res.simples[:2]
+    for bad in [(W._neg(a),), (a, W._neg(b)), (W._add(a, a),)]:
+        with pytest.raises(DomainError):
+            W._min_reps(res, bad)
+
+
+def test_memoized_reflections_and_inverses():
+    for datum in W.datum_catalog():
+        res = W.restricted_roots(datum)
+        inv = W._inverses(res)
+        assert set(inv) == set(res.weyl)
+        for w in res.weyl:
+            assert (w * inv[w]).is_identity()
+        for b in res.roots:
+            assert W._reflection_in(res, b) == W._reflection(b)
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def _dense_gamma(datum, t, x):
+    """g x g^-1 by dense products, g the signed permutation matrix of
+    the flip twisted by t (x replaced by -x^T in type A)."""
+    n = datum.matrix_size
+    g = [[0] * n for _ in range(n)]
+    if datum.gtype == W.TYPE_A:
+        for i in range(n):
+            g[i][n - 1 - i] = t[i] * (1 if (n - i) % 2 else -1)
+        x = tuple(tuple(-x[j][i] for j in range(n)) for i in range(n))
+    else:
+        half = n // 2
+        swap = {half - 1: half, half: half - 1}
+        for i in range(n):
+            g[swap.get(i, i)][i] = t[i] if i < half else t[n - 1 - i]
+    g = tuple(tuple(r) for r in g)
+    g_inv = tuple(tuple(g[j][i] for j in range(n)) for i in range(n))
+    assert _dense_mul(g, g_inv) == W._basis_matrix(
+        n, {(i, i): 1 for i in range(n)})
+    return _dense_mul(_dense_mul(g, x), g_inv)
+
+
+def test_monomial_conjugation_matches_dense_product():
+    data = [W.RootDatum(W.TYPE_A, r, twisted=True) for r in (2, 3, 4, 5)] + \
+        [W.RootDatum(W.TYPE_D, r, twisted=True) for r in (3, 4, 5)]
+    for datum in data:
+        basis = W._algebra_basis(datum)
+        for t in itertools.product((1, -1), repeat=datum.ambient_dim):
+            gamma = W._gamma_matrices(datum, t)
+            for _, mat in basis:
+                assert gamma(mat) == _dense_gamma(datum, t, mat)
