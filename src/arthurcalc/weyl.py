@@ -1159,25 +1159,19 @@ def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
     d_m = _d_m_theta(res, levi)
     dhm = _d_h_m(res, levi, data, tilde=False)
     inv = _inverses(res)
-    for x in res.weyl:
-        for w in dhm:
-            u = inv[w] * x
-            # factor u = w_m(x,w) * d_m(x,w)
-            d_fac = None
-            for d in d_m:
-                if u * inv[d] in w_m:
-                    d_fac = d
-                    break
-            if d_fac is None:
+    # x D_M^-1 for every x, shared by every w
+    translates = [[x * inv[d] for d in d_m] for x in res.weyl]
+    for w in dhm:
+        coset = {w * b for b in w_m}
+        double = {a * y for a in data.w_h for y in coset}
+        for ys in translates:
+            # w^-1 x = w_m(x,w) * d_m(x,w) exactly when x d_m(x,w)^-1 is
+            # in w W_M
+            candidate = next((y for y in ys if y in coset), None)
+            if candidate is None:
                 return False
-            candidate = x * inv[d_fac]
-            double = {a * w * b for a in data.w_h for b in w_m}
             # (x D_M^-1 cap D_H) cap W_H w W_M, computed directly
-            actual = set()
-            for d in d_m:
-                y = x * inv[d]
-                if y in data.d_h and y in double:
-                    actual.add(y)
+            actual = {y for y in ys if y in data.d_h and y in double}
             expect = {candidate} if candidate in data.d_h else set()
             if actual != expect:
                 return False

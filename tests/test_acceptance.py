@@ -1,41 +1,16 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Every criterion runs at its stated size and tolerance (all checks here
-are exact sign identities, so the tolerance is literal equality, zero
-failures allowed).
+Criteria 1-10 run the verification families of ``arthurcalc.testing``
+at full size, each from its own seed; ``arthurcalc selftest`` runs the
+same families at compact size.  Every criterion runs at its stated size
+and tolerance (all checks here are exact sign identities, so the
+tolerance is literal equality, zero failures allowed).
 """
 
-import itertools
 import random
 import time
 
-import pytest
-
-import arthurcalc.weyl as W
-from arthurcalc.charspace import (MULT, SignVector, enumerate_characters,
-                                  enumerate_elements, pair, s_psi,
-                                  S_GT_HAT_SIGMA0)
-from arthurcalc.elementary import all_plus_form, aubert_chain
-from arthurcalc.endoscopy import sign_transfer_check
-from arthurcalc.formal import endoscopic_sign_bookkeeping
-from arthurcalc.halfint import HalfInt, bracket_sign, hrange, sign_pow
-from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
-from arthurcalc.packets import (enumerate_l_eta, eta_constraint_check,
-                                packet_constituents)
-from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
-                               JordanBlock, classify, dominate,
-                               elementary_alpha, elementary_block, from_AB,
-                               make_parameter, max_p_order, min_p_order,
-                               natural_order, satisfies_condition_p)
-from arthurcalc.segments import EpsMap, cuspidal_support, supercuspidal_test
-from arthurcalc.signs import (aubert_flip, beta_sign, eps_m_mw_ddr,
-                              eps_m_mw_elementary, eps_m_mw_general,
-                              eps_mw_w, s_ratio, theta_ratio_mw_w, z_mw_w)
-from arthurcalc.testing import (random_discrete_pair, random_elementary,
-                                random_p_order, random_pure_parameter)
-
-RHO = RhoLabel("r1", 1, ORTHOGONAL, QuadCharacter.of("u1"))
-RHO_S = RhoLabel("r2", 2, SYMPLECTIC)
+from arthurcalc.testing import FAMILIES, FULL
 
 
 def _report(criterion, checks, failures, started):
@@ -48,339 +23,73 @@ def _report(criterion, checks, failures, started):
 
 def test_criterion_1_sign_character_laws():
     started = time.time()
-    rng = random.Random(10**6 + 1)
-    checks = failures = 0
-    for _ in range(10000):
-        psi = random_pure_parameter(rng, max_blocks=6, max_ab=8, max_rhos=3)
-        order = random_p_order(rng, psi)
-        vec = eps_mw_w(psi, order)
-        if vec.product() != 1:
-            failures += 1
-        if pair(vec, s_psi(psi)) != theta_ratio_mw_w(psi, order):
-            failures += 1
-        checks += 2
-        if "discrete_diag_restriction" in classify(psi):
-            m = eps_m_mw_ddr(psi)
-            if m.product() != 1:
-                failures += 1
-            if pair(m, s_psi(psi)) != 1:
-                failures += 1
-            checks += 2
+    checks, failures = FAMILIES["sign_laws"](random.Random(10**6 + 1), FULL)
     elapsed = time.time() - started
     assert elapsed < 10.0, f"criterion 1 overran: {elapsed:.1f}s"
     _report(1, checks, failures, started)
 
 
-def _block_pools():
-    """Two structured pools: one feeding symplectic and even orthogonal
-    groups, one feeding odd orthogonal groups."""
-    orthogonal_side = [
-        JordanBlock(RHO, 1, 1, 1, PLUS), JordanBlock(RHO, 1, 1, 1, MINUS),
-        JordanBlock(RHO, 2, 2, 1, PLUS), JordanBlock(RHO, 2, 2, 1, MINUS),
-        JordanBlock(RHO, 3, 1), JordanBlock(RHO, 1, 3),
-        JordanBlock(RHO, 4, 2), JordanBlock(RHO, 2, 4),
-        JordanBlock(RHO, 3, 3, 1, PLUS), JordanBlock(RHO, 5, 1),
-    ]
-    symplectic_side = [
-        JordanBlock(RHO_S, 1, 1, 1, PLUS), JordanBlock(RHO_S, 1, 1, 1, MINUS),
-        JordanBlock(RHO_S, 3, 1), JordanBlock(RHO_S, 1, 3),
-        JordanBlock(RHO_S, 3, 3, 1, PLUS), JordanBlock(RHO_S, 5, 1),
-        JordanBlock(RHO_S, 2, 2, 1, PLUS), JordanBlock(RHO_S, 4, 2),
-    ]
-    return orthogonal_side, symplectic_side
-
-
 def test_criterion_2_endoscopic_transfer_sign():
     started = time.time()
-    checks = failures = 0
-    for pool in _block_pools():
-        for size in (1, 2, 3):
-            for combo in itertools.combinations_with_replacement(pool, size):
-                if size > 1 and len({b.key() for b in combo}) < size:
-                    continue  # repeated entries covered by mult elsewhere
-                try:
-                    psi = make_parameter(list(combo))
-                except Exception:
-                    continue  # mixed-parity draw
-                for order in (min_p_order(psi), max_p_order(psi)):
-                    for s in enumerate_elements(psi):
-                        if not sign_transfer_check(psi, s, order):
-                            failures += 1
-                        checks += 1
+    checks, failures = FAMILIES["transfer_sign"](
+        random.Random(10**6 + 2), FULL)
     assert checks >= 1000
     _report(2, checks, failures, started)
 
 
 def test_criterion_3_dominance_stability():
     started = time.time()
-    rng = random.Random(10**6 + 3)
-    checks = failures = 0
-    while checks < 1000:
-        psi = random_pure_parameter(rng, max_blocks=5)
-        order = random_p_order(rng, psi)
-        if rng.random() < 0.5:
-            shifts = {i: rng.randint(0, 3)
-                      for i in range(len(order.sequence))}
-            try:
-                psi_gg, order_gg = dominate(psi, order, shifts=shifts)
-            except Exception:
-                continue
-        else:
-            psi_gg, order_gg = dominate(psi, order, ensure_ddr=True)
-        before = eps_m_mw_general(psi, order)
-        after = eps_m_mw_general(psi_gg, order_gg)
-        for pos in range(len(order.sequence)):
-            i = psi.instances().index(order.sequence[pos])
-            j = psi_gg.instances().index(order_gg.sequence[pos])
-            if before.signs[i] != after.signs[j]:
-                failures += 1
-        checks += 1
+    checks, failures = FAMILIES["dominance"](random.Random(10**6 + 3), FULL)
     _report(3, checks, failures, started)
 
 
 def test_criterion_4_eta_constraint_exhaustive():
     started = time.time()
-    checks = failures = 0
-    for ta in range(0, 16):          # A = 0, 1/2, ..., 15/2
-        for tb in range(ta % 2, ta + 1, 2):
-            A, B = HalfInt(ta), HalfInt(tb)
-            gap = (ta - tb) // 2 + 1
-            for l in range(gap // 2 + 1):
-                if not eta_constraint_check(A, B, l):
-                    failures += 1
-                checks += 1
+    checks, failures = FAMILIES["eta_constraint"](
+        random.Random(10**6 + 4), FULL)
     assert checks >= 150  # every cell with A <= 15/2
     _report(4, checks, failures, started)
 
 
 def test_criterion_5_l_eta_census():
     started = time.time()
-    checks = failures = 0
-    # per block, exhaustively for A - B <= 7
-    for gap in range(0, 8):
-        for tb in (0, 1, 4):
-            A, B = HalfInt(tb + 2 * gap), HalfInt(tb)
-            for zeta in (PLUS, MINUS):
-                blk = from_AB(RHO, A, B, zeta)
-                psi = make_parameter([blk])
-                total = 0
-                for sign in (1, -1):
-                    total += len(packet_constituents(
-                        psi, SignVector(MULT, (sign,))))
-                if total != gap + 2:
-                    failures += 1
-                checks += 1
-    # random multi-block parameters
-    rng = random.Random(10**6 + 5)
-    for _ in range(1000):
-        psi = random_pure_parameter(rng, max_blocks=3, max_ab=6)
-        insts = psi.instances()
-        expect = 1
-        for blk, _ in insts:
-            expect *= int(blk.A - blk.B) + 2
-        total = 0
-        for signs in itertools.product((1, -1), repeat=len(insts)):
-            total += len(packet_constituents(psi, SignVector(MULT, signs)))
-        if total != expect:
-            failures += 1
-        checks += 1
+    checks, failures = FAMILIES["census"](random.Random(10**6 + 5), FULL)
     _report(5, checks, failures, started)
 
 
 def test_criterion_6_aubert_beta_coherence():
     started = time.time()
-    rng = random.Random(10**6 + 6)
-    checks = failures = 0
-    for _ in range(1000):
-        psi = random_elementary(rng, max_blocks=4, max_alpha=7)
-        rho = rng.choice(psi.rho_labels())
-        max_alpha = max(elementary_alpha(b) for b in psi.blocks)
-        for x0 in range(1, max_alpha + 2):
-            for strict in (True, False):
-                if aubert_flip(aubert_flip(psi, rho, x0, strict),
-                               rho, x0, strict) != psi:
-                    failures += 1
-                checks += 1
-            flipped = aubert_flip(psi, rho, x0)
-
-            def keyed(param, vec):
-                return {(b.rho.id, elementary_alpha(b)): sg
-                        for (b, _), sg in zip(param.instances(), vec.signs)}
-
-            ratio = keyed(psi, s_ratio(psi, x0, rho))
-            combined = keyed(psi, s_psi(psi))
-            for k, v in keyed(flipped, s_psi(flipped)).items():
-                combined[k] *= v
-            if ratio != combined:
-                failures += 1
-            checks += 1
-
-            # pairing reproduces the closed form for every character
-            insts = psi.instances()
-            for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0):
-                eps_keyed = keyed(psi, eps)
-                eps_flip = SignVector(MULT, tuple(
-                    eps_keyed[(b.rho.id, elementary_alpha(b))]
-                    for b, _ in flipped.instances()))
-                lhs = pair(eps, s_psi(psi)) * pair(eps_flip, s_psi(flipped))
-                sizes = [elementary_alpha(b) for b in psi.blocks
-                         if b.rho.id == rho.id]
-                if sizes and sizes[0] % 2 == 0:
-                    expected = 1
-                    for (b, _), sg in zip(insts, eps.signs):
-                        if b.rho.id == rho.id and elementary_alpha(b) < x0:
-                            expected *= sg
-                else:
-                    expected = 1
-                if lhs != expected:
-                    failures += 1
-                checks += 1
-
-            # beta matches a direct evaluation of its defining product
-            below = sorted(elementary_alpha(b) for b in psi.blocks
-                           if b.rho.id == rho.id
-                           and elementary_alpha(b) < x0)
-            parity = ({a % 2 for a in
-                       (elementary_alpha(b) for b in psi.blocks
-                        if b.rho.id == rho.id)} or {1}).pop()
-            direct = 1
-            if parity == 1:
-                k = len(below)
-                direct = sign_pow(k * (k - 1) // 2)
-                for al in below:
-                    direct *= sign_pow((al - 1) // 2)
-            else:
-                for al in below:
-                    direct *= sign_pow(al // 2)
-            if beta_sign(psi, rho, x0) != direct:
-                failures += 1
-            checks += 1
+    checks, failures = FAMILIES["flip_involution"](
+        random.Random(10**6 + 6), FULL)
     _report(6, checks, failures, started)
 
 
 def test_criterion_7_cuspidal_support_wellfounded():
     started = time.time()
-    rng = random.Random(10**6 + 7)
-    checks = failures = 0
-    for _ in range(1000):
-        phi, eps = random_discrete_pair(rng)
-        total_a = sum(b.a for b in phi.blocks)
-        try:
-            cusp, eps_c, trace = cuspidal_support(phi, eps)
-        except Exception:
-            failures += 1
-            checks += 1
-            continue
-        ok = supercuspidal_test(cusp, eps_c)
-        ok = ok and len(trace) <= total_a
-        removed = sum(2 * seg.length * seg.rho.dim for _, seg in trace)
-        ok = ok and removed + cusp.group.N == phi.group.N
-        if not ok:
-            failures += 1
-        checks += 1
+    checks, failures = FAMILIES["cuspidal_support"](
+        random.Random(10**6 + 7), FULL)
     _report(7, checks, failures, started)
 
 
 def test_criterion_8_weyl_catalog():
     started = time.time()
-    checks = failures = 0
-    for datum in W.datum_catalog():
-        res = W.restricted_roots(datum)
-        for data in W.catalog_split_data(datum, res):
-            report = W.verify_alternating_sum(data)
-            for _, lhs, rhs in report.entries:
-                if lhs != rhs:
-                    failures += 1
-                checks += 1
-            if not W.verify_identity_A(data):
-                failures += 1
-            if not W.verify_identity_B(data):
-                failures += 1
-            if not W.verify_coset_representatives(data):
-                failures += 1
-            checks += 3
+    checks, failures = FAMILIES["weyl_catalog"](random.Random(10**6 + 8), FULL)
     elapsed = time.time() - started
     assert elapsed < 60.0, f"criterion 8 overran: {elapsed:.1f}s"
     _report(8, checks, failures, started)
 
 
-def _ddr_grid():
-    """Structured DDR parameters over layered disjoint segments."""
-    out = []
-    layouts = [
-        [(0, 2)], [(0, 4)], [(2, 4)], [(2, 6)], [(0, 0), (2, 4)],
-        [(0, 2), (4, 6)], [(0, 2), (4, 4)], [(0, 4), (6, 8)],
-        [(0, 0), (2, 2), (4, 6)], [(0, 0), (2, 4), (6, 6)],
-        [(0, 2), (4, 6), (8, 8)], [(1, 3)], [(1, 5)], [(1, 3), (5, 7)],
-        [(1, 1), (3, 5)], [(1, 1), (3, 3), (5, 7)],
-    ]
-    second_rho = [(), ((0, 0),), ((0, 2),), ((1, 1),), ((1, 3),)]
-    for layout in layouts:
-        for extra in second_rho:
-            for zetas in itertools.product((PLUS, MINUS),
-                                           repeat=len(layout) + len(extra)):
-                blocks = [from_AB(RHO, HalfInt(ta), HalfInt(tb), z)
-                          for (tb, ta), z in zip(layout, zetas)]
-                blocks += [from_AB(RHO_S, HalfInt(ta + 1), HalfInt(tb + 1), z)
-                           for (tb, ta), z in zip(
-                               extra, zetas[len(layout):])]
-                try:
-                    psi = make_parameter(blocks)
-                except Exception:
-                    continue
-                if "discrete_diag_restriction" in classify(psi) and \
-                        len(psi.instances()) <= 5:
-                    out.append(psi)
-    return out
-
-
 def test_criterion_9_endoscopic_recursion_bookkeeping():
     started = time.time()
-    checks = failures = 0
-    for psi in _ddr_grid():
-        compounds = [inst for inst in psi.instances()
-                     if inst[0].A != inst[0].B]
-        if not compounds:
-            continue
-        for chosen in compounds:
-            for s in enumerate_elements(psi):
-                if not endoscopic_sign_bookkeeping(psi, s, chosen):
-                    failures += 1
-                checks += 1
+    checks, failures = FAMILIES["bookkeeping"](random.Random(10**6 + 9), FULL)
     assert checks > 100
     _report(9, checks, failures, started)
 
 
-def _elementary_grid(max_blocks=5):
-    """Every elementary parameter over a bounded size grid."""
-    out = []
-    for parity, sizes in ((1, (1, 3, 5, 7, 9)), (0, (2, 4, 6, 8))):
-        rho = RHO if parity == 1 else RHO_S
-        for r in range(1, min(max_blocks, len(sizes)) + 1):
-            for subset in itertools.combinations(sizes, r):
-                for deltas in itertools.product((PLUS, MINUS), repeat=r):
-                    blocks = [elementary_block(rho, al, d)
-                              for al, d in zip(subset, deltas)]
-                    out.append(make_parameter(blocks))
-    return out
-
-
 def test_criterion_10_eps_m_mw_variant_agreement():
     started = time.time()
-    checks = failures = 0
-    for psi in _elementary_grid():
-        order = natural_order(psi)
-        elem = eps_m_mw_elementary(psi)
-        ddr = eps_m_mw_ddr(psi)
-        gen = eps_m_mw_general(psi, order)
-        if not (elem.signs == ddr.signs == gen.signs):
-            failures += 1
-        checks += 1
-    for psi in _ddr_grid():
-        order = natural_order(psi)
-        if eps_m_mw_ddr(psi).signs != eps_m_mw_general(psi, order).signs:
-            failures += 1
-        checks += 1
+    checks, failures = FAMILIES["variant_agreement"](
+        random.Random(10**6 + 10), FULL)
     assert checks >= 350  # full grid of bounded elementary shapes
     _report(10, checks, failures, started)
 

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from arthurcalc.cli import main
+from arthurcalc.testing import FAMILIES
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -102,6 +103,8 @@ def test_selftest_small():
     assert rc == 0
     payload = json.loads(out)
     assert payload["ok"] is True
+    # selftest reports every registered family, and nothing else
+    assert set(payload["failures"]) == set(FAMILIES)
 
 
 def test_roundtrip_parameter_json():

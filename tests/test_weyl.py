@@ -328,11 +328,16 @@ def test_coset_representatives_reject_tampered_d_h():
     for datum in [W.RootDatum(W.TYPE_B, 3),
                   W.RootDatum(W.TYPE_A, 3, twisted=True)]:
         res = W.restricted_roots(datum)
+        caught = 0
         for data in W.catalog_split_data(datum, res):
             assert W.verify_coset_representatives(data)
             d_h = data.d_h
             dropped = replace(data, d_h=d_h - {_sorted_elements(d_h)[-1]})
             assert not W.verify_coset_representatives(dropped)
+            # the algebraic identity is truncated to the stabilizer of A_H,
+            # so only some splits see the dropped element
+            caught += sum(not W.verify_algebraic_identity(dropped, levi)
+                          for levi in W.levi_g_all(res))
             if not data.h_simples:
                 continue  # D_H is the whole group
             extra = _sorted_elements(res.weyl - d_h)[0]
@@ -346,6 +351,7 @@ def test_coset_representatives_reject_tampered_d_h():
             assert W._unique_factorization(swapped.w_h, swapped.d_h,
                                            len(res.weyl))
             assert not W.verify_coset_representatives(swapped)
+        assert caught
 
 
 def _double_cosets_by_products(group, left, right):
