@@ -299,39 +299,6 @@ def _ambient_roots(gtype: str, rank: int) -> Tuple[List[Vec], List[Vec]]:
     return pos, simple
 
 
-def _ambient_weyl(gtype: str, rank: int) -> FrozenSet[SignedPerm]:
-    if gtype == TYPE_A:
-        n = rank + 1
-        elts = set()
-        for p in itertools.permutations(range(n)):
-            elts.add(SignedPerm(tuple(p), (1,) * n))
-        return frozenset(elts)
-    n = rank
-    elts = set()
-    for p in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if gtype == TYPE_D and signs.count(-1) % 2:
-                continue
-            elts.add(SignedPerm(tuple(p), tuple(signs)))
-    return frozenset(elts)
-
-
-def _ambient_theta(gtype: str, rank: int, twisted: bool) -> SignedPerm:
-    if not twisted:
-        n = rank + 1 if gtype == TYPE_A else rank
-        return SignedPerm.identity(n)
-    if gtype == TYPE_A:
-        n = rank + 1
-        # e_i -> -e_{n+1-i}
-        return SignedPerm(tuple(n - 1 - i for i in range(n)), (-1,) * n)
-    if gtype == TYPE_D:
-        n = rank
-        perm = tuple(range(n))
-        signs = tuple(1 if i < n - 1 else -1 for i in range(n))
-        return SignedPerm(perm, signs)
-    raise DomainError("only types A and D admit the diagram flip")
-
-
 def _longest_in(group: Iterable[SignedPerm],
                 positives: Sequence[Vec]) -> SignedPerm:
     """The element sending every given positive root to a negative one."""
@@ -375,9 +342,6 @@ class RootDatum:
             return 2 * self.rank
         raise DomainError("matrix realization only needed for A and D")
 
-    def theta(self) -> SignedPerm:
-        return _ambient_theta(self.gtype, self.rank, self.twisted)
-
     def restricted_dim(self) -> int:
         if not self.twisted:
             return self.ambient_dim
@@ -401,19 +365,6 @@ class RootDatum:
             return tuple(out)
         return tuple(v[:m])
 
-    def lift(self, vbar: Vec) -> Vec:
-        """A theta-fixed ambient cocharacter restricting to vbar."""
-        if not self.twisted:
-            return vbar
-        n = self.ambient_dim
-        m = self.restricted_dim()
-        out = [0] * n
-        for i, c in enumerate(vbar):
-            out[i] = c
-            if self.gtype == TYPE_A:
-                out[n - 1 - i] = -c
-        return tuple(out)
-
 
 @dataclass
 class RestrictedData:
@@ -422,12 +373,21 @@ class RestrictedData:
     datum: RootDatum
     positives: Tuple[Vec, ...]
     simples: Tuple[Vec, ...]
-    weyl: FrozenSet[SignedPerm]           # acting on the restricted space
-    ambient_of: Dict[SignedPerm, SignedPerm]
-    w_long_g: SignedPerm                  # restriction of the longest element
     # derived sets per Levi, built on first use
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def weyl(self) -> FrozenSet[SignedPerm]:
+        """W^theta on the fixed space: the Weyl group of the restricted
+        roots, generated by the restricted simple reflections
+        (Steinberg, Endomorphisms of linear algebraic groups, 1.32)."""
+        return _reflection_group(self, self.simples)
+
+    @cached_property
+    def w_long_g(self) -> SignedPerm:
+        """The longest element, the restriction of the ambient one."""
+        return _levi_longest(self, self.simples)
 
     @cached_property
     def roots(self) -> Tuple[Vec, ...]:
@@ -441,7 +401,6 @@ class RestrictedData:
 def restricted_roots(datum: RootDatum) -> RestrictedData:
     """Restricted root data plus the theta-fixed Weyl group."""
     pos, simple = _ambient_roots(datum.gtype, datum.rank)
-    theta = datum.theta()
     rpos, seen = [], set()
     for a in pos:
         r = datum.restrict(a)
@@ -458,52 +417,7 @@ def restricted_roots(datum: RootDatum) -> RestrictedData:
             rsimple.append(r)
     if set(rpos) & {_neg(v) for v in rpos}:
         raise DomainError("restricted positivity broken")  # pragma: no cover
-
-    ambient_w = _ambient_weyl(datum.gtype, datum.rank)
-    fixed = [w for w in ambient_w if w * theta == theta * w]
-    m = datum.restricted_dim()
-    restriction: Dict[SignedPerm, SignedPerm] = {}
-    ambient_of: Dict[SignedPerm, SignedPerm] = {}
-    for w in fixed:
-        images = []
-        for i in range(m):
-            e = [0] * m
-            e[i] = 1
-            amb = datum.lift(tuple(e))
-            images.append(datum.restrict(w.apply(amb)))
-        # careful: lift/apply/restrict computes the cocharacter action,
-        # which for signed permutations agrees with the character action
-        if datum.gtype == TYPE_A and datum.twisted:
-            images = [tuple(c // 2 for c in img) if all(
-                x % 2 == 0 for x in img) else img for img in images]
-        bar = _from_images(images)
-        if bar in restriction and restriction[bar] != w:
-            raise DomainError("restriction not injective")  # pragma: no cover
-        restriction[bar] = w
-        ambient_of[bar] = w
-    weyl = frozenset(restriction.keys())
-
-    w_long = _longest_in(ambient_w, pos)
-    if not (w_long * theta == theta * w_long):
-        raise DomainError("longest element not fixed")  # pragma: no cover
-    w_long_bar = _restrict_elt(datum, w_long)
-    return RestrictedData(datum, tuple(rpos), tuple(rsimple), weyl,
-                          ambient_of, w_long_bar)
-
-
-def _restrict_elt(datum: RootDatum, w: SignedPerm) -> SignedPerm:
-    m = datum.restricted_dim()
-    images = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        amb = datum.lift(tuple(e))
-        img = datum.restrict(w.apply(amb))
-        if datum.gtype == TYPE_A and datum.twisted and \
-                all(c % 2 == 0 for c in img):
-            img = tuple(c // 2 for c in img)
-        images.append(img)
-    return _from_images(images)
+    return RestrictedData(datum, tuple(rpos), tuple(rsimple))
 
 
 # -- centralizer root data ----------------------------------------------------
@@ -704,9 +618,6 @@ class SplitData:
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def galois_h(self) -> Optional[SignedPerm]:
-        return self.split.galois
-
     @cached_property
     def _h_roots(self) -> Tuple[Vec, ...]:
         return self.h_positives + tuple(_neg(b) for b in self.h_positives)
@@ -862,18 +773,6 @@ def levi_g_all(res: RestrictedData) -> List[LeviG]:
     return out
 
 
-def _levi_g_roots(res: RestrictedData, levi: LeviG) -> Tuple[Vec, ...]:
-    return _root_span(res, levi.simples)
-
-
-def _w_m_theta(res: RestrictedData, levi: LeviG) -> FrozenSet[SignedPerm]:
-    return _reflection_group(res, levi.simples)
-
-
-def _d_m_theta(res: RestrictedData, levi: LeviG) -> FrozenSet[SignedPerm]:
-    return _min_reps(res, levi.simples)
-
-
 def _s_m_subspace(res: RestrictedData, levi: LeviG) -> Subspace:
     return _memo(res._cache, ("s_m", levi.simples),
                  lambda: _nullspace_of_roots(levi.simples,
@@ -885,7 +784,7 @@ def _d_m_tilde(res: RestrictedData, levi: LeviG,
     """The w in D_M with w^-1(S_M) inside a_h."""
     def build():
         s_m, inv = _s_m_subspace(res, levi), _inverses(res)
-        return frozenset(w for w in _d_m_theta(res, levi)
+        return frozenset(w for w in _min_reps(res, levi.simples)
                          if data.a_h.contains_image(s_m, inv[w]))
     return _memo(data._cache, ("tilde", levi.simples), build)
 
@@ -893,28 +792,27 @@ def _d_m_tilde(res: RestrictedData, levi: LeviG,
 def _d_h_m(res: RestrictedData, levi: LeviG,
            data: SplitData, tilde: bool) -> FrozenSet[SignedPerm]:
     def build():
-        dm = _d_m_tilde(res, levi, data) if tilde else _d_m_theta(res, levi)
+        dm = _d_m_tilde(res, levi, data) if tilde else \
+            _min_reps(res, levi.simples)
         inv = _inverses(res)
         return frozenset(inv[w] for w in dm) & data.d_h
     return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
 
 
-def levi_h_all(data: SplitData, galois_stable: bool = True) -> List[Tuple[Vec, ...]]:
-    """Subsets of the centralizer base, optionally Galois-stable only."""
-    g = data.galois_h()
+def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
+    """The Galois-stable subsets of the centralizer base."""
+    g = data.split.galois
     out = []
     for r in range(len(data.h_simples) + 1):
         for combo in itertools.combinations(data.h_simples, r):
             s = tuple(sorted(combo))
-            if galois_stable and g is not None:
-                if set(g.apply(b) for b in s) != set(s):
-                    continue
-            out.append(s)
+            if g is None or set(g.apply(b) for b in s) == set(s):
+                out.append(s)
     return out
 
 
 def _h_orbit_count(data: SplitData, simples: Sequence[Vec]) -> int:
-    g = data.galois_h()
+    g = data.split.galois
     if g is None:
         return len(simples)
     seen, count = set(), 0
@@ -932,7 +830,7 @@ def _m_prime_of(data: SplitData, levi: LeviG, w: SignedPerm
     """Base of the standard Levi of the centralizer attached to a double
     coset representative: the centralizer roots inside w of the Levi's
     restricted roots."""
-    moved = {w.apply(b) for b in _levi_g_roots(data.res, levi)}
+    moved = {w.apply(b) for b in _root_span(data.res, levi.simples)}
     inter = [b for b in data.h_positives if b in moved]
     simples = _simples_of(tuple(inter))
     if not set(simples) <= set(data.h_simples):
@@ -965,83 +863,61 @@ def a_count(data: SplitData, levi: LeviG,
 
 # -- group ring and the identities --------------------------------------------
 
-Ring = Dict[SignedPerm, int]
-
-
-def _ring_sum(elements: Sequence[SignedPerm]) -> Ring:
-    out: Ring = {}
-    for w in elements:
-        out[w] = out.get(w, 0) + 1
-    return out
+Ring = Counter  # group-ring element: SignedPerm -> integer coefficient
 
 
 def _ring_mul(a: Ring, b: Ring) -> Ring:
-    out: Ring = {}
+    out: Ring = Counter()
     for x, cx in a.items():
         for y, cy in b.items():
-            z = x * y
-            out[z] = out.get(z, 0) + cx * cy
-    return {k: v for k, v in out.items() if v}
-
-
-def _ring_scale(a: Ring, k: int) -> Ring:
-    return {w: k * c for w, c in a.items() if k * c}
-
-
-def _ring_add(a: Ring, b: Ring) -> Ring:
-    out = dict(a)
-    for w, c in b.items():
-        out[w] = out.get(w, 0) + c
-    return {k: v for k, v in out.items() if v}
+            out[x * y] += cx * cy
+    return out
 
 
 def _truncate_h(a: Ring, data: SplitData) -> Ring:
     stable = data._a_h_stabilizer
-    return {w: c for w, c in a.items() if w in stable}
+    return Counter({w: c for w, c in a.items() if w in stable})
 
+
+# Counter equality treats a missing key as zero, so the sums below keep
+# zero coefficients without changing any comparison.
 
 def verify_identity_A(data: SplitData) -> bool:
     """Alternating sum of tilde coset sums against the long double flip."""
     res = data.res
-    total: Ring = {}
+    total: Ring = Counter()
     for levi in levi_g_all(res):
         sign = -1 if len(levi.simples) % 2 else 1
-        total = _ring_add(total, _ring_scale(
-            _ring_sum(sorted(_d_m_tilde(res, levi, data),
-                             key=lambda w: (w.perm, w.signs))), sign))
+        total.update(dict.fromkeys(_d_m_tilde(res, levi, data), sign))
     target = res.w_long_g * data.w_long_mh
     sign = -1 if len(data.mh_simples) % 2 else 1
-    return total == {target: sign}
+    return total == Counter({target: sign})
 
 
 def verify_identity_B(data: SplitData) -> bool:
     """Alternating sum of truncated centralizer coset sums."""
     res = data.res
-    total: Ring = {}
+    total: Ring = Counter()
     for simples in levi_h_all(data):
         sign = -1 if _h_orbit_count(data, simples) % 2 else 1
-        total = _ring_add(total, _ring_scale(
-            _truncate_h(_ring_sum(_min_reps(res, simples)), data), sign))
-    xi_h = _ring_sum(sorted(data.d_h, key=lambda w: (w.perm, w.signs)))
+        total.update(_truncate_h(
+            dict.fromkeys(_min_reps(res, simples), sign), data))
     target = _truncate_h(_ring_mul(
-        xi_h, {res.w_long_g * data.w_long_mh: 1}), data)
+        Counter(data.d_h), {res.w_long_g * data.w_long_mh: 1}), data)
     return total == target
 
 
 def verify_algebraic_identity(data: SplitData, levi: LeviG) -> bool:
     """Truncated product of coset sums against the double-coset counts."""
     res = data.res
-    xi_h = _ring_sum(sorted(data.d_h, key=lambda w: (w.perm, w.signs)))
-    xi_m = _ring_sum(sorted(_d_m_tilde(res, levi, data),
-                            key=lambda w: (w.perm, w.signs)))
-    lhs = _truncate_h(_ring_mul(xi_h, xi_m), data)
-    rhs: Ring = {}
+    lhs = _truncate_h(_ring_mul(
+        Counter(data.d_h), Counter(_d_m_tilde(res, levi, data))), data)
+    rhs: Ring = Counter()
     for simples in levi_h_all(data):
         count = a_count(data, levi, simples)
-        if not count:
-            continue
-        rhs = _ring_add(rhs, _ring_scale(
-            _truncate_h(_ring_sum(_min_reps(res, simples)), data), count))
+        if count:
+            rhs.update(_truncate_h(
+                dict.fromkeys(_min_reps(res, simples), count), data))
     return lhs == rhs
 
 
@@ -1068,7 +944,7 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
         rhs = -1 if rhs_exp % 2 else 1
         rows.append((m_prime, lhs, rhs))
     # every admissible double coset must land on a Galois-stable Levi
-    g = data.galois_h()
+    g = data.split.galois
     for levi in levis:
         for mp in _m_prime_tally(data, levi):
             if g is not None and set(g.apply(b) for b in mp) != set(mp):
@@ -1122,32 +998,29 @@ def _double_cosets(res: RestrictedData, left: Sequence[Vec],
     return label
 
 
-def _unique_factorization(group: FrozenSet[SignedPerm],
-                          reps: FrozenSet[SignedPerm], order: int) -> bool:
-    """Whether the products u * d, u in group, d in reps, are pairwise
-    distinct and number order."""
-    if len(group) * len(reps) != order:
-        return False
-    return len({u * d for u in group for d in reps}) == order
+def _one_per_double_coset(res: RestrictedData, reps: Iterable[SignedPerm],
+                          left: Sequence[Vec], right: Sequence[Vec]) -> bool:
+    """Whether reps meets every (W_left, W_right) double coset exactly
+    once.  With right empty these are the cosets W_left w, and the answer
+    says whether W = W_left * reps with unique factorization."""
+    label = _double_cosets(res, left, right)
+    _, index = _elements(res)
+    hits = sorted(label[index[w]] for w in reps)
+    return hits == list(range(max(label) + 1))
 
 
 def verify_coset_representatives(data: SplitData) -> bool:
     """Unique factorization through the minimal representative sets."""
     res = data.res
-    order = len(res.weyl)
-    if not _unique_factorization(data.w_h, data.d_h, order):
+    if not _one_per_double_coset(res, data.d_h, data.h_simples, ()):
         return False
-    _, index = _elements(res)
     for levi in levi_g_all(res):
         if not _memo(res._cache, ("factor", levi.simples),
-                     lambda: _unique_factorization(
-                         _w_m_theta(res, levi), _d_m_theta(res, levi), order)):
+                     lambda: _one_per_double_coset(
+                         res, _min_reps(res, levi.simples), levi.simples, ())):
             return False
-        # the double-coset set meets every double coset exactly once
-        label = _double_cosets(res, data.h_simples, levi.simples)
-        hits = sorted(label[index[w]]
-                      for w in _d_h_m(res, levi, data, tilde=False))
-        if hits != list(range(max(label) + 1)):
+        if not _one_per_double_coset(res, _d_h_m(res, levi, data, tilde=False),
+                                     data.h_simples, levi.simples):
             return False
     return True
 
@@ -1155,24 +1028,26 @@ def verify_coset_representatives(data: SplitData) -> bool:
 def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
     """The one-point intersection description of translated coset sets."""
     res = data.res
-    w_m = _w_m_theta(res, levi)
-    d_m = _d_m_theta(res, levi)
-    dhm = _d_h_m(res, levi, data, tilde=False)
+    _, index = _elements(res)
     inv = _inverses(res)
-    # x D_M^-1 for every x, shared by every w
-    translates = [[x * inv[d] for d in d_m] for x in res.weyl]
-    for w in dhm:
-        coset = {w * b for b in w_m}
-        double = {a * y for a in data.w_h for y in coset}
+    # x D_M^-1 for every x, as element indices, shared by every w
+    translates = [[index[x * inv[d]] for d in _min_reps(res, levi.simples)]
+                  for x in res.weyl]
+    d_h = {index[w] for w in data.d_h}
+    # y lies in w W_M, or in W_H w W_M, when it carries the label of w
+    coset = _double_cosets(res, (), levi.simples)
+    double = _double_cosets(res, data.h_simples, levi.simples)
+    for w in _d_h_m(res, levi, data, tilde=False):
+        k = index[w]
         for ys in translates:
             # w^-1 x = w_m(x,w) * d_m(x,w) exactly when x d_m(x,w)^-1 is
             # in w W_M
-            candidate = next((y for y in ys if y in coset), None)
+            candidate = next((y for y in ys if coset[y] == coset[k]), None)
             if candidate is None:
                 return False
             # (x D_M^-1 cap D_H) cap W_H w W_M, computed directly
-            actual = {y for y in ys if y in data.d_h and y in double}
-            expect = {candidate} if candidate in data.d_h else set()
+            actual = {y for y in ys if y in d_h and double[y] == double[k]}
+            expect = {candidate} if candidate in d_h else set()
             if actual != expect:
                 return False
     return True
@@ -1203,9 +1078,9 @@ def _dedup_twisted_t(datum: RootDatum) -> List[Tuple[int, ...]]:
             twists.append(tuple(g[i] * g[n - 1 - i] for i in range(n)))
         twists = sorted(set(twists))
     else:
-        base = _ambient_weyl(TYPE_D, n)
-        theta = datum.theta()
-        perms = [w.perm for w in base if w * theta == theta * w]
+        # conjugation by the theta-fixed elements permutes the first n - 1
+        # coordinates and fixes the last
+        perms = [p + (n - 1,) for p in itertools.permutations(range(n - 1))]
         twists = [(1,) * n]
     reps = {}
     for t in itertools.product((1, -1), repeat=n):
@@ -1280,7 +1155,7 @@ def coset_reps(data: SplitData, levi: LeviG
     twisted Weyl group.
     """
     res = data.res
-    d_m = _d_m_theta(res, levi)
+    d_m = _min_reps(res, levi.simples)
     d_m_tilde = _d_m_tilde(res, levi, data)
     return (data.d_h, d_m, d_m_tilde,
             _d_h_m(res, levi, data, tilde=False),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -77,15 +78,15 @@ def test_coset_counts_b2():
     so4 = W.build_split_data(datum, res, W.EndoscopicSplit((-1, -1)))
     assert len(so4.w_h) == 4 and len(so4.d_h) == 2
     # the trivial Levi has the whole group as representatives
-    assert len(W._d_m_theta(res, W.LeviG(()))) == len(res.weyl)
+    assert len(W._min_reps(res, ())) == len(res.weyl)
 
 
 def test_levi_counts_divide():
     datum = W.RootDatum(W.TYPE_B, 3)
     res = W.restricted_roots(datum)
     for levi in W.levi_g_all(res):
-        wm = W._w_m_theta(res, levi)
-        dm = W._d_m_theta(res, levi)
+        wm = W._reflection_group(res, levi.simples)
+        dm = W._min_reps(res, levi.simples)
         assert len(wm) * len(dm) == len(res.weyl)
 
 
@@ -130,14 +131,14 @@ def test_tilde_characterization_via_levi_of_invariants():
     datum = W.RootDatum(W.TYPE_B, 2)
     res = W.restricted_roots(datum)
     for data in W.catalog_split_data(datum, res):
-        g = data.galois_h()
+        g = data.split.galois
         fixed = [w for w in res.weyl
                  if g is None or g * w == w * g]
         mh_pos = [b for b in W._root_span(res, data.mh_simples)
                   if b in set(res.positives)]
         for levi in W.levi_g_all(res):
             tilde = W._d_m_tilde(res, levi, data)
-            levi_pos = [b for b in W._levi_g_roots(res, levi)
+            levi_pos = [b for b in W._root_span(res, levi.simples)
                         if b in set(res.positives)]
             for w in fixed:
                 in_tilde = w in tilde
@@ -185,7 +186,8 @@ def test_coset_reps_tuple():
     for levi in W.levi_g_all(res):
         d_h, d_m, d_m_t, d_hm, d_hm_t = W.coset_reps(data, levi)
         assert len(d_h) * len(data.w_h) == len(res.weyl)
-        assert len(d_m) * len(W._w_m_theta(res, levi)) == len(res.weyl)
+        assert len(d_m) * len(W._reflection_group(res, levi.simples)) == \
+            len(res.weyl)
         assert d_m_t <= d_m
         assert d_hm_t <= d_hm
         assert d_hm <= d_h
@@ -285,9 +287,12 @@ def test_a_count_matches_direct_count():
                   W.RootDatum(W.TYPE_D, 4, twisted=True)]:
         res = W.restricted_roots(datum)
         for data in W.catalog_split_data(datum, res):
+            subsets = [tuple(sorted(c))
+                       for r in range(len(data.h_simples) + 1)
+                       for c in itertools.combinations(data.h_simples, r)]
             for levi in W.levi_g_all(res):
                 reps = W._d_h_m(res, levi, data, tilde=True)
-                for m_prime in W.levi_h_all(data, galois_stable=False):
+                for m_prime in subsets:
                     direct = sum(1 for w in reps
                                  if W._m_prime_of(data, levi, w) == m_prime)
                     assert W.a_count(data, levi, m_prime) == direct
@@ -348,8 +353,8 @@ def test_coset_representatives_reject_tampered_d_h():
             s = W._reflection(data.h_simples[0])
             one = W.SignedPerm.identity(datum.restricted_dim())
             swapped = replace(data, d_h=(d_h - {one}) | {s})
-            assert W._unique_factorization(swapped.w_h, swapped.d_h,
-                                           len(res.weyl))
+            assert W._one_per_double_coset(res, swapped.d_h,
+                                           swapped.h_simples, ())
             assert not W.verify_coset_representatives(swapped)
         assert caught
 
@@ -466,3 +471,133 @@ def test_monomial_conjugation_matches_dense_product():
             gamma = W._gamma_matrices(datum, t)
             for _, mat in basis:
                 assert gamma(mat) == _dense_gamma(datum, t, mat)
+
+
+def test_intersection_prop_rejects_added_d_h_element():
+    for datum in [W.RootDatum(W.TYPE_B, 3),
+                  W.RootDatum(W.TYPE_A, 3, twisted=True)]:
+        res = W.restricted_roots(datum)
+        for data in W.catalog_split_data(datum, res):
+            if not data.h_simples:
+                continue  # D_H is the whole group
+            extra = _sorted_elements(res.weyl - data.d_h)[0]
+            added = replace(data, d_h=data.d_h | {extra})
+            assert not all(W.verify_intersection_prop(added, levi)
+                           for levi in W.levi_g_all(res))
+
+
+def test_one_per_double_coset_rejects_a_coset_met_twice():
+    datum = W.RootDatum(W.TYPE_B, 3)
+    res = W.restricted_roots(datum)
+    one = W.SignedPerm.identity(datum.restricted_dim())
+    checked = 0
+    for data in W.catalog_split_data(datum, res):
+        if not data.h_simples or len(data.d_h) < 2:
+            continue
+        s = W._reflection(data.h_simples[0])
+        other = _sorted_elements(data.d_h - {one})[0]
+        # as many elements as cosets, but W_H * other is met twice and
+        # W_H itself not at all
+        moved = (data.d_h - {one}) | {s * other}
+        assert len(moved) == len(data.d_h)
+        assert not W._one_per_double_coset(res, moved, data.h_simples, ())
+        checked += 1
+    assert checked
+
+def _theta_fixed_reference(datum):
+    """W^theta on the fixed space by the ambient scan: every signed
+    permutation of the ambient Weyl group that commutes with theta,
+    restricted to the fixed space, and the restriction of the ambient
+    longest element."""
+    n, m = datum.ambient_dim, datum.restricted_dim()
+    if datum.gtype == W.TYPE_A:
+        ambient = [W.SignedPerm(p, (1,) * n)
+                   for p in itertools.permutations(range(n))]
+    else:
+        ambient = [W.SignedPerm(p, s)
+                   for p in itertools.permutations(range(n))
+                   for s in itertools.product((1, -1), repeat=n)
+                   if datum.gtype != W.TYPE_D or s.count(-1) % 2 == 0]
+    if not datum.twisted:
+        theta = W.SignedPerm.identity(n)
+    elif datum.gtype == W.TYPE_A:
+        theta = W.SignedPerm(tuple(range(n))[::-1], (-1,) * n)  # -e_{n-1-i}
+    else:
+        theta = W.SignedPerm(tuple(range(n)), (1,) * (n - 1) + (-1,))
+
+    def lift(i):
+        v = [0] * n
+        v[i] = 1
+        if datum.twisted and datum.gtype == W.TYPE_A:
+            v[n - 1 - i] = -1
+        return tuple(v)
+
+    def restrict(w):
+        images = []
+        for i in range(m):
+            img = datum.restrict(w.apply(lift(i)))
+            if datum.twisted and datum.gtype == W.TYPE_A and \
+                    all(c % 2 == 0 for c in img):
+                img = tuple(c // 2 for c in img)
+            images.append(img)
+        return W._from_images(images)
+
+    fixed = [w for w in ambient if w * theta == theta * w]
+    pos, _ = W._ambient_roots(datum.gtype, datum.rank)
+    return fixed, [restrict(w) for w in fixed], \
+        restrict(W._longest_in(ambient, pos))
+
+
+def test_weyl_group_matches_theta_fixed_ambient_scan():
+    extra = [W.RootDatum(W.TYPE_B, 4), W.RootDatum(W.TYPE_C, 4),
+             W.RootDatum(W.TYPE_A, 4, twisted=True),
+             W.RootDatum(W.TYPE_A, 5, twisted=True),
+             W.RootDatum(W.TYPE_D, 5, twisted=True)]
+    for datum in W.datum_catalog() + extra:
+        res = W.restricted_roots(datum)
+        fixed, weyl, w_long = _theta_fixed_reference(datum)
+        assert len(set(weyl)) == len(weyl)  # restriction is injective
+        assert res.weyl == frozenset(weyl)
+        assert res.w_long_g == w_long
+        if datum.twisted and datum.gtype == W.TYPE_D:
+            n = datum.ambient_dim
+            reps = set()
+            for t in itertools.product((1, -1), repeat=n):
+                reps.add(min(tuple(t[w.perm.index(i)] for i in range(n))
+                             for w in fixed))
+            assert W._dedup_twisted_t(datum) == sorted(reps)
+
+
+def _weyl_fingerprint(data):
+    """SHA-256 over each datum's group and longest element and, for every
+    catalogued split, D_H, the four identity flags, the alternating-sum
+    rows and the five coset sets of each Levi; elements are sorted by
+    (perm, signs)."""
+    def elts(group):
+        return tuple((w.perm, w.signs) for w in _sorted_elements(group))
+
+    digest = hashlib.sha256()
+    for datum in data:
+        res = W.restricted_roots(datum)
+        rows = [(datum.gtype, datum.rank, datum.twisted), elts(res.weyl),
+                elts([res.w_long_g])]
+        for split in W.catalog_split_data(datum, res):
+            report = W.verify_alternating_sum(split)
+            rows.append((split.split.name, elts(split.d_h),
+                         W.verify_identity_A(split),
+                         W.verify_identity_B(split),
+                         W.verify_coset_representatives(split),
+                         report.all_pass(), report.entries))
+            rows.extend(tuple(elts(s) for s in W.coset_reps(split, levi))
+                        for levi in W.levi_g_all(res))
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed from the ambient-scan construction of the twisted Weyl group
+CATALOG_FINGERPRINT = \
+    "63562b6d27ccdf1ccf69c4ece508be0a9c293baadb3a09a13e39fa2879a024b0"
+
+
+def test_exactness_fingerprint_over_catalog():
+    assert _weyl_fingerprint(W.datum_catalog()) == CATALOG_FINGERPRINT
