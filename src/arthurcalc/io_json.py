@@ -73,6 +73,8 @@ def _int_field(d: Dict[str, Any], key: str, default: Optional[int] = None
 
 
 def rho_from_json(d: Dict[str, Any]) -> RhoLabel:
+    if not isinstance(d["id"], str):
+        raise TypeError(f"a rho id must be a string, got {d['id']!r}")
     return RhoLabel(d["id"], _int_field(d, "dim", 1),
                     _TYPE_IN[d.get("type", "orthogonal")],
                     quadchar_from_json(d.get("det")))

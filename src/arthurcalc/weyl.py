@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -187,11 +187,6 @@ class Subspace:
     def of(vectors: Iterable[Sequence[int]], n: int) -> "Subspace":
         return Subspace(n, _echelon(vectors))
 
-    @staticmethod
-    def full(n: int) -> "Subspace":
-        return Subspace.of([[1 if j == i else 0 for j in range(n)]
-                            for i in range(n)], n)
-
     def contains(self, v: Sequence[int]) -> bool:
         if len(self.basis) == self.dim_ambient:
             return True
@@ -202,42 +197,6 @@ class Subspace:
                 r = _eliminate(r, o, p)
         return not any(r)
 
-    def contains_image(self, other: "Subspace", w: SignedPerm) -> bool:
-        """Whether w maps the other subspace into this one."""
-        return all(self.contains(w.apply(v)) for v in other.basis)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.dim_ambient, self.basis))
-
-
-def _nullspace_of_roots(roots: Sequence[Vec], n: int) -> Subspace:
-    """Vectors orthogonal to every given root."""
-    rows = _echelon(roots)
-    pivots = [_lead(r) for r in rows]
-    scale = lcm(1, *(r[p] for r, p in zip(rows, pivots)))
-    vecs = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [0] * n
-        v[f] = scale
-        for r, p in zip(rows, pivots):
-            v[p] = -r[f] * scale // r[p]
-        vecs.append(v)
-    return Subspace.of(vecs, n)
-
-
-def _fixed_subspace(w: SignedPerm) -> Subspace:
-    """Vectors v with w(v) = v: the nullspace of the matrix of w - 1."""
-    n = len(w.perm)
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        rows[w.perm[j]][j] += w.signs[j]
-        rows[j][j] -= 1
-    return _nullspace_of_roots(rows, n)
 
 
 # -- ambient root data --------------------------------------------------------
@@ -432,7 +391,9 @@ def _basis_matrix(n: int, entries: Dict[Tuple[int, int], int]) -> Mat:
     return tuple(tuple(r) for r in m)
 
 
-def _gl_weight_fn(datum: RootDatum):
+def _weight_fn(datum: RootDatum):
+    """The restricted weight of each coordinate of the matrix realization:
+    e_i for the first m coordinates, -e_i for their mirrors n - 1 - i."""
     n = datum.matrix_size
     m = datum.restricted_dim()
 
@@ -440,23 +401,8 @@ def _gl_weight_fn(datum: RootDatum):
         out = [0] * m
         if i < m:
             out[i] = 1
-        elif i >= n - m:
+        elif n - 1 - i < m:
             out[n - 1 - i] = -1
-        return tuple(out)
-    return w
-
-
-def _so_weight_fn(datum: RootDatum):
-    n2 = datum.matrix_size
-    n = n2 // 2
-    m = datum.restricted_dim()  # n - 1
-
-    def w(i: int) -> Vec:
-        out = [0] * m
-        if i < m:
-            out[i] = 1
-        elif n2 - 1 - i < m:
-            out[n2 - 1 - i] = -1
         return tuple(out)
     return w
 
@@ -470,15 +416,14 @@ def _algebra_basis(datum: RootDatum) -> List[Tuple[Vec, Mat]]:
     """
     n = datum.matrix_size
     out: List[Tuple[Vec, Mat]] = []
+    wfn = _weight_fn(datum)
     if datum.gtype == TYPE_A:
-        wfn = _gl_weight_fn(datum)
         for i in range(n):
             for j in range(n):
                 if i != j:
                     out.append((tuple(a - b for a, b in zip(wfn(i), wfn(j))),
                                 _basis_matrix(n, {(i, j): 1})))
         return out
-    wfn = _so_weight_fn(datum)
     seen = set()
     for i in range(n):
         for j in range(n):
@@ -610,9 +555,8 @@ class SplitData:
     h_positives: Tuple[Vec, ...]
     h_simples: Tuple[Vec, ...]
     w_h: FrozenSet[SignedPerm]
-    a_h: Subspace          # invariant central subtorus of the centralizer
     d_h: FrozenSet[SignedPerm]
-    mh_simples: Tuple[Vec, ...]   # ambient-standard Levi cut out by a_h
+    mh_simples: Tuple[Vec, ...]   # ambient-standard Levi cut out by a_H
     w_long_mh: SignedPerm
     # derived sets per Levi, built on first use
     _cache: Dict[Hashable, object] = field(
@@ -624,9 +568,15 @@ class SplitData:
 
     @cached_property
     def _a_h_stabilizer(self) -> FrozenSet[SignedPerm]:
-        """The elements w with w(a_h) = a_h."""
-        return frozenset(w for w in self.res.weyl
-                         if self.a_h.contains_image(self.a_h, w))
+        """The elements w with w(a_H) = a_H, where the invariant central
+        subtorus a_H is Fix(g) for the Galois twist g (everything when
+        there is none).  An orthogonal involution is determined by its
+        fixed space, and w(Fix(g)) = Fix(w g w^-1), so these are the w
+        that commute with g."""
+        g = self.split.galois
+        if g is None:
+            return self.res.weyl
+        return frozenset(w for w in self.res.weyl if w * g == g * w)
 
 
 def _roots_of_split(datum: RootDatum, res: RestrictedData,
@@ -664,24 +614,20 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
             raise DomainError("galois twist must preserve the base")
         if g * g != SignedPerm.identity(m):
             raise DomainError("galois twist must be an involution")
-        a_h = _fixed_subspace(g)
-    else:
-        a_h = Subspace.full(m)
 
     d_h = _min_reps(res, h_simples)
 
-    mh_simples = tuple(sorted(
-        b for b in res.simples if not any(_dot(b, v) for v in a_h.basis)))
-    span_roots = [b for b in res.roots
-                  if not any(_dot(b, v) for v in a_h.basis)]
-    allowed = _root_span(res, mh_simples)
-    if set(span_roots) != set(allowed):
+    # the roots orthogonal to a_H = Fix(g) are the roots that g negates
+    span_roots = {b for b in res.roots
+                  if g is not None and g.apply(b) == _neg(b)}
+    mh_simples = tuple(sorted(span_roots.intersection(res.simples)))
+    if span_roots != set(_root_span(res, mh_simples)):
         raise DomainError(
             "invariant torus does not cut a standard Levi; "
             "rearrange the split")
     w_long_mh = _levi_longest(res, mh_simples)
-    return SplitData(res, split, h_pos, h_simples, w_h, a_h, d_h,
-                     mh_simples, w_long_mh)
+    return SplitData(res, split, h_pos, h_simples, w_h, d_h, mh_simples,
+                     w_long_mh)
 
 
 def _positive_in(res: RestrictedData, v: Vec) -> bool:
@@ -773,19 +719,19 @@ def levi_g_all(res: RestrictedData) -> List[LeviG]:
     return out
 
 
-def _s_m_subspace(res: RestrictedData, levi: LeviG) -> Subspace:
-    return _memo(res._cache, ("s_m", levi.simples),
-                 lambda: _nullspace_of_roots(levi.simples,
-                                             res.datum.restricted_dim()))
-
-
 def _d_m_tilde(res: RestrictedData, levi: LeviG,
                data: SplitData) -> FrozenSet[SignedPerm]:
-    """The w in D_M with w^-1(S_M) inside a_h."""
+    """The w in D_M with w^-1(S_M) inside a_H = Fix(g).  That is, w g w^-1
+    fixes the centre S_M of M pointwise.  W^theta is the full group of
+    signed permutations for every datum here, so it holds g, and the
+    pointwise stabilizer of S_M in it is W_M (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.12(c)): the condition is w g w^-1 in W_M."""
     def build():
-        s_m, inv = _s_m_subspace(res, levi), _inverses(res)
-        return frozenset(w for w in _min_reps(res, levi.simples)
-                         if data.a_h.contains_image(s_m, inv[w]))
+        g, d_m = data.split.galois, _min_reps(res, levi.simples)
+        if g is None:
+            return d_m
+        w_m, inv = _reflection_group(res, levi.simples), _inverses(res)
+        return frozenset(w for w in d_m if w * g * inv[w] in w_m)
     return _memo(data._cache, ("tilde", levi.simples), build)
 
 

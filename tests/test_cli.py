@@ -228,3 +228,14 @@ def test_non_string_quadratic_character_usage_error(where, value):
     assert rc == 2
     assert out == ""
     assert "bad parameter schema" in err
+
+
+@pytest.mark.parametrize("value", [5, None, True, ["r"]])
+def test_non_string_rho_id_usage_error(value):
+    rc, out, err = run_cli_err(["classify", json.dumps(
+        {"group": {"kind": "SOeven", "n": 1},
+         "blocks": [{"rho": {"id": value, "dim": 1, "type": "none"},
+                     "a": 1, "b": 1, "mult": 2}]})])
+    assert rc == 2
+    assert out == ""
+    assert "bad parameter schema" in err

@@ -178,9 +178,15 @@ _ETA_REPRODUCER = ["classify", json.dumps(
      "blocks": [{"rho": {"id": "r", "dim": 1, "type": "orthogonal"},
                  "a": 1, "b": 1, "mult": 2}]})]
 
+_RHO_ID_REPRODUCER = ["classify", json.dumps(
+    {"group": {"kind": "SOeven", "n": 1},
+     "blocks": [{"rho": {"id": 5, "dim": 1, "type": "none"},
+                 "a": 1, "b": 1, "mult": 2}]})]
+
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @example(_ETA_REPRODUCER)
+@example(_RHO_ID_REPRODUCER)
 @given(argvs())
 def test_cli_main_has_three_outcomes(argv):
     out, err = io.StringIO(), io.StringIO()

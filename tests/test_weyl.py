@@ -165,6 +165,9 @@ def test_subspace_exact():
     assert not s.contains((1, 0, 0))
     t = W.Subspace.of([(2, 0, 2), (0, 3, 0)], 3)
     assert s == t  # canonical reduced form
+    # equal subspaces hash alike; different ambient spaces are not equal
+    assert W.Subspace.of([], 2) != W.Subspace.of([], 3)
+    assert len({W.Subspace.of([], 2), W.Subspace.of([], 3), s, t}) == 3
 
 
 def test_catalog_shapes():
@@ -601,3 +604,79 @@ CATALOG_FINGERPRINT = \
 
 def test_exactness_fingerprint_over_catalog():
     assert _weyl_fingerprint(W.datum_catalog()) == CATALOG_FINGERPRINT
+
+
+def _kernel_q(rows, n):
+    """A basis of the vectors orthogonal to every row, by Fraction
+    elimination to reduced row echelon form."""
+    work, pivots = [[Fraction(c) for c in r] for r in rows], []
+    for col in range(n):
+        pivot = next((i for i in range(len(pivots), len(work))
+                      if work[i][col]), None)
+        if pivot is None:
+            continue
+        k = len(pivots)
+        work[k], work[pivot] = work[pivot], work[k]
+        work[k] = [c / work[k][col] for c in work[k]]
+        for i in range(len(work)):
+            if i != k and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -work[k][free]
+        basis.append(v)
+    assert len(basis) == n - _rank_q(rows)
+    return basis
+
+
+def _apply_q(w, v):
+    out = [Fraction(0)] * len(v)
+    for i, c in enumerate(v):
+        out[w.perm[i]] += c * w.signs[i]
+    return out
+
+
+def test_invariant_torus_matches_fixed_subspace_reference():
+    # a_H = Fix(g) and S_M as Fraction nullspaces, compared by rank
+    extra = [W.RootDatum(W.TYPE_B, 4), W.RootDatum(W.TYPE_C, 4),
+             W.RootDatum(W.TYPE_A, 4, twisted=True),
+             W.RootDatum(W.TYPE_A, 5, twisted=True),
+             W.RootDatum(W.TYPE_D, 5, twisted=True)]
+    checked = 0
+    for datum in W.datum_catalog() + extra:
+        res = W.restricted_roots(datum)
+        m = datum.restricted_dim()
+        for data in W.catalog_split_data(datum, res):
+            g = data.split.galois
+            if g is None:
+                continue
+            minus_one = [[(g.signs[j] if g.perm[j] == i else 0)
+                          - (i == j) for j in range(m)] for i in range(m)]
+            a_h = _kernel_q(minus_one, m)
+            dim = _rank_q(a_h)
+
+            def inside(vecs):
+                return _rank_q(a_h + vecs) == dim
+
+            assert dim == len(a_h) and all(_apply_q(g, v) == v for v in a_h)
+            assert data._a_h_stabilizer == frozenset(
+                w for w in res.weyl if inside([_apply_q(w, v) for v in a_h]))
+            orthogonal = {b for b in res.roots
+                          if all(sum(x * y for x, y in zip(b, v)) == 0
+                                 for v in a_h)}
+            assert data.mh_simples == tuple(sorted(
+                orthogonal.intersection(res.simples)))
+            assert orthogonal == set(W._root_span(res, data.mh_simples))
+            inv = W._inverses(res)
+            for levi in W.levi_g_all(res):
+                s_m = _kernel_q(levi.simples, m)
+                assert W._d_m_tilde(res, levi, data) == frozenset(
+                    w for w in W._min_reps(res, levi.simples)
+                    if inside([_apply_q(inv[w], v) for v in s_m]))
+            checked += 1
+    assert checked
