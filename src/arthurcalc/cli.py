@@ -9,6 +9,7 @@ success, 1 on a domain error (with a machine-readable error object),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -253,6 +254,15 @@ def cmd_selftest(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one; parsing never writes to it (see the README on
+    concurrency).  A plain function, so that bench/tracer.py, which wraps
+    plain functions only, still sees every call."""
+    return _shared_parser()
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="arthurcalc",
         description="Symbolic calculator for Jordan-block packet data")

@@ -50,9 +50,15 @@ def quadchar_to_json(q: QuadCharacter) -> str:
 def quadchar_from_json(s: Optional[str]) -> QuadCharacter:
     if s is not None and not isinstance(s, str):
         raise TypeError(f"a quadratic character must be a string, got {s!r}")
+    q = QuadCharacter.trivial()
     if not s:
-        return QuadCharacter.trivial()
-    return QuadCharacter(frozenset(s.split("*")))
+        return q
+    # a product of generators: repeated factors cancel, as in __mul__
+    for gen in s.split("*"):
+        if not gen:
+            raise TypeError(f"empty factor in quadratic character {s!r}")
+        q = q * QuadCharacter.of(gen)
+    return q
 
 
 def rho_to_json(rho: RhoLabel) -> Dict[str, Any]:

@@ -2,10 +2,15 @@ import io
 import contextlib
 import json
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from arthurcalc.cli import main
+import arthurcalc
+from arthurcalc import cli
+from arthurcalc.cli import build_parser, main
 from arthurcalc.testing import FAMILIES
 
 HERE = os.path.dirname(__file__)
@@ -239,3 +244,105 @@ def test_non_string_rho_id_usage_error(value):
     assert rc == 2
     assert out == ""
     assert "bad parameter schema" in err
+
+
+@pytest.mark.parametrize("text,generators", [
+    (None, set()), ("", set()), ("c", {"c"}), ("c*d", {"c", "d"}),
+    ("c*c", set()), ("c*d*c", {"d"}), ("c*d*d*c*e", {"e"})])
+def test_quadchar_from_json_multiplies_factors(text, generators):
+    from arthurcalc import io_json as js
+    assert js.quadchar_from_json(text).generators == generators
+
+
+@pytest.mark.parametrize("text", ["*", "c*", "*c", "**", "c**d"])
+def test_quadchar_from_json_empty_factor_type_error(text):
+    from arthurcalc import io_json as js
+    with pytest.raises(TypeError):
+        js.quadchar_from_json(text)
+
+
+@pytest.mark.parametrize("where,value", [("eta", "*"), ("eta", "c*"),
+                                         ("det", "**")])
+def test_empty_quadratic_character_factor_usage_error(where, value):
+    group = {"kind": "SOeven", "n": 1}
+    rho = {"id": "r", "dim": 1, "type": "orthogonal"}
+    (group if where == "eta" else rho)[where] = value
+    rc, out, err = run_cli_err(["classify", json.dumps(
+        {"group": group,
+         "blocks": [{"rho": rho, "a": 1, "b": 1, "mult": 2}]})])
+    assert rc == 2
+    assert out == ""
+    assert "bad parameter schema" in err
+
+
+def test_repeated_generator_cancels_in_eta_and_det():
+    def echo(char):
+        return run_cli(["diag-restriction", json.dumps(
+            {"group": {"kind": "SOeven", "n": 1, "eta": char},
+             "blocks": [{"rho": {"id": "r", "dim": 1, "type": "orthogonal",
+                                 "det": char},
+                         "a": 1, "b": 1, "mult": 2}]})])
+    rc, out = echo("c*d*c")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["group"]["eta"] == "d"
+    assert payload["blocks"][0]["rho"]["det"] == "d"
+    assert echo("c*c") == echo("")
+
+
+def test_parser_is_shared():
+    assert build_parser() is build_parser()
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(arthurcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import arthurcalc.cli as c; "
+         "print(c._shared_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+def test_format_option_does_not_carry_over():
+    argv = ["classify", os.path.join(GOLDEN, "sp8_elem.json")]
+    rc, table = run_cli(["--format", "table"] + argv)
+    assert rc == 0
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(table)
+    rc, out = run_cli(argv)
+    assert rc == 0
+    with open(os.path.join(GOLDEN, "classify_sp8_elem.out")) as fh:
+        assert out == fh.read()
+
+
+def test_golden_corpus_forwards_then_backwards():
+    calls = [(name, _fix_paths(argv)) for name, argv in _invocations()]
+    forwards = [run_cli(argv) for _, argv in calls]
+    backwards = [run_cli(argv) for _, argv in reversed(calls)]
+    assert forwards == backwards[::-1]
+    for (name, _), (rc, out) in zip(calls, forwards):
+        with open(os.path.join(GOLDEN, f"{name}.out")) as fh:
+            assert (rc, out) == (0, fh.read())
+
+
+def test_concurrent_parsing_matches_a_fresh_parser():
+    calls = [argv for _, argv in _invocations()]
+    fresh = [vars(cli._shared_parser.__wrapped__().parse_args(argv))
+             for argv in calls]
+    # the threads also race on the first build
+    cli._shared_parser.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        start.wait()
+        results[k] = [[vars(build_parser().parse_args(argv))
+                       for argv in calls] for _ in range(5)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(rounds == [fresh] * 5 for rounds in results)

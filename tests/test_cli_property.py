@@ -184,8 +184,15 @@ _RHO_ID_REPRODUCER = ["classify", json.dumps(
                  "a": 1, "b": 1, "mult": 2}]})]
 
 
+_EMPTY_FACTOR_REPRODUCER = ["classify", json.dumps(
+    {"group": {"kind": "SOeven", "n": 1, "eta": "*"},
+     "blocks": [{"rho": {"id": "r", "dim": 1, "type": "orthogonal"},
+                 "a": 1, "b": 1, "mult": 2}]})]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @example(_ETA_REPRODUCER)
+@example(_EMPTY_FACTOR_REPRODUCER)
 @example(_RHO_ID_REPRODUCER)
 @given(argvs())
 def test_cli_main_has_three_outcomes(argv):
