@@ -245,6 +245,11 @@ def cmd_selftest(args) -> dict:
     import random
     from dataclasses import replace
     from .testing import COMPACT, FAMILIES
+    # a bound below every catalogued datum would check no Weyl datum at all
+    least = min(datum.rank for datum in weyl.datum_catalog())
+    if args.rank_bound < least:
+        raise UsageError(f"rank bound below the smallest catalogued rank "
+                         f"{least}")
     rng = random.Random(args.seed)
     size = replace(COMPACT, rank_bound=args.rank_bound)
     results = {name: family(rng, size)[1]

@@ -334,7 +334,9 @@ def classify(psi: ArthurParameter) -> frozenset:
     return frozenset(flags)
 
 
-Instance = Tuple[JordanBlock, int]
+# a builtin generic: typing's subscription cache would keep the class, and
+# with it this module, alive after the package is imported again
+Instance = tuple[JordanBlock, int]
 
 
 @dataclass(frozen=True)

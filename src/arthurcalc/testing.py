@@ -8,6 +8,7 @@ of them at ``COMPACT`` size from one generator.
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import random
 from dataclasses import dataclass
@@ -265,7 +266,8 @@ class Size:
 FULL = Size(full=True, rank_bound=None)
 COMPACT = Size(full=False, rank_bound=4)
 
-Family = Callable[[random.Random, Size], Tuple[int, int]]
+# builtin generics, which typing's subscription cache does not keep alive
+Family = collections.abc.Callable[[random.Random, Size], tuple[int, int]]
 
 
 def _sign_laws(rng: random.Random, size: Size) -> Tuple[int, int]:

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -104,33 +104,14 @@ def _from_images(images: Sequence[Vec]) -> SignedPerm:
 
 
 def _reflection(beta: Vec) -> SignedPerm:
-    n = len(beta)
-    bb = _dot(beta, beta)
+    n, bb = len(beta), _dot(beta, beta)
     images = []
     for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        num = 2 * beta[i]
-        img = tuple(e[j] * bb - num * beta[j] for j in range(n))
-        g = bb
-        if any(c % g for c in img):
+        img = tuple(bb * (i == j) - 2 * beta[i] * beta[j] for j in range(n))
+        if any(c % bb for c in img):
             raise DomainError("reflection is not integral")  # pragma: no cover
-        images.append(tuple(c // g for c in img))
+        images.append(tuple(c // bb for c in img))
     return _from_images(images)
-
-
-def _closure(gens: Sequence[SignedPerm], n: int) -> FrozenSet[SignedPerm]:
-    seen = {SignedPerm.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                x = g * w
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return frozenset(seen)
 
 
 # -- exact subspaces ----------------------------------------------------------
@@ -198,7 +179,6 @@ class Subspace:
         return not any(r)
 
 
-
 # -- ambient root data --------------------------------------------------------
 
 TYPE_A = "A"
@@ -209,63 +189,24 @@ TYPE_D = "D"
 
 def _ambient_roots(gtype: str, rank: int) -> Tuple[List[Vec], List[Vec]]:
     """(positive roots, simple roots) in the standard coordinates."""
-    pos, simple = [], []
+    n = rank + 1 if gtype == TYPE_A else rank
+
+    def vec(*entries: Tuple[int, int]) -> Vec:
+        v = [0] * n
+        for i, c in entries:
+            v[i] = c
+        return tuple(v)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    simple = [vec((i, 1), (i + 1, -1)) for i in range(n - 1)]
     if gtype == TYPE_A:
-        n = rank + 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = [0] * n
-                v[i], v[j] = 1, -1
-                pos.append(tuple(v))
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            simple.append(tuple(v))
-        return pos, simple
-    n = rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sj in (1, -1):
-                v = [0] * n
-                v[i], v[j] = 1, sj
-                pos.append(tuple(v))
-    if gtype == TYPE_B:
-        for i in range(n):
-            v = [0] * n
-            v[i] = 1
-            pos.append(tuple(v))
-    if gtype == TYPE_C:
-        for i in range(n):
-            v = [0] * n
-            v[i] = 2
-            pos.append(tuple(v))
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simple.append(tuple(v))
-    if gtype == TYPE_B:
-        v = [0] * n
-        v[n - 1] = 1
-        simple.append(tuple(v))
-    elif gtype == TYPE_C:
-        v = [0] * n
-        v[n - 1] = 2
-        simple.append(tuple(v))
-    else:
-        v = [0] * n
-        v[n - 2], v[n - 1] = 1, 1
-        simple.append(tuple(v))
-    return pos, simple
-
-
-def _longest_in(group: Iterable[SignedPerm],
-                positives: Sequence[Vec]) -> SignedPerm:
-    """The element sending every given positive root to a negative one."""
-    pos = set(positives)
-    for w in group:
-        if all(_neg(w.apply(a)) in pos for a in positives):
-            return w
-    raise DomainError("no longest element found")  # pragma: no cover
+        return [vec((i, 1), (j, -1)) for i, j in pairs], simple
+    pos = [vec((i, 1), (j, s)) for i, j in pairs for s in (1, -1)]
+    if gtype == TYPE_D:
+        return pos, simple + [vec((n - 2, 1), (n - 1, 1))]
+    short = 1 if gtype == TYPE_B else 2
+    return pos + [vec((i, short)) for i in range(n)], \
+        simple + [vec((n - 1, short))]
 
 
 @dataclass(frozen=True)
@@ -332,7 +273,7 @@ class RestrictedData:
     datum: RootDatum
     positives: Tuple[Vec, ...]
     simples: Tuple[Vec, ...]
-    # derived sets per Levi, built on first use
+    # the group's index tables and derived sets, built on first use
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -341,42 +282,28 @@ class RestrictedData:
         """W^theta on the fixed space: the Weyl group of the restricted
         roots, generated by the restricted simple reflections
         (Steinberg, Endomorphisms of linear algebraic groups, 1.32)."""
-        return _reflection_group(self, self.simples)
+        return frozenset(_group(self).elements)
 
     @cached_property
     def w_long_g(self) -> SignedPerm:
         """The longest element, the restriction of the ambient one."""
-        return _levi_longest(self, self.simples)
+        return _group(self).elements[_levi_longest(self, self.simples)]
 
     @cached_property
     def roots(self) -> Tuple[Vec, ...]:
         return self.positives + tuple(_neg(v) for v in self.positives)
 
-    @cached_property
-    def _positive_set(self) -> FrozenSet[Vec]:
-        return frozenset(self.positives)
-
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
     """Restricted root data plus the theta-fixed Weyl group."""
     pos, simple = _ambient_roots(datum.gtype, datum.rank)
-    rpos, seen = [], set()
-    for a in pos:
-        r = datum.restrict(a)
-        if any(r) and r not in seen:
-            seen.add(r)
-            rpos.append(r)
-    rsimple, seen_s = [], set()
-    for a in simple:
-        r = datum.restrict(a)
-        if not any(r):
-            raise DomainError("flip kills a simple root")  # pragma: no cover
-        if r not in seen_s:
-            seen_s.add(r)
-            rsimple.append(r)
+    rpos = tuple(dict.fromkeys(r for r in map(datum.restrict, pos) if any(r)))
+    rsimple = tuple(dict.fromkeys(map(datum.restrict, simple)))
+    if not all(map(any, rsimple)):
+        raise DomainError("flip kills a simple root")  # pragma: no cover
     if set(rpos) & {_neg(v) for v in rpos}:
         raise DomainError("restricted positivity broken")  # pragma: no cover
-    return RestrictedData(datum, tuple(rpos), tuple(rsimple))
+    return RestrictedData(datum, rpos, rsimple)
 
 
 # -- centralizer root data ----------------------------------------------------
@@ -479,8 +406,8 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
                        res: "RestrictedData") -> Tuple[Vec, ...]:
     """Restricted weights of the fixed subalgebra of Ad(t) after theta."""
     basis = _algebra_basis(datum)
+    index = {mat: k for k, (_, mat) in enumerate(basis)}
     gamma = _gamma_matrices(datum, t)
-    index = {b[1]: k for k, b in enumerate(basis)}
     image: List[Tuple[int, int]] = []
     for weight, mat in basis:
         img = gamma(mat)
@@ -496,24 +423,18 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
         else:
             raise DomainError(
                 "gamma does not permute the basis")  # pragma: no cover
-    mult: Dict[Vec, int] = {}
-    n_basis = len(basis)
-    visited = [False] * n_basis
-    for start in range(n_basis):
+    mult: Counter = Counter()
+    visited = [False] * len(basis)
+    for start in range(len(basis)):
+        sign, cur = 1, start
         if visited[start]:
             continue
-        sign = 1
-        visited[start] = True
-        cur, s = image[start]
-        while cur != start:
+        while not visited[cur]:  # once around the cycle of start
             visited[cur] = True
-            sign *= s
             cur, s = image[cur]
-        sign *= s
-        if sign == 1:
-            weight = basis[start][0]
-            if any(weight):
-                mult[weight] = mult.get(weight, 0) + 1
+            sign *= s
+        if sign == 1 and any(basis[start][0]):
+            mult[basis[start][0]] += 1
     if any(v > 1 for v in mult.values()):
         raise DomainError(
             "centralizer weight space of dimension > 1")  # pragma: no cover
@@ -529,11 +450,8 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
 def _simples_of(positives: Sequence[Vec]) -> Tuple[Vec, ...]:
     """The positive roots that are not a sum of two others."""
     pos = set(positives)
-    out = []
-    for a in positives:
-        if not any(_add(a, _neg(b)) in pos for b in pos):
-            out.append(a)
-    return tuple(sorted(out))
+    return tuple(sorted(a for a in pos
+                        if not any(_add(a, _neg(b)) in pos for b in pos)))
 
 
 @dataclass(frozen=True)
@@ -554,20 +472,30 @@ class SplitData:
     split: EndoscopicSplit
     h_positives: Tuple[Vec, ...]
     h_simples: Tuple[Vec, ...]
-    w_h: FrozenSet[SignedPerm]
     d_h: FrozenSet[SignedPerm]
     mh_simples: Tuple[Vec, ...]   # ambient-standard Levi cut out by a_H
-    w_long_mh: SignedPerm
     # derived sets per Levi, built on first use
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def w_h(self) -> FrozenSet[SignedPerm]:
+        """The Weyl group of the centralizer."""
+        elts = _group(self.res).elements
+        return frozenset(elts[x] for x in
+                         _reflection_group(self.res, self.h_simples))
+
+    @cached_property
+    def _d_h_ix(self) -> FrozenSet[int]:
+        index = _group(self.res).index
+        return frozenset(index[w] for w in self.d_h)
 
     @cached_property
     def _h_roots(self) -> Tuple[Vec, ...]:
         return self.h_positives + tuple(_neg(b) for b in self.h_positives)
 
     @cached_property
-    def _a_h_stabilizer(self) -> FrozenSet[SignedPerm]:
+    def _a_h_stabilizer(self) -> FrozenSet[int]:
         """The elements w with w(a_H) = a_H, where the invariant central
         subtorus a_H is Fix(g) for the Galois twist g (everything when
         there is none).  An orthogonal involution is determined by its
@@ -575,47 +503,41 @@ class SplitData:
         that commute with g."""
         g = self.split.galois
         if g is None:
-            return self.res.weyl
-        return frozenset(w for w in self.res.weyl if w * g == g * w)
+            return frozenset(range(len(_group(self.res).elements)))
+        k = _group(self.res).index[g]
+        return frozenset(x for x, (a, b) in enumerate(zip(
+            _mult_table(self.res, k, True), _mult_table(self.res, k, False)))
+            if a == b)
 
 
 def _roots_of_split(datum: RootDatum, res: RestrictedData,
                     split: EndoscopicSplit) -> Tuple[Vec, ...]:
     if datum.twisted:
         return _centralizer_roots(datum, split.t, res)
-    roots = []
-    for beta in res.roots:
-        val = 1
-        for c, ti in zip(beta, split.t):
-            if c % 2:
-                val *= ti
-        if val == 1:
-            roots.append(beta)
-    return tuple(sorted(roots))
+    # the roots on which t is trivial
+    return tuple(sorted(b for b in res.roots if prod(
+        ti for c, ti in zip(b, split.t) if c % 2) == 1))
 
 
 def build_split_data(datum: RootDatum, res: RestrictedData,
                      split: EndoscopicSplit) -> SplitData:
-    m = datum.restricted_dim()
     h_roots = _roots_of_split(datum, res, split)
     h_pos = tuple(sorted(b for b in h_roots if _positive_in(res, b)))
     if len(h_pos) * 2 != len(h_roots):
         raise DomainError("centralizer roots unbalanced")  # pragma: no cover
     h_simples = _simples_of(h_pos)
 
-    w_h = _reflection_group(res, h_simples)
-    if not w_h <= res.weyl:
-        raise DomainError(
-            "centralizer Weyl group escapes the twisted group")
-
     g = split.galois
     if g is not None:
         if not set(g.apply(b) for b in h_simples) == set(h_simples):
             raise DomainError("galois twist must preserve the base")
-        if g * g != SignedPerm.identity(m):
+        if g.inv() != g:
             raise DomainError("galois twist must be an involution")
+        if g not in _group(res).index:
+            raise DomainError("galois twist must lie in the twisted group")
 
-    d_h = _min_reps(res, h_simples)
+    elts = _group(res).elements
+    d_h = frozenset(elts[x] for x in _min_reps(res, h_simples))
 
     # the roots orthogonal to a_H = Fix(g) are the roots that g negates
     span_roots = {b for b in res.roots
@@ -625,13 +547,12 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
         raise DomainError(
             "invariant torus does not cut a standard Levi; "
             "rearrange the split")
-    w_long_mh = _levi_longest(res, mh_simples)
-    return SplitData(res, split, h_pos, h_simples, w_h, d_h, mh_simples,
-                     w_long_mh)
+    return SplitData(res, split, h_pos, h_simples, d_h, mh_simples)
 
 
 def _positive_in(res: RestrictedData, v: Vec) -> bool:
-    return v in res._positive_set
+    n = len(res.positives)
+    return _root_index(res).get(v, n) < n
 
 
 def _span_of(roots: Sequence[Vec], simples: Sequence[Vec],
@@ -649,56 +570,148 @@ def _root_span(res: RestrictedData,
         res.roots, simples, res.datum.restricted_dim()))
 
 
-def _inverses(res: RestrictedData) -> Dict[SignedPerm, SignedPerm]:
-    """The inverse of each element of the twisted Weyl group."""
-    return _memo(res._cache, "inv", lambda: {w: w.inv() for w in res.weyl})
-
-
 def _reflection_in(res: RestrictedData, beta: Vec) -> SignedPerm:
     """The reflection in a restricted root, built once per datum."""
     return _memo(res._cache, ("refl", beta), lambda: _reflection(beta))
 
 
-def _inversions(res: RestrictedData) -> Dict[SignedPerm, int]:
-    """The inversion set N(w^-1) = {b > 0 : w^-1(b) < 0} of each element,
-    as a bit mask over the indices of res.positives."""
+@dataclass(frozen=True)
+class _Group:
+    """The twisted Weyl group on integer indices.  Element x is
+    elements[x], and perms[x][k] is the index of x(res.roots[k]) in
+    res.roots.  The simple roots are a basis of the fixed space, so an
+    element is determined by their images, images[x], and by_images
+    gives the index back."""
+
+    elements: Tuple[SignedPerm, ...]  # sorted by (perm, signs)
+    index: Dict[SignedPerm, int]
+    one: int  # the identity
+    perms: Tuple[Tuple[int, ...], ...]
+    images: Tuple[Tuple[int, ...], ...]
+    by_images: Dict[Tuple[int, ...], int]
+
+
+def _root_index(res: RestrictedData) -> Dict[Vec, int]:
+    """The position of each root in res.roots."""
+    return _memo(res._cache, "where", lambda: {
+        b: k for k, b in enumerate(res.roots)})
+
+
+def _generate(res: RestrictedData) -> _Group:
+    """W^theta as the closure of the restricted simple reflections,
+    acting on the indices of res.roots; each new element s * w costs one
+    SignedPerm product."""
+    where = _root_index(res)
+    simple = [where[b] for b in res.simples]
+    gens = [(s, tuple(where[s.apply(b)] for b in res.roots))
+            for s in (_reflection_in(res, b) for b in res.simples)]
+    found = {tuple(simple): (SignedPerm.identity(len(simple)),
+                             tuple(range(len(res.roots))))}
+    queue = list(found.values())
+    for w, p in queue:  # breadth first; the queue grows as it is read
+        for s, q in gens:
+            key = tuple([q[p[a]] for a in simple])
+            if key not in found:
+                found[key] = x = (s * w, tuple([q[j] for j in p]))
+                queue.append(x)
+    order = sorted(found.values(), key=lambda e: (e[0].perm, e[0].signs))
+    images = tuple(tuple([p[a] for a in simple]) for _, p in order)
+    elements = tuple(w for w, _ in order)
+    by_images = {key: x for x, key in enumerate(images)}
+    return _Group(elements, {w: x for x, w in enumerate(elements)},
+                  by_images[tuple(simple)], tuple(p for _, p in order),
+                  images, by_images)
+
+
+def _group(res: RestrictedData) -> _Group:
+    return _memo(res._cache, "group", lambda: _generate(res))
+
+
+def _product(group: _Group, x: int, y: int) -> int:
+    """The index of x * y: the element sending each simple root a to
+    x(y(a))."""
+    p = group.perms[x]
+    return group.by_images[tuple([p[k] for k in group.images[y]])]
+
+
+def _mult_table(res: RestrictedData, g: int, left: bool) -> Tuple[int, ...]:
+    """Index of g * x (left) or x * g (right) for each element x."""
     def build():
-        inv = _inverses(res)
-        return {w: sum(1 << k for k, b in enumerate(res.positives)
-                       if not _positive_in(res, inv[w].apply(b)))
-                for w in res.weyl}
+        group = _group(res)
+        return tuple(_product(group, g, x) if left else _product(group, x, g)
+                     for x in range(len(group.elements)))
+    return _memo(res._cache, ("mult", g, left), build)
+
+
+def _reflection_table(res: RestrictedData, beta: Vec,
+                      left: bool) -> Tuple[int, ...]:
+    """_mult_table of the reflection in a restricted root, which W^theta
+    holds as the Weyl group of the restricted roots."""
+    return _mult_table(res, _group(res).index[_reflection_in(res, beta)],
+                       left)
+
+
+def _inverses(res: RestrictedData) -> Tuple[int, ...]:
+    """The index of the inverse of each element: x^-1 sends a simple
+    root a to the root that x sends to a."""
+    def build():
+        group = _group(res)
+        simple = group.images[group.one]
+        return tuple(group.by_images[tuple([p.index(a) for a in simple])]
+                     for p in group.perms)
+    return _memo(res._cache, "inv", build)
+
+
+def _inversions(res: RestrictedData) -> Tuple[int, ...]:
+    """The inversion set N(w^-1) = {b > 0 : w^-1(b) < 0} of each element,
+    as a bit mask over the indices of res.positives: the positive roots
+    w(c) with c < 0."""
+    def build():
+        n = len(res.positives)
+        return tuple(sum(1 << j for j in p[n:] if j < n)
+                     for p in _group(res).perms)
     return _memo(res._cache, "inversions", build)
 
 
 def _min_reps(res: RestrictedData,
-              simples: Tuple[Vec, ...]) -> FrozenSet[SignedPerm]:
+              simples: Tuple[Vec, ...]) -> FrozenSet[int]:
     """The elements w with w^-1 positive on each given root: when the
     roots are a base of W_S, the minimal representatives of the cosets
     W_S w, so that W = W_S * D_S (Bjorner-Brenti, 2.4).  These are the w
     whose inversion set N(w^-1) misses the given roots, which must
     therefore be positive."""
     def build():
-        index = {b: k for k, b in enumerate(res.positives)}
-        if not all(b in index for b in simples):
+        where, n = _root_index(res), len(res.positives)
+        if not all(where.get(b, n) < n for b in simples):
             raise DomainError("coset representatives need positive roots")
-        mask = sum(1 << index[b] for b in set(simples))
-        return frozenset(w for w, n in _inversions(res).items()
-                         if not n & mask)
+        mask = sum(1 << where[b] for b in set(simples))
+        return frozenset(x for x, inv in enumerate(_inversions(res))
+                         if not inv & mask)
     return _memo(res._cache, ("reps", simples), build)
 
 
 def _reflection_group(res: RestrictedData,
-                      roots: Tuple[Vec, ...]) -> FrozenSet[SignedPerm]:
-    """The subgroup generated by the reflections in the given roots."""
-    return _memo(res._cache, ("group", roots), lambda: _closure(
-        [_reflection_in(res, b) for b in roots], res.datum.restricted_dim()))
+                      roots: Tuple[Vec, ...]) -> FrozenSet[int]:
+    """The subgroup generated by the reflections in the given roots: the
+    coset of the identity."""
+    def build():
+        label = _double_cosets(res, roots, ())
+        one = label[_group(res).one]
+        return frozenset(x for x, k in enumerate(label) if k == one)
+    return _memo(res._cache, ("subgroup", roots), build)
 
 
-def _levi_longest(res: RestrictedData, simples: Tuple[Vec, ...]
-                  ) -> SignedPerm:
-    return _memo(res._cache, ("longest", simples), lambda: _longest_in(
-        _reflection_group(res, simples),
-        [b for b in _root_span(res, simples) if _positive_in(res, b)]))
+def _levi_longest(res: RestrictedData, simples: Tuple[Vec, ...]) -> int:
+    """The element of W_S sending every positive root of S to a negative
+    one."""
+    def build():
+        where, n = _root_index(res), len(res.positives)
+        pos = [where[b] for b in _root_span(res, simples)
+               if _positive_in(res, b)]
+        perms = _group(res).perms
+        return next(x for x in _reflection_group(res, simples)
+                    if all(perms[x][k] >= n for k in pos))
+    return _memo(res._cache, ("longest", simples), build)
 
 
 # -- Levi subgroups of the ambient group --------------------------------------
@@ -712,15 +725,13 @@ class LeviG:
 
 
 def levi_g_all(res: RestrictedData) -> List[LeviG]:
-    out = []
-    for r in range(len(res.simples) + 1):
-        for combo in itertools.combinations(res.simples, r):
-            out.append(LeviG(tuple(sorted(combo))))
-    return out
+    return [LeviG(tuple(sorted(combo)))
+            for r in range(len(res.simples) + 1)
+            for combo in itertools.combinations(res.simples, r)]
 
 
 def _d_m_tilde(res: RestrictedData, levi: LeviG,
-               data: SplitData) -> FrozenSet[SignedPerm]:
+               data: SplitData) -> FrozenSet[int]:
     """The w in D_M with w^-1(S_M) inside a_H = Fix(g).  That is, w g w^-1
     fixes the centre S_M of M pointwise.  W^theta is the full group of
     signed permutations for every datum here, so it holds g, and the
@@ -730,53 +741,49 @@ def _d_m_tilde(res: RestrictedData, levi: LeviG,
         g, d_m = data.split.galois, _min_reps(res, levi.simples)
         if g is None:
             return d_m
-        w_m, inv = _reflection_group(res, levi.simples), _inverses(res)
-        return frozenset(w for w in d_m if w * g * inv[w] in w_m)
+        w_m, inv, group = (_reflection_group(res, levi.simples),
+                           _inverses(res), _group(res))
+        wg = _mult_table(res, group.index[g], False)
+        return frozenset(w for w in d_m
+                         if _product(group, wg[w], inv[w]) in w_m)
     return _memo(data._cache, ("tilde", levi.simples), build)
 
 
 def _d_h_m(res: RestrictedData, levi: LeviG,
-           data: SplitData, tilde: bool) -> FrozenSet[SignedPerm]:
+           data: SplitData, tilde: bool) -> FrozenSet[int]:
     def build():
         dm = _d_m_tilde(res, levi, data) if tilde else \
             _min_reps(res, levi.simples)
         inv = _inverses(res)
-        return frozenset(inv[w] for w in dm) & data.d_h
+        return frozenset(inv[w] for w in dm) & data._d_h_ix
     return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
 
 
 def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
     """The Galois-stable subsets of the centralizer base."""
     g = data.split.galois
-    out = []
-    for r in range(len(data.h_simples) + 1):
-        for combo in itertools.combinations(data.h_simples, r):
-            s = tuple(sorted(combo))
-            if g is None or set(g.apply(b) for b in s) == set(s):
-                out.append(s)
-    return out
+    subsets = [tuple(sorted(combo))
+               for r in range(len(data.h_simples) + 1)
+               for combo in itertools.combinations(data.h_simples, r)]
+    return [s for s in subsets
+            if g is None or set(g.apply(b) for b in s) == set(s)]
 
 
 def _h_orbit_count(data: SplitData, simples: Sequence[Vec]) -> int:
+    """The number of orbits of the Galois involution on simples."""
     g = data.split.galois
     if g is None:
         return len(simples)
-    seen, count = set(), 0
-    for b in simples:
-        if b in seen:
-            continue
-        seen.add(b)
-        seen.add(g.apply(b))
-        count += 1
-    return count
+    return len({frozenset((b, g.apply(b))) for b in simples})
 
 
-def _m_prime_of(data: SplitData, levi: LeviG, w: SignedPerm
-                ) -> Tuple[Vec, ...]:
+def _m_prime_of(data: SplitData, levi: LeviG, w: int) -> Tuple[Vec, ...]:
     """Base of the standard Levi of the centralizer attached to a double
     coset representative: the centralizer roots inside w of the Levi's
     restricted roots."""
-    moved = {w.apply(b) for b in _root_span(data.res, levi.simples)}
+    res = data.res
+    perm, where = _group(res).perms[w], _root_index(res)
+    moved = {res.roots[perm[where[b]]] for b in _root_span(res, levi.simples)}
     inter = [b for b in data.h_positives if b in moved]
     simples = _simples_of(tuple(inter))
     if not set(simples) <= set(data.h_simples):
@@ -809,15 +816,23 @@ def a_count(data: SplitData, levi: LeviG,
 
 # -- group ring and the identities --------------------------------------------
 
-Ring = Counter  # group-ring element: SignedPerm -> integer coefficient
+Ring = Counter  # group-ring element: element index -> integer coefficient
 
 
-def _ring_mul(a: Ring, b: Ring) -> Ring:
+def _ring_mul(res: RestrictedData, a: Ring, b: Ring) -> Ring:
+    group = _group(res)
     out: Ring = Counter()
     for x, cx in a.items():
         for y, cy in b.items():
-            out[x * y] += cx * cy
+            out[_product(group, x, y)] += cx * cy
     return out
+
+
+def _long_double_flip(data: SplitData) -> int:
+    """w_0(G) * w_0(M_H), M_H the Levi cut out by a_H."""
+    res = data.res
+    return _product(_group(res), _levi_longest(res, res.simples),
+                    _levi_longest(res, data.mh_simples))
 
 
 def _truncate_h(a: Ring, data: SplitData) -> Ring:
@@ -835,9 +850,8 @@ def verify_identity_A(data: SplitData) -> bool:
     for levi in levi_g_all(res):
         sign = -1 if len(levi.simples) % 2 else 1
         total.update(dict.fromkeys(_d_m_tilde(res, levi, data), sign))
-    target = res.w_long_g * data.w_long_mh
     sign = -1 if len(data.mh_simples) % 2 else 1
-    return total == Counter({target: sign})
+    return total == Counter({_long_double_flip(data): sign})
 
 
 def verify_identity_B(data: SplitData) -> bool:
@@ -849,7 +863,7 @@ def verify_identity_B(data: SplitData) -> bool:
         total.update(_truncate_h(
             dict.fromkeys(_min_reps(res, simples), sign), data))
     target = _truncate_h(_ring_mul(
-        Counter(data.d_h), {res.w_long_g * data.w_long_mh: 1}), data)
+        res, Counter(data._d_h_ix), {_long_double_flip(data): 1}), data)
     return total == target
 
 
@@ -857,7 +871,8 @@ def verify_algebraic_identity(data: SplitData, levi: LeviG) -> bool:
     """Truncated product of coset sums against the double-coset counts."""
     res = data.res
     lhs = _truncate_h(_ring_mul(
-        Counter(data.d_h), Counter(_d_m_tilde(res, levi, data))), data)
+        res, Counter(data._d_h_ix), Counter(_d_m_tilde(res, levi, data))),
+        data)
     rhs: Ring = Counter()
     for simples in levi_h_all(data):
         count = a_count(data, levi, simples)
@@ -900,65 +915,66 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
     return AlternatingReport(rows)
 
 
-def _elements(res: RestrictedData
-              ) -> Tuple[Tuple[SignedPerm, ...], Dict[SignedPerm, int]]:
-    """The twisted Weyl group in a fixed order, and each element's index."""
-    def build():
-        elts = tuple(sorted(res.weyl, key=lambda w: (w.perm, w.signs)))
-        return elts, {w: i for i, w in enumerate(elts)}
-    return _memo(res._cache, "elements", build)
+def _orbits(size: int, step: Callable[[int], Iterable[int]]
+            ) -> Tuple[List[int], List[int]]:
+    """The label of each of range(size) under the moves step, labels
+    running 0, 1, ... in order of first appearance, and the first member
+    of each orbit."""
+    label, first = [-1] * size, []
+    for seed in range(size):
+        if label[seed] >= 0:
+            continue
+        label[seed] = len(first)
+        stack = [seed]
+        while stack:
+            for y in step(stack.pop()):
+                if label[y] < 0:
+                    label[y] = len(first)
+                    stack.append(y)
+        first.append(seed)
+    return label, first
 
 
-def _mult_table(res: RestrictedData, g: SignedPerm,
-                left: bool) -> Tuple[int, ...]:
-    """Index of g * x (left) or x * g (right) for each element x."""
+def _cosets(res: RestrictedData, left: Tuple[Vec, ...]
+            ) -> Tuple[List[int], List[int]]:
+    """The label of each element's coset W_left x, and the first element
+    of each coset."""
     def build():
-        elts, index = _elements(res)
-        return tuple(index[g * x] if left else index[x * g] for x in elts)
-    return _memo(res._cache, ("mult", g, left), build)
+        tables = [_reflection_table(res, b, True) for b in left]
+        return _orbits(len(_group(res).elements),
+                       lambda x: [t[x] for t in tables])
+    return _memo(res._cache, ("cosets", left), build)
 
 
 def _double_cosets(res: RestrictedData, left: Sequence[Vec],
                    right: Sequence[Vec]) -> List[int]:
     """Label of each element's (W_left, W_right) double coset, where the
     subgroups are generated by the reflections in the given roots; labels
-    run 0, 1, ... in order of first appearance."""
-    tables = [_mult_table(res, _reflection_in(res, b), True)
-              for b in left] + \
-        [_mult_table(res, _reflection_in(res, b), False) for b in right]
-    label = [-1] * len(res.weyl)
-    count = 0
-    for seed in range(len(label)):
-        if label[seed] >= 0:
-            continue
-        label[seed] = count
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for t in tables:
-                y = t[x]
-                if label[y] < 0:
-                    label[y] = count
-                    stack.append(y)
-        count += 1
-    return label
+    run 0, 1, ... in order of first appearance.  The double cosets are
+    the orbits of W_right on the cosets W_left x."""
+    label, first = _cosets(res, tuple(left))
+    if not right:
+        return label
+    tables = [_reflection_table(res, b, False) for b in right]
+    orbit, _ = _orbits(len(first),
+                       lambda c: [label[t[first[c]]] for t in tables])
+    return [orbit[k] for k in label]
 
 
-def _one_per_double_coset(res: RestrictedData, reps: Iterable[SignedPerm],
+def _one_per_double_coset(res: RestrictedData, reps: Iterable[int],
                           left: Sequence[Vec], right: Sequence[Vec]) -> bool:
     """Whether reps meets every (W_left, W_right) double coset exactly
     once.  With right empty these are the cosets W_left w, and the answer
     says whether W = W_left * reps with unique factorization."""
     label = _double_cosets(res, left, right)
-    _, index = _elements(res)
-    hits = sorted(label[index[w]] for w in reps)
+    hits = sorted(label[x] for x in reps)
     return hits == list(range(max(label) + 1))
 
 
 def verify_coset_representatives(data: SplitData) -> bool:
     """Unique factorization through the minimal representative sets."""
     res = data.res
-    if not _one_per_double_coset(res, data.d_h, data.h_simples, ()):
+    if not _one_per_double_coset(res, data._d_h_ix, data.h_simples, ()):
         return False
     for levi in levi_g_all(res):
         if not _memo(res._cache, ("factor", levi.simples),
@@ -974,18 +990,15 @@ def verify_coset_representatives(data: SplitData) -> bool:
 def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
     """The one-point intersection description of translated coset sets."""
     res = data.res
-    _, index = _elements(res)
-    inv = _inverses(res)
-    # x D_M^-1 for every x, as element indices, shared by every w
-    translates = [[index[x * inv[d]] for d in _min_reps(res, levi.simples)]
-                  for x in res.weyl]
-    d_h = {index[w] for w in data.d_h}
+    group, inv, d_h = _group(res), _inverses(res), data._d_h_ix
+    d_m_inv = [inv[d] for d in _min_reps(res, levi.simples)]
+    d_h_m = _d_h_m(res, levi, data, tilde=False)
     # y lies in w W_M, or in W_H w W_M, when it carries the label of w
     coset = _double_cosets(res, (), levi.simples)
     double = _double_cosets(res, data.h_simples, levi.simples)
-    for w in _d_h_m(res, levi, data, tilde=False):
-        k = index[w]
-        for ys in translates:
+    for x in range(len(group.elements)):
+        ys = [_product(group, x, d) for d in d_m_inv]  # x D_M^-1
+        for k in d_h_m:
             # w^-1 x = w_m(x,w) * d_m(x,w) exactly when x d_m(x,w)^-1 is
             # in w W_M
             candidate = next((y for y in ys if coset[y] == coset[k]), None)
@@ -1014,30 +1027,18 @@ def _dedup_twisted_t(datum: RootDatum) -> List[Tuple[int, ...]]:
     """Orbit representatives of the flipped coset under conjugation and
     cocycle twisting by two-torsion."""
     n = datum.ambient_dim
-    perms = []
+    signs = list(itertools.product((1, -1), repeat=n))
     if datum.gtype == TYPE_A:
-        for p in itertools.permutations(range(n)):
-            if all(p[n - 1 - i] == n - 1 - p[i] for i in range(n)):
-                perms.append(p)
-        twists = []
-        for g in itertools.product((1, -1), repeat=n):
-            twists.append(tuple(g[i] * g[n - 1 - i] for i in range(n)))
-        twists = sorted(set(twists))
+        perms = [p for p in itertools.permutations(range(n))
+                 if all(p[n - 1 - i] == n - 1 - p[i] for i in range(n))]
+        twists = {tuple(g[i] * g[n - 1 - i] for i in range(n)) for g in signs}
     else:
         # conjugation by the theta-fixed elements permutes the first n - 1
         # coordinates and fixes the last
         perms = [p + (n - 1,) for p in itertools.permutations(range(n - 1))]
-        twists = [(1,) * n]
-    reps = {}
-    for t in itertools.product((1, -1), repeat=n):
-        orbit = set()
-        for p in perms:
-            moved = tuple(t[p.index(i)] for i in range(n))
-            for tw in twists:
-                orbit.add(tuple(a * b for a, b in zip(moved, tw)))
-        key = min(orbit)
-        reps.setdefault(key, key)
-    return sorted(reps)
+        twists = {(1,) * n}
+    return sorted({min(tuple(t[p.index(i)] * tw[i] for i in range(n))
+                       for p in perms for tw in twists) for t in signs})
 
 
 def _coordinate_flip(m: int, j: int) -> SignedPerm:
@@ -1091,9 +1092,7 @@ def catalog_split_data(datum: RootDatum,
 
 
 def coset_reps(data: SplitData, levi: LeviG
-               ) -> Tuple[FrozenSet[SignedPerm], FrozenSet[SignedPerm],
-                          FrozenSet[SignedPerm], FrozenSet[SignedPerm],
-                          FrozenSet[SignedPerm]]:
+               ) -> Tuple[FrozenSet[SignedPerm], ...]:
     """The five minimal representative sets attached to (split, Levi).
 
     Returns (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}); products of
@@ -1101,8 +1100,8 @@ def coset_reps(data: SplitData, levi: LeviG
     twisted Weyl group.
     """
     res = data.res
-    d_m = _min_reps(res, levi.simples)
-    d_m_tilde = _d_m_tilde(res, levi, data)
-    return (data.d_h, d_m, d_m_tilde,
-            _d_h_m(res, levi, data, tilde=False),
-            _d_h_m(res, levi, data, tilde=True))
+    elts = _group(res).elements
+    return (data.d_h,) + tuple(frozenset(elts[x] for x in s) for s in (
+        _min_reps(res, levi.simples), _d_m_tilde(res, levi, data),
+        _d_h_m(res, levi, data, tilde=False),
+        _d_h_m(res, levi, data, tilde=True)))

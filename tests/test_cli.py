@@ -112,6 +112,14 @@ def test_selftest_small():
     assert set(payload["failures"]) == set(FAMILIES)
 
 
+@pytest.mark.parametrize("bound", ["1", "-1"])
+def test_selftest_rank_bound_below_catalog_usage(bound):
+    # such a bound would report the Weyl families clean with no datum checked
+    rc, out = run_cli(["selftest", "--rank-bound", bound])
+    assert rc == 2
+    assert out == ""
+
+
 def test_roundtrip_parameter_json():
     from arthurcalc import io_json as js
     for name in ("sp4_2211.json", "sp8_elem.json", "so4_eta.json"):

@@ -130,6 +130,7 @@ def test_tilde_characterization_via_levi_of_invariants():
     # of positive systems through the invariant Levi
     datum = W.RootDatum(W.TYPE_B, 2)
     res = W.restricted_roots(datum)
+    index = W._group(res).index
     for data in W.catalog_split_data(datum, res):
         g = data.split.galois
         fixed = [w for w in res.weyl
@@ -141,7 +142,7 @@ def test_tilde_characterization_via_levi_of_invariants():
             levi_pos = [b for b in W._root_span(res, levi.simples)
                         if b in set(res.positives)]
             for w in fixed:
-                in_tilde = w in tilde
+                in_tilde = index[w] in tilde
                 sandwich = all(
                     tuple(w.apply(b)) in set(levi_pos) for b in mh_pos) and \
                     all(W._positive_in(res, w.inv().apply(b))
@@ -356,8 +357,9 @@ def test_coset_representatives_reject_tampered_d_h():
             s = W._reflection(data.h_simples[0])
             one = W.SignedPerm.identity(datum.restricted_dim())
             swapped = replace(data, d_h=(d_h - {one}) | {s})
-            assert W._one_per_double_coset(res, swapped.d_h,
-                                           swapped.h_simples, ())
+            assert W._one_per_double_coset(
+                res, {W._group(res).index[w] for w in swapped.d_h},
+                swapped.h_simples, ())
             assert not W.verify_coset_representatives(swapped)
         assert caught
 
@@ -385,7 +387,7 @@ def _double_cosets_by_products(group, left, right):
 def test_double_cosets_match_product_search():
     for datum in W.datum_catalog():
         res = W.restricted_roots(datum)
-        elts, _ = W._elements(res)
+        elts = W._group(res).elements
         for data in W.catalog_split_data(datum, res):
             for levi in W.levi_g_all(res):
                 label = W._double_cosets(res, data.h_simples, levi.simples)
@@ -408,6 +410,7 @@ def _frontier_data():
 def test_min_reps_from_inversion_sets_match_positivity_filter():
     for datum in _frontier_data():
         res = W.restricted_roots(datum)
+        elts = W._group(res).elements
         bases = [levi.simples for levi in W.levi_g_all(res)] + \
             [data.h_simples for data in W.catalog_split_data(datum, res)]
         for simples in bases:
@@ -415,7 +418,8 @@ def test_min_reps_from_inversion_sets_match_positivity_filter():
                 w for w in res.weyl
                 if all(W._positive_in(res, w.inv().apply(b))
                        for b in simples))
-            assert W._min_reps(res, simples) == direct
+            assert frozenset(elts[x] for x in W._min_reps(res, simples)) \
+                == direct
 
 
 def test_min_reps_need_positive_roots():
@@ -430,10 +434,11 @@ def test_min_reps_need_positive_roots():
 def test_memoized_reflections_and_inverses():
     for datum in W.datum_catalog():
         res = W.restricted_roots(datum)
+        elts = W._group(res).elements
         inv = W._inverses(res)
-        assert set(inv) == set(res.weyl)
-        for w in res.weyl:
-            assert (w * inv[w]).is_identity()
+        assert len(inv) == len(elts) and set(elts) == set(res.weyl)
+        for x, w in enumerate(elts):
+            assert (w * elts[inv[x]]).is_identity()
         for b in res.roots:
             assert W._reflection_in(res, b) == W._reflection(b)
 
@@ -503,9 +508,18 @@ def test_one_per_double_coset_rejects_a_coset_met_twice():
         # W_H itself not at all
         moved = (data.d_h - {one}) | {s * other}
         assert len(moved) == len(data.d_h)
-        assert not W._one_per_double_coset(res, moved, data.h_simples, ())
+        index = W._group(res).index
+        assert not W._one_per_double_coset(res, {index[w] for w in moved},
+                                           data.h_simples, ())
         checked += 1
     assert checked
+
+def _longest_in(group, positives):
+    """The element sending every given positive root to a negative one."""
+    pos = set(positives)
+    return next(w for w in group
+                if all(W._neg(w.apply(a)) in pos for a in positives))
+
 
 def _theta_fixed_reference(datum):
     """W^theta on the fixed space by the ambient scan: every signed
@@ -548,7 +562,7 @@ def _theta_fixed_reference(datum):
     fixed = [w for w in ambient if w * theta == theta * w]
     pos, _ = W._ambient_roots(datum.gtype, datum.rank)
     return fixed, [restrict(w) for w in fixed], \
-        restrict(W._longest_in(ambient, pos))
+        restrict(_longest_in(ambient, pos))
 
 
 def test_weyl_group_matches_theta_fixed_ambient_scan():
@@ -604,6 +618,48 @@ CATALOG_FINGERPRINT = \
 
 def test_exactness_fingerprint_over_catalog():
     assert _weyl_fingerprint(W.datum_catalog()) == CATALOG_FINGERPRINT
+
+
+# the same digest over the catalog plus B4, C4 and twisted D5
+FRONTIER_FINGERPRINT = \
+    "1e042386a9d6e510423c2002e71385698dfd1a702f8db2eb4e47a332a31e5c8f"
+
+
+def test_exactness_fingerprint_over_rank_four_frontier():
+    assert _weyl_fingerprint(_frontier_data()) == FRONTIER_FINGERPRINT
+
+
+def test_signed_perm_products_only_build_tables(monkeypatch):
+    # every verification works on element indices: SignedPerm products
+    # may only build the group and its tables, |W| per generator or twist
+    count = 0
+    mul = W.SignedPerm.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(W.SignedPerm, "__mul__", counted)
+    names = ["verify_identity_A", "verify_identity_B",
+             "verify_coset_representatives"]
+    bound = 0
+    for datum in [W.RootDatum(W.TYPE_B, 3),
+                  W.RootDatum(W.TYPE_D, 4, twisted=True)]:
+        res = W.restricted_roots(datum)
+        gens, twists = set(res.simples), set()
+        for data in W.catalog_split_data(datum, res):
+            assert all(getattr(W, name)(data) for name in names)
+            assert W.verify_alternating_sum(data).all_pass()
+            for levi in W.levi_g_all(res):
+                assert W.verify_intersection_prop(data, levi)
+                assert W.verify_algebraic_identity(data, levi)
+                gens.update(levi.simples)
+            gens.update(data.h_simples)
+            twists.add(data.split.galois)
+        twists.discard(None)
+        bound += len(res.weyl) * (len(gens) + len(twists))
+    assert 0 < count <= bound
 
 
 def _kernel_q(rows, n):
@@ -664,8 +720,10 @@ def test_invariant_torus_matches_fixed_subspace_reference():
                 return _rank_q(a_h + vecs) == dim
 
             assert dim == len(a_h) and all(_apply_q(g, v) == v for v in a_h)
+            elts = W._group(res).elements
             assert data._a_h_stabilizer == frozenset(
-                w for w in res.weyl if inside([_apply_q(w, v) for v in a_h]))
+                x for x, w in enumerate(elts)
+                if inside([_apply_q(w, v) for v in a_h]))
             orthogonal = {b for b in res.roots
                           if all(sum(x * y for x, y in zip(b, v)) == 0
                                  for v in a_h)}
@@ -677,6 +735,6 @@ def test_invariant_torus_matches_fixed_subspace_reference():
                 s_m = _kernel_q(levi.simples, m)
                 assert W._d_m_tilde(res, levi, data) == frozenset(
                     w for w in W._min_reps(res, levi.simples)
-                    if inside([_apply_q(inv[w], v) for v in s_m]))
+                    if inside([_apply_q(elts[inv[w]], v) for v in s_m]))
             checked += 1
     assert checked

@@ -1,6 +1,5 @@
 """The rank-five frontier of weyl-verify: B5, C5, twisted A5 and twisted
-D6.  Each datum takes seconds, so the module is marked slow and left out
-of the default run; run it with ``pytest -m slow``."""
+D6, each about a second or less."""
 
 import contextlib
 import io
@@ -9,8 +8,6 @@ import json
 import pytest
 
 from arthurcalc.cli import main
-
-pytestmark = pytest.mark.slow
 
 
 @pytest.mark.parametrize("gtype,rank", [("B", 5), ("C", 5), ("A", 5),
