@@ -201,7 +201,7 @@ def cmd_expand(args) -> dict:
     if not 0 <= args.block < len(insts):
         raise UsageError(f"block index {args.block} out of range")
     chosen = insts[args.block]
-    if args.eps:
+    if args.eps is not None:
         eps = _parse_signs(args.eps, len(insts))
         total = ddr_recursion_expand(psi, eps, chosen)
     else:

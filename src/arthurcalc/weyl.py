@@ -2,10 +2,11 @@
 
 Everything is exact and finite: classical root systems realized in
 integer coordinates, a pinned diagram involution, restricted roots on
-the fixed subspace, centralizer subgroups computed from monomial
-fixed-point algebra in the ambient Lie algebra, and exhaustive
-verification of the coset-representative statements, the two group-ring
-identities and the alternating double-coset sum.
+the fixed subspace, centralizer roots read off the signed permutation
+that the twisted torus element induces on the index pairs labelling the
+ambient root vectors, root spans from simple-root supports, and
+exhaustive verification of the coset-representative statements, the two
+group-ring identities and the alternating double-coset sum.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -114,71 +115,6 @@ def _reflection(beta: Vec) -> SignedPerm:
     return _from_images(images)
 
 
-# -- exact subspaces ----------------------------------------------------------
-
-def _lead(row: Vec) -> int:
-    return next(i for i, c in enumerate(row) if c)
-
-
-def _eliminate(r: Vec, o: Vec, p: int) -> Vec:
-    """r with column p cleared by o, fraction-free; o[p] > 0 keeps the
-    orientation of r."""
-    f, g = o[p], r[p]
-    return tuple(f * a - g * b for a, b in zip(r, o))
-
-
-def _primitive(row: Vec) -> Vec:
-    """The row divided by the gcd of its entries, with a positive pivot."""
-    g = gcd(*row)
-    if row[_lead(row)] < 0:
-        g = -g
-    return tuple(c // g for c in row)
-
-
-def _echelon(rows: Iterable[Sequence[int]]) -> Tuple[Vec, ...]:
-    """Canonical integer basis of the row space.
-
-    Fraction-free Gauss-Jordan elimination.  Row k of the result is the
-    primitive integer multiple, with positive pivot, of row k of the
-    reduced row echelon form, so equal row spaces give equal tuples.
-    """
-    out: List[Tuple[int, Vec]] = []  # (pivot column, row)
-    for r in rows:
-        r = tuple(r)
-        for p, o in out:
-            if r[p]:
-                r = _eliminate(r, o, p)
-        if not any(r):
-            continue
-        r = _primitive(r)
-        q = _lead(r)
-        out = [(p, _primitive(_eliminate(o, r, q)) if o[q] else o)
-               for p, o in out]
-        out.append((q, r))
-    out.sort()
-    return tuple(o for _, o in out)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    dim_ambient: int
-    basis: Tuple[Vec, ...]  # canonical integer rows, see _echelon
-
-    @staticmethod
-    def of(vectors: Iterable[Sequence[int]], n: int) -> "Subspace":
-        return Subspace(n, _echelon(vectors))
-
-    def contains(self, v: Sequence[int]) -> bool:
-        if len(self.basis) == self.dim_ambient:
-            return True
-        r = tuple(v)
-        for o in self.basis:
-            p = _lead(o)
-            if r[p]:
-                r = _eliminate(r, o, p)
-        return not any(r)
-
-
 # -- ambient root data --------------------------------------------------------
 
 TYPE_A = "A"
@@ -235,7 +171,8 @@ class RootDatum:
 
     @property
     def matrix_size(self) -> int:
-        """Size of the standard matrix realization."""
+        """Size n of the standard matrix realization, whose index pairs
+        (i, j), i != j, label the ambient root vectors."""
         if self.gtype == TYPE_A:
             return self.rank + 1
         if self.gtype == TYPE_D:
@@ -308,124 +245,58 @@ def restricted_roots(datum: RootDatum) -> RestrictedData:
 
 # -- centralizer root data ----------------------------------------------------
 
-Mat = Tuple[Tuple[int, ...], ...]
-
-
-def _basis_matrix(n: int, entries: Dict[Tuple[int, int], int]) -> Mat:
-    m = [[0] * n for _ in range(n)]
-    for (i, j), c in entries.items():
-        m[i][j] = c
-    return tuple(tuple(r) for r in m)
-
-
-def _weight_fn(datum: RootDatum):
-    """The restricted weight of each coordinate of the matrix realization:
-    e_i for the first m coordinates, -e_i for their mirrors n - 1 - i."""
-    n = datum.matrix_size
-    m = datum.restricted_dim()
-
-    def w(i: int) -> Vec:
-        out = [0] * m
-        if i < m:
-            out[i] = 1
-        elif n - 1 - i < m:
-            out[n - 1 - i] = -1
-        return tuple(out)
-    return w
-
-
-def _algebra_basis(datum: RootDatum) -> List[Tuple[Vec, Mat]]:
-    """Weight vectors of the ambient Lie algebra off the Cartan.
-
-    For the twisted general linear case these are the elementary
-    matrices; for the twisted even orthogonal case the mirror-antisymmetric
-    combinations with respect to the split symmetric form.
-    """
-    n = datum.matrix_size
-    out: List[Tuple[Vec, Mat]] = []
-    wfn = _weight_fn(datum)
-    if datum.gtype == TYPE_A:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out.append((tuple(a - b for a, b in zip(wfn(i), wfn(j))),
-                                _basis_matrix(n, {(i, j): 1})))
-        return out
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j or (i, j) in seen:
-                continue
-            mi, mj = n - 1 - j, n - 1 - i  # mirror position
-            if (mi, mj) == (i, j):
-                continue  # antidiagonal entries vanish in the algebra
-            seen.add((i, j))
-            seen.add((mi, mj))
-            weight = tuple(a - b for a, b in zip(wfn(i), wfn(j)))
-            out.append((weight, _basis_matrix(n, {(i, j): 1, (mi, mj): -1})))
-    return out
-
-
-def _monomial_conjugation(sigma: Sequence[int], signs: Sequence[int]
-                          ) -> Callable[[Mat], Mat]:
-    """x -> g x g^-1 for the signed permutation matrix g with
-    g[i][sigma(i)] = s_i: entry (i, j) is s_i s_j x[sigma(i)][sigma(j)]."""
-    if any(c not in (1, -1) for c in signs):
-        raise DomainError("not monomial")  # pragma: no cover
-    n = len(sigma)
-
-    def conj(x: Mat) -> Mat:
-        return tuple(tuple(signs[i] * signs[j] * x[sigma[i]][sigma[j]]
-                           for j in range(n)) for i in range(n))
-    return conj
-
-
-def _gamma_matrices(datum: RootDatum, t: Tuple[int, ...]):
-    """The conjugation data for the centralizer of t * theta."""
-    n = datum.matrix_size
-    if datum.gtype == TYPE_A:
-        # g is antidiagonal; its columns carry the alternating pinning
-        # signs of the flip
-        conj = _monomial_conjugation(
-            [n - 1 - i for i in range(n)],
-            [t[i] * (1 if (n - i) % 2 else -1) for i in range(n)])
-
-        def gamma(x: Mat) -> Mat:
-            return conj(tuple(tuple(-x[j][i] for j in range(n))
-                              for i in range(n)))
-        return gamma
-    # twisted even orthogonal: swap the two middle coordinates
-    half = n // 2
-    sigma = list(range(n))
-    sigma[half - 1], sigma[half] = half, half - 1
-    return _monomial_conjugation(
-        sigma, [t[k] if k < half else t[n - 1 - k] for k in sigma])
-
-
 def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
                        res: "RestrictedData") -> Tuple[Vec, ...]:
-    """Restricted weights of the fixed subalgebra of Ad(t) after theta."""
-    basis = _algebra_basis(datum)
-    index = {mat: k for k, (_, mat) in enumerate(basis)}
-    gamma = _gamma_matrices(datum, t)
+    """Restricted weights of the fixed subalgebra of gamma = Ad(t) after
+    theta.
+
+    The weight vectors off the Cartan are labelled by the index pairs
+    (i, j), i != j, of the n x n matrix realization: E_ij in type A, and
+    E_ij - E_{j'i'} in type D, k' = n - 1 - k, so that a pair and its
+    mirror label one vector with opposite orientations and antidiagonal
+    pairs label none.  gamma is conjugation by the signed permutation
+    matrix with entries g[i][sigma(i)] = s_i, sigma an involution, after
+    x -> -x^T in type A: it sends the vector of (i, j) to s_a s_b times
+    that of (a, b) = (sigma(i), sigma(j)), in type A to -s_a s_b times
+    that of (a, b) = (sigma(j), sigma(i)).
+    """
+    n, m = datum.matrix_size, datum.restricted_dim()
+    transpose = datum.gtype == TYPE_A
+    if transpose:
+        # g is antidiagonal; its columns carry the alternating pinning
+        # signs of the flip
+        sigma = [n - 1 - i for i in range(n)]
+        signs = [t[i] * (1 if (n - i) % 2 else -1) for i in range(n)]
+    else:
+        # twisted even orthogonal: swap the two middle coordinates
+        half = n // 2
+        sigma = list(range(n))
+        sigma[half - 1], sigma[half] = half, half - 1
+        signs = [t[k] if k < half else t[n - 1 - k] for k in sigma]
+    # the position of each pair's vector in pairs, with its orientation
+    where: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    pairs: List[Tuple[int, int]] = []
+    for i, j in itertools.permutations(range(n), 2):
+        mirror = (n - 1 - j, n - 1 - i)
+        if (i, j) in where or (not transpose and mirror == (i, j)):
+            continue
+        if not transpose:
+            where[mirror] = (len(pairs), -1)
+        where[i, j] = (len(pairs), 1)
+        pairs.append((i, j))
     image: List[Tuple[int, int]] = []
-    for weight, mat in basis:
-        img = gamma(mat)
-        flat = [c for row in img for c in row]
-        nz = sorted({abs(c) for c in flat if c})
-        if nz != [1]:
-            raise DomainError("gamma not monomial")  # pragma: no cover
-        neg = tuple(tuple(-c for c in r) for r in img)
-        if img in index:
-            image.append((index[img], 1))
-        elif neg in index:
-            image.append((index[neg], -1))
-        else:
-            raise DomainError(
-                "gamma does not permute the basis")  # pragma: no cover
+    for i, j in pairs:
+        a, b = (sigma[j], sigma[i]) if transpose else (sigma[i], sigma[j])
+        k, orientation = where[a, b]
+        image.append((k, orientation * signs[a] * signs[b]
+                      * (-1 if transpose else 1)))
+    # coordinate i has weight e_i for i < m, -e_{n-1-i} for n - 1 - i < m
+    coord = [[(k == i) - (k == n - 1 - i) for k in range(m)] for i in range(n)]
+    weights = [tuple(x - y for x, y in zip(coord[i], coord[j]))
+               for i, j in pairs]
     mult: Counter = Counter()
-    visited = [False] * len(basis)
-    for start in range(len(basis)):
+    visited = [False] * len(pairs)
+    for start in range(len(pairs)):
         sign, cur = 1, start
         if visited[start]:
             continue
@@ -433,8 +304,8 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
             visited[cur] = True
             cur, s = image[cur]
             sign *= s
-        if sign == 1 and any(basis[start][0]):
-            mult[basis[start][0]] += 1
+        if sign == 1 and any(weights[start]):
+            mult[weights[start]] += 1
     if any(v > 1 for v in mult.values()):
         raise DomainError(
             "centralizer weight space of dimension > 1")  # pragma: no cover
@@ -493,6 +364,10 @@ class SplitData:
     @cached_property
     def _h_roots(self) -> Tuple[Vec, ...]:
         return self.h_positives + tuple(_neg(b) for b in self.h_positives)
+
+    @cached_property
+    def _h_supports(self) -> Tuple[int, ...]:
+        return _supports(self.h_positives, self.h_simples)
 
     @cached_property
     def _a_h_stabilizer(self) -> FrozenSet[int]:
@@ -555,19 +430,51 @@ def _positive_in(res: RestrictedData, v: Vec) -> bool:
     return _root_index(res).get(v, n) < n
 
 
-def _span_of(roots: Sequence[Vec], simples: Sequence[Vec],
-             n: int) -> Tuple[Vec, ...]:
-    """The given roots that lie in the rational span of the simples."""
-    sub = Subspace.of(simples, n)
-    return tuple(b for b in roots if sub.contains(b))
+def _supports(positives: Sequence[Vec],
+              base: Sequence[Vec]) -> Tuple[int, ...]:
+    """The support of each positive root on the base, as a bit mask over
+    the positions of the simple roots.  A positive root that is not simple
+    stays positive when some simple root is taken off (Bourbaki, Lie VI
+    1.6, non-reduced systems included), so each root walks down to a simple
+    one."""
+    pos, bit = set(positives), {a: 1 << k for k, a in enumerate(base)}
+    out = []
+    for b in positives:
+        mask = 0
+        while b not in bit:
+            a = next((a for a in base if _add(b, _neg(a)) in pos), None)
+            if a is None:
+                raise DomainError(
+                    f"{b} is not a sum of simple roots")  # pragma: no cover
+            mask |= bit[a]
+            b = _add(b, _neg(a))
+        out.append(mask | bit[b])
+    return tuple(out)
+
+
+def _supported_on(roots: Sequence[Vec], supports: Sequence[int],
+                  base: Sequence[Vec], simples: Sequence[Vec]
+                  ) -> Tuple[Vec, ...]:
+    """The roots whose support lies inside the given part of the base:
+    exactly the roots in the span of those simple roots (Bourbaki, Lie VI
+    1.7)."""
+    bit = {a: 1 << k for k, a in enumerate(base)}
+    if not set(simples) <= bit.keys():
+        raise DomainError("a root span needs simple roots of the base")
+    mask = sum(bit[a] for a in set(simples))
+    return tuple(b for b, s in zip(roots, supports) if not s & ~mask)
 
 
 def _root_span(res: RestrictedData,
                simples: Sequence[Vec]) -> Tuple[Vec, ...]:
-    """Roots lying in the rational span of the given simple roots."""
+    """Roots lying in the span of the given restricted simple roots."""
     simples = tuple(simples)
-    return _memo(res._cache, ("span", simples), lambda: _span_of(
-        res.roots, simples, res.datum.restricted_dim()))
+
+    def build():
+        supports = _memo(res._cache, "supports", lambda: _supports(
+            res.positives, res.simples))
+        return _supported_on(res.roots, supports * 2, res.simples, simples)
+    return _memo(res._cache, ("span", simples), build)
 
 
 def _reflection_in(res: RestrictedData, beta: Vec) -> SignedPerm:
@@ -797,8 +704,10 @@ def _m_prime_of(data: SplitData, levi: LeviG, w: int) -> Tuple[Vec, ...]:
 
 def _root_span_h(data: SplitData, simples: Tuple[Vec, ...]
                  ) -> Tuple[Vec, ...]:
-    return _memo(data._cache, ("span_h", simples), lambda: _span_of(
-        data._h_roots, simples, data.res.datum.restricted_dim()))
+    """Centralizer roots lying in the span of the given centralizer simple
+    roots."""
+    return _memo(data._cache, ("span_h", simples), lambda: _supported_on(
+        data._h_roots, data._h_supports * 2, data.h_simples, simples))
 
 
 def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:

@@ -130,16 +130,14 @@ def test_roundtrip_parameter_json():
         assert psi == again
 
 
-def test_halfint_and_signvector_roundtrip():
+def test_halfint_to_json_int_when_integral():
     from arthurcalc import io_json as js
-    from arthurcalc.charspace import MULT, SignVector
     from arthurcalc.halfint import HalfInt
-    for twice in (-5, -4, -1, 0, 1, 2, 7):
-        x = HalfInt(twice)
-        assert js.halfint_from_json(js.halfint_to_json(x)) == x
-    v = SignVector(MULT, (1, -1, -1))
-    again = js.signvector_from_json(js.signvector_to_json(v), 3)
-    assert again == v
+    expect = {-5: "-5/2", -4: -2, -1: "-1/2", 0: 0, 1: "1/2", 2: 1,
+              7: "7/2"}
+    for twice, value in expect.items():
+        out = js.halfint_to_json(HalfInt(twice))
+        assert out == value and type(out) is type(value)
 
 
 def run_cli_err(argv):
@@ -206,6 +204,25 @@ def test_inline_json_array_schema_error():
     rc, out, err = run_cli_err(["classify", "[]"])
     assert rc == 2
     assert "bad parameter schema" in err
+
+
+def test_unknown_group_kind_is_bad_group():
+    rc, out = run_cli(["classify", json.dumps(
+        {"group": {"kind": "XX", "n": 4}, "blocks": []})])
+    assert rc == 1
+    assert json.loads(out) == {"error": "bad group kind 'XX'",
+                               "type": "BadGroup"}
+
+
+def test_expand_empty_eps_usage_error():
+    # an explicit empty sign string is a bad sign string, as for packet
+    rc, out, err = run_cli_err(["expand", json.dumps(
+        {"group": {"kind": "Sp", "n": 4},
+         "blocks": [{"rho": {"id": "r", "dim": 1, "type": "orthogonal"},
+                     "a": 3, "b": 3, "zeta": "+"}]}),
+        "--block", "0", "--eps="])
+    assert rc == 2
+    assert out == "" and "expected a string of 1 signs" in err
 
 
 def test_rho_of_dimension_zero_domain_error():

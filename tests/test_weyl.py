@@ -1,7 +1,5 @@
 import hashlib
 import itertools
-import math
-import random
 import sys
 import threading
 from dataclasses import replace
@@ -46,23 +44,122 @@ def test_restricted_roots_d3_folding():
     assert len(res.weyl) == 8  # hyperoctahedral of rank two
 
 
+# -- the matrix form of the centralizer roots, kept as a reference -----------
+
+def _basis_matrix(n, entries):
+    m = [[0] * n for _ in range(n)]
+    for (i, j), c in entries.items():
+        m[i][j] = c
+    return tuple(tuple(r) for r in m)
+
+
+def _weight_fn(datum):
+    """The restricted weight of each coordinate of the matrix realization:
+    e_i for the first m coordinates, -e_i for their mirrors n - 1 - i."""
+    n, m = datum.matrix_size, datum.restricted_dim()
+
+    def w(i):
+        out = [0] * m
+        if i < m:
+            out[i] = 1
+        elif n - 1 - i < m:
+            out[n - 1 - i] = -1
+        return tuple(out)
+    return w
+
+
+def _algebra_basis(datum):
+    """Weight vectors of the ambient Lie algebra off the Cartan, as
+    (weight, matrix): the elementary matrices for the twisted general
+    linear case; for the twisted even orthogonal case the
+    mirror-antisymmetric combinations for the split symmetric form."""
+    n, wfn = datum.matrix_size, _weight_fn(datum)
+    out, seen = [], set()
+    for i in range(n):
+        for j in range(n):
+            if i == j or (i, j) in seen:
+                continue
+            weight = tuple(a - b for a, b in zip(wfn(i), wfn(j)))
+            if datum.gtype == W.TYPE_A:
+                out.append((weight, _basis_matrix(n, {(i, j): 1})))
+                continue
+            mi, mj = n - 1 - j, n - 1 - i  # mirror position
+            if (mi, mj) == (i, j):
+                continue  # antidiagonal entries vanish in the algebra
+            seen.update({(i, j), (mi, mj)})
+            out.append((weight, _basis_matrix(n, {(i, j): 1, (mi, mj): -1})))
+    return out
+
+
+def _monomial_conjugation(sigma, signs):
+    """x -> g x g^-1 for the signed permutation matrix g with
+    g[i][sigma(i)] = s_i: entry (i, j) is s_i s_j x[sigma(i)][sigma(j)]."""
+    n = len(sigma)
+
+    def conj(x):
+        return tuple(tuple(signs[i] * signs[j] * x[sigma[i]][sigma[j]]
+                           for j in range(n)) for i in range(n))
+    return conj
+
+
+def _gamma_matrices(datum, t):
+    """Ad(t) after theta on matrices."""
+    n = datum.matrix_size
+    if datum.gtype == W.TYPE_A:
+        conj = _monomial_conjugation(
+            [n - 1 - i for i in range(n)],
+            [t[i] * (1 if (n - i) % 2 else -1) for i in range(n)])
+        return lambda x: conj(tuple(tuple(-x[j][i] for j in range(n))
+                                    for i in range(n)))
+    half = n // 2
+    sigma = list(range(n))
+    sigma[half - 1], sigma[half] = half, half - 1
+    return _monomial_conjugation(
+        sigma, [t[k] if k < half else t[n - 1 - k] for k in sigma])
+
+
+def _matrix_centralizer_roots(datum, t):
+    """The nonzero weights of the basis vectors whose gamma-cycle has sign
+    product +1, with gamma read off matrix conjugation."""
+    basis = _algebra_basis(datum)
+    index = {mat: k for k, (_, mat) in enumerate(basis)}
+    gamma = _gamma_matrices(datum, t)
+    image = []
+    for _, mat in basis:
+        img = gamma(mat)
+        neg = tuple(tuple(-c for c in r) for r in img)
+        image.append((index[img], 1) if img in index else (index[neg], -1))
+    roots, visited = set(), [False] * len(basis)
+    for start in range(len(basis)):
+        if visited[start]:
+            continue
+        sign, cur = 1, start
+        while not visited[cur]:
+            visited[cur] = True
+            cur, s = image[cur]
+            sign *= s
+        if sign == 1 and any(basis[start][0]):
+            roots.add(basis[start][0])
+    return tuple(sorted(roots))
+
+
 def test_gl_flip_is_pinned():
     # the flip with trivial torus part fixes every simple root vector
     for rank in (2, 3):
         datum = W.RootDatum(W.TYPE_A, rank, twisted=True)
         n = datum.matrix_size
-        gamma = W._gamma_matrices(datum, (1,) * n)
+        gamma = _gamma_matrices(datum, (1,) * n)
         for i in range(n - 1):
-            e = W._basis_matrix(n, {(i, i + 1): 1})
+            e = _basis_matrix(n, {(i, i + 1): 1})
             img = gamma(e)
-            tgt = W._basis_matrix(n, {(n - 2 - i, n - 1 - i): 1})
+            tgt = _basis_matrix(n, {(n - 2 - i, n - 1 - i): 1})
             assert img == tgt
 
 
 def test_so_flip_is_pinned():
     datum = W.RootDatum(W.TYPE_D, 3, twisted=True)
-    gamma = W._gamma_matrices(datum, (1, 1, 1))
-    basis = W._algebra_basis(datum)
+    gamma = _gamma_matrices(datum, (1, 1, 1))
+    basis = _algebra_basis(datum)
     images = set()
     for weight, mat in basis:
         img = gamma(mat)
@@ -160,17 +257,6 @@ def test_signed_perm_algebra():
     assert refl.apply((1, 1)) == (1, 1)
 
 
-def test_subspace_exact():
-    s = W.Subspace.of([(1, 0, 1), (0, 1, 0)], 3)
-    assert s.contains((1, 1, 1))
-    assert not s.contains((1, 0, 0))
-    t = W.Subspace.of([(2, 0, 2), (0, 3, 0)], 3)
-    assert s == t  # canonical reduced form
-    # equal subspaces hash alike; different ambient spaces are not equal
-    assert W.Subspace.of([], 2) != W.Subspace.of([], 3)
-    assert len({W.Subspace.of([], 2), W.Subspace.of([], 3), s, t}) == 3
-
-
 def test_catalog_shapes():
     catalog = W.datum_catalog()
     assert len(catalog) == 8
@@ -215,43 +301,44 @@ def _rank_q(rows):
     return rank
 
 
-def test_subspace_canonical_and_contains_exact():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
-                for _ in range(rng.randint(0, 4))]
-        s = W.Subspace.of(rows, n)
-        variants = [
-            [tuple(k * c for c in r)
-             for r, k in zip(rows, rng.choices((-3, -2, -1, 1, 2, 5),
-                                               k=len(rows)))],
-            [tuple(-c for c in r) for r in rows],
-            rng.sample(rows, len(rows)),
-            rows + [tuple(a + b for a, b in zip(rows[0], rows[-1]))]
-            if rows else rows,
-        ]
-        for other in variants:
-            t = W.Subspace.of(other, n)
-            assert t == s and hash(t) == hash(s)
-            assert t.basis == s.basis
-        assert len(s.basis) == _rank_q(rows)
-        leads = [next(i for i, c in enumerate(row) if c) for row in s.basis]
-        assert leads == sorted(set(leads))
-        for row in s.basis:
-            # reduced: zero in the pivot column of every other row
-            assert [row[i] != 0 for i in leads].count(True) == 1
-            assert next(c for c in row if c) > 0
-            assert math.gcd(*row) == 1
-        for _ in range(10):
-            v = tuple(rng.randint(-2, 2) for _ in range(n))
-            expect = _rank_q(list(rows) + [v]) == _rank_q(rows)
-            assert s.contains(v) == expect
-        if rows:
-            coeffs = [rng.randint(-2, 2) for _ in rows]
-            combo = tuple(sum(k * r[j] for k, r in zip(coeffs, rows))
-                          for j in range(n))
-            assert s.contains(combo)
+def _span_bases():
+    """(roots, base) for the restricted base of the catalog plus B4, C4
+    and twisted A4, A5 and D5, and for the centralizer base of each of
+    their splits, with the span function of each."""
+    extra = [W.RootDatum(W.TYPE_B, 4), W.RootDatum(W.TYPE_C, 4),
+             W.RootDatum(W.TYPE_A, 4, twisted=True),
+             W.RootDatum(W.TYPE_A, 5, twisted=True),
+             W.RootDatum(W.TYPE_D, 5, twisted=True)]
+    for datum in W.datum_catalog() + extra:
+        res = W.restricted_roots(datum)
+        yield res.roots, res.simples, lambda s, res=res: W._root_span(res, s)
+        for data in W.catalog_split_data(datum, res):
+            yield data._h_roots, data.h_simples, \
+                lambda s, data=data: W._root_span_h(data, s)
+
+
+def test_root_spans_from_supports_match_rational_rank():
+    cases = 0
+    for roots, base, span in _span_bases():
+        for r in range(len(base) + 1):
+            for combo in itertools.combinations(base, r):
+                rank = _rank_q(combo)
+                assert span(tuple(sorted(combo))) == tuple(
+                    b for b in roots if _rank_q(combo + (b,)) == rank)
+                cases += 1
+    assert cases == 736
+
+
+def test_root_span_needs_simple_roots_of_its_base():
+    res = W.restricted_roots(W.RootDatum(W.TYPE_B, 3))
+    a, b = res.simples[:2]
+    for bad in [(W._add(a, b),), (a, W._neg(b)), (W._add(a, a),)]:
+        with pytest.raises(DomainError):
+            W._root_span(res, bad)
+    data = W.build_split_data(res.datum, res, W.EndoscopicSplit((1, -1, -1)))
+    outside = next(c for c in res.simples if c not in data.h_simples)
+    with pytest.raises(DomainError):
+        W._root_span_h(data, (outside,))
 
 
 def test_rank_below_minimum_raises():
@@ -465,7 +552,7 @@ def _dense_gamma(datum, t, x):
             g[swap.get(i, i)][i] = t[i] if i < half else t[n - 1 - i]
     g = tuple(tuple(r) for r in g)
     g_inv = tuple(tuple(g[j][i] for j in range(n)) for i in range(n))
-    assert _dense_mul(g, g_inv) == W._basis_matrix(
+    assert _dense_mul(g, g_inv) == _basis_matrix(
         n, {(i, i): 1 for i in range(n)})
     return _dense_mul(_dense_mul(g, x), g_inv)
 
@@ -474,11 +561,21 @@ def test_monomial_conjugation_matches_dense_product():
     data = [W.RootDatum(W.TYPE_A, r, twisted=True) for r in (2, 3, 4, 5)] + \
         [W.RootDatum(W.TYPE_D, r, twisted=True) for r in (3, 4, 5)]
     for datum in data:
-        basis = W._algebra_basis(datum)
+        basis = _algebra_basis(datum)
         for t in itertools.product((1, -1), repeat=datum.ambient_dim):
-            gamma = W._gamma_matrices(datum, t)
+            gamma = _gamma_matrices(datum, t)
             for _, mat in basis:
                 assert gamma(mat) == _dense_gamma(datum, t, mat)
+
+
+def test_centralizer_roots_from_index_pairs_match_matrices():
+    data = [W.RootDatum(W.TYPE_A, r, twisted=True) for r in range(2, 8)] + \
+        [W.RootDatum(W.TYPE_D, r, twisted=True) for r in range(3, 8)]
+    for datum in data:
+        res = W.restricted_roots(datum)
+        for t in itertools.product((1, -1), repeat=datum.ambient_dim):
+            assert W._centralizer_roots(datum, t, res) == \
+                _matrix_centralizer_roots(datum, t)
 
 
 def test_intersection_prop_rejects_added_d_h_element():
