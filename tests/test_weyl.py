@@ -317,14 +317,37 @@ def _span_bases():
                 lambda s, data=data: W._root_span_h(data, s)
 
 
-def test_root_spans_from_supports_match_rational_rank():
+def test_subspace_exact():
+    # hand-checked spans: only the roots in the rational span, multiples
+    # included, none outside it
+    res = W.restricted_roots(W.RootDatum(W.TYPE_B, 2))
+    assert W._root_span(res, ()) == ()
+    assert W._root_span(res, ((1, -1),)) == ((1, -1), (-1, 1))
+    assert W._root_span(res, ((0, 1),)) == ((0, 1), (0, -1))
+    assert W._root_span(res, res.simples) == res.roots
+    # restricted BC2: the span of the short simple root holds its double
+    res = W.restricted_roots(W.RootDatum(W.TYPE_A, 4, twisted=True))
+    assert W._root_span(res, ((0, 1),)) == ((0, 1), (0, 2), (0, -1), (0, -2))
+    assert W._root_span(res, ((1, -1),)) == ((1, -1), (-1, 1))
+    res = W.restricted_roots(W.RootDatum(W.TYPE_C, 3))
+    assert set(W._root_span(res, ((0, 1, -1), (0, 0, 2)))) == {
+        (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1),
+        (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2)}
+
+
+def test_subspace_canonical_and_contains_exact():
+    # the span of S does not depend on the order of S or on repeats, lists
+    # the roots in their stored order, and holds a root exactly when that
+    # root keeps the rational rank of S
     cases = 0
     for roots, base, span in _span_bases():
         for r in range(len(base) + 1):
             for combo in itertools.combinations(base, r):
                 rank = _rank_q(combo)
-                assert span(tuple(sorted(combo))) == tuple(
+                got = span(tuple(sorted(combo)))
+                assert got == tuple(
                     b for b in roots if _rank_q(combo + (b,)) == rank)
+                assert span(tuple(reversed(combo)) + combo[:1]) == got
                 cases += 1
     assert cases == 736
 
