@@ -48,7 +48,10 @@ def _load_raw(spec: str) -> dict:
 
 
 def _load_parameter(spec: str, zeta_convention: int) -> ArthurParameter:
-    data = _load_raw(spec)
+    return _parameter_from_raw(_load_raw(spec), zeta_convention)
+
+
+def _parameter_from_raw(data, zeta_convention: int) -> ArthurParameter:
     try:
         psi = js.parameter_from_json(data)
     except (KeyError, TypeError) as e:
@@ -122,8 +125,9 @@ def cmd_diag_restriction(args) -> dict:
 
 
 def cmd_signs(args) -> dict:
-    psi = _load_parameter(args.input, args.zeta)
-    order = _order_for(psi, args.order, _load_raw(args.input))
+    raw = _load_raw(args.input)
+    psi = _parameter_from_raw(raw, args.zeta)
+    order = _order_for(psi, args.order, raw)
     zs = z_mw_w(psi, order)
     return {
         "z_mw_w": sorted([list(p) for p in zs.pairs]),

@@ -122,21 +122,24 @@ def _block_eps(blk: JordanBlock, l: int, eta: int) -> int:
     return (eta if gap % 2 else 1) * sign_pow(gap // 2 + l)
 
 
-def _eta_collapses(blk: JordanBlock, l: int) -> bool:
-    """True when both eta values label the same constituent."""
-    return 2 * l == int(blk.A - blk.B) + 1
+def _gaps(psi: ArthurParameter) -> Tuple[int, ...]:
+    """A - B + 1 per block instance."""
+    return tuple(int(blk.A - blk.B) + 1 for blk, _ in psi.instances())
+
+
+def _sigma0_equal(gaps: Tuple[int, ...], p: LEtaPair, q: LEtaPair) -> bool:
+    """Same l everywhere, same eta except where 2l = A - B + 1, at which
+    both eta values label the same constituent."""
+    return p.l == q.l and all(
+        ep == eq or 2 * l == gap
+        for gap, l, ep, eq in zip(gaps, p.l, p.eta, q.eta))
 
 
 def equiv_sigma0(psi: ArthurParameter, p: LEtaPair, q: LEtaPair) -> bool:
     """Same l everywhere, same eta except where the count is maximal."""
     check_range(psi, p)
     check_range(psi, q)
-    if p.l != q.l:
-        return False
-    for (blk, _), l, ep, eq in zip(psi.instances(), p.l, p.eta, q.eta):
-        if ep != eq and not _eta_collapses(blk, l):
-            return False
-    return True
+    return _sigma0_equal(_gaps(psi), p, q)
 
 
 def eta0(psi: ArthurParameter) -> SignVector:
@@ -151,11 +154,14 @@ def eta0(psi: ArthurParameter) -> SignVector:
 
 def equiv(psi: ArthurParameter, p: LEtaPair, q: LEtaPair) -> bool:
     """The coarser relation: equal up to a global twist by eta0."""
-    if equiv_sigma0(psi, p, q):
+    check_range(psi, p)
+    check_range(psi, q)
+    gaps = _gaps(psi)
+    if _sigma0_equal(gaps, p, q):
         return True
     tw = eta0(psi)
     q_tw = LEtaPair(q.l, tuple(e * t for e, t in zip(q.eta, tw.signs)))
-    return equiv_sigma0(psi, p, q_tw)
+    return _sigma0_equal(gaps, p, q_tw)
 
 
 GUARANTEED = "guaranteed"
@@ -181,10 +187,13 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector,
     pairs = enumerate_l_eta(psi, filter_eps=eps)
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
+    # every enumerated pair is in range, so the classes are formed with
+    # the unchecked comparison
+    gaps = _gaps(psi)
     classes: List[List[LEtaPair]] = []
     for pair in pairs:
         for cls in classes:
-            if equiv_sigma0(psi, cls[0], pair):
+            if _sigma0_equal(gaps, cls[0], pair):
                 cls.append(pair)
                 break
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BadBlock, BadGroup, DomainError, NotDDR, NotDominating,
@@ -189,6 +190,24 @@ class ArthurParameter:
                 out.append((replace(blk, mult=1), k))
         return tuple(out)
 
+    @cached_property
+    def _flags(self) -> frozenset:
+        """classify(self), built on first use; see the README on
+        concurrency."""
+        flags = set()
+        tempered = all(b.b == 1 for b in self.blocks)
+        if tempered:
+            flags.add("tempered")
+        mult_free = all(b.mult == 1 for b in self.blocks)
+        pure = is_parity_pure(self)
+        if pure and mult_free and _per_rho_segments_disjoint(self):
+            flags.add("discrete_diag_restriction")
+            if all(b.A == b.B for b in self.blocks):
+                flags.add("elementary")
+        if tempered and mult_free and pure:
+            flags.add("discrete")
+        return frozenset(flags)
+
     def classes(self) -> Tuple[JordanBlock, ...]:
         """Jord(psi) without multiplicity (mult field kept for reference)."""
         return self.blocks
@@ -318,20 +337,10 @@ def _per_rho_segments_disjoint(psi: ArthurParameter) -> bool:
 
 
 def classify(psi: ArthurParameter) -> frozenset:
-    """Flags: tempered / discrete_diag_restriction / elementary / discrete."""
-    flags = set()
-    tempered = all(b.b == 1 for b in psi.blocks)
-    if tempered:
-        flags.add("tempered")
-    mult_free = all(b.mult == 1 for b in psi.blocks)
-    pure = is_parity_pure(psi)
-    if pure and mult_free and _per_rho_segments_disjoint(psi):
-        flags.add("discrete_diag_restriction")
-        if all(b.A == b.B for b in psi.blocks):
-            flags.add("elementary")
-    if tempered and mult_free and pure:
-        flags.add("discrete")
-    return frozenset(flags)
+    """Flags: tempered / discrete_diag_restriction / elementary / discrete.
+
+    Computed once per parameter value and kept on it."""
+    return psi._flags
 
 
 # a builtin generic: typing's subscription cache would keep the class, and

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import pytest
 
@@ -244,6 +245,36 @@ def test_non_integer_order_entry_usage_error(order):
     assert rc == 2
     assert out == ""
     assert "order array" in err
+
+
+def test_signs_reads_and_parses_its_input_once(monkeypatch):
+    opened, parsed = [], []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    def counting_loads(text):
+        parsed.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(
+        loads=counting_loads, JSONDecodeError=json.JSONDecodeError))
+    signs = [(name, _fix_paths(argv)) for name, argv in _invocations()
+             if argv[0] == "signs"]
+    assert any("file" in argv for _, argv in signs)
+    for name, argv in signs:
+        with open(argv[1]) as fh:
+            inline = [argv[0], fh.read()] + argv[2:]
+        with open(os.path.join(GOLDEN, f"{name}.out")) as fh:
+            expected = fh.read()
+        for call, files in ((argv, 1), (inline, 0)):
+            opened.clear()
+            parsed.clear()
+            assert run_cli(call) == (0, expected)
+            assert (len(opened), len(parsed)) == (files, 1)
 
 
 @pytest.mark.parametrize("value", [1, True, ["c"], {"c": 1}])

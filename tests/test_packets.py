@@ -17,7 +17,8 @@ from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair,
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, GroupForm,
                                JordanBlock, SO_EVEN, from_AB, make_parameter,
                                natural_order)
-from arthurcalc.testing import random_p_order, random_pure_parameter
+from arthurcalc.testing import (_ddr_grid, random_p_order,
+                                random_pure_parameter)
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 
@@ -304,3 +305,47 @@ def test_census_matches_constraint_route():
                     psi, SignVector(MULT, (target,))))
                 assert direct == _census_via_constraint(blk, target), \
                     (gap, tb, target)
+
+
+def _reference_constituents(psi, eps):
+    """Classes of the enumerated pairs under the public, range-checked
+    equiv_sigma0, in first-seen order."""
+    classes = []
+    for pair in enumerate_l_eta(psi, filter_eps=eps):
+        for cls in classes:
+            if equiv_sigma0(psi, cls[0], pair):
+                cls.append(pair)
+                break
+        else:
+            classes.append([pair])
+    return [(cls[0], tuple(cls)) for cls in classes]
+
+
+def test_packet_constituents_match_public_equivalence():
+    merged = 0
+    for psi in _ddr_grid():
+        insts = psi.instances()
+        if len(insts) < 2:
+            continue
+        for signs in itertools.product((1, -1), repeat=len(insts)):
+            eps = SignVector(MULT, signs)
+            got = [(c.representative, c.members)
+                   for c in packet_constituents(psi, eps)]
+            assert got == _reference_constituents(psi, eps), (psi, signs)
+            merged += sum(len(members) > 1 for _, members in got)
+    # eta collapses (2l = A - B + 1) merge pairs in many cells
+    assert merged > 0
+
+
+def test_equiv_sigma0_checks_ranges():
+    psi = make_parameter([from_AB(RHO, HalfInt(0), HalfInt(0), PLUS),
+                          from_AB(RHO, HalfInt(4), HalfInt(2), PLUS)])
+    inside = LEtaPair((0, 1), (1, 1))
+    outside = LEtaPair((0, 2), (1, 1))  # l = 2 > [(A - B + 1)/2] = 1
+    assert equiv_sigma0(psi, inside, inside)
+    with pytest.raises(OutOfRange):
+        equiv_sigma0(psi, inside, outside)
+    with pytest.raises(OutOfRange):
+        equiv_sigma0(psi, outside, inside)
+    with pytest.raises(OutOfRange):
+        equiv(psi, inside, outside)

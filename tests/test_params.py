@@ -1,4 +1,8 @@
+import pickle
 import random
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +17,8 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
                                make_parameter, natural_order, phi_psi,
                                satisfies_condition_p, split_p_np, SP, SO_EVEN,
                                SO_ODD)
-from arthurcalc.testing import random_pure_parameter, random_p_order
+from arthurcalc.testing import (COMPACT, FAMILIES, random_pure_parameter,
+                                random_p_order)
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 RHO2 = RhoLabel("sigma", 2, SYMPLECTIC)
@@ -122,6 +127,105 @@ def test_classify_spec_examples():
     phi = make_parameter([JordanBlock(RHO, 1, 1, 1, PLUS),
                           JordanBlock(RHO, 3, 1), JordanBlock(RHO, 5, 1)])
     assert "discrete" in classify(phi) and "tempered" in classify(phi)
+    # a repeated block keeps a parameter tempered but not discrete
+    phi2 = make_parameter([JordanBlock(RHO, 1, 1, 1, PLUS),
+                           JordanBlock(RHO, 3, 1, 2)])
+    assert classify(phi2) == frozenset({"tempered"}) == _reference_flags(phi2)
+
+
+def _reference_flags(psi):
+    """classify(psi) from the definitions, recomputed on every call."""
+    blocks = psi.blocks
+    tempered = all(b.b == 1 for b in blocks)
+    mult_free = all(b.mult == 1 for b in blocks)
+    pure = all(block_parity(b) == psi.group.dual_parity for b in blocks)
+    by_rho = {}
+    for b in blocks:
+        by_rho.setdefault(b.rho.id, []).extend([(b.B.twice, b.A.twice)]
+                                               * b.mult)
+    disjoint = True
+    for segs in by_rho.values():
+        segs.sort()
+        disjoint &= all(lo2 > hi1
+                        for (_, hi1), (lo2, _) in zip(segs, segs[1:]))
+    flags = set()
+    if tempered:
+        flags.add("tempered")
+    if pure and mult_free and disjoint:
+        flags.add("discrete_diag_restriction")
+        if all(b.A == b.B for b in blocks):
+            flags.add("elementary")
+    if tempered and mult_free and pure:
+        flags.add("discrete")
+    return frozenset(flags)
+
+
+def test_flags_cache_leaves_the_value_unchanged():
+    blocks = [JordanBlock(RHO, 5, 1), JordanBlock(RHO, 1, 3),
+              JordanBlock(RHO, 1, 1, 1, PLUS)]
+    psi, fresh = make_parameter(blocks), make_parameter(blocks)
+    flags = classify(psi)
+    assert classify(psi) is flags  # computed once, then kept
+    assert psi == fresh and hash(psi) == hash(fresh)
+    assert repr(psi) == repr(fresh)
+    assert replace(psi) == replace(fresh) == psi
+    # a replaced value is a new value and classifies afresh
+    tempered = replace(psi, blocks=(JordanBlock(RHO, 9, 1),))
+    assert classify(tempered) == frozenset(
+        {"tempered", "discrete", "discrete_diag_restriction", "elementary"})
+    back = pickle.loads(pickle.dumps(psi))
+    assert back == psi and hash(back) == hash(psi)
+    assert classify(back) == flags == _reference_flags(psi)
+
+
+def test_cached_flags_match_reference_on_compact_draws(monkeypatch):
+    # every parameter built while the registry runs at COMPACT size
+    seen = []
+    post_init = ArthurParameter.__post_init__
+
+    def recording(self):
+        post_init(self)
+        seen.append(self)
+
+    monkeypatch.setattr(ArthurParameter, "__post_init__", recording)
+    rng = random.Random(0)
+    for family in FAMILIES.values():
+        family(rng, COMPACT)
+    monkeypatch.undo()
+    # the families classified many of them, so those flags come from the
+    # cache
+    assert sum("discrete_diag_restriction" in vars(psi).get("_flags", ())
+               for psi in seen) > 100
+    for psi in seen:
+        assert classify(psi) == _reference_flags(psi), psi
+        assert classify(ArthurParameter(psi.group, psi.blocks)) == \
+            classify(psi)
+
+
+def test_flags_cache_under_racing_threads():
+    rng = random.Random(4)
+    params = [random_pure_parameter(rng) for _ in range(200)]
+    expected = [_reference_flags(psi) for psi in params]
+    start = threading.Barrier(6)
+    results = [None] * 6
+
+    def work(k):
+        start.wait()
+        results[k] = [classify(psi) for psi in params]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == expected for got in results)
+    assert [classify(psi) for psi in params] == expected
 
 
 def test_natural_order():
