@@ -45,6 +45,8 @@ def _load_raw(spec: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed JSON: {e}")
+    except RecursionError:
+        raise UsageError("malformed JSON: nested too deeply")
 
 
 def _load_parameter(spec: str, zeta_convention: int) -> ArthurParameter:

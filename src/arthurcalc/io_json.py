@@ -66,11 +66,21 @@ def _int_field(d: Dict[str, Any], key: str, default: Optional[int] = None
     return v
 
 
+def _choice_field(d: Dict[str, Any], key: str, table: Dict[str, Any],
+                  default: str):
+    """A schema field that names one entry of table."""
+    v = d.get(key, default)
+    if not isinstance(v, str) or v not in table:
+        raise TypeError(f"{key!r} must be one of "
+                        f"{', '.join(map(repr, table))}, got {v!r}")
+    return table[v]
+
+
 def rho_from_json(d: Dict[str, Any]) -> RhoLabel:
     if not isinstance(d["id"], str):
         raise TypeError(f"a rho id must be a string, got {d['id']!r}")
     return RhoLabel(d["id"], _int_field(d, "dim", 1),
-                    _TYPE_IN[d.get("type", "orthogonal")],
+                    _choice_field(d, "type", _TYPE_IN, "orthogonal"),
                     quadchar_from_json(d.get("det")))
 
 
@@ -82,7 +92,7 @@ def block_to_json(blk: JordanBlock) -> Dict[str, Any]:
 def block_from_json(d: Dict[str, Any]) -> JordanBlock:
     return JordanBlock(rho_from_json(d["rho"]), _int_field(d, "a"),
                        _int_field(d, "b"), _int_field(d, "mult", 1),
-                       _ZETA_IN[d.get("zeta", "unset")])
+                       _choice_field(d, "zeta", _ZETA_IN, "unset"))
 
 
 def group_to_json(g: GroupForm) -> Dict[str, Any]:
@@ -103,8 +113,11 @@ def parameter_to_json(psi: ArthurParameter) -> Dict[str, Any]:
 
 
 def parameter_from_json(d: Dict[str, Any]) -> ArthurParameter:
+    blocks = d["blocks"]
+    if not isinstance(blocks, list):
+        raise TypeError(f"'blocks' must be a list, got {blocks!r}")
     return ArthurParameter(group_from_json(d["group"]),
-                           tuple(block_from_json(b) for b in d["blocks"]))
+                           tuple(block_from_json(b) for b in blocks))
 
 
 def segment_to_json(seg: Segment) -> Dict[str, Any]:

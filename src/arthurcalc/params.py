@@ -325,8 +325,10 @@ def diagonal_restriction(psi: ArthurParameter) -> ArthurParameter:
 
 
 def _per_rho_segments_disjoint(psi: ArthurParameter) -> bool:
+    """Whether the segments of each rho are pairwise disjoint; called only
+    when every block has multiplicity 1, so the blocks are the instances."""
     by_rho: Dict[str, List[Tuple[HalfInt, HalfInt]]] = {}
-    for blk, _ in psi.instances():
+    for blk in psi.blocks:
         by_rho.setdefault(blk.rho.id, []).append(blk.segment())
     for segs in by_rho.values():
         segs.sort(key=lambda s: (s[0].twice, s[1].twice))

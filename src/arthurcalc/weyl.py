@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
@@ -41,12 +42,10 @@ T = TypeVar("T")
 
 def _memo(cache: Dict[Hashable, T], key: Hashable,
           build: Callable[[], T]) -> T:
-    """The value stored under key, built on first use.
-
-    Each cache belongs to one value, and each entry is a pure function of
-    that value and an immutable key, so a race between threads only
-    stores an equal value twice.
-    """
+    """The value stored under key, built on first use.  Each cache belongs
+    to one value, and each entry is a pure function of that value and an
+    immutable key, so a race between threads only stores an equal value
+    twice."""
     value = cache.get(key)
     if value is None:
         value = cache[key] = build()
@@ -86,10 +85,6 @@ class SignedPerm:
         for i, c in enumerate(v):
             out[self.perm[i]] += c * self.signs[i]
         return tuple(out)
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm))) and \
-            all(s == 1 for s in self.signs)
 
 
 def _from_images(images: Sequence[Vec]) -> SignedPerm:
@@ -230,6 +225,10 @@ class RestrictedData:
     def roots(self) -> Tuple[Vec, ...]:
         return self.positives + tuple(_neg(v) for v in self.positives)
 
+    @cached_property
+    def _simple_coefficients(self) -> Tuple[Vec, ...]:
+        return _coefficients(self.positives, self.simples)
+
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
     """Restricted root data plus the theta-fixed Weyl group."""
@@ -273,23 +272,18 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
         sigma = list(range(n))
         sigma[half - 1], sigma[half] = half, half - 1
         signs = [t[k] if k < half else t[n - 1 - k] for k in sigma]
-    # the position of each pair's vector in pairs, with its orientation
-    where: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    pairs: List[Tuple[int, int]] = []
-    for i, j in itertools.permutations(range(n), 2):
-        mirror = (n - 1 - j, n - 1 - i)
-        if (i, j) in where or (not transpose and mirror == (i, j)):
-            continue
-        if not transpose:
-            where[mirror] = (len(pairs), -1)
-        where[i, j] = (len(pairs), 1)
-        pairs.append((i, j))
+    # type D keeps one pair of each mirror pair, the one with i + j < n - 1;
+    # sigma moves only the middle coordinates half - 1 and half and never
+    # carries a sum i + j across n - 1, so it sends a kept pair to a kept
+    # pair and every image vector keeps its orientation
+    pairs = [(i, j) for i, j in itertools.permutations(range(n), 2)
+             if transpose or i + j < n - 1]
+    where = {pair: k for k, pair in enumerate(pairs)}
     image: List[Tuple[int, int]] = []
     for i, j in pairs:
         a, b = (sigma[j], sigma[i]) if transpose else (sigma[i], sigma[j])
-        k, orientation = where[a, b]
-        image.append((k, orientation * signs[a] * signs[b]
-                      * (-1 if transpose else 1)))
+        image.append((where[a, b],
+                      signs[a] * signs[b] * (-1 if transpose else 1)))
     # coordinate i has weight e_i for i < m, -e_{n-1-i} for n - 1 - i < m
     coord = [[(k == i) - (k == n - 1 - i) for k in range(m)] for i in range(n)]
     weights = [tuple(x - y for x, y in zip(coord[i], coord[j]))
@@ -309,13 +303,10 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
     if any(v > 1 for v in mult.values()):
         raise DomainError(
             "centralizer weight space of dimension > 1")  # pragma: no cover
-    roots = set(mult)
-    for beta in roots:
-        if beta not in res.roots:
-            raise DomainError(
-                f"centralizer weight {beta} escapes the restricted system"
-            )  # pragma: no cover
-    return tuple(sorted(roots))
+    if not set(mult) <= set(res.roots):
+        raise DomainError("a centralizer weight escapes the restricted "
+                          "system")  # pragma: no cover
+    return tuple(sorted(mult))
 
 
 def _simples_of(positives: Sequence[Vec]) -> Tuple[Vec, ...]:
@@ -350,24 +341,21 @@ class SplitData:
         default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def w_h(self) -> FrozenSet[SignedPerm]:
-        """The Weyl group of the centralizer."""
-        elts = _group(self.res).elements
-        return frozenset(elts[x] for x in
-                         _reflection_group(self.res, self.h_simples))
-
-    @cached_property
     def _d_h_ix(self) -> FrozenSet[int]:
         index = _group(self.res).index
         return frozenset(index[w] for w in self.d_h)
 
     @cached_property
-    def _h_roots(self) -> Tuple[Vec, ...]:
-        return self.h_positives + tuple(_neg(b) for b in self.h_positives)
+    def _h_supports(self) -> Tuple[int, ...]:
+        return _supports(_coefficients(self.h_positives, self.h_simples))
 
     @cached_property
-    def _h_supports(self) -> Tuple[int, ...]:
-        return _supports(self.h_positives, self.h_simples)
+    def _h_bits(self) -> Tuple[Tuple[int, ...], int]:
+        """The bit of +-res.roots[k] in a mask over h_positives (0 off the
+        centralizer) for each k, and the mask of the centralizer base."""
+        bit = {b: 1 << k for k, b in enumerate(self.h_positives)}
+        return tuple(bit.get(b, 0) for b in self.res.positives) * 2, \
+            sum(bit[a] for a in self.h_simples)
 
     @cached_property
     def _a_h_stabilizer(self) -> FrozenSet[int]:
@@ -385,18 +373,12 @@ class SplitData:
             if a == b)
 
 
-def _roots_of_split(datum: RootDatum, res: RestrictedData,
-                    split: EndoscopicSplit) -> Tuple[Vec, ...]:
-    if datum.twisted:
-        return _centralizer_roots(datum, split.t, res)
-    # the roots on which t is trivial
-    return tuple(sorted(b for b in res.roots if prod(
-        ti for c, ti in zip(b, split.t) if c % 2) == 1))
-
-
 def build_split_data(datum: RootDatum, res: RestrictedData,
                      split: EndoscopicSplit) -> SplitData:
-    h_roots = _roots_of_split(datum, res, split)
+    # untwisted, the roots on which t is trivial
+    h_roots = _centralizer_roots(datum, split.t, res) if datum.twisted else \
+        [b for b in res.roots
+         if prod(ti for c, ti in zip(b, split.t) if c % 2) == 1]
     h_pos = tuple(sorted(b for b in h_roots if _positive_in(res, b)))
     if len(h_pos) * 2 != len(h_roots):
         raise DomainError("centralizer roots unbalanced")  # pragma: no cover
@@ -430,26 +412,32 @@ def _positive_in(res: RestrictedData, v: Vec) -> bool:
     return _root_index(res).get(v, n) < n
 
 
-def _supports(positives: Sequence[Vec],
-              base: Sequence[Vec]) -> Tuple[int, ...]:
-    """The support of each positive root on the base, as a bit mask over
-    the positions of the simple roots.  A positive root that is not simple
-    stays positive when some simple root is taken off (Bourbaki, Lie VI
-    1.6, non-reduced systems included), so each root walks down to a simple
-    one."""
-    pos, bit = set(positives), {a: 1 << k for k, a in enumerate(base)}
+def _coefficients(positives: Sequence[Vec],
+                  base: Sequence[Vec]) -> Tuple[Vec, ...]:
+    """The coefficients of each positive root on the base.  A positive root
+    that is not simple stays positive when some simple root is taken off
+    (Bourbaki, Lie VI 1.6, non-reduced systems included), so each root
+    walks down to a simple one, counting the simple roots it takes off."""
+    pos, where = set(positives), {a: k for k, a in enumerate(base)}
     out = []
     for b in positives:
-        mask = 0
-        while b not in bit:
+        coef = [0] * len(base)
+        while b not in where:
             a = next((a for a in base if _add(b, _neg(a)) in pos), None)
             if a is None:
                 raise DomainError(
                     f"{b} is not a sum of simple roots")  # pragma: no cover
-            mask |= bit[a]
+            coef[where[a]] += 1
             b = _add(b, _neg(a))
-        out.append(mask | bit[b])
+        coef[where[b]] += 1
+        out.append(tuple(coef))
     return tuple(out)
+
+
+def _supports(coefficients: Sequence[Vec]) -> Tuple[int, ...]:
+    """Each support, as a bit mask over the positions of the simple roots."""
+    return tuple(sum(1 << k for k, c in enumerate(coef) if c)
+                 for coef in coefficients)
 
 
 def _supported_on(roots: Sequence[Vec], supports: Sequence[int],
@@ -465,16 +453,23 @@ def _supported_on(roots: Sequence[Vec], supports: Sequence[int],
     return tuple(b for b, s in zip(roots, supports) if not s & ~mask)
 
 
-def _root_span(res: RestrictedData,
-               simples: Sequence[Vec]) -> Tuple[Vec, ...]:
-    """Roots lying in the span of the given restricted simple roots."""
+def _span_positions(res: RestrictedData,
+                    simples: Tuple[Vec, ...]) -> Tuple[int, ...]:
+    """The indices in res.positives of the roots in the span of the given
+    restricted simple roots."""
     simples = tuple(simples)
+    return _memo(res._cache, ("span", simples), lambda: _supported_on(
+        range(len(res.positives)), _supports(res._simple_coefficients),
+        res.simples, simples))
 
-    def build():
-        supports = _memo(res._cache, "supports", lambda: _supports(
-            res.positives, res.simples))
-        return _supported_on(res.roots, supports * 2, res.simples, simples)
-    return _memo(res._cache, ("span", simples), build)
+
+def _root_span(res: RestrictedData,
+               simples: Tuple[Vec, ...]) -> Tuple[Vec, ...]:
+    """Roots lying in the span of the given restricted simple roots, in
+    the order of res.roots."""
+    pos, n = _span_positions(res, simples), len(res.positives)
+    return tuple(res.roots[k] for k in pos) + \
+        tuple(res.roots[k + n] for k in pos)
 
 
 def _reflection_in(res: RestrictedData, beta: Vec) -> SignedPerm:
@@ -542,18 +537,23 @@ def _product(group: _Group, x: int, y: int) -> int:
 
 
 def _mult_table(res: RestrictedData, g: int, left: bool) -> Tuple[int, ...]:
-    """Index of g * x (left) or x * g (right) for each element x."""
+    """Index of g * x (left) or x * g (right) for each element x: the
+    images of the simple roots are read off a column at a time."""
     def build():
         group = _group(res)
-        return tuple(_product(group, g, x) if left else _product(group, x, g)
-                     for x in range(len(group.elements)))
+        if left:  # g(x(a)) for each simple root a
+            columns = [map(group.perms[g].__getitem__, map(
+                itemgetter(i), group.images)) for i in range(len(res.simples))]
+        else:  # x(g(a))
+            columns = [map(itemgetter(k), group.perms)
+                       for k in group.images[g]]
+        return tuple(map(group.by_images.__getitem__, zip(*columns)))
     return _memo(res._cache, ("mult", g, left), build)
 
 
 def _reflection_table(res: RestrictedData, beta: Vec,
                       left: bool) -> Tuple[int, ...]:
-    """_mult_table of the reflection in a restricted root, which W^theta
-    holds as the Weyl group of the restricted roots."""
+    """_mult_table of the reflection in a restricted root."""
     return _mult_table(res, _group(res).index[_reflection_in(res, beta)],
                        left)
 
@@ -592,8 +592,8 @@ def _min_reps(res: RestrictedData,
         if not all(where.get(b, n) < n for b in simples):
             raise DomainError("coset representatives need positive roots")
         mask = sum(1 << where[b] for b in set(simples))
-        return frozenset(x for x, inv in enumerate(_inversions(res))
-                         if not inv & mask)
+        return frozenset([x for x, inv in enumerate(_inversions(res))
+                          if not inv & mask])
     return _memo(res._cache, ("reps", simples), build)
 
 
@@ -602,7 +602,7 @@ def _reflection_group(res: RestrictedData,
     """The subgroup generated by the reflections in the given roots: the
     coset of the identity."""
     def build():
-        label = _double_cosets(res, roots, ())
+        label, _ = _cosets(res, roots)
         one = label[_group(res).one]
         return frozenset(x for x, k in enumerate(label) if k == one)
     return _memo(res._cache, ("subgroup", roots), build)
@@ -612,12 +612,10 @@ def _levi_longest(res: RestrictedData, simples: Tuple[Vec, ...]) -> int:
     """The element of W_S sending every positive root of S to a negative
     one."""
     def build():
-        where, n = _root_index(res), len(res.positives)
-        pos = [where[b] for b in _root_span(res, simples)
-               if _positive_in(res, b)]
-        perms = _group(res).perms
+        n, perms = len(res.positives), _group(res).perms
         return next(x for x in _reflection_group(res, simples)
-                    if all(perms[x][k] >= n for k in pos))
+                    if all(perms[x][k] >= n for k in _span_positions(
+                        res, simples)))
     return _memo(res._cache, ("longest", simples), build)
 
 
@@ -648,11 +646,10 @@ def _d_m_tilde(res: RestrictedData, levi: LeviG,
         g, d_m = data.split.galois, _min_reps(res, levi.simples)
         if g is None:
             return d_m
-        w_m, inv, group = (_reflection_group(res, levi.simples),
-                           _inverses(res), _group(res))
-        wg = _mult_table(res, group.index[g], False)
-        return frozenset(w for w in d_m
-                         if _product(group, wg[w], inv[w]) in w_m)
+        label, _ = _cosets(res, levi.simples)
+        wg = _mult_table(res, _group(res).index[g], False)
+        # w g w^-1 lies in W_M exactly when w g lies in the coset W_M w
+        return frozenset([w for w in d_m if label[wg[w]] == label[w]])
     return _memo(data._cache, ("tilde", levi.simples), build)
 
 
@@ -661,8 +658,8 @@ def _d_h_m(res: RestrictedData, levi: LeviG,
     def build():
         dm = _d_m_tilde(res, levi, data) if tilde else \
             _min_reps(res, levi.simples)
-        inv = _inverses(res)
-        return frozenset(inv[w] for w in dm) & data._d_h_ix
+        inv = _inverses(res)  # D_H is the smaller set
+        return frozenset([w for w in data._d_h_ix if inv[w] in dm])
     return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
 
 
@@ -679,42 +676,41 @@ def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
 def _h_orbit_count(data: SplitData, simples: Sequence[Vec]) -> int:
     """The number of orbits of the Galois involution on simples."""
     g = data.split.galois
-    if g is None:
-        return len(simples)
-    return len({frozenset((b, g.apply(b))) for b in simples})
-
-
-def _m_prime_of(data: SplitData, levi: LeviG, w: int) -> Tuple[Vec, ...]:
-    """Base of the standard Levi of the centralizer attached to a double
-    coset representative: the centralizer roots inside w of the Levi's
-    restricted roots."""
-    res = data.res
-    perm, where = _group(res).perms[w], _root_index(res)
-    moved = {res.roots[perm[where[b]]] for b in _root_span(res, levi.simples)}
-    inter = [b for b in data.h_positives if b in moved]
-    simples = _simples_of(tuple(inter))
-    if not set(simples) <= set(data.h_simples):
-        raise DomainError("double-coset Levi is not standard")
-    full = {b for b in data._h_roots if b in moved}
-    if full != set(_root_span_h(data, simples)):
-        raise DomainError(
-            "double-coset Levi is not spanned by base roots")
-    return simples
-
-
-def _root_span_h(data: SplitData, simples: Tuple[Vec, ...]
-                 ) -> Tuple[Vec, ...]:
-    """Centralizer roots lying in the span of the given centralizer simple
-    roots."""
-    return _memo(data._cache, ("span_h", simples), lambda: _supported_on(
-        data._h_roots, data._h_supports * 2, data.h_simples, simples))
+    return len(simples) if g is None else \
+        len({frozenset((b, g.apply(b))) for b in simples})
 
 
 def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:
-    """How many admissible double cosets attach each centralizer Levi."""
-    return _memo(data._cache, ("tally", levi.simples), lambda: Counter(
-        _m_prime_of(data, levi, w)
-        for w in _d_h_m(data.res, levi, data, tilde=True)))
+    """How many admissible double cosets attach each centralizer Levi.
+
+    The Levi attached to w has the centralizer roots F inside w of the
+    Levi's restricted roots, a bit mask over data.h_positives.  It is
+    standard exactly when F is the span of the centralizer simple roots S
+    it holds, which are then its base."""
+    def base_and_span(s: int) -> Tuple[Tuple[Vec, ...], int]:
+        pos = data.h_positives
+        base = tuple(b for k, b in enumerate(pos) if s >> k & 1)
+        return base, sum(1 << k for k in _supported_on(
+            range(len(pos)), data._h_supports, data.h_simples, base))
+
+    def build():
+        res = data.res
+        (bits, simple), perms = data._h_bits, _group(res).perms
+        span = _span_positions(res, levi.simples)
+        # distinct positive roots have distinct images up to sign, so the
+        # sum of their bits is the union
+        masks = Counter(sum([bits[perms[w][k]] for k in span])
+                        for w in _d_h_m(res, levi, data, tilde=True))
+        tally: Counter = Counter()
+        for mask, count in masks.items():
+            s = mask & simple
+            base, spanned = _memo(data._cache, ("span_mask", s),
+                                  lambda: base_and_span(s))
+            if mask != spanned:
+                raise DomainError("double-coset Levi is not standard")
+            tally[base] += count
+        return tally
+    return _memo(data._cache, ("tally", levi.simples), build)
 
 
 def a_count(data: SplitData, levi: LeviG,
@@ -752,25 +748,31 @@ def _truncate_h(a: Ring, data: SplitData) -> Ring:
 # Counter equality treats a missing key as zero, so the sums below keep
 # zero coefficients without changing any comparison.
 
+def _signed_sum(terms: Iterable[Tuple[int, Iterable[int]]]) -> Ring:
+    """The sum of sign * (sum of the set) over (sign, set) terms, counted
+    in C by Counter.update."""
+    plus, minus = Counter(), Counter()
+    for sign, elements in terms:
+        (plus if sign > 0 else minus).update(elements)
+    plus.subtract(minus)
+    return plus
+
+
 def verify_identity_A(data: SplitData) -> bool:
     """Alternating sum of tilde coset sums against the long double flip."""
     res = data.res
-    total: Ring = Counter()
-    for levi in levi_g_all(res):
-        sign = -1 if len(levi.simples) % 2 else 1
-        total.update(dict.fromkeys(_d_m_tilde(res, levi, data), sign))
-    sign = -1 if len(data.mh_simples) % 2 else 1
-    return total == Counter({_long_double_flip(data): sign})
+    total = _signed_sum(((-1) ** len(m.simples), _d_m_tilde(res, m, data))
+                        for m in levi_g_all(res))
+    return total == Counter({_long_double_flip(data):
+                             (-1) ** len(data.mh_simples)})
 
 
 def verify_identity_B(data: SplitData) -> bool:
     """Alternating sum of truncated centralizer coset sums."""
-    res = data.res
-    total: Ring = Counter()
-    for simples in levi_h_all(data):
-        sign = -1 if _h_orbit_count(data, simples) % 2 else 1
-        total.update(_truncate_h(
-            dict.fromkeys(_min_reps(res, simples), sign), data))
+    res, stable = data.res, data._a_h_stabilizer
+    total = _signed_sum(((-1) ** _h_orbit_count(data, simples),
+                         _min_reps(res, simples) & stable)
+                        for simples in levi_h_all(data))
     target = _truncate_h(_ring_mul(
         res, Counter(data._d_h_ix), {_long_double_flip(data): 1}), data)
     return total == target
@@ -804,23 +806,16 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
     Levi of the centralizer defined over the base field."""
     res = data.res
     levis = levi_g_all(res)
-    rows = []
-    for m_prime in levi_h_all(data):
-        lhs = 0
-        for levi in levis:
-            sign = -1 if len(levi.simples) % 2 else 1
-            lhs += sign * a_count(data, levi, m_prime)
-        rhs_exp = len(data.mh_simples) + _h_orbit_count(data, m_prime)
-        rhs = -1 if rhs_exp % 2 else 1
-        rows.append((m_prime, lhs, rhs))
+    rows = [(m_prime, sum((-1) ** len(levi.simples)
+                          * a_count(data, levi, m_prime) for levi in levis),
+             (-1) ** (len(data.mh_simples) + _h_orbit_count(data, m_prime)))
+            for m_prime in levi_h_all(data)]
     # every admissible double coset must land on a Galois-stable Levi
     g = data.split.galois
-    for levi in levis:
-        for mp in _m_prime_tally(data, levi):
-            if g is not None and set(g.apply(b) for b in mp) != set(mp):
-                raise DomainError(
-                    "admissible coset lands on an unstable Levi"
-                )  # pragma: no cover
+    if g is not None and any(set(map(g.apply, mp)) != set(mp) for levi in levis
+                             for mp in _m_prime_tally(data, levi)):
+        raise DomainError(
+            "admissible coset lands on an unstable Levi")  # pragma: no cover
     return AlternatingReport(rows)
 
 
@@ -846,28 +841,40 @@ def _orbits(size: int, step: Callable[[int], Iterable[int]]
 
 def _cosets(res: RestrictedData, left: Tuple[Vec, ...]
             ) -> Tuple[List[int], List[int]]:
-    """The label of each element's coset W_left x, and the first element
-    of each coset."""
+    """The label of each element's coset W_left x, labels running 0, 1, ...
+    in order of first appearance, and the first element of each coset."""
     def build():
-        tables = [_reflection_table(res, b, True) for b in left]
-        return _orbits(len(_group(res).elements),
-                       lambda x: [t[x] for t in tables])
+        group = _group(res)
+        if not set(left) <= set(res.simples):
+            tables = [_reflection_table(res, b, True) for b in left]
+            return _orbits(len(group.elements),
+                           lambda x: [t[x] for t in tables])
+        # W_S x is labelled by x^-1(l): l is 1 on the simple roots outside
+        # S and 0 on S, so its stabilizer is W_S (Humphreys, Reflection
+        # Groups and Coxeter Groups, 1.12); x^-1(l) is given by l(x(a))
+        c = [sum(k for k, a in zip(coef, res.simples) if a not in left)
+             for coef in res._simple_coefficients]
+        c += [-h for h in c]
+        ids: Dict[Tuple[int, ...], int] = {}
+        first = list(map(ids.setdefault, zip(*[map(c.__getitem__, map(
+            itemgetter(i), group.images)) for i in range(len(res.simples))]),
+            range(len(group.images))))  # the first element of W_S x
+        number = {x: k for k, x in enumerate(dict.fromkeys(first))}
+        return list(map(number.__getitem__, first)), list(number)
     return _memo(res._cache, ("cosets", left), build)
 
 
 def _double_cosets(res: RestrictedData, left: Sequence[Vec],
-                   right: Sequence[Vec]) -> List[int]:
-    """Label of each element's (W_left, W_right) double coset, where the
-    subgroups are generated by the reflections in the given roots; labels
-    run 0, 1, ... in order of first appearance.  The double cosets are
-    the orbits of W_right on the cosets W_left x."""
+                   right: Sequence[Vec]) -> Tuple[List[int], Sequence[int]]:
+    """The label of each element's coset W_left x and of each coset's
+    (W_left, W_right) double coset, the orbits of W_right on the cosets;
+    the subgroups are generated by the reflections in the given roots, and
+    labels run 0, 1, ... in order of first appearance."""
     label, first = _cosets(res, tuple(left))
-    if not right:
-        return label
     tables = [_reflection_table(res, b, False) for b in right]
     orbit, _ = _orbits(len(first),
                        lambda c: [label[t[first[c]]] for t in tables])
-    return [orbit[k] for k in label]
+    return label, orbit
 
 
 def _one_per_double_coset(res: RestrictedData, reps: Iterable[int],
@@ -875,9 +882,9 @@ def _one_per_double_coset(res: RestrictedData, reps: Iterable[int],
     """Whether reps meets every (W_left, W_right) double coset exactly
     once.  With right empty these are the cosets W_left w, and the answer
     says whether W = W_left * reps with unique factorization."""
-    label = _double_cosets(res, left, right)
-    hits = sorted(label[x] for x in reps)
-    return hits == list(range(max(label) + 1))
+    label, orbit = _double_cosets(res, left, right)
+    hits = sorted(orbit[label[x]] for x in reps)
+    return hits == list(range(max(orbit) + 1))
 
 
 def verify_coset_representatives(data: SplitData) -> bool:
@@ -902,9 +909,10 @@ def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
     group, inv, d_h = _group(res), _inverses(res), data._d_h_ix
     d_m_inv = [inv[d] for d in _min_reps(res, levi.simples)]
     d_h_m = _d_h_m(res, levi, data, tilde=False)
-    # y lies in w W_M, or in W_H w W_M, when it carries the label of w
-    coset = _double_cosets(res, (), levi.simples)
-    double = _double_cosets(res, data.h_simples, levi.simples)
+    # y lies in w W_M, or in W_H w W_M, when it carries the label of w;
+    # with left empty, each element is its own coset
+    coset = _double_cosets(res, (), levi.simples)[1]
+    label, double = _double_cosets(res, data.h_simples, levi.simples)
     for x in range(len(group.elements)):
         ys = [_product(group, x, d) for d in d_m_inv]  # x D_M^-1
         for k in d_h_m:
@@ -914,7 +922,8 @@ def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
             if candidate is None:
                 return False
             # (x D_M^-1 cap D_H) cap W_H w W_M, computed directly
-            actual = {y for y in ys if y in d_h and double[y] == double[k]}
+            actual = {y for y in ys if y in d_h
+                      and double[label[y]] == double[label[k]]}
             expect = {candidate} if candidate in d_h else set()
             if actual != expect:
                 return False
@@ -950,11 +959,6 @@ def _dedup_twisted_t(datum: RootDatum) -> List[Tuple[int, ...]]:
                        for p in perms for tw in twists) for t in signs})
 
 
-def _coordinate_flip(m: int, j: int) -> SignedPerm:
-    return SignedPerm(tuple(range(m)),
-                      tuple(-1 if i == j else 1 for i in range(m)))
-
-
 def _galois_candidates(base: SplitData) -> List[SignedPerm]:
     """Coordinate flips that can act as the quasisplit twist on the
     centralizer of a split without twist: they must preserve its base and
@@ -963,14 +967,12 @@ def _galois_candidates(base: SplitData) -> List[SignedPerm]:
     m = datum.restricted_dim()
     out = []
     for j in range(m):
-        flip = _coordinate_flip(m, j)
-        if set(flip.apply(b) for b in base.h_simples) != set(base.h_simples):
-            continue
-        if datum.gtype == TYPE_A and datum.twisted:
-            n = datum.ambient_dim
-            if split.t[j] != split.t[n - 1 - j]:
-                continue
-        out.append(flip)
+        flip = SignedPerm(tuple(range(m)),
+                          tuple(-1 if i == j else 1 for i in range(m)))
+        if set(flip.apply(b) for b in base.h_simples) == set(base.h_simples) \
+                and (datum.gtype != TYPE_A
+                     or split.t[j] == split.t[datum.ambient_dim - 1 - j]):
+            out.append(flip)
     return out
 
 
@@ -1002,12 +1004,9 @@ def catalog_split_data(datum: RootDatum,
 
 def coset_reps(data: SplitData, levi: LeviG
                ) -> Tuple[FrozenSet[SignedPerm], ...]:
-    """The five minimal representative sets attached to (split, Levi).
-
-    Returns (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}); products of
-    cardinalities with the corresponding subgroup orders recover the
-    twisted Weyl group.
-    """
+    """The five minimal representative sets attached to (split, Levi):
+    (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}); products of cardinalities
+    with the corresponding subgroup orders recover the twisted Weyl group."""
     res = data.res
     elts = _group(res).elements
     return (data.d_h,) + tuple(frozenset(elts[x] for x in s) for s in (

@@ -207,6 +207,41 @@ def test_inline_json_array_schema_error():
     assert "bad parameter schema" in err
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+def test_deeply_nested_json_usage_error(tmp_path, from_file):
+    spec = "[" * 50000
+    if from_file:
+        path = tmp_path / "deep.json"
+        path.write_text(spec)
+        spec = str(path)
+    rc, out, err = run_cli_err(["classify", spec])
+    assert (rc, out) == (2, "")
+    assert err == "usage error: malformed JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("zeta", 5), ("zeta", "up"), ("zeta", ["+"]), ("zeta", None),
+    ("type", 5), ("type", "weird"), ("type", {"t": 1})])
+def test_unknown_choice_names_field_and_value(field, value):
+    block = _block(a=1, b=1)
+    (block if field == "zeta" else block["rho"])[field] = value
+    rc, out, err = run_cli_err(["classify", json.dumps(
+        {"group": {"kind": "Sp", "n": 1}, "blocks": [block]})])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"usage error: bad parameter schema: {field!r} "
+                          f"must be one of ")
+    assert err.endswith(f", got {value!r}\n")
+
+
+@pytest.mark.parametrize("blocks", [{}, {"0": _block()}, "", 3, None])
+def test_blocks_must_be_a_list(blocks):
+    rc, out, err = run_cli_err(["classify", json.dumps(
+        {"group": {"kind": "Sp", "n": 1}, "blocks": blocks})])
+    assert (rc, out) == (2, "")
+    assert err == ("usage error: bad parameter schema: 'blocks' must be a "
+                   f"list, got {blocks!r}\n")
+
+
 def test_unknown_group_kind_is_bad_group():
     rc, out = run_cli(["classify", json.dumps(
         {"group": {"kind": "XX", "n": 4}, "blocks": []})])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -167,13 +168,30 @@ def test_so_flip_is_pinned():
         assert img in {m for _, m in basis} or neg in {m for _, m in basis}
 
 
+def _w_h(data):
+    """The Weyl group of the centralizer."""
+    elts = W._group(data.res).elements
+    return {elts[x] for x in W._reflection_group(data.res, data.h_simples)}
+
+
+def _h_roots(data):
+    return data.h_positives + tuple(W._neg(b) for b in data.h_positives)
+
+
+def _root_span_h(data, simples):
+    """Centralizer roots lying in the span of the given centralizer simple
+    roots, from their supports on the centralizer base."""
+    return W._supported_on(_h_roots(data), data._h_supports * 2,
+                           data.h_simples, simples)
+
+
 def test_coset_counts_b2():
     datum = W.RootDatum(W.TYPE_B, 2)
     res = W.restricted_roots(datum)
     full = W.build_split_data(datum, res, W.EndoscopicSplit((1, 1)))
     assert len(full.d_h) == 1
     so4 = W.build_split_data(datum, res, W.EndoscopicSplit((-1, -1)))
-    assert len(so4.w_h) == 4 and len(so4.d_h) == 2
+    assert len(_w_h(so4)) == 4 and len(so4.d_h) == 2
     # the trivial Levi has the whole group as representatives
     assert len(W._min_reps(res, ())) == len(res.weyl)
 
@@ -251,7 +269,7 @@ def test_signed_perm_algebra():
     a = W.SignedPerm((1, 0), (1, -1))
     b = W.SignedPerm((0, 1), (-1, 1))
     assert (a * b).apply((1, 0)) == tuple(a.apply(b.apply((1, 0))))
-    assert (a * a.inv()).is_identity()
+    assert a * a.inv() == W.SignedPerm.identity(2)
     refl = W._reflection((1, -1))
     assert refl.apply((1, 0)) == (0, 1)
     assert refl.apply((1, 1)) == (1, 1)
@@ -275,7 +293,7 @@ def test_coset_reps_tuple():
     data = W.build_split_data(datum, res, W.EndoscopicSplit((-1, -1)))
     for levi in W.levi_g_all(res):
         d_h, d_m, d_m_t, d_hm, d_hm_t = W.coset_reps(data, levi)
-        assert len(d_h) * len(data.w_h) == len(res.weyl)
+        assert len(d_h) * len(_w_h(data)) == len(res.weyl)
         assert len(d_m) * len(W._reflection_group(res, levi.simples)) == \
             len(res.weyl)
         assert d_m_t <= d_m
@@ -301,20 +319,25 @@ def _rank_q(rows):
     return rank
 
 
+def _tally_data():
+    """The catalog plus B4, C4 and twisted A4, A5 and D5."""
+    return W.datum_catalog() + [
+        W.RootDatum(W.TYPE_B, 4), W.RootDatum(W.TYPE_C, 4),
+        W.RootDatum(W.TYPE_A, 4, twisted=True),
+        W.RootDatum(W.TYPE_A, 5, twisted=True),
+        W.RootDatum(W.TYPE_D, 5, twisted=True)]
+
+
 def _span_bases():
-    """(roots, base) for the restricted base of the catalog plus B4, C4
-    and twisted A4, A5 and D5, and for the centralizer base of each of
-    their splits, with the span function of each."""
-    extra = [W.RootDatum(W.TYPE_B, 4), W.RootDatum(W.TYPE_C, 4),
-             W.RootDatum(W.TYPE_A, 4, twisted=True),
-             W.RootDatum(W.TYPE_A, 5, twisted=True),
-             W.RootDatum(W.TYPE_D, 5, twisted=True)]
-    for datum in W.datum_catalog() + extra:
+    """(roots, base) for the restricted base of each of _tally_data() and
+    for the centralizer base of each of their splits, with the span
+    function of each."""
+    for datum in _tally_data():
         res = W.restricted_roots(datum)
         yield res.roots, res.simples, lambda s, res=res: W._root_span(res, s)
         for data in W.catalog_split_data(datum, res):
-            yield data._h_roots, data.h_simples, \
-                lambda s, data=data: W._root_span_h(data, s)
+            yield _h_roots(data), data.h_simples, \
+                lambda s, data=data: _root_span_h(data, s)
 
 
 def test_subspace_exact():
@@ -361,7 +384,7 @@ def test_root_span_needs_simple_roots_of_its_base():
     data = W.build_split_data(res.datum, res, W.EndoscopicSplit((1, -1, -1)))
     outside = next(c for c in res.simples if c not in data.h_simples)
     with pytest.raises(DomainError):
-        W._root_span_h(data, (outside,))
+        _root_span_h(data, (outside,))
 
 
 def test_rank_below_minimum_raises():
@@ -396,20 +419,48 @@ def test_memo_does_not_leak_between_calls():
                    and r["verify_coset_representatives"] for r in first)
 
 
+def _m_prime_of(data, levi, w):
+    """Base of the standard Levi of the centralizer attached to a double
+    coset representative: the centralizer roots inside w of the Levi's
+    restricted roots, whose base must be made of centralizer simple roots
+    and span them all."""
+    res = data.res
+    perm, where = W._group(res).perms[w], W._root_index(res)
+    moved = {res.roots[perm[where[b]]]
+             for b in W._root_span(res, levi.simples)}
+    inter = [b for b in data.h_positives if b in moved]
+    simples = W._simples_of(inter)
+    if not set(simples) <= set(data.h_simples):
+        raise DomainError("double-coset Levi is not standard")
+    full = {b for b in _h_roots(data) if b in moved}
+    if full != set(_root_span_h(data, simples)):
+        raise DomainError(
+            "double-coset Levi is not spanned by base roots")
+    return simples
+
+
 def test_a_count_matches_direct_count():
-    for datum in [W.RootDatum(W.TYPE_B, 3),
-                  W.RootDatum(W.TYPE_D, 4, twisted=True)]:
+    for datum in _tally_data():
         res = W.restricted_roots(datum)
         for data in W.catalog_split_data(datum, res):
-            subsets = [tuple(sorted(c))
-                       for r in range(len(data.h_simples) + 1)
-                       for c in itertools.combinations(data.h_simples, r)]
             for levi in W.levi_g_all(res):
                 reps = W._d_h_m(res, levi, data, tilde=True)
-                for m_prime in subsets:
-                    direct = sum(1 for w in reps
-                                 if W._m_prime_of(data, levi, w) == m_prime)
-                    assert W.a_count(data, levi, m_prime) == direct
+                direct = Counter(_m_prime_of(data, levi, w) for w in reps)
+                assert W._m_prime_tally(data, levi) == direct
+                for m_prime in W.levi_h_all(data):
+                    assert W.a_count(data, levi, m_prime) == direct[m_prime]
+
+
+def test_parabolic_coset_labels_match_orbit_search():
+    # W_S x labelled by x^-1(lambda_S) against the orbits of x under the
+    # simple reflections of S, for every standard parabolic
+    for datum in _tally_data():
+        res = W.restricted_roots(datum)
+        size = len(W._group(res).elements)
+        for levi in W.levi_g_all(res):
+            tables = [W._reflection_table(res, b, True) for b in levi.simples]
+            expect = W._orbits(size, lambda x: [t[x] for t in tables])
+            assert W._cosets(res, levi.simples) == expect
 
 
 def test_shared_splits_across_threads():
@@ -500,7 +551,9 @@ def test_double_cosets_match_product_search():
         elts = W._group(res).elements
         for data in W.catalog_split_data(datum, res):
             for levi in W.levi_g_all(res):
-                label = W._double_cosets(res, data.h_simples, levi.simples)
+                coset, orbit = W._double_cosets(res, data.h_simples,
+                                                levi.simples)
+                label = [orbit[k] for k in coset]
                 parts = {}
                 for w, k in zip(elts, label):
                     parts.setdefault(k, set()).add(w)
@@ -548,7 +601,7 @@ def test_memoized_reflections_and_inverses():
         inv = W._inverses(res)
         assert len(inv) == len(elts) and set(elts) == set(res.weyl)
         for x, w in enumerate(elts):
-            assert (w * elts[inv[x]]).is_identity()
+            assert w * elts[inv[x]] == W.SignedPerm.identity(len(w.perm))
         for b in res.roots:
             assert W._reflection_in(res, b) == W._reflection(b)
 
