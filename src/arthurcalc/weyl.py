@@ -42,10 +42,12 @@ T = TypeVar("T")
 
 def _memo(cache: Dict[Hashable, T], key: Hashable,
           build: Callable[[], T]) -> T:
-    """The value stored under key, built on first use.  Each cache belongs
-    to one value, and each entry is a pure function of that value and an
-    immutable key, so a race between threads only stores an equal value
-    twice."""
+    """The value stored under key, built on first use.
+
+    Each cache belongs to one value, and each entry is a pure function of
+    that value and an immutable key, so a race between threads only
+    stores an equal value twice.
+    """
     value = cache.get(key)
     if value is None:
         value = cache[key] = build()
@@ -225,10 +227,6 @@ class RestrictedData:
     def roots(self) -> Tuple[Vec, ...]:
         return self.positives + tuple(_neg(v) for v in self.positives)
 
-    @cached_property
-    def _simple_coefficients(self) -> Tuple[Vec, ...]:
-        return _coefficients(self.positives, self.simples)
-
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
     """Restricted root data plus the theta-fixed Weyl group."""
@@ -303,10 +301,13 @@ def _centralizer_roots(datum: RootDatum, t: Tuple[int, ...],
     if any(v > 1 for v in mult.values()):
         raise DomainError(
             "centralizer weight space of dimension > 1")  # pragma: no cover
-    if not set(mult) <= set(res.roots):
-        raise DomainError("a centralizer weight escapes the restricted "
-                          "system")  # pragma: no cover
-    return tuple(sorted(mult))
+    roots = set(mult)
+    for beta in roots:
+        if beta not in res.roots:
+            raise DomainError(
+                f"centralizer weight {beta} escapes the restricted system"
+            )  # pragma: no cover
+    return tuple(sorted(roots))
 
 
 def _simples_of(positives: Sequence[Vec]) -> Tuple[Vec, ...]:
@@ -347,7 +348,7 @@ class SplitData:
 
     @cached_property
     def _h_supports(self) -> Tuple[int, ...]:
-        return _supports(_coefficients(self.h_positives, self.h_simples))
+        return _supports(self.h_positives, self.h_simples)
 
     @cached_property
     def _h_bits(self) -> Tuple[Tuple[int, ...], int]:
@@ -412,32 +413,26 @@ def _positive_in(res: RestrictedData, v: Vec) -> bool:
     return _root_index(res).get(v, n) < n
 
 
-def _coefficients(positives: Sequence[Vec],
-                  base: Sequence[Vec]) -> Tuple[Vec, ...]:
-    """The coefficients of each positive root on the base.  A positive root
-    that is not simple stays positive when some simple root is taken off
-    (Bourbaki, Lie VI 1.6, non-reduced systems included), so each root
-    walks down to a simple one, counting the simple roots it takes off."""
-    pos, where = set(positives), {a: k for k, a in enumerate(base)}
+def _supports(positives: Sequence[Vec],
+              base: Sequence[Vec]) -> Tuple[int, ...]:
+    """The support of each positive root on the base, as a bit mask over
+    the positions of the simple roots.  A positive root that is not simple
+    stays positive when some simple root is taken off (Bourbaki, Lie VI
+    1.6, non-reduced systems included), so each root walks down to a simple
+    one."""
+    pos, bit = set(positives), {a: 1 << k for k, a in enumerate(base)}
     out = []
     for b in positives:
-        coef = [0] * len(base)
-        while b not in where:
+        mask = 0
+        while b not in bit:
             a = next((a for a in base if _add(b, _neg(a)) in pos), None)
             if a is None:
                 raise DomainError(
                     f"{b} is not a sum of simple roots")  # pragma: no cover
-            coef[where[a]] += 1
+            mask |= bit[a]
             b = _add(b, _neg(a))
-        coef[where[b]] += 1
-        out.append(tuple(coef))
+        out.append(mask | bit[b])
     return tuple(out)
-
-
-def _supports(coefficients: Sequence[Vec]) -> Tuple[int, ...]:
-    """Each support, as a bit mask over the positions of the simple roots."""
-    return tuple(sum(1 << k for k, c in enumerate(coef) if c)
-                 for coef in coefficients)
 
 
 def _supported_on(roots: Sequence[Vec], supports: Sequence[int],
@@ -458,9 +453,13 @@ def _span_positions(res: RestrictedData,
     """The indices in res.positives of the roots in the span of the given
     restricted simple roots."""
     simples = tuple(simples)
-    return _memo(res._cache, ("span", simples), lambda: _supported_on(
-        range(len(res.positives)), _supports(res._simple_coefficients),
-        res.simples, simples))
+
+    def build():
+        supports = _memo(res._cache, "supports", lambda: _supports(
+            res.positives, res.simples))
+        return _supported_on(range(len(res.positives)), supports,
+                             res.simples, simples)
+    return _memo(res._cache, ("span", simples), build)
 
 
 def _root_span(res: RestrictedData,
@@ -553,7 +552,8 @@ def _mult_table(res: RestrictedData, g: int, left: bool) -> Tuple[int, ...]:
 
 def _reflection_table(res: RestrictedData, beta: Vec,
                       left: bool) -> Tuple[int, ...]:
-    """_mult_table of the reflection in a restricted root."""
+    """_mult_table of the reflection in a restricted root, which W^theta
+    holds as the Weyl group of the restricted roots."""
     return _mult_table(res, _group(res).index[_reflection_in(res, beta)],
                        left)
 
@@ -676,8 +676,9 @@ def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
 def _h_orbit_count(data: SplitData, simples: Sequence[Vec]) -> int:
     """The number of orbits of the Galois involution on simples."""
     g = data.split.galois
-    return len(simples) if g is None else \
-        len({frozenset((b, g.apply(b))) for b in simples})
+    if g is None:
+        return len(simples)
+    return len({frozenset((b, g.apply(b))) for b in simples})
 
 
 def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:
@@ -761,16 +762,17 @@ def _signed_sum(terms: Iterable[Tuple[int, Iterable[int]]]) -> Ring:
 def verify_identity_A(data: SplitData) -> bool:
     """Alternating sum of tilde coset sums against the long double flip."""
     res = data.res
-    total = _signed_sum(((-1) ** len(m.simples), _d_m_tilde(res, m, data))
-                        for m in levi_g_all(res))
-    return total == Counter({_long_double_flip(data):
-                             (-1) ** len(data.mh_simples)})
+    total = _signed_sum((-1 if len(levi.simples) % 2 else 1,
+                         _d_m_tilde(res, levi, data))
+                        for levi in levi_g_all(res))
+    sign = -1 if len(data.mh_simples) % 2 else 1
+    return total == Counter({_long_double_flip(data): sign})
 
 
 def verify_identity_B(data: SplitData) -> bool:
     """Alternating sum of truncated centralizer coset sums."""
     res, stable = data.res, data._a_h_stabilizer
-    total = _signed_sum(((-1) ** _h_orbit_count(data, simples),
+    total = _signed_sum((-1 if _h_orbit_count(data, simples) % 2 else 1,
                          _min_reps(res, simples) & stable)
                         for simples in levi_h_all(data))
     target = _truncate_h(_ring_mul(
@@ -806,16 +808,23 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
     Levi of the centralizer defined over the base field."""
     res = data.res
     levis = levi_g_all(res)
-    rows = [(m_prime, sum((-1) ** len(levi.simples)
-                          * a_count(data, levi, m_prime) for levi in levis),
-             (-1) ** (len(data.mh_simples) + _h_orbit_count(data, m_prime)))
-            for m_prime in levi_h_all(data)]
+    rows = []
+    for m_prime in levi_h_all(data):
+        lhs = 0
+        for levi in levis:
+            sign = -1 if len(levi.simples) % 2 else 1
+            lhs += sign * a_count(data, levi, m_prime)
+        rhs_exp = len(data.mh_simples) + _h_orbit_count(data, m_prime)
+        rhs = -1 if rhs_exp % 2 else 1
+        rows.append((m_prime, lhs, rhs))
     # every admissible double coset must land on a Galois-stable Levi
     g = data.split.galois
-    if g is not None and any(set(map(g.apply, mp)) != set(mp) for levi in levis
-                             for mp in _m_prime_tally(data, levi)):
-        raise DomainError(
-            "admissible coset lands on an unstable Levi")  # pragma: no cover
+    for levi in levis:
+        for mp in _m_prime_tally(data, levi):
+            if g is not None and set(g.apply(b) for b in mp) != set(mp):
+                raise DomainError(
+                    "admissible coset lands on an unstable Levi"
+                )  # pragma: no cover
     return AlternatingReport(rows)
 
 
@@ -828,12 +837,12 @@ def _orbits(size: int, step: Callable[[int], Iterable[int]]
     for seed in range(size):
         if label[seed] >= 0:
             continue
-        label[seed] = len(first)
+        label[seed] = k = len(first)  # one int object per orbit
         stack = [seed]
         while stack:
             for y in step(stack.pop()):
                 if label[y] < 0:
-                    label[y] = len(first)
+                    label[y] = k
                     stack.append(y)
         first.append(seed)
     return label, first
@@ -841,26 +850,12 @@ def _orbits(size: int, step: Callable[[int], Iterable[int]]
 
 def _cosets(res: RestrictedData, left: Tuple[Vec, ...]
             ) -> Tuple[List[int], List[int]]:
-    """The label of each element's coset W_left x, labels running 0, 1, ...
-    in order of first appearance, and the first element of each coset."""
+    """The label of each element's coset W_left x, and the first element
+    of each coset."""
     def build():
-        group = _group(res)
-        if not set(left) <= set(res.simples):
-            tables = [_reflection_table(res, b, True) for b in left]
-            return _orbits(len(group.elements),
-                           lambda x: [t[x] for t in tables])
-        # W_S x is labelled by x^-1(l): l is 1 on the simple roots outside
-        # S and 0 on S, so its stabilizer is W_S (Humphreys, Reflection
-        # Groups and Coxeter Groups, 1.12); x^-1(l) is given by l(x(a))
-        c = [sum(k for k, a in zip(coef, res.simples) if a not in left)
-             for coef in res._simple_coefficients]
-        c += [-h for h in c]
-        ids: Dict[Tuple[int, ...], int] = {}
-        first = list(map(ids.setdefault, zip(*[map(c.__getitem__, map(
-            itemgetter(i), group.images)) for i in range(len(res.simples))]),
-            range(len(group.images))))  # the first element of W_S x
-        number = {x: k for k, x in enumerate(dict.fromkeys(first))}
-        return list(map(number.__getitem__, first)), list(number)
+        tables = [_reflection_table(res, b, True) for b in left]
+        return _orbits(len(_group(res).elements),
+                       lambda x: [t[x] for t in tables])
     return _memo(res._cache, ("cosets", left), build)
 
 
@@ -969,10 +964,13 @@ def _galois_candidates(base: SplitData) -> List[SignedPerm]:
     for j in range(m):
         flip = SignedPerm(tuple(range(m)),
                           tuple(-1 if i == j else 1 for i in range(m)))
-        if set(flip.apply(b) for b in base.h_simples) == set(base.h_simples) \
-                and (datum.gtype != TYPE_A
-                     or split.t[j] == split.t[datum.ambient_dim - 1 - j]):
-            out.append(flip)
+        if set(flip.apply(b) for b in base.h_simples) != set(base.h_simples):
+            continue
+        if datum.gtype == TYPE_A and datum.twisted:
+            n = datum.ambient_dim
+            if split.t[j] != split.t[n - 1 - j]:
+                continue
+        out.append(flip)
     return out
 
 
@@ -1004,9 +1002,12 @@ def catalog_split_data(datum: RootDatum,
 
 def coset_reps(data: SplitData, levi: LeviG
                ) -> Tuple[FrozenSet[SignedPerm], ...]:
-    """The five minimal representative sets attached to (split, Levi):
-    (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}); products of cardinalities
-    with the corresponding subgroup orders recover the twisted Weyl group."""
+    """The five minimal representative sets attached to (split, Levi).
+
+    Returns (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}); products of
+    cardinalities with the corresponding subgroup orders recover the
+    twisted Weyl group.
+    """
     res = data.res
     elts = _group(res).elements
     return (data.d_h,) + tuple(frozenset(elts[x] for x in s) for s in (

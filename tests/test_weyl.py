@@ -451,18 +451,6 @@ def test_a_count_matches_direct_count():
                     assert W.a_count(data, levi, m_prime) == direct[m_prime]
 
 
-def test_parabolic_coset_labels_match_orbit_search():
-    # W_S x labelled by x^-1(lambda_S) against the orbits of x under the
-    # simple reflections of S, for every standard parabolic
-    for datum in _tally_data():
-        res = W.restricted_roots(datum)
-        size = len(W._group(res).elements)
-        for levi in W.levi_g_all(res):
-            tables = [W._reflection_table(res, b, True) for b in levi.simples]
-            expect = W._orbits(size, lambda x: [t[x] for t in tables])
-            assert W._cosets(res, levi.simples) == expect
-
-
 def test_shared_splits_across_threads():
     datum = W.RootDatum(W.TYPE_B, 3)
     names = ["verify_alternating_sum", "verify_identity_A",
