@@ -9,6 +9,7 @@ representatives rather than a group abstraction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -47,10 +48,7 @@ class SignVector:
         return self.signs[i]
 
     def product(self) -> int:
-        p = 1
-        for s in self.signs:
-            p *= s
-        return p
+        return math.prod(self.signs)
 
     def pointwise(self, other: "SignVector") -> "SignVector":
         self._check(other)

@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from . import io_json as js
-from .charspace import MULT, SignVector
+from .charspace import MULT, SignVector, in_element_space
 from .elementary import ConstructionNode, construction_trace
 from .errors import DomainError
 from .formal import ddr_recursion_expand, packet_recursion_expand
@@ -143,7 +143,6 @@ def cmd_signs(args) -> dict:
 def cmd_endoscopy(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
     s = _parse_signs(args.s, len(psi.instances()))
-    from .charspace import in_element_space
     if in_element_space(s, psi):
         datum = endo.elliptic_datum(psi, s)
     else:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import AmbiguousChoice, DomainError, NotElementary
+from .errors import (AmbiguousChoice, DomainError, NotACharacter,
+                     NotElementary)
 from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, diagonal_restriction,
@@ -116,26 +117,16 @@ def _with_sizes(psi: ArthurParameter, rho: RhoLabel,
     """Rewrite rho-blocks by alpha: alpha -> None removes, (alpha', delta')
     replaces; dimension drops are absorbed into the group rank."""
     blocks = []
-    removed_dim = 0
     for blk in psi.blocks:
         if blk.rho.id == rho.id:
             alpha = elementary_alpha(blk)
             if alpha in changes:
                 tgt = changes[alpha]
-                if tgt is None:
-                    removed_dim += blk.dim
-                    continue
-                alpha2, delta2 = tgt
-                nb = elementary_block(blk.rho, alpha2, delta2)
-                removed_dim += blk.dim - nb.dim
-                blocks.append(nb)
+                if tgt is not None:
+                    blocks.append(elementary_block(blk.rho, *tgt))
                 continue
         blocks.append(blk)
-    if removed_dim % 2:
-        raise DomainError("odd dimension drop")  # pragma: no cover
-    group = type(psi.group)(psi.group.kind, psi.group.n - removed_dim // 2,
-                            psi.group.eta)
-    return ArthurParameter(group, tuple(blocks))
+    return psi.with_blocks(blocks)
 
 
 def _seg(rho: RhoLabel, x_twice: int, y_twice: int) -> Segment:
@@ -156,7 +147,6 @@ def construction_trace(psi: ArthurParameter, eps,
     eps = _eps_map(psi, eps)
     if set(eps.values) != {(b.rho.id, elementary_alpha(b))
                            for b in psi.blocks} or eps.product() != 1:
-        from .errors import NotACharacter
         raise NotACharacter("character must match the blocks with product 1")
 
     bounds = {}

@@ -8,14 +8,15 @@ with quadratic-character twists read off from formal determinants.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .charspace import (MULT, SignVector, in_element_space, pair)
 from .errors import (BadDimensionSplit, DomainError, NotApplicable,
                      SupportMismatch)
 from .labels import QuadCharacter
 from .params import (SO_EVEN, SO_ODD, SP, ArthurParameter, BlockOrder,
-                     GroupForm, Instance, JordanBlock, is_parity_pure)
+                     GroupForm, Instance, JordanBlock, is_parity_pure,
+                     number_copies)
 from .signs import eps_mw_w, theta_ratio_mw_w
 
 
@@ -57,13 +58,7 @@ def _partition(psi: ArthurParameter, s: SignVector
 
 
 def _regroup(insts: List[Instance]) -> Tuple[JordanBlock, ...]:
-    counts: Dict[tuple, JordanBlock] = {}
-    mults: Dict[tuple, int] = {}
-    for blk, _ in insts:
-        key = blk.key()
-        counts[key] = blk
-        mults[key] = mults.get(key, 0) + 1
-    return tuple(replace(counts[k], mult=mults[k]) for k in counts)
+    return tuple(blk for blk, _ in insts)
 
 
 def _eta_product(insts: List[Instance]) -> QuadCharacter:
@@ -89,6 +84,7 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
     swapped = False
     n_plus, n_minus = _dim(plus), _dim(minus)
     kind = psi.group.kind
+    triv = QuadCharacter.trivial()
 
     if kind == SP:
         # the odd-dimensional side plays the symplectic role
@@ -97,8 +93,8 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
             n_plus, n_minus = n_minus, n_plus
             swapped = True
         eta = _eta_product(minus)
-        g_one = GroupForm(SP, (n_plus - 1) // 2)
-        g_two = GroupForm(SO_EVEN, n_minus // 2, eta)
+        g_one = GroupForm.of_dim(SP, n_plus, triv)
+        g_two = GroupForm.of_dim(SO_EVEN, n_minus, eta)
         blocks_one = tuple(replace(blk, rho=blk.rho.twist(eta))
                            for blk in _regroup(plus))
         psi_one = ArthurParameter(g_one, blocks_one)
@@ -109,9 +105,8 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
     if kind == SO_ODD:
         if n_plus % 2 or n_minus % 2:
             raise BadDimensionSplit("both sides must be even-dimensional")
-        g_one = GroupForm(SO_ODD, n_plus // 2)
-        g_two = GroupForm(SO_ODD, n_minus // 2)
-        triv = QuadCharacter.trivial()
+        g_one = GroupForm.of_dim(SO_ODD, n_plus, triv)
+        g_two = GroupForm.of_dim(SO_ODD, n_minus, triv)
         return EndoscopicDatum(
             g_one, g_two, triv, triv,
             ArthurParameter(g_one, _regroup(plus)),
@@ -122,8 +117,8 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
         raise BadDimensionSplit(
             "determinant condition violated")  # pragma: no cover
     eta_one, eta_two = _eta_product(plus), _eta_product(minus)
-    g_one = GroupForm(SO_EVEN, n_plus // 2, eta_one)
-    g_two = GroupForm(SO_EVEN, n_minus // 2, eta_two)
+    g_one = GroupForm.of_dim(SO_EVEN, n_plus, eta_one)
+    g_two = GroupForm.of_dim(SO_EVEN, n_minus, eta_two)
     return EndoscopicDatum(
         g_one, g_two, eta_one, eta_two,
         ArthurParameter(g_one, _regroup(plus)),
@@ -143,8 +138,8 @@ def twisted_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
         raise BadDimensionSplit(
             "both sides must be odd-dimensional")  # pragma: no cover
     eta_one, eta_two = _eta_product(plus), _eta_product(minus)
-    g_one = GroupForm(SP, (n_plus - 1) // 2)
-    g_two = GroupForm(SP, (n_minus - 1) // 2)
+    g_one = GroupForm.of_dim(SP, n_plus, QuadCharacter.trivial())
+    g_two = GroupForm.of_dim(SP, n_minus, QuadCharacter.trivial())
     blocks_one = tuple(replace(blk, rho=blk.rho.twist(eta_one))
                        for blk in _regroup(plus))
     blocks_two = tuple(replace(blk, rho=blk.rho.twist(eta_two))
@@ -155,24 +150,17 @@ def twisted_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
         ArthurParameter(g_two, blocks_two), twisted=True)
 
 
-def induced_order(psi: ArthurParameter, order: BlockOrder,
-                  side: List[Instance], part: ArthurParameter,
+def induced_order(order: BlockOrder, side: List[Instance],
                   eta: QuadCharacter) -> BlockOrder:
     """Restrict an admissible order to one side of a partition.
 
     The side's instances are renumbered to match the sub-parameter's own
     canonical instance list (labels possibly twisted by eta).
     """
-    chosen = [inst for inst in order.sequence if inst in side]
-    counters: Dict[tuple, int] = {}
-    seq = []
-    for blk, _ in chosen:
-        nb = replace(blk, rho=blk.rho.twist(eta)) if not eta.is_trivial() \
-            else blk
-        k = counters.get(nb.key(), 0)
-        counters[nb.key()] = k + 1
-        seq.append((nb, k))
-    return BlockOrder(tuple(seq))
+    chosen = [inst[0] for inst in order.sequence if inst in side]
+    if not eta.is_trivial():
+        chosen = [replace(blk, rho=blk.rho.twist(eta)) for blk in chosen]
+    return BlockOrder(number_copies(chosen))
 
 
 def sign_transfer_check(psi: ArthurParameter, s: SignVector,
@@ -189,9 +177,8 @@ def sign_transfer_check(psi: ArthurParameter, s: SignVector,
         plus, minus = minus, plus
     eta_plus = datum.eta_one if psi.group.kind == SP else \
         QuadCharacter.trivial()
-    order_one = induced_order(psi, order, plus, datum.psi_one, eta_plus)
-    order_two = induced_order(psi, order, minus, datum.psi_two,
-                              QuadCharacter.trivial())
+    order_one = induced_order(order, plus, eta_plus)
+    order_two = induced_order(order, minus, QuadCharacter.trivial())
     lhs = pair(eps_mw_w(psi, order), s)
     rhs = (theta_ratio_mw_w(datum.psi_one, order_one)
            * theta_ratio_mw_w(datum.psi_two, order_two)

@@ -10,15 +10,16 @@ vanishing certificate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0, eps_zero,
                         in_character_space, pair, s_psi, value_at)
 from .errors import DomainError, NoCompoundBlock, NotDDR
 from .halfint import HalfInt, hrange, sign_pow
-from .params import (MINUS, PLUS, ArthurParameter, Instance, JordanBlock,
-                     classify, from_AB)
+from .params import (MINUS, PLUS, ArthurParameter, GroupForm, Instance,
+                     JordanBlock, classify, from_AB)
 from .segments import jac_chain_possible
 
 
@@ -49,6 +50,10 @@ class Jac:
 Op = object  # Induce | Jac
 
 
+def _entry_key(entry: Tuple[JordanBlock, Optional[int]]):
+    return entry[0].key(), entry[1] or 0
+
+
 @dataclass(frozen=True)
 class CoreLabel:
     """A parameter with an optional character value on every block.
@@ -68,17 +73,11 @@ class CoreLabel:
             ent = tuple((blk, None) for blk, _ in insts)
         else:
             ent = tuple((blk, sg) for (blk, _), sg in zip(insts, signs.signs))
-        return CoreLabel(psi.group, tuple(sorted(
-            ent, key=lambda e: (e[0].key(), e[1] or 0))))
+        return CoreLabel(psi.group, tuple(sorted(ent, key=_entry_key)))
 
     def parameter(self) -> ArthurParameter:
-        counts: Dict[tuple, int] = {}
-        blocks: Dict[tuple, JordanBlock] = {}
-        for blk, _ in self.entries:
-            counts[blk.key()] = counts.get(blk.key(), 0) + 1
-            blocks[blk.key()] = blk
-        return ArthurParameter(self.group, tuple(
-            replace(blocks[k], mult=counts[k]) for k in counts))
+        return ArthurParameter(self.group,
+                               tuple(blk for blk, _ in self.entries))
 
     def __str__(self) -> str:
         body = ", ".join(
@@ -216,13 +215,33 @@ def _core_without(psi: ArthurParameter, chosen: Instance,
             continue
         entries.append((inst[0], sg))
     entries.extend(extra)
-    removed = chosen[0].dim
-    added = sum(blk.dim for blk, _ in extra)
-    group = type(psi.group)(psi.group.kind,
-                            psi.group.n - (removed - added) // 2,
-                            psi.group.eta)
-    return CoreLabel(group, tuple(sorted(
-        entries, key=lambda e: (e[0].key(), e[1] or 0))))
+    group = GroupForm.of_dim(psi.group.kind,
+                             sum(blk.dim for blk, _ in entries),
+                             psi.group.eta)
+    return CoreLabel(group, tuple(sorted(entries, key=_entry_key)))
+
+
+def _c_indexed_terms(psi: ArthurParameter, chosen: Instance,
+                     signs: Optional[SignVector],
+                     eta0: Optional[int]) -> FormalSum:
+    """The C-indexed terms of either recursion: a parabolic prefix and a
+    Jacquet marker over a core with the base raised by two, the raised
+    block carrying eta0 (None at the stable-packet level)."""
+    blk = chosen[0]
+    A, B, zeta = _require_compound(blk)
+    extra = []
+    if (B + 2).twice <= A.twice:
+        extra.append((from_AB(blk.rho, A, B + 2, zeta), eta0))
+    core = _core_without(psi, chosen, signs, extra)
+    out = FormalSum.zero()
+    for C in hrange(B + 1, A):
+        ops = [Induce(blk.rho.id, zeta * B, -(zeta * C))]
+        jac_seq = tuple(zeta * D for D in hrange(B + 2, C))
+        if jac_seq:
+            ops.append(Jac(blk.rho.id, jac_seq))
+        out = out + FormalSum.single(BasisTerm(tuple(ops), core),
+                                     sign_pow(int(A - C)))
+    return out
 
 
 def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
@@ -242,23 +261,11 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
     A, B, zeta = _require_compound(blk)
     eta0 = value_at(psi, eps, chosen)
     rho = blk.rho
-    out = FormalSum.zero()
 
     gap = int(A - B) + 1  # A - B + 1
     suppressed = (B + 2).twice > A.twice and eta0 == -1
-    if not suppressed:
-        for C in hrange(B + 1, A):
-            coeff = sign_pow(int(A - C))
-            extra = []
-            if (B + 2).twice <= A.twice:
-                extra.append((from_AB(rho, A, B + 2, zeta), eta0))
-            ops = [Induce(rho.id, zeta * B, -(zeta * C))]
-            jac_seq = tuple(zeta * D for D in hrange(B + 2, C))
-            if jac_seq:
-                ops.append(Jac(rho.id, jac_seq))
-            core = _core_without(psi, chosen, eps, extra)
-            out = out + FormalSum.single(BasisTerm(tuple(ops), core), coeff)
-
+    out = FormalSum.zero() if suppressed else \
+        _c_indexed_terms(psi, chosen, eps, eta0)
     for eta in (1, -1):
         coeff = sign_pow(gap // 2)
         coeff *= eta if gap % 2 else 1
@@ -277,27 +284,12 @@ def packet_recursion_expand(psi: ArthurParameter,
         raise NotDDR("the recursion expands DDR parameters")
     blk = _find_instance(psi, chosen)
     A, B, zeta = _require_compound(blk)
-    rho = blk.rho
-    out = FormalSum.zero()
-
-    for C in hrange(B + 1, A):
-        coeff = sign_pow(int(A - C))
-        extra = []
-        if (B + 2).twice <= A.twice:
-            extra.append((from_AB(rho, A, B + 2, zeta), None))
-        ops = [Induce(rho.id, zeta * B, -(zeta * C))]
-        jac_seq = tuple(zeta * D for D in hrange(B + 2, C))
-        if jac_seq:
-            ops.append(Jac(rho.id, jac_seq))
-        core = _core_without(psi, chosen, None, extra)
-        out = out + FormalSum.single(BasisTerm(tuple(ops), core), coeff)
-
     gap = int(A - B) + 1
-    extra = [(from_AB(rho, A, B + 1, zeta), None),
-             (from_AB(rho, B, B, zeta), None)]
+    extra = [(from_AB(blk.rho, A, B + 1, zeta), None),
+             (from_AB(blk.rho, B, B, zeta), None)]
     core = _core_without(psi, chosen, None, extra)
-    out = out + FormalSum.single(BasisTerm((), core), sign_pow(gap // 2))
-    return out
+    return _c_indexed_terms(psi, chosen, None, None) + \
+        FormalSum.single(BasisTerm((), core), sign_pow(gap // 2))
 
 
 def packet_expand_fully(psi: ArthurParameter, limit: int = 100000
@@ -348,16 +340,8 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     blk1 = from_AB(rho, A, B + 2, zeta) if (B + 2).twice <= A.twice else None
     blk2a = from_AB(rho, A, B + 1, zeta)
     blk2b = from_AB(rho, B, B, zeta)
-
-    def build(extra: List[Tuple[JordanBlock, int]]) -> ArthurParameter:
-        blocks = [inst[0] for inst in rest] + [b for b, _ in extra]
-        group = type(psi.group)(
-            psi.group.kind,
-            psi.group.n - (blk.dim - sum(b.dim for b, _ in extra)) // 2,
-            psi.group.eta)
-        return ArthurParameter(group, tuple(blocks))
-
-    psi2 = build([(blk2a, 0), (blk2b, 0)])
+    rest_blocks = [inst[0] for inst in rest]
+    psi2 = psi.with_blocks(rest_blocks + [blk2a, blk2b])
 
     def vec(param: ArthurParameter,
             values: Dict[tuple, int]) -> SignVector:
@@ -368,7 +352,7 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     for eps_signs in itertools.product((1, -1), repeat=len(rest) + 1):
         eps_vals = dict(zip([inst[0].key() for inst in rest], eps_signs))
         eps_vals[blk.key()] = eps_signs[-1]
-        if _product(eps_vals.values()) != 1:
+        if math.prod(eps_vals.values()) != 1:
             continue
         eps = vec(psi, eps_vals)
         base = pair(eps, s.pointwise(s_psi(psi)))
@@ -376,7 +360,7 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
 
         # identification with the raised-base parameter
         if blk1 is not None:
-            psi1 = build([(blk1, 0)])
+            psi1 = psi.with_blocks(rest_blocks + [blk1])
             vals1 = dict(eps_vals)
             del vals1[blk.key()]
             vals1[blk1.key()] = eta0
@@ -405,13 +389,6 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     return ok
 
 
-def _product(values: Iterable[int]) -> int:
-    p = 1
-    for v in values:
-        p *= v
-    return p
-
-
 def twist_by_orientation(term: BasisTerm) -> BasisTerm:
     """Multiply a term's character data by the orientation character of
     its own core parameter."""
@@ -424,6 +401,6 @@ def twist_by_orientation(term: BasisTerm) -> BasisTerm:
     for blk, sg in term.core.entries:
         t = lookup[blk.key()][0]
         entries.append((blk, sg if sg is None else sg * t))
-    return BasisTerm(term.ops,
-                     CoreLabel(term.core.group, tuple(sorted(
-                         entries, key=lambda e: (e[0].key(), e[1] or 0)))))
+    return BasisTerm(term.ops, CoreLabel(term.core.group,
+                                         tuple(sorted(entries,
+                                                      key=_entry_key))))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (BadBlock, BadGroup, DomainError, NotDDR, NotDominating,
                      OddLeftover, OrderViolation, UnresolvedZeta)
@@ -30,7 +30,11 @@ MINUS = -1
 
 @dataclass(frozen=True)
 class GroupForm:
-    """A quasisplit symplectic or special orthogonal group."""
+    """A quasisplit symplectic or special orthogonal group.
+
+    Only an even orthogonal group carries a character eta; the others
+    store the trivial one whatever they are given.
+    """
 
     kind: str
     n: int
@@ -41,6 +45,16 @@ class GroupForm:
             raise BadGroup(f"bad group kind {self.kind!r}")
         if self.n < 0:
             raise BadGroup("rank must be nonnegative")
+        if self.kind != SO_EVEN:
+            object.__setattr__(self, "eta", QuadCharacter.trivial())
+
+    @staticmethod
+    def of_dim(kind: str, N: int, eta: QuadCharacter) -> "GroupForm":
+        """The group of this kind whose dual group has dimension N.
+
+        An N of the wrong parity rounds the rank down; a parameter built
+        on that group then rejects the mismatch."""
+        return GroupForm(kind, (N - 1) // 2 if kind == SP else N // 2, eta)
 
     @property
     def N(self) -> int:
@@ -190,6 +204,14 @@ class ArthurParameter:
                 out.append((replace(blk, mult=1), k))
         return tuple(out)
 
+    def with_blocks(self, blocks: Iterable[JordanBlock]) -> "ArthurParameter":
+        """A parameter on a group of the same kind and eta, its rank read
+        off the blocks' total dimension; equal blocks merge."""
+        blocks = tuple(blocks)
+        total = sum(blk.mult * blk.dim for blk in blocks)
+        return ArthurParameter(
+            GroupForm.of_dim(self.group.kind, total, self.group.eta), blocks)
+
     @cached_property
     def _flags(self) -> frozenset:
         """classify(self), built on first use; see the README on
@@ -248,17 +270,13 @@ def make_parameter(blocks: Sequence[JordanBlock],
     if len(parities) != 1 or None in parities:
         raise DomainError("blocks must share a self-dual parity type")
     total = sum(b.mult * b.dim for b in blocks)
-    parity = parities.pop()
-    if parity == ORTHOGONAL:
-        if total % 2 == 1:
-            group = GroupForm(SP, (total - 1) // 2)
-        else:
-            group = GroupForm(SO_EVEN, total // 2,
-                              eta or QuadCharacter.trivial())
+    if parities.pop() == ORTHOGONAL:
+        kind = SP if total % 2 else SO_EVEN
+    elif total % 2:
+        raise DomainError("symplectic-type blocks have even total dimension")
     else:
-        if total % 2 == 1:
-            raise DomainError("symplectic-type blocks have even total dimension")
-        group = GroupForm(SO_ODD, total // 2)
+        kind = SO_ODD
+    group = GroupForm.of_dim(kind, total, eta or QuadCharacter.trivial())
     return ArthurParameter(group, tuple(blocks))
 
 
@@ -293,13 +311,7 @@ def split_p_np(psi: ArthurParameter
                 raise OddLeftover(f"block {blk} has no dual partner")
             if key < dual_key:
                 np_half.append(blk)
-
-    n_p = sum(b.mult * b.dim for b in p_blocks)
-    if psi.group.kind == SP:
-        group_p = GroupForm(SP, (n_p - 1) // 2)
-    else:
-        group_p = GroupForm(psi.group.kind, n_p // 2, psi.group.eta)
-    return ArthurParameter(group_p, tuple(p_blocks)), tuple(np_half)
+    return psi.with_blocks(p_blocks), tuple(np_half)
 
 
 def is_parity_pure(psi: ArthurParameter) -> bool:
@@ -398,17 +410,24 @@ def natural_order(psi: ArthurParameter) -> BlockOrder:
     return order
 
 
+def _instance_key(inst: Instance):
+    return inst[0].key(), inst[1]
+
+
 def min_p_order(psi: ArthurParameter) -> BlockOrder:
     """Lexicographically smallest linear extension of the (P) constraints."""
-    return _extreme_p_order(psi, smallest=True)
+    return p_order(psi, partial(min, key=_instance_key))
 
 
 def max_p_order(psi: ArthurParameter) -> BlockOrder:
     """Lexicographically largest linear extension of the (P) constraints."""
-    return _extreme_p_order(psi, smallest=False)
+    return p_order(psi, partial(max, key=_instance_key))
 
 
-def _extreme_p_order(psi: ArthurParameter, smallest: bool) -> BlockOrder:
+def p_order(psi: ArthurParameter,
+            pick: Callable[[List[Instance]], Instance]) -> BlockOrder:
+    """The linear extension of the (P) constraints that takes, at each
+    step, pick(ready) from the ready instances in canonical order."""
     remaining = list(psi.instances())
     seq: List[Instance] = []
     while remaining:
@@ -416,11 +435,9 @@ def _extreme_p_order(psi: ArthurParameter, smallest: bool) -> BlockOrder:
         ready = [inst for inst in remaining
                  if not any(_nested(inst[0], other[0])
                             for other in remaining if other != inst)]
-        ready.sort(key=lambda inst: (inst[0].key(), inst[1]),
-                   reverse=not smallest)
-        pick = ready[0]
-        seq.append(pick)
-        remaining.remove(pick)
+        chosen = pick(ready)
+        seq.append(chosen)
+        remaining.remove(chosen)
     order = BlockOrder(tuple(seq))
     check_condition_p(order)
     return order
@@ -443,40 +460,34 @@ def dominate(psi: ArthurParameter, order: BlockOrder,
     elif shifts is None:
         shifts = {}
 
-    new_seq: List[Instance] = []
-    for pos, (blk, copy) in enumerate(seq):
+    new_seq: List[JordanBlock] = []
+    for pos, (blk, _) in enumerate(seq):
         t = shifts.get(pos, 0)
         if t < 0:
             raise NotDominating("shifts must be nonnegative")
         if t == 0:
-            new_seq.append((blk, copy))
+            new_seq.append(blk)
             continue
         zeta = blk.zeta_resolved() if blk.a == blk.b else blk.zeta
-        shifted = from_AB(blk.rho, blk.A + t, blk.B + t, zeta)
-        new_seq.append((shifted, copy))
+        new_seq.append(from_AB(blk.rho, blk.A + t, blk.B + t, zeta))
 
-    counts: Dict[tuple, int] = {}
-    blocks: Dict[tuple, JordanBlock] = {}
-    reindexed: List[Instance] = []
-    for blk, _ in new_seq:
-        key = blk.key()
-        k = counts.get(key, 0)
-        counts[key] = k + 1
-        blocks[key] = blk
-        reindexed.append((blk, k))
-    total = sum(blk.dim * counts[key] for key, blk in blocks.items())
-    if psi.group.kind == SP:
-        group = GroupForm(SP, (total - 1) // 2)
-    else:
-        group = GroupForm(psi.group.kind, total // 2, psi.group.eta)
-    psi_gg = ArthurParameter(
-        group,
-        tuple(replace(blk, mult=counts[key]) for key, blk in blocks.items()))
-    order_gg = BlockOrder(tuple(reindexed))
+    psi_gg = psi.with_blocks(new_seq)
+    order_gg = BlockOrder(number_copies(new_seq))
     check_condition_p(order_gg)
     if ensure_ddr and "discrete_diag_restriction" not in classify(psi_gg):
         raise NotDominating("minimal shifts failed to reach DDR")  # pragma: no cover
     return psi_gg, order_gg
+
+
+def number_copies(blocks: Iterable[JordanBlock]) -> Tuple[Instance, ...]:
+    """Number the copies of each block 0, 1, ... in the order given."""
+    counts: Dict[tuple, int] = {}
+    out = []
+    for blk in blocks:
+        k = counts.get(blk.key(), 0)
+        counts[blk.key()] = k + 1
+        out.append((blk, k))
+    return tuple(out)
 
 
 def _minimal_ddr_shifts(seq: Sequence[Instance]) -> Dict[int, int]:

@@ -9,7 +9,8 @@ tempered discrete pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .charspace import CLASS, SignVector
@@ -226,10 +227,7 @@ class EpsMap:
                        for blk, sg in zip(phi.classes(), eps.signs)})
 
     def product(self) -> int:
-        p = 1
-        for v in self.values.values():
-            p *= v
-        return p
+        return math.prod(self.values.values())
 
     def __getitem__(self, key: Tuple[str, int]) -> int:
         return self.values[key]
@@ -276,18 +274,10 @@ class ReductionStep:
     eps: Optional["EpsMap"]
 
 
-def _replace_size(phi: ArthurParameter, rho: RhoLabel, old: int,
-                  new: Optional[int]) -> ArthurParameter:
-    blocks = []
-    for blk in phi.blocks:
-        if blk.rho.id == rho.id and blk.a == old:
-            if new is not None:
-                blocks.append(JordanBlock(rho, new, 1))
-            continue
-        blocks.append(blk)
-    removed = (old - (new or 0)) * rho.dim
-    group = replace(phi.group, n=phi.group.n - removed // 2)
-    return ArthurParameter(group, tuple(blocks))
+def _drop_sizes(phi: ArthurParameter, rho: RhoLabel,
+                *sizes: int) -> List[JordanBlock]:
+    return [b for b in phi.blocks
+            if not (b.rho.id == rho.id and b.a in sizes)]
 
 
 def parabolic_reduce_step(phi: ArthurParameter, eps) -> ReductionStep:
@@ -310,7 +300,7 @@ def parabolic_reduce_step(phi: ArthurParameter, eps) -> ReductionStep:
         if sizes and sizes[0] % 2 == 0 and eps[(rho.id, sizes[0])] == 1:
             a_min = sizes[0]
             seg = Segment(rho, HalfInt(a_min - 1), HalfInt(1))
-            phi2 = _replace_size(phi, rho, a_min, None)
+            phi2 = phi.with_blocks(_drop_sizes(phi, rho, a_min))
             eps2 = EpsMap({k: v for k, v in eps.values.items()
                            if k != (rho.id, a_min)})
             return ReductionStep(EVEN_MIN, (seg,), phi2, eps2)
@@ -325,11 +315,7 @@ def parabolic_reduce_step(phi: ArthurParameter, eps) -> ReductionStep:
             a_minus = max(lower)
             if eps[(rho.id, a)] * eps[(rho.id, a_minus)] == 1:
                 seg = Segment(rho, HalfInt(a - 1), HalfInt(-(a_minus - 1)))
-                blocks = [b for b in phi.blocks
-                          if not (b.rho.id == rho.id and b.a in (a, a_minus))]
-                removed = (a + a_minus) * rho.dim
-                group = replace(phi.group, n=phi.group.n - removed // 2)
-                phi2 = ArthurParameter(group, tuple(blocks))
+                phi2 = phi.with_blocks(_drop_sizes(phi, rho, a, a_minus))
                 eps2 = EpsMap({k: v for k, v in eps.values.items()
                                if k not in ((rho.id, a), (rho.id, a_minus))})
                 return ReductionStep(PAIR, (seg,), phi2, eps2)
@@ -343,7 +329,8 @@ def parabolic_reduce_step(phi: ArthurParameter, eps) -> ReductionStep:
             prod = eps[(rho.id, a)] * eps[(rho.id, a_minus)] if lower else -1
             if prod == -1 and a_minus < a - 2:
                 seg = Segment(rho, HalfInt(a - 1), HalfInt(a_minus + 3))
-                phi2 = _replace_size(phi, rho, a, a_minus + 2)
+                phi2 = phi.with_blocks(_drop_sizes(phi, rho, a) +
+                                       [JordanBlock(rho, a_minus + 2, 1)])
                 vals = {k: v for k, v in eps.values.items()
                         if k != (rho.id, a)}
                 vals[(rho.id, a_minus + 2)] = eps[(rho.id, a)]

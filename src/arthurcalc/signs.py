@@ -8,18 +8,18 @@ bookkeeping signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from .charspace import MULT, SignVector, vector_on_instances
 from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
                      UnresolvedZeta)
 from .halfint import sign_pow
 from .labels import RhoLabel
-from .params import (MINUS, PLUS, ArthurParameter, BlockOrder,
+from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
                      JordanBlock, check_condition_p, classify,
                      elementary_alpha, elementary_block, elementary_delta,
-                     is_elementary)
+                     is_elementary, is_parity_pure, split_p_np)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ def _check_order_matches(psi: ArthurParameter, order: BlockOrder) -> None:
 
 def z_mw_w(psi_p: ArthurParameter, order: BlockOrder) -> PairSet:
     """The unordered pair set controlling the two twisted normalizations."""
-    from .params import is_parity_pure
     if not is_parity_pure(psi_p):
         raise DomainError("pair sets are computed on the parity part")
     check_condition_p(order)
@@ -143,7 +142,6 @@ def theta_ratio_mw_w(psi: ArthurParameter, order: BlockOrder) -> int:
     For a parameter with a nontrivial non-parity part the set is computed
     on the parity part, on which the order must live.
     """
-    from .params import is_parity_pure, split_p_np
     if not is_parity_pure(psi):
         psi = split_p_np(psi)[0]
     return sign_pow(len(z_mw_w(psi, order)))
@@ -151,7 +149,6 @@ def theta_ratio_mw_w(psi: ArthurParameter, order: BlockOrder) -> int:
 
 def z_u(psi_p: ArthurParameter) -> PairSet:
     """Pairs with sup(a,a'), sup(b,b') even and inf(a,a'), inf(b,b') odd."""
-    from .params import is_parity_pure
     if not is_parity_pure(psi_p):
         raise DomainError("pair sets are computed on the parity part")
     insts = psi_p.instances()
@@ -191,45 +188,39 @@ def _eps_m_mw_at(blk: JordanBlock, others: List[Tuple[JordanBlock, bool, bool]]
     return sign_pow(m) if _zeta(blk) == PLUS else sign_pow(m + n)
 
 
-def eps_m_mw_general(psi: ArthurParameter, order: BlockOrder) -> SignVector:
-    """General form: order-dependent counts on the same-rho odd blocks."""
-    from .params import is_parity_pure
-    if not is_parity_pure(psi):
-        raise DomainError("the comparison character lives on the parity part")
-    check_condition_p(order)
-    _check_order_matches(psi, order)
+def _eps_m_mw_by_height(psi: ArthurParameter,
+                        height: Callable[[Instance], int]) -> SignVector:
+    """eps^{M/MW} with "above" and "below" read off a height on the
+    instances, compared among the blocks of the same rho."""
     insts = psi.instances()
-    pos = {inst: i for i, inst in enumerate(order.sequence)}
     values = []
     for idx, inst in enumerate(insts):
-        blk = inst[0]
+        blk, h = inst[0], height(inst)
         others = []
         for jdx, oinst in enumerate(insts):
             if jdx == idx or oinst[0].rho.id != blk.rho.id:
                 continue
-            above = pos[oinst] > pos[inst]
-            others.append((oinst[0], above, not above))
+            oh = height(oinst)
+            others.append((oinst[0], oh > h, oh < h))
         values.append(_eps_m_mw_at(blk, others))
     return SignVector(MULT, tuple(values))
+
+
+def eps_m_mw_general(psi: ArthurParameter, order: BlockOrder) -> SignVector:
+    """General form: order-dependent counts on the same-rho odd blocks."""
+    if not is_parity_pure(psi):
+        raise DomainError("the comparison character lives on the parity part")
+    check_condition_p(order)
+    _check_order_matches(psi, order)
+    pos = {inst: i for i, inst in enumerate(order.sequence)}
+    return _eps_m_mw_by_height(psi, pos.__getitem__)
 
 
 def eps_m_mw_ddr(psi: ArthurParameter) -> SignVector:
     """DDR form: the order data is replaced by |a - b| comparisons."""
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("the DDR form needs discrete diagonal restriction")
-    insts = psi.instances()
-    values = []
-    for idx, inst in enumerate(insts):
-        blk = inst[0]
-        gap = abs(blk.a - blk.b)
-        others = []
-        for jdx, oinst in enumerate(insts):
-            if jdx == idx or oinst[0].rho.id != blk.rho.id:
-                continue
-            ogap = abs(oinst[0].a - oinst[0].b)
-            others.append((oinst[0], ogap > gap, ogap < gap))
-        values.append(_eps_m_mw_at(blk, others))
-    return SignVector(MULT, tuple(values))
+    return _eps_m_mw_by_height(psi, lambda inst: abs(inst[0].a - inst[0].b))
 
 
 def eps_m_mw_elementary(psi: ArthurParameter) -> SignVector:

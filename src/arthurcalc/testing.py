@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections.abc
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -24,11 +25,10 @@ from .formal import endoscopic_sign_bookkeeping
 from .halfint import HalfInt, sign_pow
 from .labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from .packets import eta_constraint_check, packet_constituents
-from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
-                     JordanBlock, _nested, classify, dominate,
-                     elementary_alpha, elementary_block, from_AB,
-                     make_parameter, max_p_order, min_p_order, natural_order,
-                     satisfies_condition_p)
+from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, JordanBlock,
+                     classify, dominate, elementary_alpha, elementary_block,
+                     from_AB, make_parameter, max_p_order, min_p_order,
+                     natural_order, p_order)
 from .segments import EpsMap, cuspidal_support, supercuspidal_test
 from .signs import (aubert_flip, beta_sign, eps_m_mw_ddr, eps_m_mw_elementary,
                     eps_m_mw_general, eps_mw_w, s_ratio, theta_ratio_mw_w)
@@ -75,18 +75,7 @@ def random_pure_parameter(rng: random.Random, max_blocks: int = 6,
 
 def random_p_order(rng: random.Random, psi: ArthurParameter) -> BlockOrder:
     """A random admissible order, built as a random linear extension."""
-    remaining = list(psi.instances())
-    seq: List[Instance] = []
-    while remaining:
-        ready = [inst for inst in remaining
-                 if not any(_nested(inst[0], other[0])
-                            for other in remaining if other != inst)]
-        pick = rng.choice(ready)
-        seq.append(pick)
-        remaining.remove(pick)
-    order = BlockOrder(tuple(seq))
-    assert satisfies_condition_p(order)
-    return order
+    return p_order(psi, rng.choice)
 
 
 def random_ddr_parameter(rng: random.Random, max_blocks: int = 5,
@@ -171,10 +160,7 @@ def random_discrete_pair(rng: random.Random, max_blocks: int = 5,
         blocks = [JordanBlock(rho, 1 if parity else 2, 1)]
     phi = make_parameter(blocks)
     signs = [rng.choice((1, -1)) for _ in phi.classes()]
-    prod = 1
-    for s in signs:
-        prod *= s
-    if prod != 1:
+    if math.prod(signs) != 1:
         signs[0] = -signs[0]
     eps = EpsMap({(b.rho.id, b.a): s for b, s in zip(phi.classes(), signs)})
     return phi, eps

@@ -143,9 +143,8 @@ def test_cross_pair_counting_identity():
             plus, minus = minus, plus
         eta_plus = datum.eta_one if psi.group.kind == SP \
             else QuadCharacter.trivial()
-        o1 = induced_order(psi, order, plus, datum.psi_one, eta_plus)
-        o2 = induced_order(psi, order, minus, datum.psi_two,
-                           QuadCharacter.trivial())
+        o1 = induced_order(order, plus, eta_plus)
+        o2 = induced_order(order, minus, QuadCharacter.trivial())
         full = z_mw_w(psi, order)
         insts = psi.instances()
         straddle = sum(

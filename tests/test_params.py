@@ -6,17 +6,17 @@ from dataclasses import replace
 
 import pytest
 
-from arthurcalc.errors import (NotDDR, NotDominating, OddLeftover,
-                               OrderViolation)
+from arthurcalc.errors import (DomainError, NotDDR, NotDominating,
+                               OddLeftover, OrderViolation)
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC,
                                QuadCharacter, RhoLabel)
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
                                GroupForm, JordanBlock, block_parity, classify,
                                diagonal_restriction, dominate, from_AB,
-                               make_parameter, natural_order, phi_psi,
-                               satisfies_condition_p, split_p_np, SP, SO_EVEN,
-                               SO_ODD)
+                               make_parameter, natural_order, number_copies,
+                               phi_psi, satisfies_condition_p, split_p_np, SP,
+                               SO_EVEN, SO_ODD)
 from arthurcalc.testing import (COMPACT, FAMILIES, random_pure_parameter,
                                 random_p_order)
 
@@ -31,6 +31,43 @@ def test_group_dimensions():
     assert GroupForm(SP, 4).dual_parity == ORTHOGONAL
     assert GroupForm(SO_ODD, 4).dual_parity == SYMPLECTIC
     assert GroupForm(SO_EVEN, 4).dual_parity == ORTHOGONAL
+
+
+def test_only_even_orthogonal_groups_carry_eta():
+    w = QuadCharacter.of("w")
+    assert GroupForm(SP, 2, w) == GroupForm(SP, 2)
+    assert GroupForm(SO_ODD, 2, w) == GroupForm(SO_ODD, 2)
+    assert GroupForm(SO_EVEN, 2, w).eta == w
+    assert GroupForm(SO_EVEN, 2, w) != GroupForm(SO_EVEN, 2)
+    assert GroupForm.of_dim(SP, 5, w) == GroupForm(SP, 2)
+    assert GroupForm.of_dim(SO_ODD, 4, w) == GroupForm(SO_ODD, 2)
+    assert GroupForm.of_dim(SO_EVEN, 4, w) == GroupForm(SO_EVEN, 2, w)
+
+
+def test_with_blocks_rebuilds_every_kind():
+    rng = random.Random(23)
+    seen = set()
+    for i in range(60):
+        psi = random_pure_parameter(rng, max_blocks=5, max_ab=5,
+                                    orthogonal_side=i % 3 != 0)
+        seen.add((psi.group.kind, psi.group.eta.is_trivial()))
+        assert psi.with_blocks(b for b, _ in psi.instances()) == psi
+    assert {(SP, True), (SO_ODD, True), (SO_EVEN, True),
+            (SO_EVEN, False)} <= seen
+
+
+def test_with_blocks_rejects_a_dimension_of_the_wrong_parity():
+    psi = make_parameter([JordanBlock(RHO, 3, 1)])
+    assert psi.group == GroupForm(SP, 1)
+    with pytest.raises(DomainError):
+        psi.with_blocks([JordanBlock(RHO, 2, 2, 1, PLUS)])
+
+
+def test_number_copies_counts_in_order_of_appearance():
+    x, y = JordanBlock(RHO, 3, 1), JordanBlock(RHO, 1, 1, 1, PLUS)
+    assert number_copies([x, y, x, x, y]) == (
+        (x, 0), (y, 0), (x, 1), (x, 2), (y, 1))
+    assert number_copies([]) == ()
 
 
 def test_block_coordinates():
