@@ -19,12 +19,12 @@ from .charspace import MULT, SignVector, in_element_space
 from .elementary import ConstructionNode, construction_trace
 from .errors import DomainError
 from .formal import ddr_recursion_expand, packet_recursion_expand
+from .halfint import sign_pow
 from .packets import packet_constituents
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, classify,
                      diagonal_restriction, natural_order)
 from .segments import cuspidal_support
-from .signs import (eps_m_mw_general, eps_m_w, eps_mw_w, theta_ratio_mw_w,
-                    z_mw_w)
+from .signs import eps_m_mw_general, eps_of_pairs, z_mw_w
 from . import endoscopy as endo
 from . import weyl
 
@@ -130,13 +130,17 @@ def cmd_signs(args) -> dict:
     raw = _load_raw(args.input)
     psi = _parameter_from_raw(raw, args.zeta)
     order = _order_for(psi, args.order, raw)
+    # z_mw_w raises unless psi is its own parity part, so theta_ratio_mw_w
+    # would count these same pairs
     zs = z_mw_w(psi, order)
+    mw_w = eps_of_pairs(zs)
+    m_mw = eps_m_mw_general(psi, order)
     return {
         "z_mw_w": sorted([list(p) for p in zs.pairs]),
-        "eps_mw_w": list(eps_mw_w(psi, order).signs),
-        "theta_ratio": theta_ratio_mw_w(psi, order),
-        "eps_m_mw": list(eps_m_mw_general(psi, order).signs),
-        "eps_m_w": list(eps_m_w(psi, order).signs),
+        "eps_mw_w": list(mw_w.signs),
+        "theta_ratio": sign_pow(len(zs)),
+        "eps_m_mw": list(m_mw.signs),
+        "eps_m_w": list(m_mw.pointwise(mw_w).signs),
     }
 
 

@@ -223,24 +223,24 @@ def _core_without(psi: ArthurParameter, chosen: Instance,
 
 def _c_indexed_terms(psi: ArthurParameter, chosen: Instance,
                      signs: Optional[SignVector],
-                     eta0: Optional[int]) -> FormalSum:
+                     eta0: Optional[int]) -> Dict[BasisTerm, int]:
     """The C-indexed terms of either recursion: a parabolic prefix and a
     Jacquet marker over a core with the base raised by two, the raised
-    block carrying eta0 (None at the stable-packet level)."""
+    block carrying eta0 (None at the stable-packet level).  Distinct C
+    give distinct prefixes, and every term has a nonempty prefix."""
     blk = chosen[0]
     A, B, zeta = _require_compound(blk)
     extra = []
     if (B + 2).twice <= A.twice:
         extra.append((from_AB(blk.rho, A, B + 2, zeta), eta0))
     core = _core_without(psi, chosen, signs, extra)
-    out = FormalSum.zero()
+    out: Dict[BasisTerm, int] = {}
     for C in hrange(B + 1, A):
         ops = [Induce(blk.rho.id, zeta * B, -(zeta * C))]
         jac_seq = tuple(zeta * D for D in hrange(B + 2, C))
         if jac_seq:
             ops.append(Jac(blk.rho.id, jac_seq))
-        out = out + FormalSum.single(BasisTerm(tuple(ops), core),
-                                     sign_pow(int(A - C)))
+        out[BasisTerm(tuple(ops), core)] = sign_pow(int(A - C))
     return out
 
 
@@ -264,8 +264,8 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
 
     gap = int(A - B) + 1  # A - B + 1
     suppressed = (B + 2).twice > A.twice and eta0 == -1
-    out = FormalSum.zero() if suppressed else \
-        _c_indexed_terms(psi, chosen, eps, eta0)
+    out = {} if suppressed else _c_indexed_terms(psi, chosen, eps, eta0)
+    # the two split terms have an empty prefix and differ in eta
     for eta in (1, -1):
         coeff = sign_pow(gap // 2)
         coeff *= eta if gap % 2 else 1
@@ -273,8 +273,8 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
         extra = [(from_AB(rho, A, B + 1, zeta), eta),
                  (from_AB(rho, B, B, zeta), eta * eta0)]
         core = _core_without(psi, chosen, eps, extra)
-        out = out + FormalSum.single(BasisTerm((), core), coeff)
-    return out
+        out[BasisTerm((), core)] = coeff
+    return FormalSum(out)
 
 
 def packet_recursion_expand(psi: ArthurParameter,
@@ -288,8 +288,9 @@ def packet_recursion_expand(psi: ArthurParameter,
     extra = [(from_AB(blk.rho, A, B + 1, zeta), None),
              (from_AB(blk.rho, B, B, zeta), None)]
     core = _core_without(psi, chosen, None, extra)
-    return _c_indexed_terms(psi, chosen, None, None) + \
-        FormalSum.single(BasisTerm((), core), sign_pow(gap // 2))
+    out = _c_indexed_terms(psi, chosen, None, None)
+    out[BasisTerm((), core)] = sign_pow(gap // 2)
+    return FormalSum(out)
 
 
 def packet_expand_fully(psi: ArthurParameter, limit: int = 100000

@@ -25,7 +25,7 @@ ENUM_BOUND = 14
 
 def l_range_max(blk: JordanBlock) -> int:
     """[(A - B + 1)/2], the inclusive upper bound for l at a block."""
-    return (int(blk.A - blk.B) + 1) // 2
+    return min(blk.a, blk.b) // 2
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,9 @@ def eps_from_l_eta(psi: ArthurParameter, pair: LEtaPair) -> SignVector:
     Per block the value is eta**(A-B+1) * (-1)**([(A-B+1)/2] + l).
     """
     check_range(psi, pair)
-    signs = []
-    for (blk, _), l, eta in zip(psi.instances(), pair.l, pair.eta):
-        signs.append(_block_eps(blk, l, eta))
-    return SignVector(MULT, tuple(signs))
+    return SignVector(MULT, tuple(
+        _block_eps(gap, l, eta)
+        for gap, l, eta in zip(_gaps(psi), pair.l, pair.eta)))
 
 
 def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
@@ -96,35 +95,33 @@ def enumerate_l_eta(psi: ArthurParameter,
     The filter compares pointwise, so single signs outside the character
     space can be requested (useful for per-block censuses).
     """
-    insts = psi.instances()
-    if len(insts) > bound:
-        raise TooLarge(f"{len(insts)} blocks exceeds bound {bound}")
+    return _enumerate(_gaps(psi), filter_eps, bound)
+
+
+def _enumerate(gaps: Tuple[int, ...], filter_eps: Optional[SignVector],
+               bound: int) -> List[LEtaPair]:
+    if len(gaps) > bound:
+        raise TooLarge(f"{len(gaps)} blocks exceeds bound {bound}")
     per_block = []
-    for idx, (blk, _) in enumerate(insts):
-        opts = []
-        for l in range(l_range_max(blk) + 1):
-            for eta in (1, -1):
-                if filter_eps is not None:
-                    single = _block_eps(blk, l, eta)
-                    if single != filter_eps.signs[idx]:
-                        continue
-                opts.append((l, eta))
-        per_block.append(opts)
-    out = []
-    for combo in itertools.product(*per_block):
-        out.append(LEtaPair(tuple(c[0] for c in combo),
-                            tuple(c[1] for c in combo)))
-    return out
+    for idx, gap in enumerate(gaps):
+        per_block.append([
+            (l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
+            if filter_eps is None
+            or _block_eps(gap, l, eta) == filter_eps.signs[idx]])
+    # zip(*()) is empty: a parameter without blocks has one empty pair
+    return [LEtaPair(*zip(*combo)) if combo else LEtaPair((), ())
+            for combo in itertools.product(*per_block)]
 
 
-def _block_eps(blk: JordanBlock, l: int, eta: int) -> int:
-    gap = int(blk.A - blk.B) + 1
+def _block_eps(gap: int, l: int, eta: int) -> int:
+    """The character value at a block with A - B + 1 = gap."""
     return (eta if gap % 2 else 1) * sign_pow(gap // 2 + l)
 
 
 def _gaps(psi: ArthurParameter) -> Tuple[int, ...]:
-    """A - B + 1 per block instance."""
-    return tuple(int(blk.A - blk.B) + 1 for blk, _ in psi.instances())
+    """A - B + 1 = min(a, b) per block instance."""
+    return tuple(gap for blk in psi.blocks
+                 for gap in [min(blk.a, blk.b)] * blk.mult)
 
 
 def _sigma0_equal(gaps: Tuple[int, ...], p: LEtaPair, q: LEtaPair) -> bool:
@@ -184,21 +181,18 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector,
     realized; otherwise the census lists labels whose nonvanishing is
     not decided here.
     """
-    pairs = enumerate_l_eta(psi, filter_eps=eps)
+    gaps = _gaps(psi)
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
-    # every enumerated pair is in range, so the classes are formed with
-    # the unchecked comparison
-    gaps = _gaps(psi)
-    classes: List[List[LEtaPair]] = []
-    for pair in pairs:
-        for cls in classes:
-            if _sigma0_equal(gaps, cls[0], pair):
-                cls.append(pair)
-                break
-        else:
-            classes.append([pair])
-    return [ConstituentClass(cls[0], tuple(cls), status) for cls in classes]
+    # pairs are _sigma0_equal exactly when they share l and eta set to +1
+    # wherever 2l = A - B + 1; a dict keeps the classes in first-seen order
+    classes: Dict[tuple, List[LEtaPair]] = {}
+    for pair in _enumerate(gaps, eps, ENUM_BOUND):
+        key = (pair.l, tuple(1 if 2 * l == gap else eta
+                             for gap, l, eta in zip(gaps, pair.l, pair.eta)))
+        classes.setdefault(key, []).append(pair)
+    return [ConstituentClass(cls[0], tuple(cls), status)
+            for cls in classes.values()]
 
 
 def translate_m_w(psi: ArthurParameter, eps: SignVector,

@@ -26,6 +26,7 @@ SO_EVEN = "SOeven"
 
 PLUS = 1
 MINUS = -1
+_ZETA_CHAR = {PLUS: "+", MINUS: "-", None: "?"}
 
 
 @dataclass(frozen=True)
@@ -123,16 +124,11 @@ class JordanBlock:
             raise BadBlock("cannot override zeta of an unbalanced block")
         return replace(self, zeta=zeta)
 
-    def segment(self) -> Tuple[HalfInt, HalfInt]:
-        """The support segment [B, A] of the diagonal restriction."""
-        return (self.B, self.A)
-
     def key(self):
-        z = {PLUS: "+", MINUS: "-", None: "?"}[self.zeta]
-        return (self.rho.sort_key(), self.a, self.b, z)
+        return (self.rho.sort_key(), self.a, self.b, _ZETA_CHAR[self.zeta])
 
     def __str__(self) -> str:
-        z = {PLUS: "+", MINUS: "-", None: "?"}[self.zeta]
+        z = _ZETA_CHAR[self.zeta]
         m = f" x{self.mult}" if self.mult > 1 else ""
         return f"({self.rho.id},{self.a},{self.b},{z}){m}"
 
@@ -166,20 +162,21 @@ class ArthurParameter:
 
     def __post_init__(self):
         merged: Dict[tuple, JordanBlock] = {}
+        total = 0
         for blk in self.blocks:
             key = blk.key()
-            if key in merged:
-                old = merged[key]
+            old = merged.get(key)
+            if old is None:
+                merged[key] = blk
+            else:
                 if old.rho != blk.rho:
                     raise DomainError(
                         f"label id {blk.rho.id!r} used inconsistently")
                 merged[key] = replace(old, mult=old.mult + blk.mult)
-            else:
-                merged[key] = blk
+            total += blk.mult * blk.dim
+        # the keys are distinct, so sorting never compares two blocks
         object.__setattr__(self, "blocks",
-                           tuple(sorted(merged.values(),
-                                        key=JordanBlock.key)))
-        total = sum(blk.mult * blk.dim for blk in self.blocks)
+                           tuple(blk for _, blk in sorted(merged.items())))
         if total != self.group.N:
             raise DomainError(
                 f"blocks sum to {total}, expected N = {self.group.N}")
@@ -216,15 +213,19 @@ class ArthurParameter:
     def _flags(self) -> frozenset:
         """classify(self), built on first use; see the README on
         concurrency."""
+        target = self.group.dual_parity
+        tempered = mult_free = pure = elementary = True
+        for b in self.blocks:
+            tempered = tempered and b.b == 1
+            mult_free = mult_free and b.mult == 1
+            pure = pure and block_parity(b) == target
+            elementary = elementary and min(b.a, b.b) == 1  # A == B
         flags = set()
-        tempered = all(b.b == 1 for b in self.blocks)
         if tempered:
             flags.add("tempered")
-        mult_free = all(b.mult == 1 for b in self.blocks)
-        pure = is_parity_pure(self)
         if pure and mult_free and _per_rho_segments_disjoint(self):
             flags.add("discrete_diag_restriction")
-            if all(b.A == b.B for b in self.blocks):
+            if elementary:
                 flags.add("elementary")
         if tempered and mult_free and pure:
             flags.add("discrete")
@@ -337,15 +338,16 @@ def diagonal_restriction(psi: ArthurParameter) -> ArthurParameter:
 
 
 def _per_rho_segments_disjoint(psi: ArthurParameter) -> bool:
-    """Whether the segments of each rho are pairwise disjoint; called only
-    when every block has multiplicity 1, so the blocks are the instances."""
-    by_rho: Dict[str, List[Tuple[HalfInt, HalfInt]]] = {}
+    """Whether the segments (2B, 2A) = (|a - b|, a + b - 2) of each rho are
+    pairwise disjoint; called only when every block has multiplicity 1."""
+    by_rho: Dict[str, List[Tuple[int, int]]] = {}
     for blk in psi.blocks:
-        by_rho.setdefault(blk.rho.id, []).append(blk.segment())
+        by_rho.setdefault(blk.rho.id, []).append(
+            (abs(blk.a - blk.b), blk.a + blk.b - 2))
     for segs in by_rho.values():
-        segs.sort(key=lambda s: (s[0].twice, s[1].twice))
-        for (b1, a1), (b2, a2) in zip(segs, segs[1:]):
-            if b2.twice <= a1.twice:
+        segs.sort()
+        for (_, a1), (b2, _) in zip(segs, segs[1:]):
+            if b2 <= a1:
                 return False
     return True
 

@@ -131,7 +131,11 @@ def z_mw_w(psi_p: ArthurParameter, order: BlockOrder) -> PairSet:
 
 def eps_mw_w(psi_p: ArthurParameter, order: BlockOrder) -> SignVector:
     """Per-block parity of the pair count; always a character."""
-    zs = z_mw_w(psi_p, order)
+    return eps_of_pairs(z_mw_w(psi_p, order))
+
+
+def eps_of_pairs(zs: PairSet) -> SignVector:
+    """eps^{MW/W} read off its pair set Z_MW/W."""
     return SignVector(MULT, tuple(sign_pow(zs.touching(i))
                                   for i in range(zs.size)))
 
@@ -268,48 +272,33 @@ def aubert_flip(psi: ArthurParameter, rho: RhoLabel, x0: int,
     """Flip delta on the rho-blocks with alpha < x0 (or <= x0)."""
     if not is_elementary(psi):
         raise NotElementary("the flip is defined on elementary parameters")
+    top = x0 if strict else x0 + 1
     new = []
     for blk in psi.blocks:
-        if blk.rho.id == rho.id:
-            alpha = elementary_alpha(blk)
-            if alpha < x0 or (not strict and alpha == x0):
-                d = elementary_delta(blk)
-                new.append(elementary_block(blk.rho, alpha, -d))
-                continue
+        # on an elementary parameter alpha = max(a, b)
+        if blk.rho.id == rho.id and max(blk.a, blk.b) < top:
+            blk = elementary_block(blk.rho, max(blk.a, blk.b),
+                                   -elementary_delta(blk))
         new.append(blk)
     return ArthurParameter(psi.group, tuple(new))
-
-
-def jord_rho_parity(psi: ArthurParameter, rho: RhoLabel) -> Optional[int]:
-    """Common parity of the rho-block sizes alpha (0 even, 1 odd)."""
-    alphas = [elementary_alpha(b) for b in psi.blocks if b.rho.id == rho.id]
-    if not alphas:
-        return None
-    parities = {a % 2 for a in alphas}
-    if len(parities) > 1:
-        raise MixedParity(f"rho {rho.id} mixes odd and even sizes")
-    return parities.pop()
 
 
 def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:
     """The sign relating the flipped normalized action to its target."""
     if not is_elementary(psi):
         raise NotElementary("beta is defined on elementary parameters")
-    parity = jord_rho_parity(psi, rho)
-    below = sorted(elementary_alpha(b) for b in psi.blocks
-                   if b.rho.id == rho.id and elementary_alpha(b) < x0)
-    if parity is None or not below:
+    # on an elementary parameter alpha = max(a, b)
+    alphas = [max(b.a, b.b) for b in psi.blocks if b.rho.id == rho.id]
+    if len({alpha % 2 for alpha in alphas}) > 1:
+        raise MixedParity(f"rho {rho.id} mixes odd and even sizes")
+    below = [alpha for alpha in alphas if alpha < x0]
+    if not below:
         return 1
-    if parity == 1:
+    if below[0] % 2:
         k = len(below)
-        sign = sign_pow(k * (k - 1) // 2)
-        for alpha in below:
-            sign *= sign_pow((alpha - 1) // 2)
-        return sign
-    sign = 1
-    for alpha in below:
-        sign *= sign_pow(alpha // 2)
-    return sign
+        return sign_pow(k * (k - 1) // 2
+                        + sum((alpha - 1) // 2 for alpha in below))
+    return sign_pow(sum(alpha // 2 for alpha in below))
 
 
 def s_ratio(psi: ArthurParameter, x0: int,

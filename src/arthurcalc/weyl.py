@@ -950,8 +950,18 @@ def _dedup_twisted_t(datum: RootDatum) -> List[Tuple[int, ...]]:
         # coordinates and fixes the last
         perms = [p + (n - 1,) for p in itertools.permutations(range(n - 1))]
         twists = {(1,) * n}
-    return sorted({min(tuple(t[p.index(i)] * tw[i] for i in range(n))
-                       for p in perms for tw in twists) for t in signs})
+    # the permutations normalize the twists, so together they form a group
+    # and each orbit is swept once, from its first sign vector
+    inverses = [tuple(p.index(i) for i in range(n)) for p in perms]
+    seen = set()
+    reps = []
+    for t in signs:
+        if t not in seen:
+            orbit = {tuple(t[q[i]] * tw[i] for i in range(n))
+                     for q in inverses for tw in twists}
+            seen |= orbit
+            reps.append(min(orbit))
+    return sorted(reps)
 
 
 def _galois_candidates(base: SplitData) -> List[SignedPerm]:

@@ -9,14 +9,14 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector,
 from arthurcalc.errors import OutOfRange
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
-from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair,
+from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair, _gaps,
                                 enumerate_l_eta, eps_from_l_eta, equiv,
                                 equiv_sigma0, eta0, eta_constraint_check,
                                 l_range_max, packet_constituents,
                                 translate_m_w)
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, GroupForm,
-                               JordanBlock, SO_EVEN, from_AB, make_parameter,
-                               natural_order)
+                               JordanBlock, SO_EVEN, classify, from_AB,
+                               make_parameter, natural_order)
 from arthurcalc.testing import (_ddr_grid, random_p_order,
                                 random_pure_parameter)
 
@@ -309,7 +309,9 @@ def test_census_matches_constraint_route():
 
 def _reference_constituents(psi, eps):
     """Classes of the enumerated pairs under the public, range-checked
-    equiv_sigma0, in first-seen order."""
+    equiv_sigma0, in first-seen order, with their status."""
+    status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
+        else UNDECIDED
     classes = []
     for pair in enumerate_l_eta(psi, filter_eps=eps):
         for cls in classes:
@@ -318,23 +320,56 @@ def _reference_constituents(psi, eps):
                 break
         else:
             classes.append([pair])
-    return [(cls[0], tuple(cls)) for cls in classes]
+    return [(cls[0], tuple(cls), status) for cls in classes]
+
+
+def _assert_constituents_match_reference(psi):
+    merged = 0
+    n = len(psi.instances())
+    for signs in itertools.product((1, -1), repeat=n):
+        eps = SignVector(MULT, signs)
+        got = [(c.representative, c.members, c.status)
+               for c in packet_constituents(psi, eps)]
+        assert got == _reference_constituents(psi, eps), (psi, signs)
+        merged += sum(len(members) > 1 for _, members, _ in got)
+    return merged
 
 
 def test_packet_constituents_match_public_equivalence():
-    merged = 0
-    for psi in _ddr_grid():
-        insts = psi.instances()
-        if len(insts) < 2:
-            continue
-        for signs in itertools.product((1, -1), repeat=len(insts)):
-            eps = SignVector(MULT, signs)
-            got = [(c.representative, c.members)
-                   for c in packet_constituents(psi, eps)]
-            assert got == _reference_constituents(psi, eps), (psi, signs)
-            merged += sum(len(members) > 1 for _, members in got)
+    merged = sum(_assert_constituents_match_reference(psi)
+                 for psi in _ddr_grid() if len(psi.instances()) >= 2)
     # eta collapses (2l = A - B + 1) merge pairs in many cells
     assert merged > 0
+
+
+def test_packet_constituents_match_reference_off_ddr():
+    # two parameters with a block of multiplicity 2 and one whose
+    # segments overlap: none is DDR
+    params = [
+        make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS, mult=2),
+                        JordanBlock(RHO, 1, 1, 1, PLUS)]),
+        make_parameter([JordanBlock(RHO, 2, 2, 2, PLUS),
+                        JordanBlock(RHO, 1, 1, 1, PLUS)]),
+        make_parameter([from_AB(RHO, HalfInt(4), HalfInt(0), PLUS),
+                        from_AB(RHO, HalfInt(2), HalfInt(2), PLUS)]),
+    ]
+    assert [max(b.mult for b in psi.blocks) for psi in params] == [2, 2, 1]
+    merged = 0
+    for psi in params:
+        assert "discrete_diag_restriction" not in classify(psi)
+        merged += _assert_constituents_match_reference(psi)
+    assert merged > 0
+
+
+def test_gaps_are_a_minus_b_plus_one_on_instances():
+    rng = random.Random(21)
+    repeated = 0
+    for _ in range(200):
+        psi = random_pure_parameter(rng, max_blocks=6, max_ab=4)
+        assert _gaps(psi) == tuple(int(blk.A - blk.B) + 1
+                                   for blk, _ in psi.instances()), psi
+        repeated += any(b.mult > 1 for b in psi.blocks)
+    assert repeated > 10
 
 
 def test_equiv_sigma0_checks_ranges():

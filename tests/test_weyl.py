@@ -746,6 +746,29 @@ def test_weyl_group_matches_theta_fixed_ambient_scan():
             assert W._dedup_twisted_t(datum) == sorted(reps)
 
 
+def _dedup_twisted_t_by_triples(datum):
+    """The minimum over every (sign vector, permutation, twist) triple,
+    for each sign vector, as _dedup_twisted_t once computed it."""
+    n = datum.ambient_dim
+    signs = list(itertools.product((1, -1), repeat=n))
+    if datum.gtype == W.TYPE_A:
+        perms = [p for p in itertools.permutations(range(n))
+                 if all(p[n - 1 - i] == n - 1 - p[i] for i in range(n))]
+        twists = {tuple(g[i] * g[n - 1 - i] for i in range(n)) for g in signs}
+    else:
+        perms = [p + (n - 1,) for p in itertools.permutations(range(n - 1))]
+        twists = {(1,) * n}
+    return sorted({min(tuple(t[p.index(i)] * tw[i] for i in range(n))
+                       for p in perms for tw in twists) for t in signs})
+
+
+@pytest.mark.parametrize("gtype,rank", [("A", r) for r in range(2, 7)]
+                         + [("D", r) for r in range(3, 7)])
+def test_dedup_twisted_t_matches_min_over_triples(gtype, rank):
+    datum = W.RootDatum(gtype, rank, twisted=True)
+    assert W._dedup_twisted_t(datum) == _dedup_twisted_t_by_triples(datum)
+
+
 def _weyl_fingerprint(data):
     """SHA-256 over each datum's group and longest element and, for every
     catalogued split, D_H, the four identity flags, the alternating-sum
