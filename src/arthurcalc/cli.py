@@ -26,7 +26,6 @@ from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, classify,
 from .segments import cuspidal_support
 from .signs import eps_m_mw_general, eps_of_pairs, z_mw_w
 from . import endoscopy as endo
-from . import weyl
 
 
 class UsageError(Exception):
@@ -219,6 +218,8 @@ def cmd_expand(args) -> dict:
 
 
 def cmd_weyl_verify(args) -> dict:
+    # imported here so that no other subcommand pays for the Weyl layer
+    from . import weyl
     gtype = args.type
     twisted = gtype in ("A", "D")
     if args.rank > args.rank_bound:
@@ -253,6 +254,7 @@ def cmd_selftest(args) -> dict:
     # imported here so that no other subcommand pays for the registry
     import random
     from dataclasses import replace
+    from . import weyl
     from .testing import COMPACT, FAMILIES
     # a bound below every catalogued datum would check no Weyl datum at all
     least = min(datum.rank for datum in weyl.datum_catalog())

@@ -19,7 +19,8 @@ from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, diagonal_restriction,
                      elementary_alpha, elementary_block, elementary_delta,
                      elementary_jord_rho, is_elementary)
-from .segments import EpsMap, Segment, supercuspidal_test
+from .segments import (EpsMap, Segment, extends_cuspidal_chain,
+                       supercuspidal_test)
 
 INFINITY = None  # sentinel for "no next block"
 
@@ -56,30 +57,31 @@ def rho_cuspidal_bound(psi: ArthurParameter, eps, rho: RhoLabel
     """
     _check_elementary(psi)
     eps = _eps_map(psi, eps)
-    jord = elementary_jord_rho(psi, rho)
-    sizes = sorted(jord)
+    return _cuspidal_bound(rho.id, elementary_jord_rho(psi, rho), eps)
 
-    def cuspidal_up_to(b: int) -> bool:
-        chain = [al for al in sizes if al <= b]
-        for al in chain:
-            if al - 2 > 0 and (al - 2) not in chain:
-                return False
-            if (al - 2) in chain and \
-                    eps[(rho.id, al)] * eps[(rho.id, al - 2)] != -1:
-                return False
-        if 2 in chain and eps[(rho.id, 2)] != -1:
-            return False
-        return True
 
+def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap
+                    ) -> Tuple[int, Optional[int], Optional[int]]:
+    """rho_cuspidal_bound on one rho's alpha -> delta chain: the sizes
+    link in ascending order up to the first that fails."""
+    sign = lambda al: eps[(rho_id, al)]
     b = 0
-    for cand in sizes:
-        if cuspidal_up_to(cand):
-            b = max(b, cand)
-    above = [al for al in sizes if al > b]
-    if not above:
-        return b, None, None
-    a = min(above)
-    return b, a, jord[a]
+    for al in sorted(jord):
+        if not extends_cuspidal_chain(al, jord, sign):
+            return b, al, jord[al]
+        b = al
+    return b, None, None
+
+
+def _chains(psi: ArthurParameter
+            ) -> Dict[str, Tuple[RhoLabel, Dict[int, int]]]:
+    """Per rho id, its label and its alpha -> delta chain, read off the
+    blocks of an elementary parameter in one pass."""
+    chains: Dict[str, Tuple[RhoLabel, Dict[int, int]]] = {}
+    for blk in psi.blocks:
+        _, jord = chains.setdefault(blk.rho.id, (blk.rho, {}))
+        jord[max(blk.a, blk.b)] = blk.zeta_resolved()
+    return chains
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def _with_sizes(psi: ArthurParameter, rho: RhoLabel,
     blocks = []
     for blk in psi.blocks:
         if blk.rho.id == rho.id:
-            alpha = elementary_alpha(blk)
+            alpha = max(blk.a, blk.b)
             if alpha in changes:
                 tgt = changes[alpha]
                 if tgt is not None:
@@ -145,17 +147,18 @@ def construction_trace(psi: ArthurParameter, eps,
     """
     _check_elementary(psi)
     eps = _eps_map(psi, eps)
-    if set(eps.values) != {(b.rho.id, elementary_alpha(b))
+    if set(eps.values) != {(b.rho.id, max(b.a, b.b))
                            for b in psi.blocks} or eps.product() != 1:
         raise NotACharacter("character must match the blocks with product 1")
 
-    bounds = {}
-    for rho in psi.rho_labels():
-        b, a, delta = rho_cuspidal_bound(psi, eps, rho)
+    # the first rho, by id, whose sizes are not all cuspidal
+    chains = _chains(psi)
+    for rho_id in sorted(chains):
+        rho, jord = chains[rho_id]
+        b, a, delta = _cuspidal_bound(rho_id, jord, eps)
         if a is not None:
-            bounds[rho.id] = (rho, b, a, delta)
-
-    if not bounds:
+            break
+    else:
         phi_cusp = diagonal_restriction(psi)
         if not supercuspidal_test(phi_cusp, EpsMap(dict(eps.values))):
             raise DomainError(
@@ -164,8 +167,6 @@ def construction_trace(psi: ArthurParameter, eps,
         step = ConstructionStep(SUPERCUSPIDAL_BASE, None, (), (), ())
         return ConstructionNode(psi, eps, step)
 
-    rho, b, a, delta = bounds[sorted(bounds)[0]]
-    jord = elementary_jord_rho(psi, rho)
     sizes = sorted(jord)
 
     def drop(vals: EpsMap, *keys) -> Dict:

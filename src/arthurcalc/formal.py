@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0, eps_zero,
                         in_character_space, pair, s_psi, value_at)
@@ -65,6 +66,13 @@ class CoreLabel:
     group: object
     entries: Tuple[Tuple[JordanBlock, Optional[int]], ...]
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def of(psi: ArthurParameter,
            signs: Optional[SignVector] = None) -> "CoreLabel":
@@ -91,6 +99,13 @@ class BasisTerm:
     ops: Tuple[Op, ...]
     core: CoreLabel
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ops, self.core))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def prefix(self) -> Tuple[Induce, ...]:
         return tuple(op for op in self.ops if isinstance(op, Induce))
@@ -108,12 +123,8 @@ class FormalSum:
     """A finite integer combination of basis terms."""
 
     def __init__(self, terms: Optional[Dict[BasisTerm, int]] = None):
-        self.terms: Dict[BasisTerm, int] = {}
-        if terms:
-            for t, c in terms.items():
-                if c:
-                    self.terms[t] = self.terms.get(t, 0) + c
-            self.terms = {t: c for t, c in self.terms.items() if c}
+        self.terms: Dict[BasisTerm, int] = {
+            t: c for t, c in (terms or {}).items() if c}
 
     @staticmethod
     def zero() -> "FormalSum":
@@ -189,8 +200,17 @@ def _term_vanishes(term: BasisTerm) -> bool:
     return not jac_chain_possible(psi, rho, zeta, x, y)
 
 
+def _instances(psi: ArthurParameter) -> Iterator[Instance]:
+    """psi.instances() walked off the blocks, each block of multiplicity
+    one reused as it is."""
+    for blk in psi.blocks:
+        one = blk if blk.mult == 1 else replace(blk, mult=1)
+        for k in range(blk.mult):
+            yield one, k
+
+
 def _find_instance(psi: ArthurParameter, chosen: Instance) -> JordanBlock:
-    for blk, k in psi.instances():
+    for blk, k in _instances(psi):
         if (blk, k) == chosen:
             return blk
     raise DomainError(f"{chosen} is not a block instance of the parameter")
@@ -208,9 +228,8 @@ def _core_without(psi: ArthurParameter, chosen: Instance,
                   extra: List[Tuple[JordanBlock, Optional[int]]]
                   ) -> CoreLabel:
     entries = []
-    for inst, sg in zip(psi.instances(),
-                        signs.signs if signs else
-                        [None] * len(psi.instances())):
+    for inst, sg in zip(_instances(psi),
+                        signs.signs if signs else itertools.repeat(None)):
         if inst == chosen:
             continue
         entries.append((inst[0], sg))

@@ -28,7 +28,8 @@ class QuadCharacter:
 
     @staticmethod
     def trivial() -> "QuadCharacter":
-        return QuadCharacter(frozenset())
+        """The trivial character: one shared immutable value."""
+        return _TRIVIAL
 
     @staticmethod
     def of(*gens: str) -> "QuadCharacter":
@@ -47,6 +48,9 @@ class QuadCharacter:
         if not self.generators:
             return "1"
         return "*".join(sorted(self.generators))
+
+
+_TRIVIAL = QuadCharacter()
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,7 @@ class ConstituentClass:
     status: str
 
 
-def packet_constituents(psi: ArthurParameter, eps: SignVector,
-                        order: Optional[BlockOrder] = None
+def packet_constituents(psi: ArthurParameter, eps: SignVector
                         ) -> List[ConstituentClass]:
     """Label classes of packet members with the requested character.
 

@@ -163,24 +163,30 @@ class ArthurParameter:
     def __post_init__(self):
         merged: Dict[tuple, JordanBlock] = {}
         total = 0
+        self_dual = True
         for blk in self.blocks:
-            key = blk.key()
+            rho = blk.rho
+            # key() flattened: it sorts in the same order
+            key = (rho.id, rho.dim, rho.self_dual_type, blk.a, blk.b,
+                   _ZETA_CHAR[blk.zeta])
             old = merged.get(key)
             if old is None:
                 merged[key] = blk
             else:
-                if old.rho != blk.rho:
+                if old.rho != rho:
                     raise DomainError(
-                        f"label id {blk.rho.id!r} used inconsistently")
+                        f"label id {rho.id!r} used inconsistently")
                 merged[key] = replace(old, mult=old.mult + blk.mult)
-            total += blk.mult * blk.dim
+            total += blk.mult * blk.a * blk.b * rho.dim
+            self_dual = self_dual and rho.self_dual_type != NOT_SELF_DUAL
         # the keys are distinct, so sorting never compares two blocks
         object.__setattr__(self, "blocks",
                            tuple(blk for _, blk in sorted(merged.items())))
         if total != self.group.N:
             raise DomainError(
                 f"blocks sum to {total}, expected N = {self.group.N}")
-        self._check_dual_pairs()
+        if not self_dual:
+            self._check_dual_pairs()
 
     def _check_dual_pairs(self):
         counts: Dict[tuple, int] = {}
@@ -249,6 +255,8 @@ class ArthurParameter:
         overrides maps (rho id, a, b) to a sign; everything else gets the
         global convention sign.
         """
+        if all(blk.zeta is not None for blk in self.blocks):
+            return self
         new = []
         for blk in self.blocks:
             if blk.zeta is None:

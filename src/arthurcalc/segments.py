@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Container, Dict, List, Optional, Tuple
 
 from .charspace import CLASS, SignVector
 from .errors import (DomainError, NotACharacter, NotDiscrete, NotDominating,
@@ -240,6 +240,18 @@ def _check_char(phi: ArthurParameter, eps: EpsMap) -> None:
         raise NotACharacter("character fails the product condition")
 
 
+def extends_cuspidal_chain(size: int, sizes: Container[int],
+                           sign: Callable[[int], int]) -> bool:
+    """Whether size links into a cuspidal chain of one rho's sizes: the
+    chain is gapless (size - 2 is present whenever positive), its signs
+    alternate, and its bottom even size 2 carries -1.  A set of sizes is
+    a chain exactly when each of them links; the test looks only below
+    size, so an ascending scan may stop at the first size that fails."""
+    if size > 2:
+        return size - 2 in sizes and sign(size) * sign(size - 2) == -1
+    return size != 2 or sign(2) == -1
+
+
 def supercuspidal_test(phi: ArthurParameter, eps) -> bool:
     """Whether (phi, eps) is a supercuspidal pair: per rho the sizes form
     a gapless chain, the signs alternate, and the bottom even size gets -1."""
@@ -249,13 +261,8 @@ def supercuspidal_test(phi: ArthurParameter, eps) -> bool:
     _check_char(phi, eps)
     for rho in phi.rho_labels():
         sizes = jord_rho_sizes(phi, rho)
-        for a in sizes:
-            if a - 2 > 0 and (a - 2) not in sizes:
-                return False
-            if (a - 2) in sizes and \
-                    eps[(rho.id, a)] * eps[(rho.id, a - 2)] != -1:
-                return False
-        if 2 in sizes and eps[(rho.id, 2)] != -1:
+        sign = lambda a, rid=rho.id: eps[(rid, a)]
+        if not all(extends_cuspidal_chain(a, sizes, sign) for a in sizes):
             return False
     return True
 

@@ -395,6 +395,16 @@ def test_import_builds_no_parser():
     assert out == "0\n"
 
 
+def test_import_leaves_weyl_unloaded():
+    src = os.path.dirname(os.path.dirname(arthurcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, arthurcalc.cli; "
+         "print('arthurcalc.weyl' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_format_option_does_not_carry_over():
     argv = ["classify", os.path.join(GOLDEN, "sp8_elem.json")]
     rc, table = run_cli(["--format", "table"] + argv)

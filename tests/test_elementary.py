@@ -6,7 +6,8 @@ from arthurcalc.elementary import (CASE2_SHIFT, CASE3A, CASE3B, CASE3C_I,
                                    CASE3C_II, SUPERCUSPIDAL_BASE,
                                    all_plus_form, aubert_chain,
                                    construction_trace, rho_cuspidal_bound)
-from arthurcalc.errors import NotElementary
+from arthurcalc.errors import (AmbiguousChoice, NotACharacter,
+                               NotElementary, UnresolvedZeta)
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, JordanBlock, classify,
                                diagonal_restriction, elementary_alpha,
@@ -257,3 +258,66 @@ def test_case3ci_ambiguity_surfaced():
     node = construction_trace(sc, _eps({1: -1, 3: 1, 5: -1}),
                               case3ci_branch=None)
     assert node.step.case_tag == SUPERCUSPIDAL_BASE
+
+
+def test_character_checked_before_zeta():
+    # an unresolved zeta surfaces only once the character has passed
+    psi = make_parameter([JordanBlock(RHO, 1, 1), JordanBlock(RHO, 3, 1)])
+    with pytest.raises(NotACharacter):
+        construction_trace(psi, _eps({1: 1, 3: -1}))
+    with pytest.raises(NotACharacter):
+        construction_trace(psi, _eps({1: 1}))
+    with pytest.raises(UnresolvedZeta):
+        construction_trace(psi, _eps({1: -1, 3: -1}))
+
+
+def _psi_row(psi):
+    return (str(psi.group),
+            tuple((b.rho.sort_key(), b.a, b.b, b.mult, b.zeta)
+                  for b in psi.blocks))
+
+
+def _node_row(node):
+    step = node.step
+    return (step.case_tag, step.rho_id,
+            tuple((s.rho.sort_key(), s.x.twice, s.y.twice)
+                  for s in step.inducing),
+            step.annotations, _psi_row(node.psi),
+            tuple(sorted(node.eps.values.items())),
+            tuple(_node_row(c) for c in step.children))
+
+
+def _trace_fingerprint():
+    """SHA-256 over seeded construction trees: every node's case tag,
+    rho, inducing segments, notes, parameter and character, for both
+    labelling branches and the unlabelled one (or its error), plus the
+    cuspidal bound of every rho at the root."""
+    import hashlib
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        psi = random_elementary(rng, max_blocks=4, max_alpha=9)
+        signs = [rng.choice((1, -1)) for _ in psi.classes()]
+        if signs.count(-1) % 2:
+            signs[0] = -signs[0]
+        eps = EpsMap({(b.rho.id, elementary_alpha(b)): s
+                      for b, s in zip(psi.classes(), signs)})
+        rows = [_psi_row(psi),
+                tuple(rho_cuspidal_bound(psi, eps, rho)
+                      for rho in psi.rho_labels())]
+        for branch in (PLUS, MINUS, None):
+            try:
+                rows.append(_node_row(construction_trace(psi, eps, branch)))
+            except AmbiguousChoice as e:
+                rows.append((type(e).__name__, str(e)))
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed from the quadratic per-candidate scan of rho_cuspidal_bound
+TRACE_FINGERPRINT = \
+    "09b06cadbd54d6e745d2f34cd70239805fed3ffd7ef4253e239b680465b0fb44"
+
+
+def test_trace_fingerprint():
+    assert _trace_fingerprint() == TRACE_FINGERPRINT

@@ -251,3 +251,85 @@ def test_full_character_expansion_consistent():
                 assert prod == 1  # characters survive the bookkeeping
             rounds += 1
     assert rounds > 20
+
+
+def _expand_fingerprint():
+    """SHA-256 over both one-block recursions at every block of seeded
+    DDR and elementary parameters and at one pair that is no instance:
+    each sum as str and as sum_to_json, or the error's class and message
+    where the recursion refuses.  The character recursion takes a random
+    sign vector, of product one nine times in ten."""
+    import hashlib
+    from arthurcalc import io_json as js
+    from arthurcalc.errors import DomainError
+    from arthurcalc.testing import random_elementary
+    rng = random.Random(4242)
+    digest = hashlib.sha256()
+    for n in range(120):
+        psi = (random_ddr_parameter(rng, max_blocks=3, max_level=8)
+               if n % 4 else random_elementary(rng, max_blocks=3))
+        insts = psi.instances()
+        signs = [rng.choice((1, -1)) for _ in insts]
+        if signs.count(-1) % 2 and rng.random() < 0.9:
+            signs[0] = -signs[0]
+        eps = SignVector(MULT, tuple(signs))
+        rows = [str(psi), str(eps)]
+        # the last is no instance: its copy index runs past the multiplicity
+        for chosen in insts + ((insts[0][0], insts[0][0].mult),):
+            for expand in (lambda: packet_recursion_expand(psi, chosen),
+                           lambda: ddr_recursion_expand(psi, eps, chosen)):
+                try:
+                    total = expand()
+                    rows.append((str(total), js.dumps(js.sum_to_json(total))))
+                except DomainError as e:
+                    rows.append((type(e).__name__, str(e)))
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed from the instances()-based block lookups
+EXPAND_FINGERPRINT = \
+    "04bb5d7369e33066cbfcd8cd17a37cfec42bc43fdb242159a1014ff7d7fd9511"
+
+
+def test_expand_fingerprint():
+    assert _expand_fingerprint() == EXPAND_FINGERPRINT
+
+
+def test_term_hash_shared_across_threads():
+    # fresh terms hashed first by racing threads: every thread must read
+    # the dataclass hash of the fields, and the sums must agree
+    import sys
+    import threading
+    rng = random.Random(85)
+    fresh = []
+    for _ in range(40):
+        psi = random_ddr_parameter(rng, max_blocks=3, max_level=8)
+        for chosen in psi.instances():
+            if chosen[0].A != chosen[0].B:
+                for t in packet_recursion_expand(psi, chosen).terms:
+                    core = CoreLabel(t.core.group, t.core.entries)
+                    fresh.append(BasisTerm(t.ops, core))
+    expect = [hash((t.ops, (t.core.group, t.core.entries))) for t in fresh]
+    results = {}
+
+    def work(k):
+        results[k] = ([hash(t) for t in fresh],
+                      FormalSum({t: 1 for t in fresh}))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(fresh) > 100
+    for k in range(4):
+        assert results[k][0] == expect
+        assert results[k][1] == results[0][1]
+        assert len(results[k][1]) == len(set(fresh))
