@@ -9,6 +9,7 @@ vanishing certificate.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0, eps_zero,
                         in_character_space, pair, s_psi, value_at)
-from .errors import DomainError, NoCompoundBlock, NotDDR
+from .errors import DomainError, NoCompoundBlock, NotDDR, SupportMismatch
 from .halfint import HalfInt, hrange, sign_pow
 from .params import (MINUS, PLUS, ArthurParameter, GroupForm, Instance,
                      JordanBlock, classify, from_AB)
@@ -55,6 +56,13 @@ def _entry_key(entry: Tuple[JordanBlock, Optional[int]]):
     return entry[0].key(), entry[1] or 0
 
 
+def _check_length(psi: ArthurParameter, v: SignVector) -> None:
+    n = sum(blk.mult for blk in psi.blocks)
+    if len(v.signs) != n:
+        raise SupportMismatch(
+            f"{len(v.signs)} signs given for {n} block instances")
+
+
 @dataclass(frozen=True)
 class CoreLabel:
     """A parameter with an optional character value on every block.
@@ -80,6 +88,7 @@ class CoreLabel:
         if signs is None:
             ent = tuple((blk, None) for blk, _ in insts)
         else:
+            _check_length(psi, signs)
             ent = tuple((blk, sg) for (blk, _), sg in zip(insts, signs.signs))
         return CoreLabel(psi.group, tuple(sorted(ent, key=_entry_key)))
 
@@ -274,6 +283,7 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
     """
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("the recursion expands DDR parameters")
+    _check_length(psi, eps)
     if not in_character_space(eps, psi, S_GT_HAT_SIGMA0):
         raise DomainError("eps must satisfy the character product condition")
     blk = _find_instance(psi, chosen)
@@ -312,30 +322,65 @@ def packet_recursion_expand(psi: ArthurParameter,
     return FormalSum(out)
 
 
-def packet_expand_fully(psi: ArthurParameter, limit: int = 100000
-                        ) -> FormalSum:
-    """Iterate the stable recursion until every core is elementary."""
-    work = FormalSum.single(BasisTerm((), CoreLabel.of(psi)))
-    done = FormalSum.zero()
+def _add_to(acc: Dict[BasisTerm, int], term: BasisTerm, coeff: int) -> bool:
+    """acc[term] += coeff, dropping a zero sum; True if term was absent."""
+    old = acc.get(term, 0)
+    if old + coeff:
+        acc[term] = old + coeff
+    else:
+        del acc[term]
+    return not old
+
+
+def packet_expand_fully(psi: ArthurParameter,
+                        eps: Optional[SignVector] = None,
+                        limit: int = 100000) -> FormalSum:
+    """Iterate a block recursion until every core is elementary: the
+    stable one without eps, the character one on each core's own signs
+    with it.
+
+    Each step takes the pending term least by str, ties in the order
+    they entered, off the work and expands its first compound block;
+    more than limit steps raise.  The heap keeps each entry's str key;
+    an entry whose term has since cancelled or re-entered is skipped.
+    """
+    work: Dict[BasisTerm, int] = {}
+    # term -> number of its live entry, so that distinct terms of equal
+    # str (rho labels sharing an id) keep the order they entered in
+    entry: Dict[BasisTerm, int] = {}
+    heap: List[Tuple[str, int, BasisTerm]] = []
+    done: Dict[BasisTerm, int] = {}
+    numbers = itertools.count()
+
+    def push(term: BasisTerm, coeff: int) -> None:
+        if _add_to(work, term, coeff):
+            entry[term] = n = next(numbers)
+            heapq.heappush(heap, (str(term), n, term))
+
+    push(BasisTerm((), CoreLabel.of(psi, eps)), 1)
     steps = 0
-    while work.terms:
+    while heap:
+        _, n, term = heapq.heappop(heap)
+        if term not in work or entry[term] != n:
+            continue
         steps += 1
         if steps > limit:
             raise DomainError("expansion exceeded the step limit")
-        term, coeff = next(iter(sorted(work.terms.items(),
-                                       key=lambda kv: str(kv[0]))))
-        work = work - FormalSum.single(term, coeff)
+        coeff = work.pop(term)
         core_psi = term.core.parameter()
-        compound = [inst for inst in core_psi.instances()
-                    if inst[0].A != inst[0].B]
-        if not compound:
-            done = done + FormalSum.single(term, coeff)
+        chosen = next((inst for inst in _instances(core_psi)
+                       if inst[0].A != inst[0].B), None)
+        if chosen is None:
+            _add_to(done, term, coeff)
             continue
-        inner = packet_recursion_expand(core_psi, compound[0])
+        if eps is None:
+            inner = packet_recursion_expand(core_psi, chosen)
+        else:
+            signs = SignVector(MULT, tuple(sg for _, sg in term.core.entries))
+            inner = ddr_recursion_expand(core_psi, signs, chosen)
         for t2, c2 in inner.terms.items():
-            merged = BasisTerm(term.ops + t2.ops, t2.core)
-            work = work + FormalSum.single(merged, coeff * c2)
-    return done
+            push(BasisTerm(term.ops + t2.ops, t2.core), coeff * c2)
+    return FormalSum(done)
 
 
 def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
@@ -348,6 +393,7 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     """
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("bookkeeping is checked on DDR parameters")
+    _check_length(psi, s)
     blk = _find_instance(psi, chosen)
     A, B, zeta = _require_compound(blk)
     rho = blk.rho

@@ -134,10 +134,6 @@ def shift_matrix(big: JordanBlock, small: JordanBlock) -> GeneralizedSegment:
     return GeneralizedSegment(big.rho, tuple(rows))
 
 
-def transpose(gs: GeneralizedSegment) -> GeneralizedSegment:
-    return gs.transpose()
-
-
 # -- Jacquet vanishing certificates ------------------------------------------
 
 def jac_chain_possible(psi: ArthurParameter, rho: RhoLabel, zeta: int,

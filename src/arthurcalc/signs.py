@@ -172,7 +172,6 @@ def z_u(psi_p: ArthurParameter) -> PairSet:
 
 ELEMENTARY = "elementary"
 DDR = "ddr"
-GENERAL = "general"
 
 
 def _eps_m_mw_at(blk: JordanBlock, others: List[Tuple[JordanBlock, bool, bool]]

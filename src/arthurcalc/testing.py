@@ -1,9 +1,10 @@
 """Seeded generators and the registry of verification families.
 
 Each family checks one group of exact identities and returns
-``(checks, failures)``.  The acceptance suite runs the first ten at
-``FULL`` size, each from a fixed seed; ``arthurcalc selftest`` runs all
-of them at ``COMPACT`` size from one generator.
+``(checks, failures)``.  The acceptance suite runs all but the two
+per-Levi Weyl families at ``FULL`` size, each from a fixed seed;
+``arthurcalc selftest`` runs all of them at ``COMPACT`` size from one
+generator, in the order of ``FAMILIES``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .charspace import (MULT, S_GT_HAT_SIGMA0, SignVector,
                         s_psi)
 from .endoscopy import sign_transfer_check
 from .errors import DomainError
-from .formal import endoscopic_sign_bookkeeping
+from .formal import endoscopic_sign_bookkeeping, packet_expand_fully
 from .halfint import HalfInt, sign_pow
 from .labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from .packets import eta_constraint_check, packet_constituents
@@ -548,6 +549,31 @@ def _variant_agreement(rng: random.Random, size: Size) -> Tuple[int, int]:
     return checks, failures
 
 
+def _full_expansion(rng: random.Random, size: Size) -> Tuple[int, int]:
+    """Mœglin's recursion run to the end, at the stable level and at up
+    to four characters: the stable expansion is not empty, every core is
+    elementary, and the signs on each character-level core multiply to
+    +1."""
+    checks = failures = 0
+    for _ in range(60 if size.full else 10):
+        psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
+        for eps in [None] + enumerate_characters(psi, S_GT_HAT_SIGMA0)[:4]:
+            try:
+                out = packet_expand_fully(psi, eps)
+            except DomainError:
+                ok = False  # a core's signs left the character space
+            else:
+                ok = (eps is not None or len(out) > 0) and all(
+                    all(b.A == b.B for b, _ in t.core.entries) and
+                    (eps is None or
+                     math.prod(sg for _, sg in t.core.entries) == 1)
+                    for t in out.terms)
+            if not ok:
+                failures += 1
+            checks += 1
+    return checks, failures
+
+
 # name -> family; `arthurcalc selftest` reports one failure count per name
 FAMILIES: Dict[str, Family] = {
     "sign_laws": _sign_laws,
@@ -562,4 +588,5 @@ FAMILIES: Dict[str, Family] = {
     "variant_agreement": _variant_agreement,
     "intersection_prop": _per_levi(W.verify_intersection_prop),
     "algebraic_identity": _per_levi(W.verify_algebraic_identity),
+    "full_expansion": _full_expansion,
 }

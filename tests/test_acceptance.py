@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Criteria 1-10 run the verification families of ``arthurcalc.testing``
-at full size, each from its own seed; ``arthurcalc selftest`` runs the
-same families at compact size.  Every criterion runs at its stated size
-and tolerance (all checks here are exact sign identities, so the
-tolerance is literal equality, zero failures allowed).
+Criteria 1-10 and 12 run the verification families of
+``arthurcalc.testing`` at full size, each from its own seed;
+``arthurcalc selftest`` runs the same families at compact size.  Every
+criterion runs at its stated size and tolerance (all checks here are
+exact sign identities, so the tolerance is literal equality, zero
+failures allowed).
 """
 
 import random
@@ -112,3 +113,11 @@ def test_criterion_11_cli_golden_corpus():
             failures += 1
         checks += 1
     _report(11, checks, failures, started)
+
+
+def test_criterion_12_full_expansion():
+    started = time.time()
+    checks, failures = FAMILIES["full_expansion"](
+        random.Random(10**6 + 12), FULL)
+    assert checks >= 100  # 60 stable expansions and their characters
+    _report(12, checks, failures, started)

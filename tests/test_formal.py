@@ -5,7 +5,8 @@ import pytest
 from arthurcalc.charspace import (MULT, SignVector, enumerate_characters,
                                   enumerate_elements, eps_zero,
                                   S_GT_HAT_SIGMA0)
-from arthurcalc.errors import NoCompoundBlock, NotDDR
+from arthurcalc.errors import (DomainError, NoCompoundBlock, NotDDR,
+                               SupportMismatch)
 from arthurcalc.formal import (BasisTerm, CoreLabel, FormalSum, Induce, Jac,
                                ddr_recursion_expand,
                                endoscopic_sign_bookkeeping,
@@ -135,17 +136,6 @@ def test_formal_sum_group_laws():
     assert a.scale(3).terms[t1] == 6
 
 
-def test_full_expansion_terminates_elementary_cores():
-    rng = random.Random(55)
-    for _ in range(40):
-        psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
-        out = packet_expand_fully(psi)
-        assert len(out) >= 1
-        for term in out.terms:
-            core = term.core.parameter()
-            assert all(b.A == b.B for b in core.blocks)
-
-
 def test_expand_empty_sum():
     from arthurcalc.params import ArthurParameter, GroupForm, SO_EVEN
     empty = ArthurParameter(GroupForm(SO_EVEN, 0, QuadCharacter.of("e")), ())
@@ -163,6 +153,32 @@ def test_prune_vanishing():
     s = FormalSum.single(dead) + FormalSum.single(alive)
     pruned = s.prune_vanishing()
     assert dead not in pruned.terms and alive in pruned.terms
+
+
+def _psi_sp10():
+    """Sp(10) = (rho,2,2,+) + (rho,7,1,+): two block instances."""
+    return make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
+                           JordanBlock(RHO, 7, 1)])
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, -1), (1,)])
+def test_wrong_length_character_refused(signs):
+    psi = _psi_sp10()
+    eps = SignVector(MULT, signs)
+    with pytest.raises(SupportMismatch):
+        ddr_recursion_expand(psi, eps, _compound(psi))
+    with pytest.raises(SupportMismatch):
+        CoreLabel.of(psi, eps)
+    with pytest.raises(SupportMismatch):
+        packet_expand_fully(psi, eps)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (-1,), ()])
+def test_bookkeeping_wrong_length_s_refused(signs):
+    psi = _psi_sp10()
+    with pytest.raises(SupportMismatch):
+        endoscopic_sign_bookkeeping(psi, SignVector(MULT, signs),
+                                    _compound(psi))
 
 
 def test_endoscopic_bookkeeping_small():
@@ -208,49 +224,6 @@ def test_orientation_twist_property():
             assert lhs == rhs
             rounds += 1
     assert rounds > 30
-
-
-def _expand_fully_with_characters(psi, eps):
-    """Iterate the character-level recursion down to elementary cores."""
-    from arthurcalc.formal import BasisTerm, CoreLabel, FormalSum
-    work = FormalSum.single(BasisTerm((), CoreLabel.of(psi, eps)))
-    done = FormalSum.zero()
-    while work.terms:
-        term, coeff = next(iter(sorted(work.terms.items(),
-                                       key=lambda kv: str(kv[0]))))
-        work = work - FormalSum.single(term, coeff)
-        core_psi = term.core.parameter()
-        signs = SignVector(MULT, tuple(sg for _, sg in term.core.entries))
-        compound = [inst for inst in core_psi.instances()
-                    if inst[0].A != inst[0].B]
-        if not compound:
-            done = done + FormalSum.single(term, coeff)
-            continue
-        inner = ddr_recursion_expand(core_psi, signs, compound[0])
-        for t2, c2 in inner.terms.items():
-            work = work + FormalSum.single(
-                BasisTerm(term.ops + t2.ops, t2.core), coeff * c2)
-    return done
-
-
-def test_full_character_expansion_consistent():
-    rng = random.Random(85)
-    rounds = 0
-    for _ in range(60):
-        psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
-        if sum(int(b.A.twice - b.B.twice) for b in psi.blocks) > 8:
-            continue
-        for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0)[:4]:
-            out = _expand_fully_with_characters(psi, eps)
-            for term in out.terms:
-                core = term.core.parameter()
-                assert all(b.A == b.B for b in core.blocks)
-                prod = 1
-                for _, sg in term.core.entries:
-                    prod *= sg
-                assert prod == 1  # characters survive the bookkeeping
-            rounds += 1
-    assert rounds > 20
 
 
 def _expand_fingerprint():
@@ -333,3 +306,60 @@ def test_term_hash_shared_across_threads():
         assert results[k][0] == expect
         assert results[k][1] == results[0][1]
         assert len(results[k][1]) == len(set(fresh))
+
+
+def _k_family(k):
+    """(rho,k,k,+) + (rho,2k+2,2,+): segments [0, k-1] and [k, k+1]."""
+    return make_parameter([JordanBlock(RHO, k, k, 1, PLUS),
+                           JordanBlock(RHO, 2 * k + 2, 2, 1, PLUS)])
+
+
+def _full_expansion_fingerprint():
+    """SHA-256 over full expansions: the stable level on the k family for
+    k = 2..7, and both levels on 200 seeded DDR parameters, the character
+    level at a random sign vector of product one nine times in ten; each
+    sum as str and as sum_to_json, or the error's class and message where
+    the expansion refuses."""
+    import hashlib
+    from arthurcalc import io_json as js
+
+    def row(expand):
+        try:
+            total = expand()
+            return str(total), js.dumps(js.sum_to_json(total))
+        except DomainError as e:
+            return type(e).__name__, str(e)
+
+    digest = hashlib.sha256()
+    for k in range(2, 8):
+        psi = _k_family(k)
+        digest.update(repr([str(psi),
+                            row(lambda: packet_expand_fully(psi))]).encode())
+    rng = random.Random(7)
+    for _ in range(200):
+        psi = random_ddr_parameter(rng, max_blocks=3, max_level=8)
+        signs = [rng.choice((1, -1)) for _ in psi.instances()]
+        if signs.count(-1) % 2 and rng.random() < 0.9:
+            signs[0] = -signs[0]
+        eps = SignVector(MULT, tuple(signs))
+        rows = [str(psi), str(eps), row(lambda: packet_expand_fully(psi)),
+                row(lambda: packet_expand_fully(psi, eps))]
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed from the two expansion loops that one driver replaced
+FULL_EXPANSION_FINGERPRINT = \
+    "75398bf4339da0c05cafa75f695bcb822ec2abc806f0057e71466f84d13cc16e"
+
+
+def test_full_expansion_fingerprint():
+    assert _full_expansion_fingerprint() == FULL_EXPANSION_FINGERPRINT
+
+
+def test_full_expansion_step_limit():
+    # the k = 5 expansion takes 93 steps, one per term taken off the work
+    psi = _k_family(5)
+    assert len(packet_expand_fully(psi, limit=93)) == 52
+    with pytest.raises(DomainError, match="step limit"):
+        packet_expand_fully(psi, limit=92)

@@ -12,8 +12,8 @@ from arthurcalc.segments import (EVEN_MIN, GAP, NONE, PAIR, EpsMap,
                                  cuspidal_reducibility_point,
                                  cuspidal_support, jac_chain_possible,
                                  jac_multiplicity_bound, parabolic_reduce_step,
-                                 shift_matrix, speh_matrix, supercuspidal_test,
-                                 transpose)
+                                 shift_matrix, speh_matrix,
+                                 supercuspidal_test)
 from arthurcalc.testing import random_discrete_pair
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
@@ -49,10 +49,10 @@ def test_shift_matrix_spec_examples():
 
 def test_transpose():
     one = speh_matrix(RHO, 1, 1)
-    assert transpose(one).entries == one.entries
+    assert one.transpose().entries == one.entries
     gs = speh_matrix(RHO, 3, 2)
-    assert transpose(gs).shape == (3, 2)
-    assert transpose(transpose(gs)).entries == gs.entries
+    assert gs.transpose().shape == (3, 2)
+    assert gs.transpose().transpose().entries == gs.entries
 
 
 def test_generalized_segment_invariants():
@@ -61,7 +61,7 @@ def test_generalized_segment_invariants():
         a, b = rng.randint(1, 5), rng.randint(1, 4)
         gs = speh_matrix(RHO, a, b)
         assert gs.shape == (b, a)
-        transpose(gs)  # revalidates on construction
+        gs.transpose()  # revalidates on construction
     with pytest.raises(DomainError):
         GeneralizedSegment(RHO, ((HalfInt(0), HalfInt(4)),))
 
