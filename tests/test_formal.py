@@ -136,6 +136,17 @@ def test_formal_sum_group_laws():
     assert a.scale(3).terms[t1] == 6
 
 
+def test_full_expansion_terminates_elementary_cores():
+    rng = random.Random(55)
+    for _ in range(40):
+        psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
+        out = packet_expand_fully(psi)
+        assert len(out) >= 1
+        for term in out.terms:
+            core = term.core.parameter()
+            assert all(b.A == b.B for b in core.blocks)
+
+
 def test_expand_empty_sum():
     from arthurcalc.params import ArthurParameter, GroupForm, SO_EVEN
     empty = ArthurParameter(GroupForm(SO_EVEN, 0, QuadCharacter.of("e")), ())
@@ -224,6 +235,26 @@ def test_orientation_twist_property():
             assert lhs == rhs
             rounds += 1
     assert rounds > 30
+
+
+def test_full_character_expansion_consistent():
+    rng = random.Random(85)
+    rounds = 0
+    for _ in range(60):
+        psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
+        if sum(int(b.A.twice - b.B.twice) for b in psi.blocks) > 8:
+            continue
+        for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0)[:4]:
+            out = packet_expand_fully(psi, eps)
+            for term in out.terms:
+                core = term.core.parameter()
+                assert all(b.A == b.B for b in core.blocks)
+                prod = 1
+                for _, sg in term.core.entries:
+                    prod *= sg
+                assert prod == 1  # characters survive the bookkeeping
+            rounds += 1
+    assert rounds > 20
 
 
 def _expand_fingerprint():
