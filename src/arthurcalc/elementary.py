@@ -18,7 +18,7 @@ from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, diagonal_restriction,
                      elementary_alpha, elementary_block, elementary_delta,
-                     elementary_jord_rho, is_elementary)
+                     is_elementary)
 from .segments import (EpsMap, Segment, extends_cuspidal_chain,
                        supercuspidal_test)
 
@@ -57,7 +57,8 @@ def rho_cuspidal_bound(psi: ArthurParameter, eps, rho: RhoLabel
     """
     _check_elementary(psi)
     eps = _eps_map(psi, eps)
-    return _cuspidal_bound(rho.id, elementary_jord_rho(psi, rho), eps)
+    _, jord = _chains(psi).get(rho.id, (rho, {}))
+    return _cuspidal_bound(rho.id, jord, eps)
 
 
 def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap

@@ -3,8 +3,7 @@
 Terms record a path of formal operations (parabolic prefixes and Jacquet
 markers) over a core label; sums implement the two block recursions and
 a brute-force check of their endoscopic sign bookkeeping.  Jacquet
-markers are never evaluated; they can only annihilate a term through a
-vanishing certificate.
+markers are never evaluated.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0, eps_zero,
+from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0,
                         in_character_space, pair, s_psi, value_at)
 from .errors import DomainError, NoCompoundBlock, NotDDR, SupportMismatch
 from .halfint import HalfInt, hrange, sign_pow
-from .params import (MINUS, PLUS, ArthurParameter, GroupForm, Instance,
+from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
                      JordanBlock, classify, from_AB)
-from .segments import jac_chain_possible
 
 
 @dataclass(frozen=True)
@@ -135,36 +133,6 @@ class FormalSum:
         self.terms: Dict[BasisTerm, int] = {
             t: c for t, c in (terms or {}).items() if c}
 
-    @staticmethod
-    def zero() -> "FormalSum":
-        return FormalSum()
-
-    @staticmethod
-    def single(term: BasisTerm, coeff: int = 1) -> "FormalSum":
-        return FormalSum({term: coeff})
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0) + c
-        return FormalSum(out)
-
-    def __neg__(self) -> "FormalSum":
-        return FormalSum({t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
-
-    def scale(self, k: int) -> "FormalSum":
-        return FormalSum({t: k * c for t, c in self.terms.items()})
-
-    def map_terms(self, fn) -> "FormalSum":
-        out: Dict[BasisTerm, int] = {}
-        for t, c in self.terms.items():
-            nt = fn(t)
-            out[nt] = out.get(nt, 0) + c
-        return FormalSum(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self.terms == other.terms
 
@@ -178,35 +146,6 @@ class FormalSum:
         for t, c in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
             bits.append(f"{'+' if c >= 0 else '-'}{abs(c)} {t}")
         return "  ".join(bits)
-
-    def prune_vanishing(self) -> "FormalSum":
-        """Drop terms whose innermost Jacquet marker provably vanishes."""
-        out = {}
-        for t, c in self.terms.items():
-            if not _term_vanishes(t):
-                out[t] = c
-        return FormalSum(out)
-
-
-def _term_vanishes(term: BasisTerm) -> bool:
-    # only the marker adjacent to the core is certified against it
-    if not term.ops or not isinstance(term.ops[-1], Jac):
-        return False
-    jac = term.ops[-1]
-    psi = term.core.parameter()
-    if not jac.exponents:
-        return False
-    exps = jac.exponents
-    zeta = PLUS if exps[0].twice >= 0 else MINUS
-    x = exps[0] * zeta
-    y = exps[-1] * zeta
-    rho = next((blk.rho for blk, _ in term.core.entries
-                if blk.rho.id == jac.rho_id), None)
-    if rho is None:
-        return True  # no blocks of this label at all
-    if x.twice < 0 or x.twice > y.twice:
-        return False  # not a certificate shape we can test
-    return not jac_chain_possible(psi, rho, zeta, x, y)
 
 
 def _instances(psi: ArthurParameter) -> Iterator[Instance]:
@@ -223,6 +162,18 @@ def _find_instance(psi: ArthurParameter, chosen: Instance) -> JordanBlock:
         if (blk, k) == chosen:
             return blk
     raise DomainError(f"{chosen} is not a block instance of the parameter")
+
+
+def _check_ddr(psi: ArthurParameter, eps: Optional[SignVector]) -> None:
+    """The input checks of the block recursions: discrete diagonal
+    restriction, and for a character its length and product."""
+    if "discrete_diag_restriction" not in classify(psi):
+        raise NotDDR("the recursion expands DDR parameters")
+    if eps is not None:
+        _check_length(psi, eps)
+        if not in_character_space(eps, psi, S_GT_HAT_SIGMA0):
+            raise DomainError(
+                "eps must satisfy the character product condition")
 
 
 def _require_compound(blk: JordanBlock) -> Tuple[HalfInt, HalfInt, int]:
@@ -281,11 +232,7 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
     eta with the printed coefficient.  When the raised base would exceed
     the top and the block's character value is -1 the C-terms vanish.
     """
-    if "discrete_diag_restriction" not in classify(psi):
-        raise NotDDR("the recursion expands DDR parameters")
-    _check_length(psi, eps)
-    if not in_character_space(eps, psi, S_GT_HAT_SIGMA0):
-        raise DomainError("eps must satisfy the character product condition")
+    _check_ddr(psi, eps)
     blk = _find_instance(psi, chosen)
     A, B, zeta = _require_compound(blk)
     eta0 = value_at(psi, eps, chosen)
@@ -309,8 +256,7 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
 def packet_recursion_expand(psi: ArthurParameter,
                             chosen: Instance) -> FormalSum:
     """Expand one compound block at the stable-packet level."""
-    if "discrete_diag_restriction" not in classify(psi):
-        raise NotDDR("the recursion expands DDR parameters")
+    _check_ddr(psi, None)
     blk = _find_instance(psi, chosen)
     A, B, zeta = _require_compound(blk)
     gap = int(A - B) + 1
@@ -343,7 +289,9 @@ def packet_expand_fully(psi: ArthurParameter,
     they entered, off the work and expands its first compound block;
     more than limit steps raise.  The heap keeps each entry's str key;
     an entry whose term has since cancelled or re-entered is skipped.
+    The input is checked once, as the one-block recursions check theirs.
     """
+    _check_ddr(psi, eps)
     work: Dict[BasisTerm, int] = {}
     # term -> number of its live entry, so that distinct terms of equal
     # str (rho labels sharing an id) keep the order they entered in
@@ -457,16 +405,13 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
 
 def twist_by_orientation(term: BasisTerm) -> BasisTerm:
     """Multiply a term's character data by the orientation character of
-    its own core parameter."""
-    psi = term.core.parameter()
-    tw = eps_zero(psi, MULT)
-    lookup: Dict[tuple, List[int]] = {}
-    for (inst, sg) in zip(psi.instances(), tw.signs):
-        lookup.setdefault(inst[0].key(), []).append(sg)
-    entries = []
-    for blk, sg in term.core.entries:
-        t = lookup[blk.key()][0]
-        entries.append((blk, sg if sg is None else sg * t))
-    return BasisTerm(term.ops, CoreLabel(term.core.group,
+    its own core parameter: -1 on the odd-dimensional blocks of an even
+    orthogonal group."""
+    core = term.core
+    if core.group.kind != SO_EVEN:
+        return term
+    entries = [(blk, sg if sg is None or blk.dim % 2 == 0 else -sg)
+               for blk, sg in core.entries]
+    return BasisTerm(term.ops, CoreLabel(core.group,
                                          tuple(sorted(entries,
                                                       key=_entry_key))))

@@ -546,15 +546,6 @@ def elementary_delta(blk: JordanBlock) -> int:
     return blk.zeta_resolved()
 
 
-def elementary_jord_rho(psi: ArthurParameter, rho: RhoLabel) -> Dict[int, int]:
-    """alpha -> delta for the rho-blocks of an elementary parameter."""
-    out = {}
-    for blk in psi.blocks:
-        if blk.rho.id == rho.id:
-            out[elementary_alpha(blk)] = elementary_delta(blk)
-    return out
-
-
 def elementary_block(rho: RhoLabel, alpha: int, delta: int) -> JordanBlock:
     if delta == PLUS:
         return JordanBlock(rho, alpha, 1, 1, PLUS)

@@ -170,9 +170,6 @@ def z_u(psi_p: ArthurParameter) -> PairSet:
 
 # -- the Moeglin vs Moeglin-Waldspurger comparison character -----------------
 
-ELEMENTARY = "elementary"
-DDR = "ddr"
-
 
 def _eps_m_mw_at(blk: JordanBlock, others: List[Tuple[JordanBlock, bool, bool]]
                  ) -> int:
@@ -245,18 +242,6 @@ def eps_m_mw_elementary(psi: ArthurParameter) -> SignVector:
         d = elementary_delta(blk)
         values.append(sign_pow(m) if d == PLUS else sign_pow(m + n))
     return SignVector(MULT, tuple(values))
-
-
-def eps_m_mw(psi: ArthurParameter, order_or_variant=None) -> SignVector:
-    """Dispatch on variant: a BlockOrder selects the general form, the
-    strings "ddr"/"elementary" the specialized ones."""
-    if isinstance(order_or_variant, BlockOrder):
-        return eps_m_mw_general(psi, order_or_variant)
-    if order_or_variant in (None, DDR):
-        return eps_m_mw_ddr(psi)
-    if order_or_variant == ELEMENTARY:
-        return eps_m_mw_elementary(psi)
-    raise DomainError(f"unknown variant {order_or_variant!r}")
 
 
 def eps_m_w(psi: ArthurParameter, order: BlockOrder) -> SignVector:

@@ -4,7 +4,8 @@ Each family checks one group of exact identities and returns
 ``(checks, failures)``.  The acceptance suite runs all but the two
 per-Levi Weyl families at ``FULL`` size, each from a fixed seed;
 ``arthurcalc selftest`` runs all of them at ``COMPACT`` size from one
-generator, in the order of ``FAMILIES``.
+generator, in the order of ``FAMILIES``, so a new family goes last and
+every earlier family keeps its draws.
 """
 
 from __future__ import annotations
@@ -17,22 +18,25 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import weyl as W
-from .charspace import (MULT, S_GT_HAT_SIGMA0, SignVector,
-                        enumerate_characters, enumerate_elements, pair,
-                        s_psi)
+from .charspace import (MULT, S_GT_HAT_SIGMA0, SignVector, cont,
+                        enumerate_characters, enumerate_elements, eps_zero,
+                        ext, pair, s_psi)
 from .endoscopy import sign_transfer_check
 from .errors import DomainError
-from .formal import endoscopic_sign_bookkeeping, packet_expand_fully
+from .formal import (FormalSum, ddr_recursion_expand,
+                     endoscopic_sign_bookkeeping, packet_expand_fully,
+                     twist_by_orientation)
 from .halfint import HalfInt, sign_pow
 from .labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
-from .packets import eta_constraint_check, packet_constituents
-from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, JordanBlock,
-                     classify, dominate, elementary_alpha, elementary_block,
-                     from_AB, make_parameter, max_p_order, min_p_order,
-                     natural_order, p_order)
+from .packets import eta_constraint_check, packet_constituents, translate_m_w
+from .params import (MINUS, PLUS, SO_EVEN, ArthurParameter, BlockOrder,
+                     JordanBlock, classify, dominate, elementary_alpha,
+                     elementary_block, from_AB, make_parameter, max_p_order,
+                     min_p_order, natural_order, p_order)
 from .segments import EpsMap, cuspidal_support, supercuspidal_test
 from .signs import (aubert_flip, beta_sign, eps_m_mw_ddr, eps_m_mw_elementary,
-                    eps_m_mw_general, eps_mw_w, s_ratio, theta_ratio_mw_w)
+                    eps_m_mw_general, eps_m_w, eps_mw_w, s_ratio,
+                    theta_ratio_mw_w)
 
 _RHO_POOL = [
     RhoLabel("r1", 1, ORTHOGONAL, QuadCharacter.of("u1")),
@@ -574,6 +578,57 @@ def _full_expansion(rng: random.Random, size: Size) -> Tuple[int, int]:
     return checks, failures
 
 
+def _m_w_translation(rng: random.Random, size: Size) -> Tuple[int, int]:
+    """Mœglin's labels against Arthur's through translate_m_w.  On pure
+    draws it refuses exactly where eps * eps^{M/W} differs between two
+    copies of a block and otherwise returns that product, injectively
+    and pairing with s_psi as <eps, s_psi> times the theta ratio; without
+    multiplicities it is multiplicative.  On DDR draws at the natural
+    order it equals eps * eps^{M/MW} * eps^{MW/W} with eps^{M/MW} in its
+    DDR form, and the orientation twist commutes with the character
+    recursion."""
+    laws: List[bool] = []
+    for n in range(100 if size.full else 10):
+        # small blocks on one rho make repeated blocks common
+        psi = random_pure_parameter(rng, 4, *((8, 3) if n % 2 else (3, 1)))
+        order = random_p_order(rng, psi)
+        insts, s = psi.instances(), s_psi(psi)
+        m_w, theta = eps_m_w(psi, order), theta_ratio_mw_w(psi, order)
+        chars = enumerate_characters(psi, S_GT_HAT_SIGMA0)
+        images = [translate_m_w(psi, eps, order) for eps in chars]
+        for eps, t in zip(chars, images):
+            prod = eps.pointwise(m_w)
+            split = any(p != q for (b, _), p in zip(insts, prod.signs)
+                        for (c, _), q in zip(insts, prod.signs) if b == c)
+            laws.append((t is None) == split)
+            if t is not None:
+                laws += [ext(psi, t) == prod, images.count(t) == 1,
+                         pair(ext(psi, t), s) == pair(eps, s) * theta]
+        if all(b.mult == 1 for b in psi.blocks):
+            laws += [t1.pointwise(t2) == cont(psi, e1.pointwise(e2))
+                     for (e1, t1), (e2, t2) in
+                     itertools.combinations_with_replacement(
+                         list(zip(chars, images))[:4], 2)]
+    for _ in range(100 if size.full else 10):
+        psi = random_ddr_parameter(rng, max_blocks=3, max_level=8)
+        order = natural_order(psi)
+        route = eps_m_mw_ddr(psi).pointwise(eps_mw_w(psi, order))
+        chars = enumerate_characters(psi, S_GT_HAT_SIGMA0)
+        for eps in chars:
+            t = translate_m_w(psi, eps, order)
+            laws.append(t is not None and ext(psi, t) == eps.pointwise(route))
+        chosen = next((inst for inst in psi.instances()
+                       if inst[0].A != inst[0].B), None)
+        if psi.group.kind == SO_EVEN and chosen is not None:
+            for eps in chars[:6]:
+                terms = ddr_recursion_expand(psi, eps, chosen).terms
+                twisted = eps.pointwise(eps_zero(psi))
+                laws.append(ddr_recursion_expand(psi, twisted, chosen) ==
+                            FormalSum({twist_by_orientation(t): c
+                                       for t, c in terms.items()}))
+    return len(laws), laws.count(False)
+
+
 # name -> family; `arthurcalc selftest` reports one failure count per name
 FAMILIES: Dict[str, Family] = {
     "sign_laws": _sign_laws,
@@ -589,4 +644,5 @@ FAMILIES: Dict[str, Family] = {
     "intersection_prop": _per_levi(W.verify_intersection_prop),
     "algebraic_identity": _per_levi(W.verify_algebraic_identity),
     "full_expansion": _full_expansion,
+    "m_w_translation": _m_w_translation,
 }

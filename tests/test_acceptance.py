@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Criteria 1-10 and 12 run the verification families of
+Criteria 1-10, 12 and 13 run the verification families of
 ``arthurcalc.testing`` at full size, each from its own seed;
 ``arthurcalc selftest`` runs the same families at compact size.  Every
 criterion runs at its stated size and tolerance (all checks here are
@@ -121,3 +121,11 @@ def test_criterion_12_full_expansion():
         random.Random(10**6 + 12), FULL)
     assert checks >= 100  # 60 stable expansions and their characters
     _report(12, checks, failures, started)
+
+
+def test_criterion_13_m_w_translation():
+    started = time.time()
+    checks, failures = FAMILIES["m_w_translation"](
+        random.Random(10**6 + 13), FULL)
+    assert checks >= 2000  # every shifted character of 200 draws
+    _report(13, checks, failures, started)

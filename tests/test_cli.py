@@ -113,6 +113,20 @@ def test_selftest_small():
     assert set(payload["failures"]) == set(FAMILIES)
 
 
+def test_readme_selftest_table_lists_the_registry():
+    # a family cannot land without its row in the README
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("| `selftest` key | acceptance criterion |")[1]
+    keys = []
+    for line in table.splitlines()[2:]:
+        if not line.startswith("| `"):
+            break
+        keys.append(line.split("`")[1])
+    assert keys == list(FAMILIES)
+
+
 @pytest.mark.parametrize("bound", ["1", "-1"])
 def test_selftest_rank_bound_below_catalog_usage(bound):
     # such a bound would report the Weyl families clean with no datum checked
