@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (AmbiguousChoice, DomainError, NotACharacter,
-                     NotElementary)
+                     NotElementary, TooLarge)
 from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, diagonal_restriction,
@@ -23,6 +23,13 @@ from .segments import (EpsMap, Segment, extends_cuspidal_chain,
                        supercuspidal_test)
 
 INFINITY = None  # sentinel for "no next block"
+
+# Largest sum of the sizes max(a, b) that construction_trace accepts.  A
+# case-2 step lowers one size by two, so the trace of one block of size
+# alpha nests about alpha / 2 levels, and writing it as JSON or a table
+# takes two frames a level.  The bound keeps that well below Python's
+# default recursion limit of 1000, with room for the callers' frames.
+MAX_TRACE_SIZE = 600
 
 SUPERCUSPIDAL_BASE = "supercuspidal_base"
 CASE2_SHIFT = "case2_shift"
@@ -151,6 +158,10 @@ def construction_trace(psi: ArthurParameter, eps,
     if set(eps.values) != {(b.rho.id, max(b.a, b.b))
                            for b in psi.blocks} or eps.product() != 1:
         raise NotACharacter("character must match the blocks with product 1")
+    total = sum(max(b.a, b.b) for b in psi.blocks)
+    if total > MAX_TRACE_SIZE:
+        raise TooLarge(f"sizes max(a, b) sum to {total}, above the trace "
+                       f"bound {MAX_TRACE_SIZE}")
 
     # the first rho, by id, whose sizes are not all cuspidal
     chains = _chains(psi)
@@ -190,12 +201,15 @@ def construction_trace(psi: ArthurParameter, eps,
     # now a == b + 2; the parities of the rho-sizes decide the sub-case
     parity = a % 2
 
-    if parity == 0 and b != 0:
-        # even sizes: flip the cuspidal chain below b and negate its signs
-        changes: Dict[int, Optional[Tuple[int, int]]] = {a: None}
-        vals = drop(eps, (rho.id, a))
+    if b > 1:
+        # flip the cuspidal chain in (parity, b] and negate its signs; odd
+        # sizes also drop size 1, where two embeddings meet in a common
+        # subrepresentation
+        gone = (a, 1) if parity else (a,)
+        changes: Dict[int, Optional[Tuple[int, int]]] = dict.fromkeys(gone)
+        vals = drop(eps, *((rho.id, al) for al in gone))
         for al in sizes:
-            if al <= b:
+            if parity < al <= b:
                 changes[al] = (al, -delta)
                 vals[(rho.id, al)] = -eps[(rho.id, al)]
         psi_minus = _with_sizes(psi, rho, changes)
@@ -205,31 +219,10 @@ def construction_trace(psi: ArthurParameter, eps,
         vals_p = drop(eps, (rho.id, a), (rho.id, b))
         child_prime = construction_trace(psi_prime, EpsMap(vals_p),
                                          case3ci_branch)
-        segs = (_seg(rho, (a - 1) * delta, delta),
+        segs = (_seg(rho, (a - 1) * delta, 0 if parity else delta),
                 _seg(rho, (a - 1) * delta, -(b - 1) * delta))
-        step = ConstructionStep(CASE3A, rho.id, segs, (),
-                                (child_minus, child_prime))
-        return ConstructionNode(psi, eps, step)
-
-    if parity == 1 and b != 1:
-        # odd sizes: two embeddings meet in a common subrepresentation
-        changes = {a: None, 1: None}
-        vals = drop(eps, (rho.id, a), (rho.id, 1))
-        for al in sizes:
-            if 1 < al <= b:
-                changes[al] = (al, -delta)
-                vals[(rho.id, al)] = -eps[(rho.id, al)]
-        psi_minus = _with_sizes(psi, rho, changes)
-        child_minus = construction_trace(psi_minus, EpsMap(vals),
-                                         case3ci_branch)
-        psi_prime = _with_sizes(psi, rho, {a: None, b: None})
-        vals_p = drop(eps, (rho.id, a), (rho.id, b))
-        child_prime = construction_trace(psi_prime, EpsMap(vals_p),
-                                         case3ci_branch)
-        segs = (_seg(rho, (a - 1) * delta, 0),
-                _seg(rho, (a - 1) * delta, -(b - 1) * delta))
-        step = ConstructionStep(CASE3B, rho.id, segs, (),
-                                (child_minus, child_prime))
+        step = ConstructionStep(CASE3B if parity else CASE3A, rho.id, segs,
+                                (), (child_minus, child_prime))
         return ConstructionNode(psi, eps, step)
 
     if (a, b) != (3, 1):

@@ -372,13 +372,6 @@ def classify(psi: ArthurParameter) -> frozenset:
 Instance = tuple[JordanBlock, int]
 
 
-@dataclass(frozen=True)
-class BlockOrder:
-    """A total order on Jord(psi_p) with multiplicity, smallest first."""
-
-    sequence: Tuple[Instance, ...]
-
-
 def _nested(x: JordanBlock, y: JordanBlock) -> bool:
     """True when condition (P) forces x above y."""
     if x.rho.id != y.rho.id or x.zeta is None or y.zeta is None:
@@ -386,22 +379,30 @@ def _nested(x: JordanBlock, y: JordanBlock) -> bool:
     return (x.zeta == y.zeta and x.A > y.A and x.B > y.B)
 
 
-def check_condition_p(order: BlockOrder) -> None:
-    seq = order.sequence
-    for i, (x, _) in enumerate(seq):
-        for j in range(i):
-            y = seq[j][0]
-            # y sits below x; (P) is violated when y should dominate x
-            if _nested(y, x):
-                raise OrderViolation(f"order puts {y} below nested {x}")
+@dataclass(frozen=True)
+class BlockOrder:
+    """An admissible total order on Jord(psi_p) with multiplicity,
+    smallest first: condition (P) is checked when the order is built."""
 
+    sequence: Tuple[Instance, ...]
 
-def satisfies_condition_p(order: BlockOrder) -> bool:
-    try:
-        check_condition_p(order)
-        return True
-    except OrderViolation:
-        return False
+    def __post_init__(self):
+        seq = self.sequence
+        for i, (x, _) in enumerate(seq):
+            for j in range(i):
+                y = seq[j][0]
+                # y sits below x; (P) is violated when y should dominate x
+                if _nested(y, x):
+                    raise OrderViolation(f"order puts {y} below nested {x}")
+
+    def positions(self, insts: Sequence[Instance]) -> Tuple[int, ...]:
+        """The place of each of insts in the order, which must list each
+        of them exactly once."""
+        pos = {inst: i for i, inst in enumerate(self.sequence)}
+        if len(pos) != len(self.sequence) or pos.keys() != set(insts):
+            raise DomainError(
+                "order does not enumerate the parameter's blocks")
+        return tuple(pos[inst] for inst in insts)
 
 
 def natural_order(psi: ArthurParameter) -> BlockOrder:
@@ -415,9 +416,7 @@ def natural_order(psi: ArthurParameter) -> BlockOrder:
     seq = sorted(psi.instances(),
                  key=lambda inst: (inst[0].rho.id, inst[0].A.twice,
                                    inst[0].B.twice, inst[0].zeta or 0))
-    order = BlockOrder(tuple(seq))
-    check_condition_p(order)
-    return order
+    return BlockOrder(tuple(seq))
 
 
 def _instance_key(inst: Instance):
@@ -448,22 +447,21 @@ def p_order(psi: ArthurParameter,
         chosen = pick(ready)
         seq.append(chosen)
         remaining.remove(chosen)
-    order = BlockOrder(tuple(seq))
-    check_condition_p(order)
-    return order
+    return BlockOrder(tuple(seq))
 
 
 def dominate(psi: ArthurParameter, order: BlockOrder,
              shifts: Optional[Dict[int, int]] = None,
              ensure_ddr: bool = False
              ) -> Tuple[ArthurParameter, BlockOrder]:
-    """Shift blocks (A, B) -> (A+T, B+T) along an admissible order.
+    """Shift blocks (A, B) -> (A+T, B+T) along an admissible order of
+    psi's blocks.
 
     shifts maps order positions to nonnegative integers T.  With
     ensure_ddr the shifts are chosen minimally so the result has discrete
     diagonal restriction and the shifted order is natural per rho.
     """
-    check_condition_p(order)
+    order.positions(psi.instances())  # raises unless the order is psi's
     seq = order.sequence
     if ensure_ddr:
         shifts = _minimal_ddr_shifts(seq)
@@ -483,7 +481,6 @@ def dominate(psi: ArthurParameter, order: BlockOrder,
 
     psi_gg = psi.with_blocks(new_seq)
     order_gg = BlockOrder(number_copies(new_seq))
-    check_condition_p(order_gg)
     if ensure_ddr and "discrete_diag_restriction" not in classify(psi_gg):
         raise NotDominating("minimal shifts failed to reach DDR")  # pragma: no cover
     return psi_gg, order_gg
@@ -559,9 +556,10 @@ def all_p_orders(psi: ArthurParameter, cap: int = 5040) -> List[BlockOrder]:
         raise DomainError("too many blocks for exhaustive order enumeration")
     out = []
     for perm in itertools.permutations(insts):
-        order = BlockOrder(tuple(perm))
-        if satisfies_condition_p(order):
-            out.append(order)
+        try:
+            out.append(BlockOrder(tuple(perm)))
+        except OrderViolation:
+            continue
         if len(out) > cap:
             raise DomainError("order enumeration exceeded cap")
     return out

@@ -4,12 +4,17 @@ Implements the pair sets Z_MW/W and Z(psi), the characters eps^{MW/W},
 eps^{M/MW} (in its elementary, DDR and general forms) and eps^{M/W},
 plus the sign-flip involution on elementary parameters and its
 bookkeeping signs.
+
+Every BlockOrder already satisfies condition (P), which is checked when
+the order is built.  The order-dependent functions read each instance's
+place off BlockOrder.positions, which refuses an order that does not
+list the parameter's instances exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .charspace import MULT, SignVector, vector_on_instances
 from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
@@ -17,9 +22,9 @@ from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
 from .halfint import sign_pow
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
-                     JordanBlock, check_condition_p, classify,
-                     elementary_alpha, elementary_block, elementary_delta,
-                     is_elementary, is_parity_pure, split_p_np)
+                     JordanBlock, classify, elementary_alpha, elementary_block,
+                     elementary_delta, is_elementary, is_parity_pure,
+                     split_p_np)
 
 
 @dataclass(frozen=True)
@@ -96,19 +101,12 @@ def _role_split(p: JordanBlock, q: JordanBlock
     return None
 
 
-def _check_order_matches(psi: ArthurParameter, order: BlockOrder) -> None:
-    if set(order.sequence) != set(psi.instances()):
-        raise DomainError("order does not enumerate the parameter's blocks")
-
-
 def z_mw_w(psi_p: ArthurParameter, order: BlockOrder) -> PairSet:
     """The unordered pair set controlling the two twisted normalizations."""
     if not is_parity_pure(psi_p):
         raise DomainError("pair sets are computed on the parity part")
-    check_condition_p(order)
-    _check_order_matches(psi_p, order)
     insts = psi_p.instances()
-    pos = {inst: i for i, inst in enumerate(order.sequence)}
+    pos = order.positions(insts)
     pairs = set()
     for i in range(len(insts)):
         for j in range(i + 1, len(insts)):
@@ -123,8 +121,8 @@ def z_mw_w(psi_p: ArthurParameter, order: BlockOrder) -> PairSet:
             if split is None:
                 continue
             x, y, swapped = split
-            xi, yi = (insts[j], insts[i]) if swapped else (insts[i], insts[j])
-            if _pair_in_z_mw_w(x, y, pos[xi] > pos[yi]):
+            xp, yp = (pos[j], pos[i]) if swapped else (pos[i], pos[j])
+            if _pair_in_z_mw_w(x, y, xp > yp):
                 pairs.add((i, j))
     return PairSet(len(insts), frozenset(pairs))
 
@@ -188,20 +186,17 @@ def _eps_m_mw_at(blk: JordanBlock, others: List[Tuple[JordanBlock, bool, bool]]
     return sign_pow(m) if _zeta(blk) == PLUS else sign_pow(m + n)
 
 
-def _eps_m_mw_by_height(psi: ArthurParameter,
-                        height: Callable[[Instance], int]) -> SignVector:
-    """eps^{M/MW} with "above" and "below" read off a height on the
-    instances, compared among the blocks of the same rho."""
-    insts = psi.instances()
+def _eps_m_mw_by_height(insts: Sequence[Instance],
+                        heights: Sequence[int]) -> SignVector:
+    """eps^{M/MW} with "above" and "below" read off the instances'
+    heights, compared among the blocks of the same rho."""
     values = []
-    for idx, inst in enumerate(insts):
-        blk, h = inst[0], height(inst)
+    for idx, ((blk, _), h) in enumerate(zip(insts, heights)):
         others = []
-        for jdx, oinst in enumerate(insts):
-            if jdx == idx or oinst[0].rho.id != blk.rho.id:
+        for jdx, ((oblk, _), oh) in enumerate(zip(insts, heights)):
+            if jdx == idx or oblk.rho.id != blk.rho.id:
                 continue
-            oh = height(oinst)
-            others.append((oinst[0], oh > h, oh < h))
+            others.append((oblk, oh > h, oh < h))
         values.append(_eps_m_mw_at(blk, others))
     return SignVector(MULT, tuple(values))
 
@@ -210,17 +205,17 @@ def eps_m_mw_general(psi: ArthurParameter, order: BlockOrder) -> SignVector:
     """General form: order-dependent counts on the same-rho odd blocks."""
     if not is_parity_pure(psi):
         raise DomainError("the comparison character lives on the parity part")
-    check_condition_p(order)
-    _check_order_matches(psi, order)
-    pos = {inst: i for i, inst in enumerate(order.sequence)}
-    return _eps_m_mw_by_height(psi, pos.__getitem__)
+    insts = psi.instances()
+    return _eps_m_mw_by_height(insts, order.positions(insts))
 
 
 def eps_m_mw_ddr(psi: ArthurParameter) -> SignVector:
     """DDR form: the order data is replaced by |a - b| comparisons."""
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("the DDR form needs discrete diagonal restriction")
-    return _eps_m_mw_by_height(psi, lambda inst: abs(inst[0].a - inst[0].b))
+    insts = psi.instances()
+    return _eps_m_mw_by_height(insts, tuple(abs(blk.a - blk.b)
+                                            for blk, _ in insts))
 
 
 def eps_m_mw_elementary(psi: ArthurParameter) -> SignVector:

@@ -305,6 +305,13 @@ def _transfer_sign(rng: random.Random, size: Size) -> Tuple[int, int]:
     return checks, failures
 
 
+def _along(psi: ArthurParameter, order: BlockOrder,
+           vec: SignVector) -> List[int]:
+    """vec's signs listed along the order, smallest first."""
+    return [sg for _, sg in sorted(zip(order.positions(psi.instances()),
+                                       vec.signs))]
+
+
 def _dominance(rng: random.Random, size: Size) -> Tuple[int, int]:
     """eps_M/MW is unchanged, position by position, by dominating shifts,
     explicit or chosen to reach discrete diagonal restriction."""
@@ -321,13 +328,9 @@ def _dominance(rng: random.Random, size: Size) -> Tuple[int, int]:
                 continue  # the shifts break the order
         else:
             psi_gg, order_gg = dominate(psi, order, ensure_ddr=True)
-        before = eps_m_mw_general(psi, order)
-        after = eps_m_mw_general(psi_gg, order_gg)
-        for pos in range(len(order.sequence)):
-            i = psi.instances().index(order.sequence[pos])
-            j = psi_gg.instances().index(order_gg.sequence[pos])
-            if before.signs[i] != after.signs[j]:
-                failures += 1
+        before = _along(psi, order, eps_m_mw_general(psi, order))
+        after = _along(psi_gg, order_gg, eps_m_mw_general(psi_gg, order_gg))
+        failures += sum(x != y for x, y in zip(before, after))
         checks += 1
     return checks, failures
 

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from arthurcalc.charspace import (CLASS, MULT, S_GT_HAT, S_GT_HAT_SIGMA0,
-                                  S_HAT, S_HAT_SIGMA0, SignVector, cont,
-                                  constant, enumerate_characters,
+from arthurcalc.charspace import (CLASS, MULT, S_GT_HAT_SIGMA0, SignVector,
+                                  cont, constant, enumerate_characters,
                                   enumerate_elements, eps_zero, ext,
                                   in_character_space, in_element_space, pair,
                                   s_psi, s_zero)

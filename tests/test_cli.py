@@ -296,6 +296,40 @@ def test_non_integer_order_entry_usage_error(order):
     assert "order array" in err
 
 
+def test_file_order_breaking_p_refused_before_parity_check():
+    # (6,2) below the nested (3,1) breaks (P); the (2,1) pair lies outside
+    # the parity part, which the pair sets would refuse next
+    payload = {"group": {"kind": "Sp", "n": 9},
+               "blocks": [_block(a=6, b=2), _block(),
+                          _block(a=2, b=1, mult=2)],
+               "order": [3, 2, 0, 1]}
+    rc, out = run_cli(["signs", json.dumps(payload), "--order", "file"])
+    assert rc == 1
+    assert json.loads(out)["type"] == "OrderViolation"
+
+
+def _one_block_sp(alpha):
+    return json.dumps({"group": {"kind": "Sp", "n": (alpha - 1) // 2},
+                       "blocks": [_block(a=alpha)]})
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_elementary_trace_size_bound(fmt):
+    # one case-2 step per lowering of alpha by two, down to alpha = 1
+    rc, out = run_cli(["elementary-trace", _one_block_sp(599), "--eps=+",
+                       "--format", fmt])
+    assert rc == 0
+    assert out.count("case2_shift") == 299
+    for alpha in (601, 1001):
+        rc, out = run_cli(["elementary-trace", _one_block_sp(alpha),
+                           "--eps=+", "--format", fmt])
+        assert rc == 1
+        if fmt == "json":
+            assert json.loads(out)["type"] == "TooLarge"
+        else:
+            assert out.splitlines()[-1] == "type: TooLarge"
+
+
 def test_signs_reads_and_parses_its_input_once(monkeypatch):
     opened, parsed = [], []
     real_open = open

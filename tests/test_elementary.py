@@ -9,9 +9,9 @@ from arthurcalc.elementary import (CASE2_SHIFT, CASE3A, CASE3B, CASE3C_I,
 from arthurcalc.errors import (AmbiguousChoice, NotACharacter,
                                NotElementary, UnresolvedZeta)
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
-from arthurcalc.params import (MINUS, PLUS, JordanBlock, classify,
-                               diagonal_restriction, elementary_alpha,
-                               elementary_block, make_parameter)
+from arthurcalc.params import (MINUS, PLUS, JordanBlock, diagonal_restriction,
+                               elementary_alpha, elementary_block,
+                               make_parameter)
 from arthurcalc.segments import EpsMap, supercuspidal_test
 from arthurcalc.signs import aubert_flip
 from arthurcalc.testing import random_elementary

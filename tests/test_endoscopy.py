@@ -9,7 +9,7 @@ from arthurcalc.endoscopy import (elliptic_datum, eta_block,
 from arthurcalc.errors import BadDimensionSplit, NotApplicable
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from arthurcalc.params import (PLUS, JordanBlock, SO_EVEN, SO_ODD, SP,
-                               make_parameter, natural_order)
+                               make_parameter)
 from arthurcalc.testing import random_p_order, random_pure_parameter
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL, QuadCharacter.of("g"))

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from arthurcalc.charspace import (CLASS, MULT, SignVector,
-                                  enumerate_characters, S_GT_HAT_SIGMA0,
-                                  eps_zero, ext)
+from arthurcalc.charspace import (MULT, SignVector, enumerate_characters,
+                                  S_GT_HAT_SIGMA0, eps_zero)
 from arthurcalc.errors import OutOfRange
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
@@ -14,9 +13,8 @@ from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair, _gaps,
                                 equiv_sigma0, eta0, eta_constraint_check,
                                 l_range_max, packet_constituents,
                                 translate_m_w)
-from arthurcalc.params import (MINUS, PLUS, ArthurParameter, GroupForm,
-                               JordanBlock, SO_EVEN, classify, from_AB,
-                               make_parameter, natural_order)
+from arthurcalc.params import (PLUS, JordanBlock, SO_EVEN, classify, from_AB,
+                               make_parameter)
 from arthurcalc.testing import (_ddr_grid, random_p_order,
                                 random_pure_parameter)
 

@@ -15,8 +15,7 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
                                GroupForm, JordanBlock, block_parity, classify,
                                diagonal_restriction, dominate, from_AB,
                                make_parameter, natural_order, number_copies,
-                               phi_psi, satisfies_condition_p, split_p_np, SP,
-                               SO_EVEN, SO_ODD)
+                               phi_psi, split_p_np, SP, SO_EVEN, SO_ODD)
 from arthurcalc.testing import (COMPACT, FAMILIES, random_pure_parameter,
                                 random_p_order)
 
@@ -285,9 +284,21 @@ def test_condition_p_validator():
     big = JordanBlock(RHO, 6, 2)    # A=3, B=2
     small = JordanBlock(RHO, 3, 1)  # A=1, B=1
     good = BlockOrder(((small, 0), (big, 0)))
-    bad = BlockOrder(((big, 0), (small, 0)))
-    assert satisfies_condition_p(good)
-    assert not satisfies_condition_p(bad)
+    assert good.sequence == ((small, 0), (big, 0))
+    with pytest.raises(OrderViolation):
+        BlockOrder(((big, 0), (small, 0)))
+
+
+def test_block_order_positions():
+    psi = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
+                          JordanBlock(RHO, 1, 1, 1, PLUS)])
+    i0, i1 = psi.instances()
+    assert BlockOrder((i1, i0)).positions((i0, i1)) == (1, 0)
+    for order in (BlockOrder((i0,)), BlockOrder((i0, i1, i1)),
+                  BlockOrder((i0, (JordanBlock(RHO, 3, 1), 0)))):
+        with pytest.raises(DomainError,
+                           match="enumerate the parameter's blocks"):
+            order.positions((i0, i1))
 
 
 def test_dominate_spec_examples():
@@ -324,6 +335,13 @@ def test_dominate_order_violation():
         dominate(psi, order, shifts={0: 5})
 
 
+def test_dominate_refuses_another_parameters_order():
+    psi = make_parameter([JordanBlock(RHO, 3, 1)])
+    other = make_parameter([JordanBlock(RHO, 5, 1)])
+    with pytest.raises(DomainError, match="enumerate the parameter's blocks"):
+        dominate(psi, natural_order(other), {0: 1})
+
+
 def test_dominate_negative_shift():
     psi = make_parameter([from_AB(RHO, HalfInt(4), HalfInt(2), PLUS)])
     with pytest.raises(NotDominating):
@@ -353,7 +371,8 @@ def test_ensure_ddr_always_lands_in_ddr():
         order = random_p_order(rng, psi)
         gg, order_gg = dominate(psi, order, ensure_ddr=True)
         assert "discrete_diag_restriction" in classify(gg)
-        assert satisfies_condition_p(order_gg)
+        # (P) holds: building the order again does not raise
+        BlockOrder(order_gg.sequence)
 
 
 def test_phi_psi_spec_examples():

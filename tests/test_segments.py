@@ -8,8 +8,7 @@ from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, JordanBlock, from_AB,
                                make_parameter)
 from arthurcalc.segments import (EVEN_MIN, GAP, NONE, PAIR, EpsMap,
-                                 GeneralizedSegment, Segment,
-                                 cuspidal_reducibility_point,
+                                 GeneralizedSegment, cuspidal_reducibility_point,
                                  cuspidal_support, jac_chain_possible,
                                  jac_multiplicity_bound, parabolic_reduce_step,
                                  shift_matrix, speh_matrix,

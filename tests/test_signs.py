@@ -3,8 +3,7 @@ import random
 import pytest
 
 from arthurcalc.charspace import SignVector, MULT, pair, s_psi
-from arthurcalc.errors import MixedParity, NotElementary, UnresolvedZeta
-from arthurcalc.halfint import HalfInt
+from arthurcalc.errors import DomainError, OrderViolation, UnresolvedZeta
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, BlockOrder, JordanBlock,
                                all_p_orders, classify, dominate,
@@ -52,6 +51,16 @@ def test_z_mw_w_needs_zeta():
     insts = psi.instances()
     with pytest.raises(UnresolvedZeta):
         z_mw_w(psi, BlockOrder(tuple(insts)))
+
+
+def test_order_that_repeats_an_instance_is_refused():
+    psi = _psi_22_11()
+    i0, i1 = psi.instances()
+    order = BlockOrder((i0, i0, i1))
+    with pytest.raises(DomainError, match="enumerate the parameter's blocks"):
+        z_mw_w(psi, order)
+    with pytest.raises(DomainError, match="enumerate the parameter's blocks"):
+        eps_m_mw_general(psi, order)
 
 
 def test_eps_mw_w_spec_examples():
@@ -305,9 +314,9 @@ def test_z_mw_w_shift_oracle_against_sup_inf_set():
             psi2 = make_parameter(blocks)
         except Exception:
             continue
-        order2 = BlockOrder(tuple(new_seq))
-        from arthurcalc.params import satisfies_condition_p
-        if not satisfies_condition_p(order2):
+        try:
+            order2 = BlockOrder(tuple(new_seq))
+        except OrderViolation:
             continue
         before = z_mw_w(psi, order)
         after = z_mw_w(psi2, order2)
