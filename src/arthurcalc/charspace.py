@@ -65,6 +65,14 @@ class SignVector:
         return "".join("+" if s == 1 else "-" for s in self.signs)
 
 
+def check_length(psi: ArthurParameter, v: SignVector) -> None:
+    """Refuse a vector without one sign per block instance of psi."""
+    n = sum(blk.mult for blk in psi.blocks)
+    if len(v.signs) != n:
+        raise SupportMismatch(
+            f"{len(v.signs)} signs given for {n} block instances")
+
+
 def constant(psi: ArthurParameter, support: str, sign: int = 1) -> SignVector:
     n = len(psi.instances()) if support == MULT else len(psi.classes())
     return SignVector(support, (sign,) * n)

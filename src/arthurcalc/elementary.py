@@ -22,8 +22,6 @@ from .params import (MINUS, PLUS, ArthurParameter, diagonal_restriction,
 from .segments import (EpsMap, Segment, extends_cuspidal_chain,
                        supercuspidal_test)
 
-INFINITY = None  # sentinel for "no next block"
-
 # Largest sum of the sizes max(a, b) that construction_trace accepts.  A
 # case-2 step lowers one size by two, so the trace of one block of size
 # alpha nests about alpha / 2 levels, and writing it as JSON or a table

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0,
+from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0, check_length,
                         in_character_space, pair, s_psi, value_at)
-from .errors import DomainError, NoCompoundBlock, NotDDR, SupportMismatch
+from .errors import DomainError, NoCompoundBlock, NotDDR
 from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
                      JordanBlock, classify, from_AB)
@@ -54,13 +54,6 @@ def _entry_key(entry: Tuple[JordanBlock, Optional[int]]):
     return entry[0].key(), entry[1] or 0
 
 
-def _check_length(psi: ArthurParameter, v: SignVector) -> None:
-    n = sum(blk.mult for blk in psi.blocks)
-    if len(v.signs) != n:
-        raise SupportMismatch(
-            f"{len(v.signs)} signs given for {n} block instances")
-
-
 @dataclass(frozen=True)
 class CoreLabel:
     """A parameter with an optional character value on every block.
@@ -86,7 +79,7 @@ class CoreLabel:
         if signs is None:
             ent = tuple((blk, None) for blk, _ in insts)
         else:
-            _check_length(psi, signs)
+            check_length(psi, signs)
             ent = tuple((blk, sg) for (blk, _), sg in zip(insts, signs.signs))
         return CoreLabel(psi.group, tuple(sorted(ent, key=_entry_key)))
 
@@ -170,7 +163,7 @@ def _check_ddr(psi: ArthurParameter, eps: Optional[SignVector]) -> None:
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("the recursion expands DDR parameters")
     if eps is not None:
-        _check_length(psi, eps)
+        check_length(psi, eps)
         if not in_character_space(eps, psi, S_GT_HAT_SIGMA0):
             raise DomainError(
                 "eps must satisfy the character product condition")
@@ -341,7 +334,7 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     """
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("bookkeeping is checked on DDR parameters")
-    _check_length(psi, s)
+    check_length(psi, s)
     blk = _find_instance(psi, chosen)
     A, B, zeta = _require_compound(blk)
     rho = blk.rho

@@ -70,11 +70,6 @@ class HalfInt:
         return f"HalfInt({self})"
 
 
-ZERO = HalfInt(0)
-HALF = HalfInt(1)
-ONE = HalfInt(2)
-
-
 def sign_pow(exponent: int) -> int:
     """(-1)**exponent for an integer exponent."""
     return -1 if exponent % 2 else 1

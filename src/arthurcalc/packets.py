@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .charspace import (CLASS, MULT, S_GT_HAT_SIGMA0, SignVector,
-                        in_character_space, vector_on_instances)
-from .errors import DomainError, NotACharacter, OutOfRange, TooLarge
+                        check_length, in_character_space,
+                        vector_on_instances)
+from .errors import (DomainError, NotACharacter, OutOfRange, SupportMismatch,
+                     TooLarge)
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, BlockOrder, JordanBlock,
                      classify)
@@ -95,19 +97,31 @@ def enumerate_l_eta(psi: ArthurParameter,
     The filter compares pointwise, so single signs outside the character
     space can be requested (useful for per-block censuses).
     """
-    return _enumerate(_gaps(psi), filter_eps, bound)
+    return _pairs([admissible for _, admissible
+                   in _admissible(psi, filter_eps, bound)])
 
 
-def _enumerate(gaps: Tuple[int, ...], filter_eps: Optional[SignVector],
-               bound: int) -> List[LEtaPair]:
+def _admissible(psi: ArthurParameter, eps: Optional[SignVector], bound: int
+                ) -> List[Tuple[int, List[Tuple[int, int]]]]:
+    """Per block instance, A - B + 1 and the (l, eta) in range there whose
+    character value is the sign of eps (every one when eps is None)."""
+    if eps is not None:
+        if eps.support != MULT:
+            raise SupportMismatch(
+                f"eps has {eps.support} support where {MULT} is needed")
+        check_length(psi, eps)
+    gaps = _gaps(psi)
     if len(gaps) > bound:
         raise TooLarge(f"{len(gaps)} blocks exceeds bound {bound}")
-    per_block = []
-    for idx, gap in enumerate(gaps):
-        per_block.append([
-            (l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
-            if filter_eps is None
-            or _block_eps(gap, l, eta) == filter_eps.signs[idx]])
+    signs = (None,) * len(gaps) if eps is None else eps.signs
+    return [(gap, [(l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
+                   if sign is None or _block_eps(gap, l, eta) == sign])
+            for gap, sign in zip(gaps, signs)]
+
+
+def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
+    """The pairs whose (l, eta) at each block is one of its entries in
+    per_block, in product order."""
     # zip(*()) is empty: a parameter without blocks has one empty pair
     return [LEtaPair(*zip(*combo)) if combo else LEtaPair((), ())
             for combo in itertools.product(*per_block)]
@@ -180,18 +194,21 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     realized; otherwise the census lists labels whose nonvanishing is
     not decided here.
     """
-    gaps = _gaps(psi)
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
-    # pairs are _sigma0_equal exactly when they share l and eta set to +1
-    # wherever 2l = A - B + 1; a dict keeps the classes in first-seen order
-    classes: Dict[tuple, List[LEtaPair]] = {}
-    for pair in _enumerate(gaps, eps, ENUM_BOUND):
-        key = (pair.l, tuple(1 if 2 * l == gap else eta
-                             for gap, l, eta in zip(gaps, pair.l, pair.eta)))
-        classes.setdefault(key, []).append(pair)
-    return [ConstituentClass(cls[0], tuple(cls), status)
-            for cls in classes.values()]
+    # pairs are _sigma0_equal exactly when they share l, and eta wherever
+    # 2l != A - B + 1; so the classes at one block are its (l, eta) with
+    # the two etas of a free l together, and a class of psi picks one at
+    # every block.  Product order keeps the classes in first-seen order.
+    per_block = []
+    for gap, admissible in _admissible(psi, eps, ENUM_BOUND):
+        classes: Dict[object, List[Tuple[int, int]]] = {}
+        for l, eta in admissible:
+            classes.setdefault(l if 2 * l == gap else (l, eta),
+                               []).append((l, eta))
+        per_block.append(list(classes.values()))
+    return [ConstituentClass(members[0], tuple(members), status)
+            for members in map(_pairs, itertools.product(*per_block))]
 
 
 def translate_m_w(psi: ArthurParameter, eps: SignVector,

@@ -127,6 +127,14 @@ class JordanBlock:
     def key(self):
         return (self.rho.sort_key(), self.a, self.b, _ZETA_CHAR[self.zeta])
 
+    @cached_property
+    def flip_partner(self) -> "JordanBlock":
+        """The elementary block (rho, alpha, -delta) that the sign flip
+        puts in place of this one, built on first use; see the README on
+        concurrency."""
+        return elementary_block(self.rho, elementary_alpha(self),
+                                -elementary_delta(self))
+
     def __str__(self) -> str:
         z = _ZETA_CHAR[self.zeta]
         m = f" x{self.mult}" if self.mult > 1 else ""
@@ -145,12 +153,11 @@ def from_AB(rho: RhoLabel, A: HalfInt, B: HalfInt, zeta: int,
 
 def block_parity(block: JordanBlock) -> Optional[str]:
     """Orthogonal/symplectic type of a block, None when rho is not self-dual."""
-    if not block.rho.is_self_dual():
+    rho_type = block.rho.self_dual_type
+    if rho_type == NOT_SELF_DUAL:
         return None
     even = (block.a + block.b) % 2 == 0
-    if block.rho.self_dual_type == ORTHOGONAL:
-        return ORTHOGONAL if even else SYMPLECTIC
-    return ORTHOGONAL if not even else SYMPLECTIC
+    return ORTHOGONAL if even == (rho_type == ORTHOGONAL) else SYMPLECTIC
 
 
 @dataclass(frozen=True)
@@ -165,10 +172,10 @@ class ArthurParameter:
         total = 0
         self_dual = True
         for blk in self.blocks:
-            rho = blk.rho
+            rho, a, b, mult = blk.rho, blk.a, blk.b, blk.mult
+            sd_type = rho.self_dual_type
             # key() flattened: it sorts in the same order
-            key = (rho.id, rho.dim, rho.self_dual_type, blk.a, blk.b,
-                   _ZETA_CHAR[blk.zeta])
+            key = (rho.id, rho.dim, sd_type, a, b, _ZETA_CHAR[blk.zeta])
             old = merged.get(key)
             if old is None:
                 merged[key] = blk
@@ -176,12 +183,11 @@ class ArthurParameter:
                 if old.rho != rho:
                     raise DomainError(
                         f"label id {rho.id!r} used inconsistently")
-                merged[key] = replace(old, mult=old.mult + blk.mult)
-            total += blk.mult * blk.a * blk.b * rho.dim
-            self_dual = self_dual and rho.self_dual_type != NOT_SELF_DUAL
-        # the keys are distinct, so sorting never compares two blocks
+                merged[key] = replace(old, mult=old.mult + mult)
+            total += mult * a * b * rho.dim
+            self_dual = self_dual and sd_type != NOT_SELF_DUAL
         object.__setattr__(self, "blocks",
-                           tuple(blk for _, blk in sorted(merged.items())))
+                           tuple([merged[key] for key in sorted(merged)]))
         if total != self.group.N:
             raise DomainError(
                 f"blocks sum to {total}, expected N = {self.group.N}")
@@ -221,15 +227,18 @@ class ArthurParameter:
         concurrency."""
         target = self.group.dual_parity
         tempered = mult_free = pure = elementary = True
-        for b in self.blocks:
-            tempered = tempered and b.b == 1
-            mult_free = mult_free and b.mult == 1
-            pure = pure and block_parity(b) == target
-            elementary = elementary and min(b.a, b.b) == 1  # A == B
+        segments = []
+        for blk in self.blocks:
+            a, b = blk.a, blk.b
+            tempered = tempered and b == 1
+            mult_free = mult_free and blk.mult == 1
+            pure = pure and block_parity(blk) == target
+            elementary = elementary and (a == 1 or b == 1)  # A == B
+            segments.append((blk.rho.id, abs(a - b), a + b - 2))
         flags = set()
         if tempered:
             flags.add("tempered")
-        if pure and mult_free and _per_rho_segments_disjoint(self):
+        if pure and mult_free and _per_rho_segments_disjoint(segments):
             flags.add("discrete_diag_restriction")
             if elementary:
                 flags.add("elementary")
@@ -345,19 +354,14 @@ def diagonal_restriction(psi: ArthurParameter) -> ArthurParameter:
     return ArthurParameter(psi.group, tuple(merged.values()))
 
 
-def _per_rho_segments_disjoint(psi: ArthurParameter) -> bool:
-    """Whether the segments (2B, 2A) = (|a - b|, a + b - 2) of each rho are
-    pairwise disjoint; called only when every block has multiplicity 1."""
-    by_rho: Dict[str, List[Tuple[int, int]]] = {}
-    for blk in psi.blocks:
-        by_rho.setdefault(blk.rho.id, []).append(
-            (abs(blk.a - blk.b), blk.a + blk.b - 2))
-    for segs in by_rho.values():
-        segs.sort()
-        for (_, a1), (b2, _) in zip(segs, segs[1:]):
-            if b2 <= a1:
-                return False
-    return True
+def _per_rho_segments_disjoint(segments: List[Tuple[str, int, int]]
+                               ) -> bool:
+    """Whether the segments (2B, 2A) = (|a - b|, a + b - 2), given as
+    (rho id, 2B, 2A) and sorted in place, of each rho are pairwise
+    disjoint; called only when every block has multiplicity 1."""
+    segments.sort()
+    return all(r1 != r2 or b2 > a1
+               for (r1, _, a1), (r2, b2, _) in zip(segments, segments[1:]))
 
 
 def classify(psi: ArthurParameter) -> frozenset:
@@ -528,7 +532,7 @@ def phi_psi(psi: ArthurParameter) -> Tuple[Tuple[RhoLabel, HalfInt, int, int], .
 # -- elementary view ---------------------------------------------------------
 
 def is_elementary(psi: ArthurParameter) -> bool:
-    return "elementary" in classify(psi)
+    return "elementary" in psi._flags
 
 
 def elementary_alpha(blk: JordanBlock) -> int:

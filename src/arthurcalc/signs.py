@@ -22,9 +22,8 @@ from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
 from .halfint import sign_pow
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
-                     JordanBlock, classify, elementary_alpha, elementary_block,
-                     elementary_delta, is_elementary, is_parity_pure,
-                     split_p_np)
+                     JordanBlock, classify, elementary_alpha, elementary_delta,
+                     is_elementary, is_parity_pure, split_p_np)
 
 
 @dataclass(frozen=True)
@@ -252,14 +251,10 @@ def aubert_flip(psi: ArthurParameter, rho: RhoLabel, x0: int,
     if not is_elementary(psi):
         raise NotElementary("the flip is defined on elementary parameters")
     top = x0 if strict else x0 + 1
-    new = []
-    for blk in psi.blocks:
-        # on an elementary parameter alpha = max(a, b)
-        if blk.rho.id == rho.id and max(blk.a, blk.b) < top:
-            blk = elementary_block(blk.rho, max(blk.a, blk.b),
-                                   -elementary_delta(blk))
-        new.append(blk)
-    return ArthurParameter(psi.group, tuple(new))
+    # on an elementary parameter alpha = max(a, b)
+    return ArthurParameter(psi.group, tuple([
+        blk.flip_partner if blk.rho.id == rho.id and max(blk.a, blk.b) < top
+        else blk for blk in psi.blocks]))
 
 
 def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:
@@ -268,7 +263,7 @@ def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:
         raise NotElementary("beta is defined on elementary parameters")
     # on an elementary parameter alpha = max(a, b)
     alphas = [max(b.a, b.b) for b in psi.blocks if b.rho.id == rho.id]
-    if len({alpha % 2 for alpha in alphas}) > 1:
+    if any((alpha - alphas[0]) % 2 for alpha in alphas):
         raise MixedParity(f"rho {rho.id} mixes odd and even sizes")
     below = [alpha for alpha in alphas if alpha < x0]
     if not below:

@@ -1,9 +1,18 @@
-"""Every module under src/ and tests/ uses each name it imports."""
+"""Every module under src/ and tests/ uses each name it imports, and
+every module-level constant under src/ is read somewhere."""
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+# constants kept although nothing reads them, each with its reason
+UNREAD_CONSTANTS = {
+    "S_HAT_SIGMA0": "names one of the four character spaces that "
+                    "in_character_space and enumerate_characters accept",
+}
 
 
 def _unused_imports(path):
@@ -27,3 +36,44 @@ def test_no_unused_imports():
     assert len(modules) > 20
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _constants(tree):
+    """The UPPER_CASE names a module assigns at its top level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
+                yield target.id, node.lineno
+
+
+def _references(tree):
+    """Every name a module reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unread_constants():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted([*ROOT.glob("src/**/*.py"),
+                                 *ROOT.glob("tests/**/*.py"),
+                                 *ROOT.glob("bench/**/*.py")])}
+    read = {name for tree in trees.values() for name in _references(tree)}
+    defined = [(f"{path.relative_to(ROOT)}:{line}", name)
+               for path, tree in trees.items()
+               if path.is_relative_to(ROOT / "src")
+               for name, line in _constants(tree)]
+    assert len(defined) > 30
+    unread = [f"{where}: {name}" for where, name in defined
+              if name not in read and name not in UNREAD_CONSTANTS]
+    assert unread == []

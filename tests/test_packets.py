@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from arthurcalc.charspace import (MULT, SignVector, enumerate_characters,
-                                  S_GT_HAT_SIGMA0, eps_zero)
-from arthurcalc.errors import OutOfRange
+from arthurcalc.charspace import (CLASS, MULT, SignVector,
+                                  enumerate_characters, S_GT_HAT_SIGMA0,
+                                  eps_zero)
+from arthurcalc.errors import OutOfRange, SupportMismatch
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair, _gaps,
@@ -244,6 +245,25 @@ def test_enumeration_bound():
     psi = make_parameter(blocks)
     with _pytest.raises(TooLarge):
         enumerate_l_eta(psi, bound=4)
+
+
+@pytest.mark.parametrize("support,signs,message", [
+    (MULT, (1, 1), "2 signs given for 3 block instances"),
+    (MULT, (1, 1, 1, 1), "4 signs given for 3 block instances"),
+    (CLASS, (1, 1, 1), "eps has class support where mult is needed"),
+], ids=["short", "long", "class"])
+def test_eps_off_the_instances_is_refused(support, signs, message):
+    psi = make_parameter([JordanBlock(RHO, 5, 1), JordanBlock(RHO, 1, 3),
+                          JordanBlock(RHO, 1, 1, 1, PLUS)])
+    eps = SignVector(support, signs)
+    for call in (packet_constituents, enumerate_l_eta):
+        with pytest.raises(SupportMismatch, match=f"^{message}$"):
+            call(psi, eps)
+    # refused before the enumeration bound is looked at
+    big = make_parameter([from_AB(RHO, HalfInt(2 * k), HalfInt(2 * k), PLUS)
+                          for k in range(8)])
+    with pytest.raises(SupportMismatch):
+        enumerate_l_eta(big, SignVector(support, signs), bound=2)
 
 
 def test_translate_m_w_compatible_with_products():

@@ -196,6 +196,88 @@ def _reference_flags(psi):
     return frozenset(flags)
 
 
+def _reference_construct(group, blocks):
+    """The constructor's result from its definition: the merged blocks in
+    key order, or the (class, message) of the first check that fails;
+    merge, total dimension, dual pairs."""
+    merged = {}
+    for blk in blocks:
+        old = merged.get(blk.key())
+        if old is None:
+            merged[blk.key()] = blk
+        elif old.rho != blk.rho:
+            return DomainError, f"label id {blk.rho.id!r} used inconsistently"
+        else:
+            merged[blk.key()] = replace(old, mult=old.mult + blk.mult)
+    out = tuple(blk for _, blk in sorted(merged.items()))
+    total = sum(blk.mult * blk.dim for blk in blocks)
+    if total != group.N:
+        return DomainError, f"blocks sum to {total}, expected N = {group.N}"
+    counts = {(blk.rho.id, blk.a, blk.b): blk.mult for blk in out
+              if not blk.rho.is_self_dual()}
+    for (rid, a, b), mult in counts.items():
+        if counts.get((RhoLabel(rid, 1, NOT_SELF_DUAL).dual().id, a, b)) \
+                != mult:
+            return OddLeftover, (f"non-self-dual block ({rid},{a},{b}) "
+                                 "lacks a dual partner")
+    return out
+
+
+def _random_block_list(rng):
+    """Blocks over self-dual, non-self-dual and clashing labels, with
+    duplicates, mostly paired duals, in shuffled order."""
+    tau = RhoLabel("tau", 2, NOT_SELF_DUAL)
+    pool = [RHO, RHO, RHO2, tau, tau.dual()]
+    blocks = []
+    for _ in range(rng.randint(0, 5)):
+        rho = rng.choice(pool)
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        zeta = rng.choice((PLUS, MINUS, None)) if a == b else None
+        blk = JordanBlock(rho, a, b, rng.randint(1, 2), zeta)
+        blocks.append(blk)
+        if not rho.is_self_dual() and rng.random() < 0.8:
+            blocks.append(replace(blk, rho=rho.dual()))
+        if rng.random() < 0.3:
+            blocks.append(replace(blk, mult=rng.randint(1, 2)))
+    same_id = [blk for blk in blocks if blk.rho == RHO]
+    if same_id and rng.random() < 0.1:
+        # the label id of RHO on another label
+        clash = RhoLabel("rho", 1, ORTHOGONAL, QuadCharacter.of("u"))
+        blocks.append(replace(rng.choice(same_id), rho=clash))
+    rng.shuffle(blocks)
+    return blocks
+
+
+def test_constructor_matches_reference_on_random_block_lists():
+    rng = random.Random(23)
+    outcomes = {}
+    for _ in range(3000):
+        blocks = _random_block_list(rng)
+        total = sum(blk.mult * blk.dim for blk in blocks)
+        if rng.random() < 0.15:
+            total += 2
+        kind = SP if total % 2 else rng.choice((SO_ODD, SO_EVEN))
+        group = GroupForm.of_dim(kind, total, QuadCharacter.trivial())
+        expected = _reference_construct(group, blocks)
+        try:
+            got = ArthurParameter(group, tuple(blocks)).blocks
+        except DomainError as exc:
+            got = type(exc), str(exc)
+        assert got == expected, (group, blocks)
+        if expected and isinstance(expected[0], type):
+            key = expected[1].split()[0]
+        else:
+            assert [blk.mult for blk in got] == \
+                [blk.mult for blk in expected]
+            key = "merged" if len(got) < len(blocks) else "built"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # every branch is taken: plain, merged, inconsistent label, wrong
+    # total, missing dual partner
+    assert set(outcomes) == {"built", "merged", "label", "blocks",
+                             "non-self-dual"}, outcomes
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_flags_cache_leaves_the_value_unchanged():
     blocks = [JordanBlock(RHO, 5, 1), JordanBlock(RHO, 1, 3),
               JordanBlock(RHO, 1, 1, 1, PLUS)]

@@ -5,10 +5,10 @@ import pytest
 from arthurcalc.charspace import SignVector, MULT, pair, s_psi
 from arthurcalc.errors import DomainError, OrderViolation, UnresolvedZeta
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
-from arthurcalc.params import (MINUS, PLUS, BlockOrder, JordanBlock,
-                               all_p_orders, classify, dominate,
-                               elementary_alpha, from_AB, make_parameter,
-                               natural_order)
+from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
+                               JordanBlock, all_p_orders, classify, dominate,
+                               elementary_alpha, elementary_block, from_AB,
+                               make_parameter, natural_order)
 from arthurcalc.signs import (aubert_flip, beta_sign, eps_m_mw_ddr,
                               eps_m_mw_elementary, eps_m_mw_general, eps_m_w,
                               eps_mw_w, s_ratio, theta_ratio_mw_w, z_mw_w,
@@ -187,6 +187,52 @@ def test_aubert_flip_involution_random():
         strict = rng.random() < 0.5
         assert aubert_flip(aubert_flip(psi, rho, x0, strict),
                            rho, x0, strict) == psi
+
+
+def _reference_flip(psi, rho, x0, strict):
+    """aubert_flip from its definition, one block at a time."""
+    top = x0 if strict else x0 + 1
+    new = []
+    for blk in psi.blocks:
+        alpha = elementary_alpha(blk)
+        if blk.rho.id == rho.id and alpha < top:
+            blk = elementary_block(blk.rho, alpha, -blk.zeta)
+        new.append(blk)
+    return ArthurParameter(psi.group, tuple(new))
+
+
+def test_aubert_flip_matches_reference_on_every_x0():
+    rng = random.Random(62)
+    flips = 0
+    for _ in range(150):
+        psi = random_elementary(rng)
+        top = max(elementary_alpha(blk) for blk in psi.blocks)
+        for rho in psi.rho_labels():
+            for x0 in range(top + 2):
+                for strict in (True, False):
+                    got = aubert_flip(psi, rho, x0, strict)
+                    assert got == _reference_flip(psi, rho, x0, strict)
+                    flips += got != psi
+    assert flips > 1000
+
+
+def test_flip_partner_is_an_involution_the_value_ignores():
+    rng = random.Random(63)
+    for _ in range(100):
+        for blk in random_elementary(rng).blocks:
+            fresh = JordanBlock(blk.rho, blk.a, blk.b, blk.mult, blk.zeta)
+            partner = blk.flip_partner
+            assert partner == elementary_block(
+                blk.rho, elementary_alpha(blk), -blk.zeta)
+            assert partner.flip_partner == blk
+            # built once, then kept on the block outside its fields
+            assert blk.flip_partner is partner
+            assert "flip_partner" in vars(blk)
+            assert blk == fresh and hash(blk) == hash(fresh)
+            assert repr(blk) == repr(fresh)
+    # a balanced block without a resolved zeta has no partner yet
+    with pytest.raises(UnresolvedZeta):
+        JordanBlock(RHO, 1, 1).flip_partner
 
 
 def test_beta_sign_spec_examples():
