@@ -98,11 +98,6 @@ def s_psi(psi: ArthurParameter) -> SignVector:
     return vector_on_instances(psi, lambda blk, _: -1 if blk.b % 2 == 0 else 1)
 
 
-def s_zero(psi: ArthurParameter) -> SignVector:
-    """Canonical mult-support representative of the center: all -1."""
-    return constant(psi, MULT, -1)
-
-
 def eps_zero(psi: ArthurParameter, support: str = MULT) -> SignVector:
     """The orientation character: -1 on odd-dimensional blocks (even
     orthogonal groups only, all +1 otherwise)."""

@@ -16,9 +16,8 @@ from .errors import (AmbiguousChoice, DomainError, NotACharacter,
                      NotElementary, TooLarge)
 from .halfint import HalfInt
 from .labels import RhoLabel
-from .params import (MINUS, PLUS, ArthurParameter, diagonal_restriction,
-                     elementary_alpha, elementary_block, elementary_delta,
-                     is_elementary)
+from .params import (PLUS, ArthurParameter, diagonal_restriction,
+                     elementary_alpha, elementary_block, is_elementary)
 from .segments import (EpsMap, Segment, extends_cuspidal_chain,
                        supercuspidal_test)
 
@@ -52,24 +51,15 @@ def _eps_map(psi: ArthurParameter, eps) -> EpsMap:
     return EpsMap(values)
 
 
-def rho_cuspidal_bound(psi: ArthurParameter, eps, rho: RhoLabel
-                       ) -> Tuple[int, Optional[int], Optional[int]]:
-    """Largest prefix bound b, and the first size a > b with its delta.
-
-    b is the largest element of the rho-sizes (or zero) such that the
-    sizes up to b form a gapless alternating chain with the bottom even
-    size carrying -1; a is None when no size exceeds b.
-    """
-    _check_elementary(psi)
-    eps = _eps_map(psi, eps)
-    _, jord = _chains(psi).get(rho.id, (rho, {}))
-    return _cuspidal_bound(rho.id, jord, eps)
-
-
 def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap
                     ) -> Tuple[int, Optional[int], Optional[int]]:
-    """rho_cuspidal_bound on one rho's alpha -> delta chain: the sizes
-    link in ascending order up to the first that fails."""
+    """Largest prefix bound b of one rho's alpha -> delta chain, and the
+    first size a > b with its delta (None, None when no size exceeds b).
+
+    b is the largest size (or zero) such that the sizes up to b form a
+    gapless alternating chain with the bottom even size carrying -1: the
+    sizes link in ascending order up to the first that fails.
+    """
     sign = lambda al: eps[(rho_id, al)]
     b = 0
     for al in sorted(jord):
@@ -251,26 +241,3 @@ def construction_trace(psi: ArthurParameter, eps,
                             (child,))
     return ConstructionNode(psi, eps, step)
 
-
-def aubert_chain(psi: ArthurParameter
-                 ) -> List[Tuple[RhoLabel, int, bool]]:
-    """Flip instructions whose composition rebuilds psi from its all-plus
-    form: for each block with delta -1, first the non-strict then the
-    strict flip at its size."""
-    _check_elementary(psi)
-    out = []
-    for blk in sorted(psi.blocks, key=lambda b: (b.rho.id,
-                                                 elementary_alpha(b))):
-        if elementary_delta(blk) == MINUS:
-            alpha = elementary_alpha(blk)
-            out.append((blk.rho, alpha, False))
-            out.append((blk.rho, alpha, True))
-    return out
-
-
-def all_plus_form(psi: ArthurParameter) -> ArthurParameter:
-    """The elementary parameter with every delta raised to +1."""
-    _check_elementary(psi)
-    blocks = [elementary_block(b.rho, elementary_alpha(b), PLUS)
-              for b in psi.blocks]
-    return ArthurParameter(psi.group, tuple(blocks))

@@ -2,32 +2,33 @@
 
 Constituents of a packet are labelled by a pair of functions (l, eta) on
 the blocks, subject to a per-block range bound.  The attached character,
-the two equivalence relations, and the translation between the M- and
-W-side labellings all live here.
+the classes of pairs that label one constituent, and the translation
+between the M- and W-side labellings all live here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .charspace import (CLASS, MULT, S_GT_HAT_SIGMA0, SignVector,
-                        check_length, in_character_space,
-                        vector_on_instances)
+                        check_length, in_character_space)
 from .errors import (DomainError, NotACharacter, OutOfRange, SupportMismatch,
                      TooLarge)
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
-from .params import (SO_EVEN, ArthurParameter, BlockOrder, JordanBlock,
-                     classify)
+from .params import ArthurParameter, BlockOrder, classify
 from .signs import eps_m_w
 
+# Most block instances, and most constituent classes, that
+# packet_constituents lists for one eps.  A block has about (A - B + 1)/2
+# classes for each sign, and the count for psi is their product, so a few
+# long blocks reach hundreds of millions well inside the instance bound.
+# The class bound still lets through every parameter within the instance
+# bound that has at most two classes at each block.
 ENUM_BOUND = 14
-
-
-def l_range_max(blk: JordanBlock) -> int:
-    """[(A - B + 1)/2], the inclusive upper bound for l at a block."""
-    return min(blk.a, blk.b) // 2
+MAX_CLASSES = 2 ** ENUM_BOUND
 
 
 @dataclass(frozen=True)
@@ -42,26 +43,6 @@ class LEtaPair:
             raise DomainError("l and eta must share a domain")
         if any(e not in (1, -1) for e in self.eta):
             raise DomainError("eta values must be +-1")
-
-
-def check_range(psi: ArthurParameter, pair: LEtaPair) -> None:
-    insts = psi.instances()
-    if len(pair.l) != len(insts):
-        raise DomainError("pair domain does not match the blocks")
-    for (blk, _), l in zip(insts, pair.l):
-        if not 0 <= l <= l_range_max(blk):
-            raise OutOfRange(f"l={l} escapes [0, {l_range_max(blk)}] at {blk}")
-
-
-def eps_from_l_eta(psi: ArthurParameter, pair: LEtaPair) -> SignVector:
-    """The character attached to an (l, eta) pair.
-
-    Per block the value is eta**(A-B+1) * (-1)**([(A-B+1)/2] + l).
-    """
-    check_range(psi, pair)
-    return SignVector(MULT, tuple(
-        _block_eps(gap, l, eta)
-        for gap, l, eta in zip(_gaps(psi), pair.l, pair.eta)))
 
 
 def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
@@ -89,34 +70,17 @@ def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
     return True
 
 
-def enumerate_l_eta(psi: ArthurParameter,
-                    filter_eps: Optional[SignVector] = None,
-                    bound: int = ENUM_BOUND) -> List[LEtaPair]:
-    """All pairs in range, optionally filtered by their character.
-
-    The filter compares pointwise, so single signs outside the character
-    space can be requested (useful for per-block censuses).
-    """
-    return _pairs([admissible for _, admissible
-                   in _admissible(psi, filter_eps, bound)])
-
-
-def _admissible(psi: ArthurParameter, eps: Optional[SignVector], bound: int
+def _admissible(psi: ArthurParameter, eps: SignVector
                 ) -> List[Tuple[int, List[Tuple[int, int]]]]:
     """Per block instance, A - B + 1 and the (l, eta) in range there whose
-    character value is the sign of eps (every one when eps is None)."""
-    if eps is not None:
-        if eps.support != MULT:
-            raise SupportMismatch(
-                f"eps has {eps.support} support where {MULT} is needed")
-        check_length(psi, eps)
-    gaps = _gaps(psi)
-    if len(gaps) > bound:
-        raise TooLarge(f"{len(gaps)} blocks exceeds bound {bound}")
-    signs = (None,) * len(gaps) if eps is None else eps.signs
+    character value is the sign of eps."""
+    if eps.support != MULT:
+        raise SupportMismatch(
+            f"eps has {eps.support} support where {MULT} is needed")
+    check_length(psi, eps)
     return [(gap, [(l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
-                   if sign is None or _block_eps(gap, l, eta) == sign])
-            for gap, sign in zip(gaps, signs)]
+                   if _block_eps(gap, l, eta) == sign])
+            for gap, sign in zip(_gaps(psi), eps.signs)]
 
 
 def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
@@ -136,43 +100,6 @@ def _gaps(psi: ArthurParameter) -> Tuple[int, ...]:
     """A - B + 1 = min(a, b) per block instance."""
     return tuple(gap for blk in psi.blocks
                  for gap in [min(blk.a, blk.b)] * blk.mult)
-
-
-def _sigma0_equal(gaps: Tuple[int, ...], p: LEtaPair, q: LEtaPair) -> bool:
-    """Same l everywhere, same eta except where 2l = A - B + 1, at which
-    both eta values label the same constituent."""
-    return p.l == q.l and all(
-        ep == eq or 2 * l == gap
-        for gap, l, ep, eq in zip(gaps, p.l, p.eta, q.eta))
-
-
-def equiv_sigma0(psi: ArthurParameter, p: LEtaPair, q: LEtaPair) -> bool:
-    """Same l everywhere, same eta except where the count is maximal."""
-    check_range(psi, p)
-    check_range(psi, q)
-    return _sigma0_equal(_gaps(psi), p, q)
-
-
-def eta0(psi: ArthurParameter) -> SignVector:
-    """The twisting sign: -1 where d_rho is odd and A is integral, for
-    even orthogonal groups; all +1 otherwise."""
-    def fn(blk, _):
-        if psi.group.kind != SO_EVEN:
-            return 1
-        return -1 if blk.rho.dim % 2 == 1 and blk.A.is_integer() else 1
-    return vector_on_instances(psi, fn)
-
-
-def equiv(psi: ArthurParameter, p: LEtaPair, q: LEtaPair) -> bool:
-    """The coarser relation: equal up to a global twist by eta0."""
-    check_range(psi, p)
-    check_range(psi, q)
-    gaps = _gaps(psi)
-    if _sigma0_equal(gaps, p, q):
-        return True
-    tw = eta0(psi)
-    q_tw = LEtaPair(q.l, tuple(e * t for e, t in zip(q.eta, tw.signs)))
-    return _sigma0_equal(gaps, p, q_tw)
 
 
 GUARANTEED = "guaranteed"
@@ -196,17 +123,24 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     """
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
-    # pairs are _sigma0_equal exactly when they share l, and eta wherever
-    # 2l != A - B + 1; so the classes at one block are its (l, eta) with
-    # the two etas of a free l together, and a class of psi picks one at
+    # two pairs label one constituent exactly when they have the same l
+    # everywhere, and the same eta except where 2l = A - B + 1, where both
+    # etas label it; so the classes at one block are its (l, eta) with the
+    # two etas of a free l together, and a class of psi picks one at
     # every block.  Product order keeps the classes in first-seen order.
     per_block = []
-    for gap, admissible in _admissible(psi, eps, ENUM_BOUND):
+    for gap, admissible in _admissible(psi, eps):
         classes: Dict[object, List[Tuple[int, int]]] = {}
         for l, eta in admissible:
             classes.setdefault(l if 2 * l == gap else (l, eta),
                                []).append((l, eta))
         per_block.append(list(classes.values()))
+    if len(per_block) > ENUM_BOUND:
+        raise TooLarge(f"{len(per_block)} blocks exceeds bound {ENUM_BOUND}")
+    count = math.prod(map(len, per_block))
+    if count > MAX_CLASSES:
+        raise TooLarge(f"{count} constituent classes exceeds bound "
+                       f"{MAX_CLASSES}")
     return [ConstituentClass(members[0], tuple(members), status)
             for members in map(_pairs, itertools.product(*per_block))]
 

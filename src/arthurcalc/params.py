@@ -9,7 +9,6 @@ that work on Jord(psi_p) with multiplicity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -515,20 +514,6 @@ def _minimal_ddr_shifts(seq: Sequence[Instance]) -> Dict[int, int]:
     return shifts
 
 
-def phi_psi(psi: ArthurParameter) -> Tuple[Tuple[RhoLabel, HalfInt, int, int], ...]:
-    """The nontempered Langlands-parameter expansion.
-
-    Each block splits into b twisted pieces (rho, (b-1)/2 - j, a) for
-    j = 0..b-1, carried with the block multiplicity.
-    """
-    out = []
-    for blk in psi.blocks:
-        for j in range(blk.b):
-            twist = HalfInt(blk.b - 1 - 2 * j)
-            out.append((blk.rho, twist, blk.a, blk.mult))
-    return tuple(sorted(out, key=lambda t: (t[0].sort_key(), t[1].twice, t[2])))
-
-
 # -- elementary view ---------------------------------------------------------
 
 def is_elementary(psi: ArthurParameter) -> bool:
@@ -551,19 +536,3 @@ def elementary_block(rho: RhoLabel, alpha: int, delta: int) -> JordanBlock:
     if delta == PLUS:
         return JordanBlock(rho, alpha, 1, 1, PLUS)
     return JordanBlock(rho, 1, alpha, 1, MINUS)
-
-
-def all_p_orders(psi: ArthurParameter, cap: int = 5040) -> List[BlockOrder]:
-    """Every admissible order (small inputs only)."""
-    insts = list(psi.instances())
-    if len(insts) > 7:
-        raise DomainError("too many blocks for exhaustive order enumeration")
-    out = []
-    for perm in itertools.permutations(insts):
-        try:
-            out.append(BlockOrder(tuple(perm)))
-        except OrderViolation:
-            continue
-        if len(out) > cap:
-            raise DomainError("order enumeration exceeded cap")
-    return out

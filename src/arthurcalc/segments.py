@@ -1,10 +1,8 @@
-"""Segments, generalized segments, and the cuspidal-support calculus.
+"""Segments and the cuspidal-support calculus.
 
-Segments are arithmetic progressions of half-integers of step one;
-generalized segments are matrices whose rows and columns are segments of
-opposite senses.  On top of these live the parameter-level vanishing
-certificates for Jacquet operators and the parabolic-reduction chain for
-tempered discrete pairs.
+Segments are arithmetic progressions of half-integers of step one.  On
+top of them lives the parabolic-reduction chain that takes a tempered
+discrete pair down to its cuspidal support.
 """
 
 from __future__ import annotations
@@ -14,9 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Container, Dict, List, Optional, Tuple
 
 from .charspace import CLASS, SignVector
-from .errors import (DomainError, NotACharacter, NotDiscrete, NotDominating,
-                     UnresolvedZeta)
-from .halfint import HalfInt, hrange
+from .errors import DomainError, NotACharacter, NotDiscrete
+from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import ArthurParameter, JordanBlock, classify
 
@@ -37,154 +34,8 @@ class Segment:
     def length(self) -> int:
         return abs(self.x.twice - self.y.twice) // 2 + 1
 
-    def exponents(self) -> Tuple[HalfInt, ...]:
-        step = -1 if self.x.twice > self.y.twice else 1
-        return tuple(HalfInt(t) for t in
-                     range(self.x.twice, self.y.twice + 2 * step, 2 * step))
-
     def __str__(self) -> str:
         return f"<{self.rho.id};{self.x},...,{self.y}>"
-
-
-@dataclass(frozen=True)
-class GeneralizedSegment:
-    """A matrix of half-integers with monotone rows and columns.
-
-    Rows move by a common step r in {+1,-1} and columns by -r, so that
-    adjacent rows differ entrywise by exactly one.
-    """
-
-    rho: RhoLabel
-    entries: Tuple[Tuple[HalfInt, ...], ...]
-
-    def __post_init__(self):
-        rows = self.entries
-        if not rows or not rows[0]:
-            raise DomainError("generalized segment must be nonempty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DomainError("ragged matrix")
-        self._check_monotone()
-
-    def _check_monotone(self):
-        rows = self.entries
-        steps = set()
-        for r in rows:
-            for u, v in zip(r, r[1:]):
-                steps.add(v.twice - u.twice)
-        for c in range(len(rows[0])):
-            for u, v in zip(rows, rows[1:]):
-                steps.add(-(v[c].twice - u[c].twice))
-        if not steps <= {2} and not steps <= {-2}:
-            raise DomainError("rows and columns must be opposite unit steps")
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]))
-
-    def transpose(self) -> "GeneralizedSegment":
-        m, n = self.shape
-        return GeneralizedSegment(
-            self.rho,
-            tuple(tuple(self.entries[i][j] for i in range(m))
-                  for j in range(n)))
-
-    def rows(self) -> Tuple[Segment, ...]:
-        return tuple(Segment(self.rho, r[0], r[-1]) for r in self.entries)
-
-    def __str__(self) -> str:
-        body = "; ".join(",".join(str(x) for x in r) for r in self.entries)
-        return f"[{self.rho.id}; {body}]"
-
-
-def speh_matrix(rho: RhoLabel, a: int, b: int) -> GeneralizedSegment:
-    """The b x a exponent matrix of the unitary degenerate representation
-    attached to (rho, a, b)."""
-    if a < 1 or b < 1:
-        raise DomainError("a and b must be positive")
-    rows = []
-    for i in range(b):
-        start = HalfInt(a - b + 2 * i)  # (a-b)/2 + i
-        rows.append(tuple(start - j for j in range(a)))
-    return GeneralizedSegment(rho, tuple(rows))
-
-
-def shift_matrix(big: JordanBlock, small: JordanBlock) -> GeneralizedSegment:
-    """Exponent matrix peeling a dominating block down to its base.
-
-    Rows run from zeta*B_big back to zeta*(B+1), one row per level of the
-    segment [B, A]; requires a genuine shift.
-    """
-    if big.rho.id != small.rho.id:
-        raise NotDominating("blocks must share rho")
-    zeta_b = big.zeta if big.a != big.b else big.zeta_resolved()
-    zeta_s = small.zeta if small.a != small.b else small.zeta_resolved()
-    if zeta_b is None or zeta_s is None:
-        raise UnresolvedZeta("shift matrices need resolved zeta")
-    if zeta_b != zeta_s:
-        raise NotDominating("blocks must share zeta")
-    t = (big.B - small.B).twice // 2
-    if (big.A - small.A) != (big.B - small.B) or t < 1:
-        raise NotDominating(f"{big} does not strictly dominate {small}")
-    zeta = zeta_b
-    rows = []
-    for j in hrange(small.B, small.A):
-        big_end = j + t
-        rows.append(tuple((big_end - k) * zeta for k in range(t)))
-    return GeneralizedSegment(big.rho, tuple(rows))
-
-
-# -- Jacquet vanishing certificates ------------------------------------------
-
-def jac_chain_possible(psi: ArthurParameter, rho: RhoLabel, zeta: int,
-                       x: HalfInt, y: HalfInt) -> bool:
-    """Existence of a block chain supporting Jac over [zeta*x ... zeta*y].
-
-    False certifies that the corresponding Jacquet restriction vanishes
-    on every packet member.  Chains start at a block with B = x, may pass
-    to blocks with B_next in [B, A+1], and must reach A >= y.
-    """
-    if x.twice < 0 or x.twice > y.twice or (y - x).twice % 2 != 0:
-        raise DomainError("need 0 <= x <= y with integer gap")
-    cands = []
-    for blk, _ in psi.instances():
-        if blk.rho.id != rho.id:
-            continue
-        if blk.zeta is None:
-            raise UnresolvedZeta(f"{blk} needs zeta for the chain search")
-        if blk.zeta == zeta:
-            cands.append((blk.B, blk.A))
-    reach = [B == x for (B, A) in cands]
-    changed = True
-    while changed:
-        changed = False
-        for i, (Bi, Ai) in enumerate(cands):
-            if reach[i]:
-                continue
-            for j, (Bj, Aj) in enumerate(cands):
-                if i != j and reach[j] and Bj <= Bi <= Aj + 1:
-                    reach[i] = True
-                    changed = True
-                    break
-    return any(r and A >= y for r, (_, A) in zip(reach, cands))
-
-
-def jac_multiplicity_bound(psi: ArthurParameter, rho: RhoLabel,
-                           x: HalfInt, n: int) -> bool:
-    """True when applying Jac at exponent x more than the available block
-    count forces vanishing."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    m = 0
-    for blk, _ in psi.instances():
-        if blk.rho.id != rho.id:
-            continue
-        z = blk.zeta
-        if z is None:
-            raise UnresolvedZeta(f"{blk} needs zeta for the count")
-        if blk.B * z == x:
-            m += 1
-    return n > m
 
 
 # -- tempered discrete pairs --------------------------------------------------
@@ -196,17 +47,6 @@ def _require_discrete(phi: ArthurParameter) -> None:
 
 def jord_rho_sizes(phi: ArthurParameter, rho: RhoLabel) -> List[int]:
     return sorted(b.a for b in phi.blocks if b.rho.id == rho.id)
-
-
-def cuspidal_reducibility_point(phi: ArthurParameter, rho: RhoLabel) -> int:
-    """Largest rho-size, or the degenerate values 0 / -1."""
-    _require_discrete(phi)
-    sizes = jord_rho_sizes(phi, rho)
-    if sizes:
-        return max(sizes)
-    if rho.is_self_dual() and rho.self_dual_type != phi.group.dual_parity:
-        return 0
-    return -1
 
 
 class EpsMap:

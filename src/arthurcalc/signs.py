@@ -148,23 +148,6 @@ def theta_ratio_mw_w(psi: ArthurParameter, order: BlockOrder) -> int:
     return sign_pow(len(z_mw_w(psi, order)))
 
 
-def z_u(psi_p: ArthurParameter) -> PairSet:
-    """Pairs with sup(a,a'), sup(b,b') even and inf(a,a'), inf(b,b') odd."""
-    if not is_parity_pure(psi_p):
-        raise DomainError("pair sets are computed on the parity part")
-    insts = psi_p.instances()
-    pairs = set()
-    for i in range(len(insts)):
-        for j in range(i + 1, len(insts)):
-            p, q = insts[i][0], insts[j][0]
-            if p.rho.id != q.rho.id:
-                continue
-            if (max(p.a, q.a) % 2 == 0 and max(p.b, q.b) % 2 == 0
-                    and min(p.a, q.a) % 2 == 1 and min(p.b, q.b) % 2 == 1):
-                pairs.add((i, j))
-    return PairSet(len(insts), frozenset(pairs))
-
-
 # -- the Moeglin vs Moeglin-Waldspurger comparison character -----------------
 
 

@@ -1009,18 +1009,3 @@ def catalog_split_data(datum: RootDatum,
                 continue  # arrangement does not meet the alignment bases
     return out
 
-
-def coset_reps(data: SplitData, levi: LeviG
-               ) -> Tuple[FrozenSet[SignedPerm], ...]:
-    """The five minimal representative sets attached to (split, Levi).
-
-    Returns (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}); products of
-    cardinalities with the corresponding subgroup orders recover the
-    twisted Weyl group.
-    """
-    res = data.res
-    elts = _group(res).elements
-    return (data.d_h,) + tuple(frozenset(elts[x] for x in s) for s in (
-        _min_reps(res, levi.simples), _d_m_tilde(res, levi, data),
-        _d_h_m(res, levi, data, tilde=False),
-        _d_h_m(res, levi, data, tilde=True)))

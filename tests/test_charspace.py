@@ -6,7 +6,7 @@ from arthurcalc.charspace import (CLASS, MULT, S_GT_HAT_SIGMA0, SignVector,
                                   cont, constant, enumerate_characters,
                                   enumerate_elements, eps_zero, ext,
                                   in_character_space, in_element_space, pair,
-                                  s_psi, s_zero)
+                                  s_psi)
 from arthurcalc.errors import SupportMismatch
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc.params import (PLUS, ArthurParameter, GroupForm, JordanBlock,
@@ -32,7 +32,6 @@ def test_s_psi_spec_examples():
 
 def test_s_zero_eps_zero():
     psi = _psi_22_11()
-    assert all(s == -1 for s in s_zero(psi).signs)
     assert all(s == 1 for s in eps_zero(psi).signs)  # symplectic group
 
     soeven = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
@@ -152,7 +151,7 @@ def test_canonical_elements_satisfy_determinant_condition():
         if psi.group.kind != SO_EVEN:
             continue
         assert in_element_space(s_psi(psi), psi)
-        assert in_element_space(s_zero(psi), psi)
+        assert in_element_space(constant(psi, MULT, -1), psi)
         seen += 1
     assert seen > 20
 

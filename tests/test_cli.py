@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import types
 
 import pytest
@@ -328,6 +329,21 @@ def test_elementary_trace_size_bound(fmt):
             assert json.loads(out)["type"] == "TooLarge"
         else:
             assert out.splitlines()[-1] == "type: TooLarge"
+
+
+def test_packet_class_bound():
+    # per-block class counts 1, 21, ..., 26: 165 765 600 classes, refused
+    # from the counts alone, before any class is built
+    sizes = (1, 41, 43, 45, 47, 49, 51)
+    payload = {"group": {"kind": "Sp", "n": sum(a * a for a in sizes) // 2},
+               "blocks": [_block(a=a, b=a, zeta="+") for a in sizes]}
+    start = time.perf_counter()
+    rc, out = run_cli(["packet", json.dumps(payload), "--eps=+++++++"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": "165765600 constituent classes exceeds bound 16384",
+        "type": "TooLarge"}
 
 
 def test_signs_reads_and_parses_its_input_once(monkeypatch):

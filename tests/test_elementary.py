@@ -3,14 +3,15 @@ import random
 import pytest
 
 from arthurcalc.elementary import (CASE2_SHIFT, CASE3A, CASE3B, CASE3C_I,
-                                   CASE3C_II, SUPERCUSPIDAL_BASE,
-                                   all_plus_form, aubert_chain,
-                                   construction_trace, rho_cuspidal_bound)
+                                   CASE3C_II, SUPERCUSPIDAL_BASE, _chains,
+                                   _check_elementary, _cuspidal_bound,
+                                   _eps_map, construction_trace)
 from arthurcalc.errors import (AmbiguousChoice, NotACharacter,
                                NotElementary, UnresolvedZeta)
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
-from arthurcalc.params import (MINUS, PLUS, JordanBlock, diagonal_restriction,
-                               elementary_alpha, elementary_block,
+from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
+                               diagonal_restriction, elementary_alpha,
+                               elementary_block, elementary_delta,
                                make_parameter)
 from arthurcalc.segments import EpsMap, supercuspidal_test
 from arthurcalc.signs import aubert_flip
@@ -25,6 +26,37 @@ def _elem(pairs, rho=RHO):
 
 def _eps(values, rho=RHO):
     return EpsMap({(rho.id, a): v for a, v in values.items()})
+
+
+def rho_cuspidal_bound(psi, eps, rho):
+    """The cuspidal bound (b, a, delta) of one rho, as construction_trace
+    reads it off the chains of an elementary parameter."""
+    _check_elementary(psi)
+    _, jord = _chains(psi).get(rho.id, (rho, {}))
+    return _cuspidal_bound(rho.id, jord, _eps_map(psi, eps))
+
+
+def aubert_chain(psi):
+    """Flip instructions whose composition rebuilds psi from its all-plus
+    form: for each block with delta -1, first the non-strict then the
+    strict flip at its size."""
+    _check_elementary(psi)
+    out = []
+    for blk in sorted(psi.blocks, key=lambda b: (b.rho.id,
+                                                 elementary_alpha(b))):
+        if elementary_delta(blk) == MINUS:
+            alpha = elementary_alpha(blk)
+            out.append((blk.rho, alpha, False))
+            out.append((blk.rho, alpha, True))
+    return out
+
+
+def all_plus_form(psi):
+    """The elementary parameter with every delta raised to +1."""
+    _check_elementary(psi)
+    return ArthurParameter(psi.group, tuple(
+        elementary_block(b.rho, elementary_alpha(b), PLUS)
+        for b in psi.blocks))
 
 
 def test_rho_cuspidal_bound_full_chain():

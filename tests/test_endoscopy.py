@@ -12,6 +12,8 @@ from arthurcalc.params import (PLUS, JordanBlock, SO_EVEN, SO_ODD, SP,
                                make_parameter)
 from arthurcalc.testing import random_p_order, random_pure_parameter
 
+from block_orders import all_p_orders
+
 RHO = RhoLabel("rho", 1, ORTHOGONAL, QuadCharacter.of("g"))
 RHO_TRIV = RhoLabel("triv", 1, ORTHOGONAL)
 
@@ -109,7 +111,6 @@ def test_twisted_single_block_split():
 def test_sign_transfer_spec_example():
     psi = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
                           JordanBlock(RHO, 1, 1, 1, PLUS)])
-    from arthurcalc.params import all_p_orders
     for order in all_p_orders(psi):
         for s in enumerate_elements(psi):
             assert sign_transfer_check(psi, s, order)

@@ -1,9 +1,11 @@
-"""Every module under src/ and tests/ uses each name it imports, and
-every module-level constant under src/ is read somewhere."""
+"""Every module under src/ and tests/ uses each name it imports, every
+module-level constant under src/ is read somewhere, and every top-level
+function and class under src/ is read from src/ or bench/."""
 
 import ast
 import pathlib
 import re
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -12,6 +14,12 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 UNREAD_CONSTANTS = {
     "S_HAT_SIGMA0": "names one of the four character spaces that "
                     "in_character_space and enumerate_characters accept",
+}
+# top-level functions and classes kept although nothing under src/ or
+# bench/ reads them, each with its reason
+UNREAD_FUNCTIONS = {
+    "main": "cli.main is the arthurcalc console script that pyproject.toml "
+            "declares",
 }
 
 
@@ -76,4 +84,26 @@ def test_no_unread_constants():
     assert len(defined) > 30
     unread = [f"{where}: {name}" for where, name in defined
               if name not in read and name not in UNREAD_CONSTANTS]
+    assert unread == []
+
+
+def test_no_unread_functions():
+    """Names are matched as words, so a function counts as read when any
+    name, attribute or import under src/ or bench/ spells it, except
+    inside its own definition.  Tests do not count: a function only its
+    tests read belongs in the tests."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted([*ROOT.glob("src/**/*.py"),
+                                 *ROOT.glob("bench/**/*.py")])}
+    reads = Counter(name for tree in trees.values()
+                    for name in _references(tree))
+    defined = [(f"{path.relative_to(ROOT)}:{node.lineno}", node)
+               for path, tree in trees.items()
+               if path.is_relative_to(ROOT / "src")
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defined) > 200
+    unread = [f"{where}: {node.name}" for where, node in defined
+              if reads[node.name] == list(_references(node)).count(node.name)
+              and node.name not in UNREAD_FUNCTIONS]
     assert unread == []

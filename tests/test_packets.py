@@ -3,18 +3,15 @@ import random
 
 import pytest
 
-from arthurcalc.charspace import (CLASS, MULT, SignVector,
-                                  enumerate_characters, S_GT_HAT_SIGMA0,
-                                  eps_zero)
-from arthurcalc.errors import OutOfRange, SupportMismatch
+from arthurcalc.charspace import (CLASS, MULT, SignVector, constant,
+                                  enumerate_characters, S_GT_HAT_SIGMA0)
+from arthurcalc.errors import SupportMismatch, TooLarge
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair, _gaps,
-                                enumerate_l_eta, eps_from_l_eta, equiv,
-                                equiv_sigma0, eta0, eta_constraint_check,
-                                l_range_max, packet_constituents,
+                                eta_constraint_check, packet_constituents,
                                 translate_m_w)
-from arthurcalc.params import (PLUS, JordanBlock, SO_EVEN, classify, from_AB,
+from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
                                make_parameter)
 from arthurcalc.testing import (_ddr_grid, random_p_order,
                                 random_pure_parameter)
@@ -26,25 +23,20 @@ def _single(ta, tb, zeta=PLUS):
     return make_parameter([from_AB(RHO, HalfInt(ta), HalfInt(tb), zeta)])
 
 
-def test_eps_from_l_eta_spec_examples():
-    # A = B: eps = eta
-    psi = _single(2, 2)
-    for eta in (1, -1):
-        assert eps_from_l_eta(psi, LEtaPair((0,), (eta,))).signs == (eta,)
+def _instance_gaps(psi):
+    return tuple(int(blk.A - blk.B) + 1 for blk, _ in psi.instances())
 
-    # (A, B) = (2, 1)
-    psi2 = _single(4, 2)
-    for eta in (1, -1):
-        assert eps_from_l_eta(psi2, LEtaPair((0,), (eta,))).signs == (-1,)
-        assert eps_from_l_eta(psi2, LEtaPair((1,), (eta,))).signs == (1,)
 
-    # (A, B) = (1, 0): l = 1 gives +1 for both eta
-    psi3 = _single(2, 0)
-    for eta in (1, -1):
-        assert eps_from_l_eta(psi3, LEtaPair((1,), (eta,))).signs == (1,)
+def _sigma0_equal(gaps, p, q):
+    """Same l everywhere, same eta except where 2l = A - B + 1, at which
+    both eta values label the same constituent."""
+    return p.l == q.l and all(
+        ep == eq or 2 * l == gap
+        for gap, l, ep, eq in zip(gaps, p.l, p.eta, q.eta))
 
-    with pytest.raises(OutOfRange):
-        eps_from_l_eta(psi2, LEtaPair((2,), (1,)))
+
+def equiv_sigma0(psi, p, q):
+    return _sigma0_equal(_instance_gaps(psi), p, q)
 
 
 def test_eta_constraint_spec_cells():
@@ -61,25 +53,6 @@ def test_eta_constraint_exhaustive_small():
                 assert eta_constraint_check(A, B, l), (ta, tb, l)
 
 
-def test_l_range():
-    assert l_range_max(from_AB(RHO, HalfInt(4), HalfInt(2), PLUS)) == 1
-    assert l_range_max(from_AB(RHO, HalfInt(2), HalfInt(2), PLUS)) == 0
-    assert l_range_max(from_AB(RHO, HalfInt(14), HalfInt(0), PLUS)) == 4
-
-
-def test_enumerate_l_eta_spec_examples():
-    single = _single(2, 2)
-    assert len(enumerate_l_eta(single)) == 2
-
-    psi2 = _single(4, 2)
-    assert len(enumerate_l_eta(psi2)) == 4
-
-    # no pair attains a +1 at l = 0 and a -1 at l = 1 simultaneously
-    filt = SignVector(MULT, (1,))
-    got = enumerate_l_eta(psi2, filter_eps=filt)
-    assert [(p.l, p.eta) for p in got] == [((1,), (1,)), ((1,), (-1,))]
-
-
 def test_equiv_sigma0_spec_examples():
     psi = _single(2, 0)  # (A, B) = (1, 0), max l = 1
     p = LEtaPair((1,), (1,))
@@ -93,36 +66,6 @@ def test_equiv_sigma0_spec_examples():
     assert not equiv_sigma0(psi2, p2, q2)
     # l = 1 = (A-B+1)/2 collapses here as well
     assert equiv_sigma0(psi2, LEtaPair((1,), (1,)), LEtaPair((1,), (-1,)))
-
-
-def test_eta0_and_coarser_equivalence():
-    soeven = make_parameter(
-        [from_AB(RHO, HalfInt(2), HalfInt(0), PLUS),
-         from_AB(RHO, HalfInt(6), HalfInt(4), PLUS)],
-        eta=QuadCharacter.of("e"))
-    assert soeven.group.kind == SO_EVEN
-    tw = eta0(soeven)
-    assert tw.signs == (-1, -1)  # d = 1 odd, both A integral
-
-    p = LEtaPair((0, 0), (1, 1))
-    q = LEtaPair((0, 0), (-1, -1))
-    assert not equiv_sigma0(soeven, p, q)
-    assert equiv(soeven, p, q)  # differ exactly by the twist
-
-    sp = make_parameter([from_AB(RHO, HalfInt(2), HalfInt(2), PLUS)])
-    assert sp.group.kind == "Sp"
-    assert all(s == 1 for s in eta0(sp).signs)
-
-
-def test_eta0_consistency_with_orientation_character():
-    rng = random.Random(5)
-    for _ in range(100):
-        psi = random_pure_parameter(rng, max_blocks=4)
-        tw = eta0(psi)
-        orient = eps_zero(psi, MULT)
-        for (blk, _), t, e in zip(psi.instances(), tw.signs, orient.signs):
-            gap = int(blk.A - blk.B) + 1
-            assert (t if gap % 2 else 1) == e
 
 
 def test_packet_constituents_census_single_block():
@@ -166,22 +109,6 @@ def test_constituents_status_undecided_off_ddr():
                           JordanBlock(RHO, 1, 1, 1, PLUS)])
     out = packet_constituents(psi, SignVector(MULT, (1, -1, -1)))
     assert out and all(c.status == UNDECIDED for c in out)
-
-
-def test_eps_l_eta_twist_identity():
-    rng = random.Random(25)
-    for _ in range(100):
-        psi = random_pure_parameter(rng, max_blocks=4)
-        pairs = enumerate_l_eta(psi)
-        if not pairs:
-            continue
-        pair_ = pairs[rng.randrange(len(pairs))]
-        tw = eta0(psi)
-        twisted = LEtaPair(pair_.l, tuple(e * t for e, t in
-                                          zip(pair_.eta, tw.signs)))
-        lhs = eps_from_l_eta(psi, twisted)
-        rhs = eps_from_l_eta(psi, pair_).pointwise(eps_zero(psi, MULT))
-        assert lhs.signs == rhs.signs
 
 
 def test_translate_m_w_multiplicity_free():
@@ -237,14 +164,25 @@ def test_translate_m_w_injective():
             seen[out.signs] = eps
 
 
+def _above_the_bounds():
+    """Eight blocks with four classes each at every sign, 4**8 classes in
+    all, and fifteen instances of a block with one class."""
+    return (make_parameter([from_AB(RHO, HalfInt(2 * k + 12), HalfInt(2 * k),
+                                    PLUS) for k in range(8)]),
+            make_parameter([from_AB(RHO, HalfInt(0), HalfInt(0), PLUS,
+                                    mult=15)]))
+
+
 def test_enumeration_bound():
-    import pytest as _pytest
-    from arthurcalc.errors import TooLarge
-    blocks = [from_AB(RHO, HalfInt(2 * k), HalfInt(2 * k), PLUS)
-              for k in range(0, 8)]
-    psi = make_parameter(blocks)
-    with _pytest.raises(TooLarge):
-        enumerate_l_eta(psi, bound=4)
+    # fourteen instances with two classes each: both bounds exactly met
+    edge = make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS,
+                                   mult=14)])
+    assert len(packet_constituents(edge, constant(edge, MULT, -1))) == 2 ** 14
+    classes, instances = _above_the_bounds()
+    for big, message in ((classes, "65536 constituent classes"),
+                         (instances, "15 blocks")):
+        with pytest.raises(TooLarge, match=f"^{message} exceeds bound"):
+            packet_constituents(big, constant(big, MULT))
 
 
 @pytest.mark.parametrize("support,signs,message", [
@@ -256,14 +194,12 @@ def test_eps_off_the_instances_is_refused(support, signs, message):
     psi = make_parameter([JordanBlock(RHO, 5, 1), JordanBlock(RHO, 1, 3),
                           JordanBlock(RHO, 1, 1, 1, PLUS)])
     eps = SignVector(support, signs)
-    for call in (packet_constituents, enumerate_l_eta):
-        with pytest.raises(SupportMismatch, match=f"^{message}$"):
-            call(psi, eps)
-    # refused before the enumeration bound is looked at
-    big = make_parameter([from_AB(RHO, HalfInt(2 * k), HalfInt(2 * k), PLUS)
-                          for k in range(8)])
-    with pytest.raises(SupportMismatch):
-        enumerate_l_eta(big, SignVector(support, signs), bound=2)
+    with pytest.raises(SupportMismatch, match=f"^{message}$"):
+        packet_constituents(psi, eps)
+    # refused before either bound is looked at
+    for big in _above_the_bounds():
+        with pytest.raises(SupportMismatch):
+            packet_constituents(big, SignVector(support, signs))
 
 
 def test_translate_m_w_compatible_with_products():
@@ -326,14 +262,23 @@ def test_census_matches_constraint_route():
 
 
 def _reference_constituents(psi, eps):
-    """Classes of the enumerated pairs under the public, range-checked
-    equiv_sigma0, in first-seen order, with their status."""
+    """Brute force: every l in 0..[(A-B+1)/2] and eta = +-1 at each
+    instance, kept when eta**(A-B+1) * (-1)**([(A-B+1)/2] + l) is the sign
+    of eps at every instance, then grouped under _sigma0_equal in
+    first-seen order, with their status."""
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
+    gaps = _instance_gaps(psi)
     classes = []
-    for pair in enumerate_l_eta(psi, filter_eps=eps):
+    for combo in itertools.product(*([(l, eta) for l in range(gap // 2 + 1)
+                                      for eta in (1, -1)] for gap in gaps)):
+        if any(eta ** gap * (-1) ** (gap // 2 + l) != sign
+               for gap, (l, eta), sign in zip(gaps, combo, eps.signs)):
+            continue
+        pair = LEtaPair(tuple(l for l, _ in combo),
+                        tuple(eta for _, eta in combo))
         for cls in classes:
-            if equiv_sigma0(psi, cls[0], pair):
+            if _sigma0_equal(gaps, cls[0], pair):
                 cls.append(pair)
                 break
         else:
@@ -389,16 +334,3 @@ def test_gaps_are_a_minus_b_plus_one_on_instances():
         repeated += any(b.mult > 1 for b in psi.blocks)
     assert repeated > 10
 
-
-def test_equiv_sigma0_checks_ranges():
-    psi = make_parameter([from_AB(RHO, HalfInt(0), HalfInt(0), PLUS),
-                          from_AB(RHO, HalfInt(4), HalfInt(2), PLUS)])
-    inside = LEtaPair((0, 1), (1, 1))
-    outside = LEtaPair((0, 2), (1, 1))  # l = 2 > [(A - B + 1)/2] = 1
-    assert equiv_sigma0(psi, inside, inside)
-    with pytest.raises(OutOfRange):
-        equiv_sigma0(psi, inside, outside)
-    with pytest.raises(OutOfRange):
-        equiv_sigma0(psi, outside, inside)
-    with pytest.raises(OutOfRange):
-        equiv(psi, inside, outside)

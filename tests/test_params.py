@@ -15,7 +15,7 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
                                GroupForm, JordanBlock, block_parity, classify,
                                diagonal_restriction, dominate, from_AB,
                                make_parameter, natural_order, number_copies,
-                               phi_psi, split_p_np, SP, SO_EVEN, SO_ODD)
+                               split_p_np, SP, SO_EVEN, SO_ODD)
 from arthurcalc.testing import (COMPACT, FAMILIES, random_pure_parameter,
                                 random_p_order)
 
@@ -455,16 +455,6 @@ def test_ensure_ddr_always_lands_in_ddr():
         assert "discrete_diag_restriction" in classify(gg)
         # (P) holds: building the order again does not raise
         BlockOrder(order_gg.sequence)
-
-
-def test_phi_psi_spec_examples():
-    assert phi_psi(make_parameter([JordanBlock(RHO, 3, 1)])) == \
-        ((RHO, HalfInt(0), 3, 1),)
-    out = phi_psi(make_parameter([JordanBlock(RHO, 3, 2)]))
-    twists = sorted(t.twice for r, t, a, m in out if a == 3)
-    assert twists == [-1, 1]
-    out2 = phi_psi(make_parameter([JordanBlock(RHO, 1, 3)]))
-    assert sorted(t.twice for _, t, a, m in out2) == [-2, 0, 2]
 
 
 def test_classify_stable_under_relabeling():

@@ -2,151 +2,19 @@ import random
 
 import pytest
 
-from arthurcalc.errors import (DomainError, NotDiscrete, NotDominating)
-from arthurcalc.halfint import HalfInt
+from arthurcalc.errors import NotDiscrete
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
-from arthurcalc.params import (MINUS, PLUS, JordanBlock, from_AB,
-                               make_parameter)
+from arthurcalc.params import PLUS, JordanBlock, make_parameter
 from arthurcalc.segments import (EVEN_MIN, GAP, NONE, PAIR, EpsMap,
-                                 GeneralizedSegment, cuspidal_reducibility_point,
-                                 cuspidal_support, jac_chain_possible,
-                                 jac_multiplicity_bound, parabolic_reduce_step,
-                                 shift_matrix, speh_matrix,
+                                 cuspidal_support, parabolic_reduce_step,
                                  supercuspidal_test)
 from arthurcalc.testing import random_discrete_pair
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 
 
-def _tw(matrix):
-    return tuple(tuple(x.twice for x in row) for row in matrix.entries)
-
-
-def test_speh_matrix_spec_examples():
-    gs = speh_matrix(RHO, 3, 2)
-    assert _tw(gs) == ((1, -1, -3), (3, 1, -1))  # halves of 1/2,-1/2,-3/2 ...
-
-    st = speh_matrix(RHO, 4, 1)
-    assert _tw(st) == ((3, 1, -1, -3),)
-
-    assert _tw(speh_matrix(RHO, 1, 1)) == ((0,),)
-
-
-def test_shift_matrix_spec_examples():
-    big = from_AB(RHO, HalfInt(8), HalfInt(6), PLUS)
-    small = from_AB(RHO, HalfInt(4), HalfInt(2), PLUS)
-    gs = shift_matrix(big, small)
-    assert _tw(gs) == ((6, 4), (8, 6))  # [[3,2],[4,3]]
-
-    big2 = from_AB(RHO, HalfInt(2), HalfInt(2), MINUS)
-    small2 = from_AB(RHO, HalfInt(0), HalfInt(0), MINUS)
-    assert _tw(shift_matrix(big2, small2)) == ((-2,),)  # [[-1]]
-
-    with pytest.raises(NotDominating):
-        shift_matrix(small, small)
-
-
-def test_transpose():
-    one = speh_matrix(RHO, 1, 1)
-    assert one.transpose().entries == one.entries
-    gs = speh_matrix(RHO, 3, 2)
-    assert gs.transpose().shape == (3, 2)
-    assert gs.transpose().transpose().entries == gs.entries
-
-
-def test_generalized_segment_invariants():
-    rng = random.Random(2)
-    for _ in range(40):
-        a, b = rng.randint(1, 5), rng.randint(1, 4)
-        gs = speh_matrix(RHO, a, b)
-        assert gs.shape == (b, a)
-        gs.transpose()  # revalidates on construction
-    with pytest.raises(DomainError):
-        GeneralizedSegment(RHO, ((HalfInt(0), HalfInt(4)),))
-
-
-def test_shift_matrix_always_valid():
-    rng = random.Random(3)
-    for _ in range(60):
-        tb = rng.randint(0, 4)
-        ta = tb + 2 * rng.randint(0, 3)
-        t = rng.randint(1, 3)
-        zeta = rng.choice((PLUS, MINUS))
-        small = from_AB(RHO, HalfInt(ta), HalfInt(tb), zeta)
-        big = from_AB(RHO, HalfInt(ta + 2 * t), HalfInt(tb + 2 * t), zeta)
-        gs = shift_matrix(big, small)
-        assert gs.shape == ((ta - tb) // 2 + 1, t)
-
-
-def test_jac_chain_spec_examples():
-    psi = make_parameter([from_AB(RHO, HalfInt(4), HalfInt(2), PLUS),
-                          JordanBlock(RHO, 1, 1, 1, PLUS)])
-    assert jac_chain_possible(psi, RHO, PLUS, HalfInt(2), HalfInt(4))
-    assert not jac_chain_possible(psi, RHO, PLUS, HalfInt(4), HalfInt(4))
-    assert jac_chain_possible(psi, RHO, PLUS, HalfInt(2), HalfInt(2))
-    assert jac_chain_possible(psi, RHO, PLUS, HalfInt(0), HalfInt(0))
-    assert not jac_chain_possible(psi, RHO, MINUS, HalfInt(2), HalfInt(2))
-
-
-def test_jac_chain_monotone():
-    rng = random.Random(4)
-    for _ in range(60):
-        base = [from_AB(RHO, HalfInt(2), HalfInt(0), PLUS)]
-        psi = make_parameter(base)
-        bigger = make_parameter(base + [from_AB(RHO, HalfInt(8), HalfInt(6),
-                                                PLUS)])
-        for tx in (0, 2, 4, 6):
-            for ty in (tx, tx + 2, tx + 4):
-                before = jac_chain_possible(psi, RHO, PLUS, HalfInt(tx),
-                                            HalfInt(ty))
-                after = jac_chain_possible(bigger, RHO, PLUS, HalfInt(tx),
-                                           HalfInt(ty))
-                assert after or not before  # enlarging never flips to False
-
-
-def test_jac_chain_multi_block():
-    # chain must step through overlapping supports
-    psi = make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS),
-                          from_AB(RHO, HalfInt(6), HalfInt(4), PLUS)])
-    assert jac_chain_possible(psi, RHO, PLUS, HalfInt(0), HalfInt(6))
-    gap = make_parameter([from_AB(RHO, HalfInt(0), HalfInt(0), PLUS),
-                          from_AB(RHO, HalfInt(6), HalfInt(6), PLUS)])
-    assert not jac_chain_possible(gap, RHO, PLUS, HalfInt(0), HalfInt(6))
-
-
-def test_jac_multiplicity_bound():
-    psi = make_parameter([from_AB(RHO, HalfInt(4), HalfInt(2), PLUS),
-                          JordanBlock(RHO, 1, 1, 1, PLUS)])
-    assert jac_multiplicity_bound(psi, RHO, HalfInt(4), 1)   # no block there
-    assert not jac_multiplicity_bound(psi, RHO, HalfInt(2), 1)
-    assert jac_multiplicity_bound(psi, RHO, HalfInt(2), 2)
-
-    two = make_parameter([from_AB(RHO, HalfInt(4), HalfInt(2), PLUS),
-                          from_AB(RHO, HalfInt(8), HalfInt(2), PLUS),
-                          JordanBlock(RHO, 1, 1, 1, PLUS)])
-    assert not jac_multiplicity_bound(two, RHO, HalfInt(2), 2)
-    assert jac_multiplicity_bound(two, RHO, HalfInt(2), 3)
-
-
 def _phi(*sizes, rho=RHO):
     return make_parameter([JordanBlock(rho, a, 1) for a in sizes])
-
-
-def test_cuspidal_reducibility_spec_examples():
-    phi = _phi(1, 3, 5)
-    assert cuspidal_reducibility_point(phi, RHO) == 5
-
-    other = RhoLabel("other", 2, SYMPLECTIC)  # opposite to SO-dual of Sp
-    assert cuspidal_reducibility_point(phi, other) == 0
-
-    from arthurcalc.labels import NOT_SELF_DUAL
-    nsd = RhoLabel("nsd", 1, NOT_SELF_DUAL)
-    assert cuspidal_reducibility_point(phi, nsd) == -1
-
-    with pytest.raises(NotDiscrete):
-        cuspidal_reducibility_point(
-            make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
-                            JordanBlock(RHO, 1, 1, 1, PLUS)]), RHO)
 
 
 def _eps(phi, values):
@@ -165,6 +33,11 @@ def test_supercuspidal_spec_examples():
 
     lonely = _phi(5, 1)  # {(rho,5)} plus filler to keep the product even
     assert not supercuspidal_test(lonely, _eps(lonely, (-1, -1)))
+
+    with pytest.raises(NotDiscrete):
+        supercuspidal_test(make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
+                                           JordanBlock(RHO, 1, 1, 1, PLUS)]),
+                           EpsMap({}))
 
 
 def test_parabolic_reduction_gap_case():

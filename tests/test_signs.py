@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,17 +7,32 @@ from arthurcalc.charspace import SignVector, MULT, pair, s_psi
 from arthurcalc.errors import DomainError, OrderViolation, UnresolvedZeta
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
-                               JordanBlock, all_p_orders, classify, dominate,
+                               JordanBlock, classify, dominate,
                                elementary_alpha, elementary_block, from_AB,
                                make_parameter, natural_order)
-from arthurcalc.signs import (aubert_flip, beta_sign, eps_m_mw_ddr,
+from arthurcalc.signs import (PairSet, aubert_flip, beta_sign, eps_m_mw_ddr,
                               eps_m_mw_elementary, eps_m_mw_general, eps_m_w,
-                              eps_mw_w, s_ratio, theta_ratio_mw_w, z_mw_w,
-                              z_u)
+                              eps_mw_w, s_ratio, theta_ratio_mw_w, z_mw_w)
 from arthurcalc.testing import (random_elementary, random_p_order,
                                 random_pure_parameter)
 
+from block_orders import all_p_orders
+
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
+
+
+def z_u(psi_p):
+    """Pairs with sup(a,a'), sup(b,b') even and inf(a,a'), inf(b,b') odd:
+    the oracle for how a shift moves the pair count of z_mw_w."""
+    insts = psi_p.instances()
+    pairs = set()
+    for (i, (p, _)), (j, (q, _)) in itertools.combinations(
+            enumerate(insts), 2):
+        if p.rho.id == q.rho.id and max(p.a, q.a) % 2 == 0 \
+                and max(p.b, q.b) % 2 == 0 and min(p.a, q.a) % 2 == 1 \
+                and min(p.b, q.b) % 2 == 1:
+            pairs.add((i, j))
+    return PairSet(len(insts), frozenset(pairs))
 
 
 def _psi_22_11():
