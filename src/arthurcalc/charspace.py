@@ -175,14 +175,10 @@ def in_character_space(eps: SignVector, psi: ArthurParameter,
     return p == 1
 
 
-def in_element_space(s: SignVector, psi: ArthurParameter,
-                     sigma0: bool = False) -> bool:
-    """Element-side membership.
-
-    The full (Sigma0) spaces carry no condition; the plain spaces impose
-    the determinant condition for even orthogonal groups.
-    """
-    if sigma0 or psi.group.kind != SO_EVEN:
+def in_element_space(s: SignVector, psi: ArthurParameter) -> bool:
+    """Element-side membership: the determinant condition for even
+    orthogonal groups, no condition otherwise."""
+    if psi.group.kind != SO_EVEN:
         return True
     p = 1
     for sign, dim in zip(s.signs, _dims(psi, s.support)):
@@ -200,8 +196,8 @@ def _quotient_generator(psi: ArthurParameter, space: str) -> Optional[SignVector
     return None
 
 
-def enumerate_characters(psi: ArthurParameter, space: str,
-                         bound: int = ENUM_BOUND) -> List[SignVector]:
+def enumerate_characters(psi: ArthurParameter, space: str
+                         ) -> List[SignVector]:
     """Canonical coset representatives of a character space.
 
     Representatives are the lexicographically least members of their
@@ -209,8 +205,8 @@ def enumerate_characters(psi: ArthurParameter, space: str,
     """
     support = MULT if space in (S_GT_HAT, S_GT_HAT_SIGMA0) else CLASS
     n = len(psi.instances()) if support == MULT else len(psi.classes())
-    if n > bound:
-        raise TooLarge(f"{n} blocks exceeds bound {bound}")
+    if n > ENUM_BOUND:
+        raise TooLarge(f"{n} blocks exceeds bound {ENUM_BOUND}")
     gen = _quotient_generator(psi, space)
     seen = set()
     out = []
@@ -227,23 +223,14 @@ def enumerate_characters(psi: ArthurParameter, space: str,
     return out
 
 
-def enumerate_elements(psi: ArthurParameter, sigma0: bool = False,
-                       quotient_s0: bool = False,
-                       bound: int = ENUM_BOUND) -> List[SignVector]:
-    """Element-side vectors on instances, optionally modulo the center."""
+def enumerate_elements(psi: ArthurParameter) -> List[SignVector]:
+    """The element-side vectors on instances."""
     n = len(psi.instances())
-    if n > bound:
-        raise TooLarge(f"{n} blocks exceeds bound {bound}")
-    seen = set()
+    if n > ENUM_BOUND:
+        raise TooLarge(f"{n} blocks exceeds bound {ENUM_BOUND}")
     out = []
     for signs in itertools.product((1, -1), repeat=n):
         v = SignVector(MULT, signs)
-        if not in_element_space(v, psi, sigma0):
-            continue
-        if signs in seen:
-            continue
-        seen.add(signs)
-        if quotient_s0 and n > 0:
-            seen.add(tuple(-x for x in signs))
-        out.append(v)
+        if in_element_space(v, psi):
+            out.append(v)
     return out

@@ -17,7 +17,7 @@ from .errors import (AmbiguousChoice, DomainError, NotACharacter,
 from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import (PLUS, ArthurParameter, diagonal_restriction,
-                     elementary_alpha, elementary_block, is_elementary)
+                     elementary_block, is_elementary)
 from .segments import (EpsMap, Segment, extends_cuspidal_chain,
                        supercuspidal_test)
 
@@ -47,7 +47,7 @@ def _eps_map(psi: ArthurParameter, eps) -> EpsMap:
         return eps
     values = {}
     for blk, sg in zip(psi.classes(), eps.signs):
-        values[(blk.rho.id, elementary_alpha(blk))] = sg
+        values[(blk.rho.id, blk.alpha)] = sg
     return EpsMap(values)
 
 
@@ -76,7 +76,7 @@ def _chains(psi: ArthurParameter
     chains: Dict[str, Tuple[RhoLabel, Dict[int, int]]] = {}
     for blk in psi.blocks:
         _, jord = chains.setdefault(blk.rho.id, (blk.rho, {}))
-        jord[max(blk.a, blk.b)] = blk.zeta_resolved()
+        jord[blk.alpha] = blk.zeta_resolved()
     return chains
 
 
@@ -117,9 +117,8 @@ def _with_sizes(psi: ArthurParameter, rho: RhoLabel,
     blocks = []
     for blk in psi.blocks:
         if blk.rho.id == rho.id:
-            alpha = max(blk.a, blk.b)
-            if alpha in changes:
-                tgt = changes[alpha]
+            if blk.alpha in changes:
+                tgt = changes[blk.alpha]
                 if tgt is not None:
                     blocks.append(elementary_block(blk.rho, *tgt))
                 continue
@@ -143,10 +142,10 @@ def construction_trace(psi: ArthurParameter, eps,
     """
     _check_elementary(psi)
     eps = _eps_map(psi, eps)
-    if set(eps.values) != {(b.rho.id, max(b.a, b.b))
+    if set(eps.values) != {(b.rho.id, b.alpha)
                            for b in psi.blocks} or eps.product() != 1:
         raise NotACharacter("character must match the blocks with product 1")
-    total = sum(max(b.a, b.b) for b in psi.blocks)
+    total = sum(b.alpha for b in psi.blocks)
     if total > MAX_TRACE_SIZE:
         raise TooLarge(f"sizes max(a, b) sum to {total}, above the trace "
                        f"bound {MAX_TRACE_SIZE}")

@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .charspace import (MULT, SignVector, S_GT_HAT_SIGMA0, check_length,
-                        in_character_space, pair, s_psi, value_at)
-from .errors import DomainError, NoCompoundBlock, NotDDR
+from .charspace import (ENUM_BOUND, MULT, SignVector, S_GT_HAT_SIGMA0,
+                        check_length, in_character_space, pair, s_psi,
+                        value_at)
+from .errors import DomainError, NoCompoundBlock, NotDDR, TooLarge
 from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
                      JordanBlock, classify, from_AB)
@@ -335,6 +336,9 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("bookkeeping is checked on DDR parameters")
     check_length(psi, s)
+    # the loop below runs over all 2^n sign vectors on the n instances
+    if len(s) > ENUM_BOUND:
+        raise TooLarge(f"{len(s)} blocks exceeds bound {ENUM_BOUND}")
     blk = _find_instance(psi, chosen)
     A, B, zeta = _require_compound(blk)
     rho = blk.rho

@@ -70,17 +70,22 @@ def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
     return True
 
 
-def _admissible(psi: ArthurParameter, eps: SignVector
-                ) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    """Per block instance, A - B + 1 and the (l, eta) in range there whose
-    character value is the sign of eps."""
-    if eps.support != MULT:
-        raise SupportMismatch(
-            f"eps has {eps.support} support where {MULT} is needed")
-    check_length(psi, eps)
-    return [(gap, [(l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
-                   if _block_eps(gap, l, eta) == sign])
-            for gap, sign in zip(_gaps(psi), eps.signs)]
+def _admissible(gap: int, sign: int) -> List[Tuple[int, int]]:
+    """The (l, eta) in range at a block with A - B + 1 = gap whose
+    character value is sign."""
+    return [(l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
+            if _block_eps(gap, l, eta) == sign]
+
+
+def _class_count(gap: int, sign: int) -> int:
+    """How many classes _admissible(gap, sign) falls into, in closed
+    form: an odd gap fixes eta at each l; an even gap takes the l of one
+    parity, both etas at each, except l = gap/2, whose two etas are one
+    class."""
+    if gap % 2:
+        return gap // 2 + 1
+    half = gap // 2
+    return 2 * (half // 2) + 1 if sign == 1 else 2 * ((half + 1) // 2)
 
 
 def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
@@ -123,24 +128,29 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     """
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
+    if eps.support != MULT:
+        raise SupportMismatch(
+            f"eps has {eps.support} support where {MULT} is needed")
+    check_length(psi, eps)
+    gaps = _gaps(psi)
+    if len(gaps) > ENUM_BOUND:
+        raise TooLarge(f"{len(gaps)} blocks exceeds bound {ENUM_BOUND}")
+    count = math.prod(map(_class_count, gaps, eps.signs))
+    if count > MAX_CLASSES:
+        raise TooLarge(f"{count} constituent classes exceeds bound "
+                       f"{MAX_CLASSES}")
     # two pairs label one constituent exactly when they have the same l
     # everywhere, and the same eta except where 2l = A - B + 1, where both
     # etas label it; so the classes at one block are its (l, eta) with the
     # two etas of a free l together, and a class of psi picks one at
     # every block.  Product order keeps the classes in first-seen order.
     per_block = []
-    for gap, admissible in _admissible(psi, eps):
+    for gap, sign in zip(gaps, eps.signs):
         classes: Dict[object, List[Tuple[int, int]]] = {}
-        for l, eta in admissible:
+        for l, eta in _admissible(gap, sign):
             classes.setdefault(l if 2 * l == gap else (l, eta),
                                []).append((l, eta))
         per_block.append(list(classes.values()))
-    if len(per_block) > ENUM_BOUND:
-        raise TooLarge(f"{len(per_block)} blocks exceeds bound {ENUM_BOUND}")
-    count = math.prod(map(len, per_block))
-    if count > MAX_CLASSES:
-        raise TooLarge(f"{count} constituent classes exceeds bound "
-                       f"{MAX_CLASSES}")
     return [ConstituentClass(members[0], tuple(members), status)
             for members in map(_pairs, itertools.product(*per_block))]
 

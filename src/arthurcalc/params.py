@@ -10,7 +10,7 @@ that work on Jord(psi_p) with multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (BadBlock, BadGroup, DomainError, NotDDR, NotDominating,
@@ -74,6 +74,99 @@ class GroupForm:
         return f"SO({2 * self.n},{self.eta})"
 
 
+_store = object.__setattr__
+
+
+class _Derived:
+    """A value derived from a frozen object's fields on first read.
+
+    The value is stored on the instance, outside the fields, where later
+    reads find it before this descriptor.  No lock is taken, so a race
+    between threads only stores an equal value twice; see the README on
+    concurrency."""
+
+    def __init__(self, derive: Callable):
+        self.derive = derive
+        self.__doc__ = derive.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.derive(obj)
+        _store(obj, self.name, value)
+        return value
+
+
+def _merge_facts(blk: "JordanBlock") -> tuple:
+    """(sort_key, total_dim), which a parameter reads to merge and count
+    its blocks, stored on the block."""
+    rho, a, b = blk.rho, blk.a, blk.b
+    # key() flattened: it sorts in the same order
+    key = (rho.id, rho.dim, rho.self_dual_type, a, b, _ZETA_CHAR[blk.zeta])
+    total = blk.mult * a * b * rho.dim
+    _store(blk, "sort_key", key)
+    _store(blk, "total_dim", total)
+    return key, total
+
+
+def _class_facts(blk: "JordanBlock") -> tuple:
+    """(parity, segment), which classification reads, stored on the
+    block."""
+    rho, a, b = blk.rho, blk.a, blk.b
+    rho_type = rho.self_dual_type
+    if rho_type == NOT_SELF_DUAL:
+        parity = None
+    else:
+        even = (a + b) % 2 == 0
+        parity = ORTHOGONAL if even == (rho_type == ORTHOGONAL) else SYMPLECTIC
+    segment = (rho.id, abs(a - b), a + b - 2)
+    _store(blk, "parity", parity)
+    _store(blk, "segment", segment)
+    return parity, segment
+
+
+class _Fact:
+    """The value at index in what derive(block) returns, after derive has
+    stored all of it on the block; read like a _Derived value.
+
+    Each read of a value not stored yet costs a Python-level call, so
+    the facts that one reader needs are derived together, and those it
+    does not need wait for a reader that does: a block that is only
+    built into a parameter and never classified derives no parity."""
+
+    def __init__(self, derive: Callable, index: int, doc: str):
+        self.derive = derive
+        self.index = index
+        self.__doc__ = doc
+
+    def __get__(self, blk, owner=None):
+        if blk is None:
+            return self
+        return self.derive(blk)[self.index]
+
+
+def _derived_names_shared(cls):
+    """Enter the names of the _Derived and _Fact values of cls in the
+    table of attribute names that CPython shares among the instances of
+    a class.
+
+    CPython stops adding names to that table once a few dozen instances
+    exist.  An instance that stores a name first seen after that gets a
+    dictionary of its own, which slows every later attribute read on it,
+    and blocks are classified or flipped long after the first blocks are
+    built.  A throwaway instance stores the names before any other
+    instance exists."""
+    proto = object.__new__(cls)
+    for name, attr in vars(cls).items():
+        if isinstance(attr, (_Derived, _Fact)):
+            _store(proto, name, None)
+    return cls
+
+
+@_derived_names_shared
 @dataclass(frozen=True)
 class JordanBlock:
     """A Jordan block rho (x) nu_a (x) nu_b with multiplicity.
@@ -126,11 +219,27 @@ class JordanBlock:
     def key(self):
         return (self.rho.sort_key(), self.a, self.b, _ZETA_CHAR[self.zeta])
 
-    @cached_property
+    # The block's facts, derived once per block object; they are no
+    # fields, so equality, hashing, repr and replace ignore them.
+    sort_key = _Fact(_merge_facts, 0, "key() flattened, which sorts in the "
+                     "same order: (rho id, rho dim, self-dual type, a, b, "
+                     "zeta).")
+    total_dim = _Fact(_merge_facts, 1,
+                      "Dimension of all copies, mult*a*b*d_rho.")
+    parity = _Fact(_class_facts, 0, "Orthogonal/symplectic type of the "
+                   "block, None when rho is not self-dual.")
+    segment = _Fact(_class_facts, 1,
+                    "(rho id, 2B, 2A) = (rho id, |a - b|, a + b - 2).")
+
+    @_Derived
+    def alpha(self) -> int:
+        """max(a, b), the size alpha of an elementary block."""
+        return max(self.a, self.b)
+
+    @_Derived
     def flip_partner(self) -> "JordanBlock":
         """The elementary block (rho, alpha, -delta) that the sign flip
-        puts in place of this one, built on first use; see the README on
-        concurrency."""
+        puts in place of this one."""
         return elementary_block(self.rho, elementary_alpha(self),
                                 -elementary_delta(self))
 
@@ -150,15 +259,7 @@ def from_AB(rho: RhoLabel, A: HalfInt, B: HalfInt, zeta: int,
     return JordanBlock(rho, a, b, mult, zeta if a == b else None)
 
 
-def block_parity(block: JordanBlock) -> Optional[str]:
-    """Orthogonal/symplectic type of a block, None when rho is not self-dual."""
-    rho_type = block.rho.self_dual_type
-    if rho_type == NOT_SELF_DUAL:
-        return None
-    even = (block.a + block.b) % 2 == 0
-    return ORTHOGONAL if even == (rho_type == ORTHOGONAL) else SYMPLECTIC
-
-
+@_derived_names_shared
 @dataclass(frozen=True)
 class ArthurParameter:
     """A group form plus a multiset of Jordan blocks of total dimension N."""
@@ -171,20 +272,17 @@ class ArthurParameter:
         total = 0
         self_dual = True
         for blk in self.blocks:
-            rho, a, b, mult = blk.rho, blk.a, blk.b, blk.mult
-            sd_type = rho.self_dual_type
-            # key() flattened: it sorts in the same order
-            key = (rho.id, rho.dim, sd_type, a, b, _ZETA_CHAR[blk.zeta])
+            key = blk.sort_key
             old = merged.get(key)
             if old is None:
                 merged[key] = blk
             else:
-                if old.rho != rho:
+                if old.rho != blk.rho:
                     raise DomainError(
-                        f"label id {rho.id!r} used inconsistently")
-                merged[key] = replace(old, mult=old.mult + mult)
-            total += mult * a * b * rho.dim
-            self_dual = self_dual and sd_type != NOT_SELF_DUAL
+                        f"label id {blk.rho.id!r} used inconsistently")
+                merged[key] = replace(old, mult=old.mult + blk.mult)
+            total += blk.total_dim
+            self_dual = self_dual and key[2] != NOT_SELF_DUAL  # rho's type
         object.__setattr__(self, "blocks",
                            tuple([merged[key] for key in sorted(merged)]))
         if total != self.group.N:
@@ -216,14 +314,13 @@ class ArthurParameter:
         """A parameter on a group of the same kind and eta, its rank read
         off the blocks' total dimension; equal blocks merge."""
         blocks = tuple(blocks)
-        total = sum(blk.mult * blk.dim for blk in blocks)
+        total = sum(blk.total_dim for blk in blocks)
         return ArthurParameter(
             GroupForm.of_dim(self.group.kind, total, self.group.eta), blocks)
 
-    @cached_property
+    @_Derived
     def _flags(self) -> frozenset:
-        """classify(self), built on first use; see the README on
-        concurrency."""
+        """classify(self), built on first use."""
         target = self.group.dual_parity
         tempered = mult_free = pure = elementary = True
         segments = []
@@ -231,9 +328,9 @@ class ArthurParameter:
             a, b = blk.a, blk.b
             tempered = tempered and b == 1
             mult_free = mult_free and blk.mult == 1
-            pure = pure and block_parity(blk) == target
+            pure = pure and blk.parity == target
             elementary = elementary and (a == 1 or b == 1)  # A == B
-            segments.append((blk.rho.id, abs(a - b), a + b - 2))
+            segments.append(blk.segment)
         flags = set()
         if tempered:
             flags.add("tempered")
@@ -283,10 +380,10 @@ class ArthurParameter:
 def make_parameter(blocks: Sequence[JordanBlock],
                    eta: Optional[QuadCharacter] = None) -> ArthurParameter:
     """Infer the group form carried by a family of same-parity blocks."""
-    parities = {block_parity(b) for b in blocks}
+    parities = {b.parity for b in blocks}
     if len(parities) != 1 or None in parities:
         raise DomainError("blocks must share a self-dual parity type")
-    total = sum(b.mult * b.dim for b in blocks)
+    total = sum(b.total_dim for b in blocks)
     if parities.pop() == ORTHOGONAL:
         kind = SP if total % 2 else SO_EVEN
     elif total % 2:
@@ -308,7 +405,7 @@ def split_p_np(psi: ArthurParameter
     target = psi.group.dual_parity
     p_blocks, rest = [], []
     for blk in psi.blocks:
-        if block_parity(blk) == target:
+        if blk.parity == target:
             p_blocks.append(blk)
         else:
             rest.append(blk)
@@ -334,7 +431,7 @@ def split_p_np(psi: ArthurParameter
 def is_parity_pure(psi: ArthurParameter) -> bool:
     """True iff psi equals its parity part psi_p."""
     target = psi.group.dual_parity
-    return all(block_parity(b) == target for b in psi.blocks)
+    return all(b.parity == target for b in psi.blocks)
 
 
 def diagonal_restriction(psi: ArthurParameter) -> ArthurParameter:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .charspace import MULT, SignVector, vector_on_instances
+from .charspace import MULT, SignVector
 from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
                      UnresolvedZeta)
 from .halfint import sign_pow
@@ -234,9 +234,8 @@ def aubert_flip(psi: ArthurParameter, rho: RhoLabel, x0: int,
     if not is_elementary(psi):
         raise NotElementary("the flip is defined on elementary parameters")
     top = x0 if strict else x0 + 1
-    # on an elementary parameter alpha = max(a, b)
     return ArthurParameter(psi.group, tuple([
-        blk.flip_partner if blk.rho.id == rho.id and max(blk.a, blk.b) < top
+        blk.flip_partner if blk.rho.id == rho.id and blk.alpha < top
         else blk for blk in psi.blocks]))
 
 
@@ -244,8 +243,7 @@ def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:
     """The sign relating the flipped normalized action to its target."""
     if not is_elementary(psi):
         raise NotElementary("beta is defined on elementary parameters")
-    # on an elementary parameter alpha = max(a, b)
-    alphas = [max(b.a, b.b) for b in psi.blocks if b.rho.id == rho.id]
+    alphas = [b.alpha for b in psi.blocks if b.rho.id == rho.id]
     if any((alpha - alphas[0]) % 2 for alpha in alphas):
         raise MixedParity(f"rho {rho.id} mixes odd and even sizes")
     below = [alpha for alpha in alphas if alpha < x0]
@@ -268,10 +266,11 @@ def s_ratio(psi: ArthurParameter, x0: int,
     if not is_elementary(psi):
         raise NotElementary("the ratio is defined on elementary parameters")
 
-    def fn(blk, _):
+    def sign(blk):
         if rho is not None and blk.rho.id != rho.id:
             return 1
-        alpha = elementary_alpha(blk)
-        return -1 if alpha < x0 and alpha % 2 == 0 else 1
+        return -1 if blk.alpha < x0 and blk.alpha % 2 == 0 else 1
 
-    return vector_on_instances(psi, fn)
+    # an elementary parameter has multiplicity one: its blocks are its
+    # instances
+    return SignVector(MULT, tuple(map(sign, psi.blocks)))

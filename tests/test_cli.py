@@ -346,6 +346,26 @@ def test_packet_class_bound():
         "type": "TooLarge"}
 
 
+def test_packet_class_bound_is_checked_before_any_list():
+    # one block with A - B + 1 = 400 001 has 200 001 classes at eps = +:
+    # refused from the closed-form count, with no (l, eta) list built
+    import tracemalloc
+    a = 400001
+    payload = {"group": {"kind": "Sp", "n": (a * a - 1) // 2},
+               "blocks": [_block(a=a, b=a, zeta="+")]}
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(["packet", json.dumps(payload), "--eps=+"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": "200001 constituent classes exceeds bound 16384",
+        "type": "TooLarge"}
+    assert peak < 2 ** 20
+
+
 def test_signs_reads_and_parses_its_input_once(monkeypatch):
     opened, parsed = [], []
     real_open = open

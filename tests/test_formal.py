@@ -6,7 +6,7 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector,
                                   enumerate_characters, enumerate_elements,
                                   eps_zero, S_GT_HAT_SIGMA0)
 from arthurcalc.errors import (DomainError, NoCompoundBlock, NotDDR,
-                               SupportMismatch)
+                               SupportMismatch, TooLarge)
 from arthurcalc.formal import (BasisTerm, CoreLabel, FormalSum,
                                ddr_recursion_expand,
                                endoscopic_sign_bookkeeping,
@@ -168,6 +168,18 @@ def test_bookkeeping_wrong_length_s_refused(signs):
                                     _compound(psi))
 
 
+def test_bookkeeping_refuses_more_instances_than_the_bound():
+    # 20 tempered blocks under one compound block: 21 instances, one above
+    # the bound, refused before the loop over the 2^21 sign vectors
+    blocks = [JordanBlock(RHO, 2 * k + 1, 1) for k in range(20)]
+    blocks.append(from_AB(RHO, HalfInt(42), HalfInt(40), PLUS))
+    psi = make_parameter(blocks)
+    chosen = _compound(psi)
+    s = SignVector(MULT, (1,) * 21)
+    with pytest.raises(TooLarge, match="^21 blocks exceeds bound 20$"):
+        endoscopic_sign_bookkeeping(psi, s, chosen)
+
+
 def test_endoscopic_bookkeeping_small():
     psi = _psi_10()
     chosen = _compound(psi)
@@ -315,6 +327,55 @@ def test_term_hash_shared_across_threads():
         assert results[k][0] == expect
         assert results[k][1] == results[0][1]
         assert len(results[k][1]) == len(set(fresh))
+
+
+def test_block_facts_shared_across_threads():
+    # parameters on fresh blocks, classified and flipped first by racing
+    # threads: every thread must get what one thread alone gets
+    import sys
+    import threading
+    from arthurcalc.params import ArthurParameter, classify
+    from arthurcalc.signs import aubert_flip, beta_sign, s_ratio
+    from arthurcalc.testing import random_elementary
+    rng = random.Random(86)
+    drawn = [random_elementary(rng, max_blocks=5) for _ in range(30)]
+
+    def fresh(psi):
+        return ArthurParameter(psi.group, tuple(
+            JordanBlock(b.rho, b.a, b.b, b.mult, b.zeta) for b in psi.blocks))
+
+    def run(psi):
+        out = [classify(psi)]
+        top = max(max(b.a, b.b) for b in psi.blocks)
+        for rho in psi.rho_labels():
+            for x0 in range(top + 2):
+                for strict in (True, False):
+                    flipped = aubert_flip(psi, rho, x0, strict)
+                    out.append((flipped, classify(flipped),
+                                aubert_flip(flipped, rho, x0, strict)))
+                out.append((beta_sign(psi, rho, x0), s_ratio(psi, x0, rho)))
+        return out
+
+    expect = [run(fresh(psi)) for psi in drawn]
+    shared = [fresh(psi) for psi in drawn]
+    results = {}
+
+    def work(k):
+        results[k] = [run(psi) for psi in shared]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        assert results[k] == expect
 
 
 def _k_family(k):

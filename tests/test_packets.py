@@ -8,7 +8,8 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector, constant,
 from arthurcalc.errors import SupportMismatch, TooLarge
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
-from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair, _gaps,
+from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair,
+                                _admissible, _class_count, _gaps,
                                 eta_constraint_check, packet_constituents,
                                 translate_m_w)
 from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
@@ -183,6 +184,15 @@ def test_enumeration_bound():
                          (instances, "15 blocks")):
         with pytest.raises(TooLarge, match=f"^{message} exceeds bound"):
             packet_constituents(big, constant(big, MULT))
+
+
+def test_class_count_closed_form_matches_the_lists():
+    for gap in range(1, 41):
+        for sign in (1, -1):
+            admissible = _admissible(gap, sign)
+            classes = {l if 2 * l == gap else (l, eta)
+                       for l, eta in admissible}
+            assert _class_count(gap, sign) == len(classes) > 0
 
 
 @pytest.mark.parametrize("support,signs,message", [

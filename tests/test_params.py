@@ -12,7 +12,7 @@ from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC,
                                QuadCharacter, RhoLabel)
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
-                               GroupForm, JordanBlock, block_parity, classify,
+                               GroupForm, JordanBlock, classify,
                                diagonal_restriction, dominate, from_AB,
                                make_parameter, natural_order, number_copies,
                                split_p_np, SP, SO_EVEN, SO_ODD)
@@ -80,13 +80,43 @@ def test_block_coordinates():
     assert from_AB(RHO, HalfInt(4), HalfInt(2), MINUS).a == 2
 
 
+def _parity(blk):
+    """The block's self-dual parity from its definition."""
+    if blk.rho.self_dual_type == NOT_SELF_DUAL:
+        return None
+    even = (blk.a + blk.b) % 2 == 0
+    return ORTHOGONAL if even == (blk.rho.self_dual_type == ORTHOGONAL) \
+        else SYMPLECTIC
+
+
 def test_block_parity_spec_examples():
-    assert block_parity(JordanBlock(RHO, 4, 2)) == ORTHOGONAL
+    assert JordanBlock(RHO, 4, 2).parity == ORTHOGONAL
     # a+b even with a symplectic label gives the symplectic type
-    assert block_parity(JordanBlock(RHO2, 3, 1)) == SYMPLECTIC
-    assert block_parity(JordanBlock(RHO2, 2, 1)) == ORTHOGONAL
+    assert JordanBlock(RHO2, 3, 1).parity == SYMPLECTIC
+    assert JordanBlock(RHO2, 2, 1).parity == ORTHOGONAL
     rho_nsd = RhoLabel("tau", 1, NOT_SELF_DUAL)
-    assert block_parity(JordanBlock(rho_nsd, 3, 2)) is None
+    assert JordanBlock(rho_nsd, 3, 2).parity is None
+
+
+def test_block_facts_are_derived_once_outside_the_fields():
+    rng = random.Random(41)
+    for _ in range(50):
+        for blk in random_pure_parameter(rng).blocks:
+            fresh = JordanBlock(blk.rho, blk.a, blk.b, blk.mult, blk.zeta)
+            assert fresh.alpha == max(blk.a, blk.b)
+            assert fresh.segment == (blk.rho.id, blk.B.twice, blk.A.twice)
+            assert fresh.total_dim == blk.mult * blk.dim
+            assert fresh.parity == _parity(blk)
+            assert fresh.sort_key == (*blk.rho.sort_key(), *blk.key()[1:])
+            # the reads stored every fact on the block
+            assert {"sort_key", "total_dim", "parity", "segment",
+                    "alpha"} <= vars(fresh).keys()
+            assert fresh.sort_key is fresh.sort_key
+            assert fresh == blk and hash(fresh) == hash(blk)
+            assert repr(fresh) == repr(blk)
+            double = replace(fresh, mult=2 * fresh.mult)
+            assert "total_dim" not in vars(double)
+            assert double.total_dim == 2 * fresh.total_dim
 
 
 def test_split_p_np_identity():
@@ -174,7 +204,7 @@ def _reference_flags(psi):
     blocks = psi.blocks
     tempered = all(b.b == 1 for b in blocks)
     mult_free = all(b.mult == 1 for b in blocks)
-    pure = all(block_parity(b) == psi.group.dual_parity for b in blocks)
+    pure = all(_parity(b) == psi.group.dual_parity for b in blocks)
     by_rho = {}
     for b in blocks:
         by_rho.setdefault(b.rho.id, []).extend([(b.B.twice, b.A.twice)]

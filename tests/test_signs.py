@@ -13,8 +13,8 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
 from arthurcalc.signs import (PairSet, aubert_flip, beta_sign, eps_m_mw_ddr,
                               eps_m_mw_elementary, eps_m_mw_general, eps_m_w,
                               eps_mw_w, s_ratio, theta_ratio_mw_w, z_mw_w)
-from arthurcalc.testing import (random_elementary, random_p_order,
-                                random_pure_parameter)
+from arthurcalc.testing import (random_ddr_parameter, random_elementary,
+                                random_p_order, random_pure_parameter)
 
 from block_orders import all_p_orders
 
@@ -439,3 +439,52 @@ def test_beta_endoscopy_comparison_identity():
             assert lhs == rhs
             rounds += 1
     assert rounds > 400
+
+
+def _flip_fingerprint():
+    """SHA-256 over classify, both flips, beta_sign and s_ratio on seeded
+    elementary and non-elementary parameters: every label of the
+    parameter and one it lacks, every x0 from 0 to max alpha + 1; each
+    result as repr and str, or the error's class and message."""
+    import hashlib
+    rng = random.Random(3131)
+    foreign = RhoLabel("zz", 1, ORTHOGONAL)
+    digest = hashlib.sha256()
+
+    def row(fn):
+        try:
+            out = fn()
+        except DomainError as e:
+            return type(e).__name__, str(e)
+        if isinstance(out, ArthurParameter):
+            return repr(out), str(out), sorted(classify(out))
+        return repr(out)
+
+    for n in range(160):
+        if n % 4 == 0:
+            psi = random_pure_parameter(rng, max_blocks=4)
+        elif n % 4 == 1:
+            psi = random_ddr_parameter(rng, max_blocks=3)
+        else:
+            psi = random_elementary(rng, max_blocks=4)
+        top = max(max(blk.a, blk.b) for blk in psi.blocks)
+        rows = [repr(psi), sorted(classify(psi))]
+        for rho in psi.rho_labels() + [foreign]:
+            for x0 in range(top + 2):
+                rows.append((
+                    row(lambda: aubert_flip(psi, rho, x0, True)),
+                    row(lambda: aubert_flip(psi, rho, x0, False)),
+                    row(lambda: beta_sign(psi, rho, x0)),
+                    row(lambda: s_ratio(psi, x0, rho))))
+        rows.extend(row(lambda: s_ratio(psi, x0)) for x0 in range(top + 2))
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed from the per-call block arithmetic, before blocks kept facts
+FLIP_FINGERPRINT = \
+    "1cca5a911a76e43b7b0309212a64928e8ba346d69344fa4da8937469adc62311"
+
+
+def test_flip_fingerprint():
+    assert _flip_fingerprint() == FLIP_FINGERPRINT
