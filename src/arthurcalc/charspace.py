@@ -67,7 +67,7 @@ class SignVector:
 
 def check_length(psi: ArthurParameter, v: SignVector) -> None:
     """Refuse a vector without one sign per block instance of psi."""
-    n = sum(blk.mult for blk in psi.blocks)
+    n = psi.instance_count()
     if len(v.signs) != n:
         raise SupportMismatch(
             f"{len(v.signs)} signs given for {n} block instances")

@@ -145,7 +145,7 @@ def cmd_signs(args) -> dict:
 
 def cmd_endoscopy(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    s = _parse_signs(args.s, len(psi.instances()))
+    s = _parse_signs(args.s, psi.instance_count())
     if in_element_space(s, psi):
         datum = endo.elliptic_datum(psi, s)
     else:
@@ -164,7 +164,7 @@ def cmd_endoscopy(args) -> dict:
 
 def cmd_packet(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    eps = _parse_signs(args.eps, len(psi.instances()))
+    eps = _parse_signs(args.eps, psi.instance_count())
     classes = packet_constituents(psi, eps)
     return {"classes": [
         {"l": list(c.representative.l),

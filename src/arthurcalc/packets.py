@@ -41,7 +41,8 @@ class LEtaPair:
     def __post_init__(self):
         if len(self.l) != len(self.eta):
             raise DomainError("l and eta must share a domain")
-        if any(e not in (1, -1) for e in self.eta):
+        eta = self.eta
+        if eta.count(1) + eta.count(-1) != len(eta):
             raise DomainError("eta values must be +-1")
 
 
@@ -70,22 +71,34 @@ def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
     return True
 
 
-def _admissible(gap: int, sign: int) -> List[Tuple[int, int]]:
-    """The (l, eta) in range at a block with A - B + 1 = gap whose
-    character value is sign."""
-    return [(l, eta) for l in range(gap // 2 + 1) for eta in (1, -1)
-            if _block_eps(gap, l, eta) == sign]
-
-
 def _class_count(gap: int, sign: int) -> int:
-    """How many classes _admissible(gap, sign) falls into, in closed
-    form: an odd gap fixes eta at each l; an even gap takes the l of one
-    parity, both etas at each, except l = gap/2, whose two etas are one
-    class."""
+    """len(_block_classes(gap, sign)), without building the list."""
     if gap % 2:
         return gap // 2 + 1
     half = gap // 2
     return 2 * (half // 2) + 1 if sign == 1 else 2 * ((half + 1) // 2)
+
+
+def _block_classes(gap: int, sign: int) -> List[List[Tuple[int, int]]]:
+    """The classes of the (l, eta), 0 <= l <= [gap/2], whose character
+    value eta**gap * (-1)**([gap/2] + l) at a block with A - B + 1 = gap
+    is sign, l ascending and eta = +1 first.
+
+    Two pairs label one constituent exactly when they have the same l,
+    and the same eta unless 2l = gap.  An odd gap fixes eta at each l.
+    An even gap drops eta from the value, which then fixes the parity
+    of l; each such l gives two classes, one per eta, except l = gap/2,
+    whose two etas are one class."""
+    half = gap // 2
+    minus = sign != 1  # (-1)**minus == sign
+    if gap % 2:
+        return [[(l, sign_pow(half + l + minus))] for l in range(half + 1)]
+    classes = []
+    for l in range((half + minus) % 2, half, 2):
+        classes += [[(l, 1)], [(l, -1)]]
+    if not minus:
+        classes.append([(half, 1), (half, -1)])
+    return classes
 
 
 def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
@@ -94,11 +107,6 @@ def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
     # zip(*()) is empty: a parameter without blocks has one empty pair
     return [LEtaPair(*zip(*combo)) if combo else LEtaPair((), ())
             for combo in itertools.product(*per_block)]
-
-
-def _block_eps(gap: int, l: int, eta: int) -> int:
-    """The character value at a block with A - B + 1 = gap."""
-    return (eta if gap % 2 else 1) * sign_pow(gap // 2 + l)
 
 
 def _gaps(psi: ArthurParameter) -> Tuple[int, ...]:
@@ -139,18 +147,9 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     if count > MAX_CLASSES:
         raise TooLarge(f"{count} constituent classes exceeds bound "
                        f"{MAX_CLASSES}")
-    # two pairs label one constituent exactly when they have the same l
-    # everywhere, and the same eta except where 2l = A - B + 1, where both
-    # etas label it; so the classes at one block are its (l, eta) with the
-    # two etas of a free l together, and a class of psi picks one at
-    # every block.  Product order keeps the classes in first-seen order.
-    per_block = []
-    for gap, sign in zip(gaps, eps.signs):
-        classes: Dict[object, List[Tuple[int, int]]] = {}
-        for l, eta in _admissible(gap, sign):
-            classes.setdefault(l if 2 * l == gap else (l, eta),
-                               []).append((l, eta))
-        per_block.append(list(classes.values()))
+    # a class of psi picks a class at every block; product order keeps
+    # the classes in first-seen order
+    per_block = map(_block_classes, gaps, eps.signs)
     return [ConstituentClass(members[0], tuple(members), status)
             for members in map(_pairs, itertools.product(*per_block))]
 

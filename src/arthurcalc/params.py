@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (BadBlock, BadGroup, DomainError, NotDDR, NotDominating,
-                     OddLeftover, OrderViolation, UnresolvedZeta)
+                     OddLeftover, OrderViolation, TooLarge, UnresolvedZeta)
 from .halfint import HalfInt, hrange
 from .labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, QuadCharacter,
                      RhoLabel)
@@ -26,6 +27,12 @@ SO_EVEN = "SOeven"
 PLUS = 1
 MINUS = -1
 _ZETA_CHAR = {PLUS: "+", MINUS: "-", None: "?"}
+
+# Largest sum of the sizes min(a, b) that diagonal_restriction accepts:
+# each block spreads into min(a, b) = A - B + 1 blocks, so the output
+# grows with the sizes themselves.  No test, golden, selftest or
+# benchmark input sums above 23.
+MAX_DIAG_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -259,6 +266,19 @@ def from_AB(rho: RhoLabel, A: HalfInt, B: HalfInt, zeta: int,
     return JordanBlock(rho, a, b, mult, zeta if a == b else None)
 
 
+_sort_key = attrgetter("sort_key")
+
+
+def _first_clash(blocks: Sequence[JordanBlock]) -> str:
+    """The label id of the first block, in the order given, whose label
+    differs from that of an earlier block of the same sort key; called
+    only when there is one."""
+    first: Dict[tuple, RhoLabel] = {}
+    for blk in blocks:
+        if first.setdefault(blk.sort_key, blk.rho) != blk.rho:
+            return blk.rho.id
+
+
 @_derived_names_shared
 @dataclass(frozen=True)
 class ArthurParameter:
@@ -268,23 +288,25 @@ class ArthurParameter:
     blocks: Tuple[JordanBlock, ...]
 
     def __post_init__(self):
-        merged: Dict[tuple, JordanBlock] = {}
+        # blocks of one key are neighbours once sorted, in the order given
+        merged: List[JordanBlock] = []
+        last = None
         total = 0
         self_dual = True
-        for blk in self.blocks:
+        for blk in sorted(self.blocks, key=_sort_key):
             key = blk.sort_key
-            old = merged.get(key)
-            if old is None:
-                merged[key] = blk
+            if key != last:
+                merged.append(blk)
+                last = key
             else:
+                old = merged[-1]
                 if old.rho != blk.rho:
-                    raise DomainError(
-                        f"label id {blk.rho.id!r} used inconsistently")
-                merged[key] = replace(old, mult=old.mult + blk.mult)
+                    raise DomainError(f"label id {_first_clash(self.blocks)!r}"
+                                      " used inconsistently")
+                merged[-1] = replace(old, mult=old.mult + blk.mult)
             total += blk.total_dim
             self_dual = self_dual and key[2] != NOT_SELF_DUAL  # rho's type
-        object.__setattr__(self, "blocks",
-                           tuple([merged[key] for key in sorted(merged)]))
+        object.__setattr__(self, "blocks", tuple(merged))
         if total != self.group.N:
             raise DomainError(
                 f"blocks sum to {total}, expected N = {self.group.N}")
@@ -309,6 +331,10 @@ class ArthurParameter:
             for k in range(blk.mult):
                 out.append((replace(blk, mult=1), k))
         return tuple(out)
+
+    def instance_count(self) -> int:
+        """len(self.instances()), without building them."""
+        return sum(blk.mult for blk in self.blocks)
 
     def with_blocks(self, blocks: Iterable[JordanBlock]) -> "ArthurParameter":
         """A parameter on a group of the same kind and eta, its rank read
@@ -437,6 +463,10 @@ def is_parity_pure(psi: ArthurParameter) -> bool:
 def diagonal_restriction(psi: ArthurParameter) -> ArthurParameter:
     """Restrict along the diagonal: each block spreads into (rho, 2j+1, 1)
     for j in [B, A]."""
+    total = sum(min(blk.a, blk.b) for blk in psi.blocks)  # A - B + 1 each
+    if total > MAX_DIAG_SIZE:
+        raise TooLarge(f"sizes min(a, b) sum to {total}, above the diagonal "
+                       f"bound {MAX_DIAG_SIZE}")
     merged: Dict[tuple, JordanBlock] = {}
     for blk in psi.blocks:
         for j in hrange(blk.B, blk.A):

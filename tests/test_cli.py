@@ -366,6 +366,46 @@ def test_packet_class_bound_is_checked_before_any_list():
     assert peak < 2 ** 20
 
 
+def test_diag_restriction_size_bound():
+    # one block (r, a, a, +) spreads into a blocks: refused before the
+    # first is built
+    import tracemalloc
+    a = 400001
+    payload = {"group": {"kind": "Sp", "n": (a * a - 1) // 2},
+               "blocks": [_block(a=a, b=a, zeta="+")]}
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(["diag-restriction", json.dumps(payload)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": "sizes min(a, b) sum to 400001, above the diagonal bound "
+                 "10000",
+        "type": "TooLarge"}
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("command,flag", [("packet", "--eps=+"),
+                                          ("endoscopy", "--s=+")])
+def test_sign_string_sized_from_multiplicities(command, flag):
+    # 100 000 copies of one block: the usage error names their count
+    # without a list of the copies
+    import tracemalloc
+    payload = {"group": {"kind": "SOeven", "n": 50000},
+               "blocks": [_block(a=1, b=1, zeta="+", mult=100000)]}
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli_err([command, json.dumps(payload), flag])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert "expected a string of 100000 signs, got '+'" in err
+    assert peak < 2 ** 20
+
+
 def test_signs_reads_and_parses_its_input_once(monkeypatch):
     opened, parsed = [], []
     real_open = open

@@ -1,15 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from arthurcalc.charspace import (CLASS, MULT, SignVector, constant,
                                   enumerate_characters, S_GT_HAT_SIGMA0)
-from arthurcalc.errors import SupportMismatch, TooLarge
+from arthurcalc.errors import DomainError, SupportMismatch, TooLarge
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair,
-                                _admissible, _class_count, _gaps,
+                                _block_classes, _class_count, _gaps,
                                 eta_constraint_check, packet_constituents,
                                 translate_m_w)
 from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
@@ -186,13 +187,42 @@ def test_enumeration_bound():
             packet_constituents(big, constant(big, MULT))
 
 
-def test_class_count_closed_form_matches_the_lists():
+def _filtered_block_classes(gap, sign):
+    """Every (l, eta) with 0 <= l <= [gap/2] kept when
+    eta**gap * (-1)**([gap/2] + l) is sign, grouped by l alone where
+    2l = gap and by (l, eta) elsewhere, in first-seen order."""
+    classes = {}
+    for l in range(gap // 2 + 1):
+        for eta in (1, -1):
+            if eta ** gap * (-1) ** (gap // 2 + l) == sign:
+                classes.setdefault(l if 2 * l == gap else (l, eta),
+                                   []).append((l, eta))
+    return list(classes.values())
+
+
+def test_block_classes_closed_form_matches_the_filter():
     for gap in range(1, 41):
         for sign in (1, -1):
-            admissible = _admissible(gap, sign)
-            classes = {l if 2 * l == gap else (l, eta)
-                       for l, eta in admissible}
+            classes = _block_classes(gap, sign)
+            assert classes == _filtered_block_classes(gap, sign), (gap, sign)
             assert _class_count(gap, sign) == len(classes) > 0
+
+
+@pytest.mark.parametrize("l,eta,error", [
+    ((0, 1), (1,), "l and eta must share a domain"),
+    ((0,), (1, 0), "l and eta must share a domain"),
+    ((0, 1), (1, 0), "eta values must be +-1"),
+    ((0, 1), (-1, 2), "eta values must be +-1"),
+    ((0,), (True,), None),
+    ((0, 1), (1, -1.0), None),
+    ((), (), None),
+], ids=["short-eta", "long-eta", "zero", "two", "true", "float", "empty"])
+def test_l_eta_pair_checks(l, eta, error):
+    if error is None:
+        assert LEtaPair(l, eta).eta == eta
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+            LEtaPair(l, eta)
 
 
 @pytest.mark.parametrize("support,signs,message", [

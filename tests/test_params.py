@@ -7,12 +7,12 @@ from dataclasses import replace
 import pytest
 
 from arthurcalc.errors import (DomainError, NotDDR, NotDominating,
-                               OddLeftover, OrderViolation)
+                               OddLeftover, OrderViolation, TooLarge)
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC,
                                QuadCharacter, RhoLabel)
-from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
-                               GroupForm, JordanBlock, classify,
+from arthurcalc.params import (MAX_DIAG_SIZE, MINUS, PLUS, ArthurParameter,
+                               BlockOrder, GroupForm, JordanBlock, classify,
                                diagonal_restriction, dominate, from_AB,
                                make_parameter, natural_order, number_copies,
                                split_p_np, SP, SO_EVEN, SO_ODD)
@@ -167,6 +167,19 @@ def test_diagonal_restriction_spec_examples():
     assert sorted((b.a, b.mult) for b in out3.blocks) == [(1, 2), (3, 1)]
 
 
+def test_diagonal_restriction_size_bound():
+    # one block (rho, m, m) spreads into m blocks (rho, 2j + 1, 1)
+    m = MAX_DIAG_SIZE
+    edge = make_parameter([JordanBlock(RHO, m, m, 1, PLUS)])
+    assert len(diagonal_restriction(edge).blocks) == m
+    # the multiplicity of a block does not count
+    over = make_parameter([JordanBlock(RHO, m, m, 1, PLUS),
+                           JordanBlock(RHO, 1, 1, 3, PLUS)])
+    with pytest.raises(TooLarge, match=f"^sizes min\\(a, b\\) sum to "
+                       f"{m + 1}, above the diagonal bound {m}$"):
+        diagonal_restriction(over)
+
+
 def test_dimension_conserved_by_diagonal_restriction():
     rng = random.Random(1)
     for _ in range(50):
@@ -253,6 +266,11 @@ def _reference_construct(group, blocks):
     return out
 
 
+# the label id, dim and type of RHO and of RHO2 on other labels
+_CLASHES = {RHO: RhoLabel("rho", 1, ORTHOGONAL, QuadCharacter.of("u")),
+            RHO2: RhoLabel("sigma", 2, SYMPLECTIC, QuadCharacter.of("u"))}
+
+
 def _random_block_list(rng):
     """Blocks over self-dual, non-self-dual and clashing labels, with
     duplicates, mostly paired duals, in shuffled order."""
@@ -269,11 +287,10 @@ def _random_block_list(rng):
             blocks.append(replace(blk, rho=rho.dual()))
         if rng.random() < 0.3:
             blocks.append(replace(blk, mult=rng.randint(1, 2)))
-    same_id = [blk for blk in blocks if blk.rho == RHO]
-    if same_id and rng.random() < 0.1:
-        # the label id of RHO on another label
-        clash = RhoLabel("rho", 1, ORTHOGONAL, QuadCharacter.of("u"))
-        blocks.append(replace(rng.choice(same_id), rho=clash))
+    for rho, clash in _CLASHES.items():
+        same_id = [blk for blk in blocks if blk.rho == rho]
+        if same_id and rng.random() < 0.1:
+            blocks.append(replace(rng.choice(same_id), rho=clash))
     rng.shuffle(blocks)
     return blocks
 
@@ -281,6 +298,7 @@ def _random_block_list(rng):
 def test_constructor_matches_reference_on_random_block_lists():
     rng = random.Random(23)
     outcomes = {}
+    named = {"'rho'": 0, "'sigma'": 0}
     for _ in range(3000):
         blocks = _random_block_list(rng)
         total = sum(blk.mult * blk.dim for blk in blocks)
@@ -296,6 +314,10 @@ def test_constructor_matches_reference_on_random_block_lists():
         assert got == expected, (group, blocks)
         if expected and isinstance(expected[0], type):
             key = expected[1].split()[0]
+            if set(_CLASHES.values()) <= {blk.rho for blk in blocks}:
+                # both labels clash: the first clash in the order given
+                # is named, whichever label sorts first
+                named[expected[1].split()[2]] += 1
         else:
             assert [blk.mult for blk in got] == \
                 [blk.mult for blk in expected]
@@ -306,6 +328,7 @@ def test_constructor_matches_reference_on_random_block_lists():
     assert set(outcomes) == {"built", "merged", "label", "blocks",
                              "non-self-dual"}, outcomes
     assert min(outcomes.values()) >= 50, outcomes
+    assert min(named.values()) >= 5, named
 
 
 def test_flags_cache_leaves_the_value_unchanged():
