@@ -1,9 +1,11 @@
-"""Centralizer-character spaces as Z2-valued functions on Jordan blocks.
+"""Centralizer characters and elements as Z2-valued functions on Jordan blocks.
 
-Characters and centralizer elements are both realized as sign vectors,
-either on Jord(psi_p) with multiplicity ("mult" support) or on the block
-classes ("class" support).  Coset quotients are handled by canonical
-representatives rather than a group abstraction.
+A sign vector lives either on Jord(psi_p) with multiplicity ("mult"
+support, one sign per block instance) or on the block classes ("class"
+support, one sign per block).  check_vector is the one test that a
+vector lives on a given parameter; every function that reads a vector
+against a parameter calls it first.  The characters are the mult-support
+vectors of product one.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import SupportMismatch, TooLarge
 from .halfint import sign_pow
@@ -19,11 +21,6 @@ from .params import SO_EVEN, ArthurParameter, Instance
 
 MULT = "mult"
 CLASS = "class"
-
-S_HAT = "S_hat"
-S_HAT_SIGMA0 = "S_hat_Sigma0"
-S_GT_HAT = "S_gt_hat"
-S_GT_HAT_SIGMA0 = "S_gt_hat_Sigma0"
 
 ENUM_BOUND = 20
 
@@ -65,31 +62,44 @@ class SignVector:
         return "".join("+" if s == 1 else "-" for s in self.signs)
 
 
-def check_length(psi: ArthurParameter, v: SignVector) -> None:
-    """Refuse a vector without one sign per block instance of psi."""
-    n = psi.instance_count()
-    if len(v.signs) != n:
+def check_vector(psi: ArthurParameter, v: SignVector, support: str = MULT,
+                 name: str = "eps") -> None:
+    """Refuse v unless it has the given support and one sign per block
+    instance (mult) or per block class (class) of psi."""
+    if v.support != support:
         raise SupportMismatch(
-            f"{len(v.signs)} signs given for {n} block instances")
+            f"{name} has {v.support} support where {support} is needed")
+    if support == MULT:
+        n, what = psi.instance_count(), "instances"
+    else:
+        n, what = len(psi.classes()), "classes"
+    if len(v.signs) != n:
+        raise SupportMismatch(f"{len(v.signs)} signs given for {n} block "
+                              f"{what}")
 
 
-def constant(psi: ArthurParameter, support: str, sign: int = 1) -> SignVector:
-    n = len(psi.instances()) if support == MULT else len(psi.classes())
-    return SignVector(support, (sign,) * n)
+def per_class(psi: ArthurParameter, v: SignVector) -> List[Tuple[int, ...]]:
+    """The signs of a mult-support vector, one tuple per block class.
+
+    The instances list the copies of each block together, in the order
+    of psi.blocks, so each class owns the next blk.mult signs.
+    """
+    check_vector(psi, v)
+    signs = iter(v.signs)
+    return [tuple(itertools.islice(signs, blk.mult)) for blk in psi.classes()]
+
+
+def constant(psi: ArthurParameter, sign: int = 1) -> SignVector:
+    return SignVector(MULT, (sign,) * psi.instance_count())
 
 
 def vector_on_instances(psi: ArthurParameter, fn) -> SignVector:
     return SignVector(MULT, tuple(fn(blk, k) for blk, k in psi.instances()))
 
 
-def vector_on_classes(psi: ArthurParameter, fn) -> SignVector:
-    return SignVector(CLASS, tuple(fn(blk) for blk in psi.classes()))
-
-
 def value_at(psi: ArthurParameter, v: SignVector, inst: Instance) -> int:
     """Value of a mult-support vector at a block instance."""
-    if v.support != MULT:
-        raise SupportMismatch("instance lookup needs mult support")
+    check_vector(psi, v)
     return v.signs[psi.instances().index(inst)]
 
 
@@ -98,41 +108,26 @@ def s_psi(psi: ArthurParameter) -> SignVector:
     return vector_on_instances(psi, lambda blk, _: -1 if blk.b % 2 == 0 else 1)
 
 
-def eps_zero(psi: ArthurParameter, support: str = MULT) -> SignVector:
+def eps_zero(psi: ArthurParameter) -> SignVector:
     """The orientation character: -1 on odd-dimensional blocks (even
     orthogonal groups only, all +1 otherwise)."""
     if psi.group.kind != SO_EVEN:
-        return constant(psi, support)
-    fn = lambda blk: -1 if blk.dim % 2 == 1 else 1
-    if support == MULT:
-        return vector_on_instances(psi, lambda blk, _: fn(blk))
-    return vector_on_classes(psi, fn)
+        return constant(psi)
+    return vector_on_instances(psi,
+                               lambda blk, _: -1 if blk.dim % 2 == 1 else 1)
 
 
 def cont(psi: ArthurParameter, s: SignVector) -> SignVector:
     """Push a mult-support vector to classes: product over the copies."""
-    if s.support != MULT:
-        raise SupportMismatch("cont needs mult support")
-    insts = psi.instances()
-    out = []
-    for blk in psi.classes():
-        p = 1
-        for (inst, _), sign in zip(insts, s.signs):
-            if inst.key() == blk.key():
-                p *= sign
-        out.append(p)
-    return SignVector(CLASS, tuple(out))
+    return SignVector(CLASS, tuple(map(math.prod, per_class(psi, s))))
 
 
 def ext(psi: ArthurParameter, eps: SignVector) -> SignVector:
     """Pull a class-support vector back to instances (constant on copies)."""
-    if eps.support != CLASS:
-        raise SupportMismatch("ext needs class support")
-    keys = [b.key() for b in psi.classes()]
-    out = []
-    for blk, _ in psi.instances():
-        out.append(eps.signs[keys.index(blk.key())])
-    return SignVector(MULT, tuple(out))
+    check_vector(psi, eps, CLASS)
+    return SignVector(MULT, tuple(sg for blk, sg in zip(psi.classes(),
+                                                        eps.signs)
+                                  for _ in range(blk.mult)))
 
 
 def pair(eps: SignVector, s: SignVector) -> int:
@@ -145,92 +140,39 @@ def pair(eps: SignVector, s: SignVector) -> int:
     return p
 
 
-def _dims(psi: ArthurParameter, support: str) -> List[int]:
-    if support == MULT:
-        return [blk.dim for blk, _ in psi.instances()]
-    return [blk.dim for blk in psi.classes()]
-
-
-def _mults(psi: ArthurParameter) -> List[int]:
-    return [blk.mult for blk in psi.classes()]
-
-
-def in_character_space(eps: SignVector, psi: ArthurParameter,
-                       space: str) -> bool:
-    """Membership of a character-side vector in one of the four spaces.
-
-    The Sigma0 spaces are cut out by a product condition; dropping the
-    Sigma0 leaves the condition unchanged and only coarsens equality by
-    the orientation character, so membership agrees.
-    """
-    if space in (S_GT_HAT, S_GT_HAT_SIGMA0):
-        if eps.support != MULT:
-            raise SupportMismatch("the >-spaces live on instances")
-        return eps.product() == 1
-    if eps.support != CLASS:
-        raise SupportMismatch("the class spaces live on block classes")
-    p = 1
-    for sign, mult in zip(eps.signs, _mults(psi)):
-        p *= sign_pow(mult) if sign == -1 else 1
-    return p == 1
+def in_character_space(eps: SignVector, psi: ArthurParameter) -> bool:
+    """Whether eps is a character: a mult-support vector of product one."""
+    check_vector(psi, eps)
+    return eps.product() == 1
 
 
 def in_element_space(s: SignVector, psi: ArthurParameter) -> bool:
     """Element-side membership: the determinant condition for even
     orthogonal groups, no condition otherwise."""
+    check_vector(psi, s, name="s")
     if psi.group.kind != SO_EVEN:
         return True
+    dims = (blk.dim for blk in psi.classes() for _ in range(blk.mult))
     p = 1
-    for sign, dim in zip(s.signs, _dims(psi, s.support)):
+    for sign, dim in zip(s.signs, dims):
         p *= sign_pow(dim) if sign == -1 else 1
     return p == 1
 
 
-def _quotient_generator(psi: ArthurParameter, space: str) -> Optional[SignVector]:
-    if space in (S_HAT, S_GT_HAT):
-        if psi.group.kind != SO_EVEN:
-            return None
-        gen = eps_zero(psi, MULT if space == S_GT_HAT else CLASS)
-        return None if gen.product() == 1 and all(
-            g == 1 for g in gen.signs) else gen
-    return None
-
-
-def enumerate_characters(psi: ArthurParameter, space: str
-                         ) -> List[SignVector]:
-    """Canonical coset representatives of a character space.
-
-    Representatives are the lexicographically least members of their
-    coset (ordering + before -).
-    """
-    support = MULT if space in (S_GT_HAT, S_GT_HAT_SIGMA0) else CLASS
-    n = len(psi.instances()) if support == MULT else len(psi.classes())
+def _all_signs(psi: ArthurParameter):
+    """Every mult-support vector on psi, ordering + before -."""
+    n = psi.instance_count()
     if n > ENUM_BOUND:
         raise TooLarge(f"{n} blocks exceeds bound {ENUM_BOUND}")
-    gen = _quotient_generator(psi, space)
-    seen = set()
-    out = []
-    for signs in itertools.product((1, -1), repeat=n):
-        v = SignVector(support, signs)
-        if not in_character_space(v, psi, space):
-            continue
-        if signs in seen:
-            continue
-        seen.add(signs)
-        if gen is not None:
-            seen.add(v.pointwise(gen).signs)
-        out.append(v)
-    return out
+    return (SignVector(MULT, signs)
+            for signs in itertools.product((1, -1), repeat=n))
+
+
+def enumerate_characters(psi: ArthurParameter) -> List[SignVector]:
+    """The characters on instances, lexicographically (+ before -)."""
+    return [v for v in _all_signs(psi) if v.product() == 1]
 
 
 def enumerate_elements(psi: ArthurParameter) -> List[SignVector]:
     """The element-side vectors on instances."""
-    n = len(psi.instances())
-    if n > ENUM_BOUND:
-        raise TooLarge(f"{n} blocks exceeds bound {ENUM_BOUND}")
-    out = []
-    for signs in itertools.product((1, -1), repeat=n):
-        v = SignVector(MULT, signs)
-        if in_element_space(v, psi):
-            out.append(v)
-    return out
+    return [v for v in _all_signs(psi) if in_element_space(v, psi)]

@@ -45,10 +45,7 @@ def _eps_map(psi: ArthurParameter, eps) -> EpsMap:
     """Characters of elementary parameters keyed by (rho id, alpha)."""
     if isinstance(eps, EpsMap):
         return eps
-    values = {}
-    for blk, sg in zip(psi.classes(), eps.signs):
-        values[(blk.rho.id, blk.alpha)] = sg
-    return EpsMap(values)
+    return EpsMap.from_vector(psi, eps)
 
 
 def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap

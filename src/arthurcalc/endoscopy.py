@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
-from .charspace import (MULT, SignVector, in_element_space, pair)
-from .errors import (BadDimensionSplit, DomainError, NotApplicable,
-                     SupportMismatch)
+from .charspace import SignVector, in_element_space, pair
+from .errors import BadDimensionSplit, DomainError, NotApplicable
 from .labels import QuadCharacter
 from .params import (SO_EVEN, SO_ODD, SP, ArthurParameter, BlockOrder,
                      GroupForm, Instance, JordanBlock, is_parity_pure,
@@ -49,9 +48,9 @@ def eta_block(block: JordanBlock) -> QuadCharacter:
 
 def _partition(psi: ArthurParameter, s: SignVector
                ) -> Tuple[List[Instance], List[Instance]]:
+    """The instances where s is +1 and where it is -1; s has passed
+    in_element_space, which checks it against psi."""
     insts = psi.instances()
-    if s.support != MULT or len(s) != len(insts):
-        raise SupportMismatch("s must live on Jord(psi_p) with multiplicity")
     plus = [inst for inst, sg in zip(insts, s.signs) if sg == 1]
     minus = [inst for inst, sg in zip(insts, s.signs) if sg == -1]
     return plus, minus

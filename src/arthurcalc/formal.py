@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .charspace import (ENUM_BOUND, MULT, SignVector, S_GT_HAT_SIGMA0,
-                        check_length, in_character_space, pair, s_psi,
-                        value_at)
+from .charspace import (ENUM_BOUND, MULT, SignVector, check_vector,
+                        in_character_space, pair, s_psi, value_at)
 from .errors import DomainError, NoCompoundBlock, NotDDR, TooLarge
 from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
@@ -80,7 +79,7 @@ class CoreLabel:
         if signs is None:
             ent = tuple((blk, None) for blk, _ in insts)
         else:
-            check_length(psi, signs)
+            check_vector(psi, signs)
             ent = tuple((blk, sg) for (blk, _), sg in zip(insts, signs.signs))
         return CoreLabel(psi.group, tuple(sorted(ent, key=_entry_key)))
 
@@ -160,14 +159,11 @@ def _find_instance(psi: ArthurParameter, chosen: Instance) -> JordanBlock:
 
 def _check_ddr(psi: ArthurParameter, eps: Optional[SignVector]) -> None:
     """The input checks of the block recursions: discrete diagonal
-    restriction, and for a character its length and product."""
+    restriction, and for a character its support, length and product."""
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("the recursion expands DDR parameters")
-    if eps is not None:
-        check_length(psi, eps)
-        if not in_character_space(eps, psi, S_GT_HAT_SIGMA0):
-            raise DomainError(
-                "eps must satisfy the character product condition")
+    if eps is not None and not in_character_space(eps, psi):
+        raise DomainError("eps must satisfy the character product condition")
 
 
 def _require_compound(blk: JordanBlock) -> Tuple[HalfInt, HalfInt, int]:
@@ -335,7 +331,7 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     """
     if "discrete_diag_restriction" not in classify(psi):
         raise NotDDR("bookkeeping is checked on DDR parameters")
-    check_length(psi, s)
+    check_vector(psi, s, name="s")
     # the loop below runs over all 2^n sign vectors on the n instances
     if len(s) > ENUM_BOUND:
         raise TooLarge(f"{len(s)} blocks exceeds bound {ENUM_BOUND}")

@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .charspace import (CLASS, MULT, S_GT_HAT_SIGMA0, SignVector,
-                        check_length, in_character_space)
-from .errors import (DomainError, NotACharacter, OutOfRange, SupportMismatch,
-                     TooLarge)
+from .charspace import (CLASS, SignVector, check_vector, in_character_space,
+                        per_class)
+from .errors import DomainError, NotACharacter, OutOfRange, TooLarge
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
 from .params import ArthurParameter, BlockOrder, classify
 from .signs import eps_m_w
@@ -136,10 +135,7 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     """
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
-    if eps.support != MULT:
-        raise SupportMismatch(
-            f"eps has {eps.support} support where {MULT} is needed")
-    check_length(psi, eps)
+    check_vector(psi, eps)
     gaps = _gaps(psi)
     if len(gaps) > ENUM_BOUND:
         raise TooLarge(f"{len(gaps)} blocks exceeds bound {ENUM_BOUND}")
@@ -162,14 +158,9 @@ def translate_m_w(psi: ArthurParameter, eps: SignVector,
     descends to the unshifted space, None otherwise (the M-side member
     vanishes under the W-side labelling).
     """
-    if not in_character_space(eps, psi, S_GT_HAT_SIGMA0):
+    if not in_character_space(eps, psi):
         raise NotACharacter("eps must lie in the shifted character space")
-    product = eps.pointwise(eps_m_w(psi, order))
-    insts = psi.instances()
-    by_class: Dict[tuple, set] = {}
-    for (blk, _), sg in zip(insts, product.signs):
-        by_class.setdefault(blk.key(), set()).add(sg)
-    if any(len(v) > 1 for v in by_class.values()):
+    copies = per_class(psi, eps.pointwise(eps_m_w(psi, order)))
+    if any(len(set(signs)) > 1 for signs in copies):
         return None
-    keys = [blk.key() for blk in psi.classes()]
-    return SignVector(CLASS, tuple(by_class[k].copy().pop() for k in keys))
+    return SignVector(CLASS, tuple(signs[0] for signs in copies))

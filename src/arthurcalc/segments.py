@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Container, Dict, List, Optional, Tuple
 
-from .charspace import CLASS, SignVector
-from .errors import DomainError, NotACharacter, NotDiscrete
+from .charspace import CLASS, SignVector, check_vector
+from .errors import DomainError, NotACharacter, NotDiscrete, SupportMismatch
 from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import ArthurParameter, JordanBlock, classify
@@ -57,9 +57,14 @@ class EpsMap:
 
     @staticmethod
     def from_vector(phi: ArthurParameter, eps: SignVector) -> "EpsMap":
-        if eps.support != CLASS or len(eps) != len(phi.classes()):
-            raise NotACharacter("character must live on the block classes")
-        return EpsMap({(blk.rho.id, blk.a): sg
+        """The values of a class-support vector keyed by (rho id, alpha),
+        which is (rho id, a) on a discrete parameter."""
+        try:
+            check_vector(phi, eps, CLASS)
+        except SupportMismatch as e:
+            raise NotACharacter(
+                f"character must live on the block classes: {e}") from None
+        return EpsMap({(blk.rho.id, blk.alpha): sg
                        for blk, sg in zip(phi.classes(), eps.signs)})
 
     def product(self) -> int:

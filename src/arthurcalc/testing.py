@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import weyl as W
-from .charspace import (MULT, S_GT_HAT_SIGMA0, SignVector, cont,
-                        enumerate_characters, enumerate_elements, eps_zero,
-                        ext, pair, s_psi)
+from .charspace import (MULT, SignVector, cont, enumerate_characters,
+                        enumerate_elements, eps_zero, ext, pair, s_psi)
 from .endoscopy import sign_transfer_check
 from .errors import DomainError
 from .formal import (FormalSum, ddr_recursion_expand,
@@ -414,7 +413,7 @@ def _flip_involution(rng: random.Random, size: Size) -> Tuple[int, int]:
 
             # pairing reproduces the closed form for every character
             insts = psi.instances()
-            for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0):
+            for eps in enumerate_characters(psi):
                 eps_keyed = _keyed(psi, eps)
                 eps_flip = SignVector(MULT, tuple(
                     eps_keyed[(b.rho.id, elementary_alpha(b))]
@@ -564,7 +563,7 @@ def _full_expansion(rng: random.Random, size: Size) -> Tuple[int, int]:
     checks = failures = 0
     for _ in range(60 if size.full else 10):
         psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
-        for eps in [None] + enumerate_characters(psi, S_GT_HAT_SIGMA0)[:4]:
+        for eps in [None] + enumerate_characters(psi)[:4]:
             try:
                 out = packet_expand_fully(psi, eps)
             except DomainError:
@@ -597,7 +596,7 @@ def _m_w_translation(rng: random.Random, size: Size) -> Tuple[int, int]:
         order = random_p_order(rng, psi)
         insts, s = psi.instances(), s_psi(psi)
         m_w, theta = eps_m_w(psi, order), theta_ratio_mw_w(psi, order)
-        chars = enumerate_characters(psi, S_GT_HAT_SIGMA0)
+        chars = enumerate_characters(psi)
         images = [translate_m_w(psi, eps, order) for eps in chars]
         for eps, t in zip(chars, images):
             prod = eps.pointwise(m_w)
@@ -616,7 +615,7 @@ def _m_w_translation(rng: random.Random, size: Size) -> Tuple[int, int]:
         psi = random_ddr_parameter(rng, max_blocks=3, max_level=8)
         order = natural_order(psi)
         route = eps_m_mw_ddr(psi).pointwise(eps_mw_w(psi, order))
-        chars = enumerate_characters(psi, S_GT_HAT_SIGMA0)
+        chars = enumerate_characters(psi)
         for eps in chars:
             t = translate_m_w(psi, eps, order)
             laws.append(t is not None and ext(psi, t) == eps.pointwise(route))

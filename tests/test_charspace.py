@@ -2,15 +2,25 @@ import random
 
 import pytest
 
-from arthurcalc.charspace import (CLASS, MULT, S_GT_HAT_SIGMA0, SignVector,
-                                  cont, constant, enumerate_characters,
-                                  enumerate_elements, eps_zero, ext,
-                                  in_character_space, in_element_space, pair,
-                                  s_psi)
-from arthurcalc.errors import SupportMismatch
+from arthurcalc.charspace import (CLASS, MULT, SignVector, cont, constant,
+                                  enumerate_characters, enumerate_elements,
+                                  eps_zero, ext, in_character_space,
+                                  in_element_space, pair, s_psi, value_at)
+from arthurcalc.elementary import construction_trace
+from arthurcalc.endoscopy import (elliptic_datum, sign_transfer_check,
+                                  twisted_datum)
+from arthurcalc.errors import NotACharacter, SupportMismatch
+from arthurcalc.formal import (CoreLabel, ddr_recursion_expand,
+                               endoscopic_sign_bookkeeping,
+                               packet_expand_fully)
+from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
+from arthurcalc.packets import packet_constituents, translate_m_w
 from arthurcalc.params import (PLUS, ArthurParameter, GroupForm, JordanBlock,
-                               SO_EVEN, make_parameter)
+                               SO_EVEN, from_AB, make_parameter,
+                               natural_order)
+from arthurcalc.segments import (cuspidal_support, parabolic_reduce_step,
+                                 supercuspidal_test)
 from arthurcalc.testing import random_pure_parameter
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
@@ -83,11 +93,9 @@ def test_adjointness_property():
 
 def test_character_space_membership():
     psi = _psi_22_11()
-    assert in_character_space(constant(psi, MULT), psi, S_GT_HAT_SIGMA0)
-    assert not in_character_space(SignVector(MULT, (-1, 1)), psi,
-                                  S_GT_HAT_SIGMA0)
-    assert in_character_space(SignVector(MULT, (-1, -1)), psi,
-                              S_GT_HAT_SIGMA0)
+    assert in_character_space(constant(psi), psi)
+    assert not in_character_space(SignVector(MULT, (-1, 1)), psi)
+    assert in_character_space(SignVector(MULT, (-1, -1)), psi)
 
 
 def test_element_space_determinant_condition():
@@ -102,31 +110,29 @@ def test_element_space_determinant_condition():
 
 def test_enumerate_characters_counts():
     single = make_parameter([JordanBlock(RHO, 3, 1)])
-    assert [v.signs for v in enumerate_characters(single, S_GT_HAT_SIGMA0)] \
-        == [(1,)]
+    assert [v.signs for v in enumerate_characters(single)] == [(1,)]
 
     three = make_parameter([JordanBlock(RHO, 1, 1, 1, PLUS),
                             JordanBlock(RHO, 3, 1), JordanBlock(RHO, 5, 1)])
-    chars = enumerate_characters(three, S_GT_HAT_SIGMA0)
+    chars = enumerate_characters(three)
     assert len(chars) == 4  # 2^3 / 2
 
     empty = ArthurParameter(GroupForm(SO_EVEN, 0, QuadCharacter.of("e")), ())
-    assert [v.signs for v in enumerate_characters(empty, S_GT_HAT_SIGMA0)] \
-        == [()]
+    assert [v.signs for v in enumerate_characters(empty)] == [()]
 
 
 def test_enumeration_closed_under_product():
     rng = random.Random(11)
     for _ in range(20):
         psi = random_pure_parameter(rng, max_blocks=4)
-        chars = enumerate_characters(psi, S_GT_HAT_SIGMA0)
+        chars = enumerate_characters(psi)
         sigs = {v.signs for v in chars}
-        ident = constant(psi, MULT)
+        ident = constant(psi)
         assert ident.signs in sigs
         for a in chars[:4]:
             for b in chars[:4]:
                 prod = a.pointwise(b)
-                assert in_character_space(prod, psi, S_GT_HAT_SIGMA0)
+                assert in_character_space(prod, psi)
 
 
 def test_canonical_elements_satisfy_determinant_condition():
@@ -141,7 +147,7 @@ def test_canonical_elements_satisfy_determinant_condition():
         if psi.group.kind != SO_EVEN:
             continue
         assert in_element_space(s_psi(psi), psi)
-        assert in_element_space(constant(psi, MULT, -1), psi)
+        assert in_element_space(constant(psi, -1), psi)
         seen += 1
     assert seen > 20
 
@@ -152,6 +158,108 @@ def test_enumeration_bound_characters():
     # 21 instances, one above the bound: refused before the 2^21 loop
     many = make_parameter([JordanBlock(RHO, 1, 1, 21, PLUS)])
     with _pytest.raises(TooLarge, match="^21 blocks exceeds bound 20$"):
-        enumerate_characters(many, S_GT_HAT_SIGMA0)
+        enumerate_characters(many)
     with _pytest.raises(TooLarge, match="^21 blocks exceeds bound 20$"):
         enumerate_elements(many)
+
+
+def _so4():
+    """SO(4,e) = (rho,1,1,+) + (rho,3,1,+): discrete and elementary, with
+    two odd-dimensional blocks, so one block class per instance."""
+    return make_parameter([JordanBlock(RHO, 1, 1, 1, PLUS),
+                           JordanBlock(RHO, 3, 1)], eta=QuadCharacter.of("e"))
+
+
+def test_cont_and_ext_refuse_a_short_vector():
+    psi = _so4()
+    with pytest.raises(SupportMismatch,
+                       match="^1 signs given for 2 block instances$"):
+        cont(psi, SignVector(MULT, (-1,)))
+    with pytest.raises(SupportMismatch,
+                       match="^1 signs given for 2 block classes$"):
+        ext(psi, SignVector(CLASS, (-1,)))
+
+
+def _ddr():
+    """Sp(10) = (rho,2,2,+) + (rho,7,1,+): DDR, the first block compound."""
+    return make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS),
+                           from_AB(RHO, HalfInt(6), HalfInt(6), PLUS)])
+
+
+def _compound(psi):
+    return next(inst for inst in psi.instances() if inst[0].A != inst[0].B)
+
+
+def _sp4():
+    """Sp(4) = 2(rho,1,1,+) + (rho,3,1,+): three instances on two block
+    classes, so the copies of the first class share its one class sign."""
+    return make_parameter([JordanBlock(RHO, 1, 1, 2, PLUS),
+                           JordanBlock(RHO, 3, 1)])
+
+
+# function -> (parameter builder, support, a vector it accepts, the call,
+# the error a wrongly sized or supported vector gets)
+TAKES_A_VECTOR = {
+    "packet_constituents": (_so4, MULT, (1, 1), packet_constituents,
+                            SupportMismatch),
+    "translate_m_w": (_so4, MULT, (1, 1), lambda psi, v: translate_m_w(
+        psi, v, natural_order(psi)), SupportMismatch),
+    "ddr_recursion_expand": (_ddr, MULT, (1, 1), lambda psi, v:
+                             ddr_recursion_expand(psi, v, _compound(psi)),
+                             SupportMismatch),
+    "packet_expand_fully": (_ddr, MULT, (1, 1), packet_expand_fully,
+                            SupportMismatch),
+    "endoscopic_sign_bookkeeping": (
+        _ddr, MULT, (1, 1), lambda psi, s:
+        endoscopic_sign_bookkeeping(psi, s, _compound(psi)), SupportMismatch),
+    "CoreLabel.of": (_so4, MULT, (1, 1), CoreLabel.of, SupportMismatch),
+    "elliptic_datum": (_so4, MULT, (1, 1), elliptic_datum, SupportMismatch),
+    # a lone -1 on an odd-dimensional block breaks the determinant condition
+    "twisted_datum": (_so4, MULT, (-1, 1), twisted_datum, SupportMismatch),
+    "sign_transfer_check": (_so4, MULT, (1, 1), lambda psi, s:
+                            sign_transfer_check(psi, s, natural_order(psi)),
+                            SupportMismatch),
+    "cuspidal_support": (_so4, CLASS, (1, 1), cuspidal_support,
+                         NotACharacter),
+    "supercuspidal_test": (_so4, CLASS, (1, 1), supercuspidal_test,
+                           NotACharacter),
+    "parabolic_reduce_step": (_so4, CLASS, (1, 1), parabolic_reduce_step,
+                              NotACharacter),
+    "construction_trace": (_so4, CLASS, (1, 1), construction_trace,
+                           NotACharacter),
+    "cont": (_so4, MULT, (1, 1), cont, SupportMismatch),
+    "ext": (_so4, CLASS, (1, 1), ext, SupportMismatch),
+    "value_at": (_so4, MULT, (1, 1), lambda psi, v:
+                 value_at(psi, v, psi.instances()[0]), SupportMismatch),
+    "in_character_space": (_so4, MULT, (1, 1),
+                           lambda psi, v: in_character_space(v, psi),
+                           SupportMismatch),
+    "in_element_space": (_so4, MULT, (1, 1),
+                         lambda psi, s: in_element_space(s, psi),
+                         SupportMismatch),
+}
+# The same checks where instances outnumber classes.
+for _name in ("packet_constituents", "cont", "ext", "value_at",
+              "in_character_space", "in_element_space"):
+    _, _support, _, _call, _error = TAKES_A_VECTOR[_name]
+    TAKES_A_VECTOR[_name + "@sp4"] = (
+        _sp4, _support, (1, 1, 1) if _support == MULT else (1, 1), _call,
+        _error)
+
+
+@pytest.mark.parametrize("wrong", ["support", "short", "long"])
+@pytest.mark.parametrize("name", sorted(TAKES_A_VECTOR))
+def test_every_vector_is_checked_against_its_parameter(name, wrong):
+    """Each public function that takes a sign vector accepts one of the
+    right support and length, and refuses the other support, one sign
+    too few and one sign too many: with NotACharacter where the vector
+    becomes a character map, SupportMismatch elsewhere."""
+    make, support, signs, call, error = TAKES_A_VECTOR[name]
+    psi = make()
+    call(psi, SignVector(support, signs))
+    bad = {"support": SignVector(CLASS if support == MULT else MULT, signs),
+           "short": SignVector(support, signs[:-1]),
+           "long": SignVector(support, signs + (1,))}[wrong]
+    with pytest.raises(error) as caught:
+        call(psi, bad)
+    assert type(caught.value) is error

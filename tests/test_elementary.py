@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arthurcalc.charspace import CLASS, MULT, SignVector
 from arthurcalc.elementary import (CASE2_SHIFT, CASE3A, CASE3B, CASE3C_I,
                                    CASE3C_II, SUPERCUSPIDAL_BASE, _chains,
                                    _check_elementary, _cuspidal_bound,
@@ -13,7 +14,7 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
                                diagonal_restriction, elementary_alpha,
                                elementary_block, elementary_delta,
                                make_parameter)
-from arthurcalc.segments import EpsMap, supercuspidal_test
+from arthurcalc.segments import EpsMap, cuspidal_support, supercuspidal_test
 from arthurcalc.signs import aubert_flip
 from arthurcalc.testing import random_elementary
 
@@ -264,7 +265,6 @@ def test_all_leaves_share_one_supercuspidal_pair():
 def test_tempered_trace_matches_cuspidal_support():
     # a tempered pair reduces to the same terminal through either the
     # construction recursion or the step-by-step reduction chain
-    from arthurcalc.segments import cuspidal_support
     from arthurcalc.testing import random_discrete_pair
     rng = random.Random(88)
     rounds = 0
@@ -353,3 +353,17 @@ TRACE_FINGERPRINT = \
 
 def test_trace_fingerprint():
     assert _trace_fingerprint() == TRACE_FINGERPRINT
+
+
+@pytest.mark.parametrize("support,signs", [(CLASS, (1, 1, 1, 1)),
+                                           (MULT, (1, 1, 1))],
+                         ids=["four-signs", "mult-support"])
+def test_trace_refuses_what_cuspidal_support_refuses(support, signs):
+    # Sp(8) = (rho,1,1,+) + (rho,1,5,-) + (rho,3,1,+): three block classes
+    psi = make_parameter([JordanBlock(RHO, 1, 1, 1, PLUS),
+                          JordanBlock(RHO, 1, 5), JordanBlock(RHO, 3, 1)])
+    eps = SignVector(support, signs)
+    with pytest.raises(NotACharacter):
+        cuspidal_support(psi, eps)
+    with pytest.raises(NotACharacter):
+        construction_trace(psi, eps)

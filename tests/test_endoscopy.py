@@ -6,7 +6,7 @@ from arthurcalc.charspace import (MULT, SignVector, enumerate_elements,
                                   in_element_space)
 from arthurcalc.endoscopy import (elliptic_datum, eta_block,
                                   sign_transfer_check, twisted_datum)
-from arthurcalc.errors import BadDimensionSplit, NotApplicable
+from arthurcalc.errors import BadDimensionSplit, NotApplicable, SupportMismatch
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from arthurcalc.params import (PLUS, JordanBlock, SO_EVEN, SO_ODD, SP,
                                make_parameter)
@@ -153,3 +153,17 @@ def test_cross_pair_counting_identity():
             if (insts[i] in plus) != (insts[j] in plus))
         part = len(z_mw_w(datum.psi_one, o1)) + len(z_mw_w(datum.psi_two, o2))
         assert (len(full) - part) % 2 == straddle % 2
+
+
+@pytest.mark.parametrize("build,signs", [(elliptic_datum, (-1,)),
+                                         (twisted_datum, (1, 1, 1))],
+                         ids=["elliptic-short", "twisted-long"])
+def test_s_checked_before_the_determinant_condition(build, signs):
+    # SO(4,e) = (rho,1,1,+) + (rho,3,1,+) has two block instances
+    psi = make_parameter([JordanBlock(RHO_TRIV, 1, 1, 1, PLUS),
+                          JordanBlock(RHO_TRIV, 3, 1)],
+                         eta=QuadCharacter.of("e"))
+    with pytest.raises(SupportMismatch,
+                       match=f"^{len(signs)} signs given for 2 block "
+                             "instances$"):
+        build(psi, SignVector(MULT, signs))

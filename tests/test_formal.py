@@ -4,7 +4,7 @@ import pytest
 
 from arthurcalc.charspace import (CLASS, MULT, SignVector,
                                   enumerate_characters, enumerate_elements,
-                                  eps_zero, S_GT_HAT_SIGMA0)
+                                  eps_zero)
 from arthurcalc.errors import (DomainError, NoCompoundBlock, NotDDR,
                                SupportMismatch, TooLarge)
 from arthurcalc.formal import (BasisTerm, CoreLabel, FormalSum,
@@ -215,8 +215,8 @@ def test_orientation_twist_property():
         if not compounds:
             continue
         chosen = compounds[0]
-        for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0)[:6]:
-            twisted_eps = eps.pointwise(eps_zero(psi, MULT))
+        for eps in enumerate_characters(psi)[:6]:
+            twisted_eps = eps.pointwise(eps_zero(psi))
             lhs = ddr_recursion_expand(psi, twisted_eps, chosen)
             rhs = FormalSum({
                 twist_by_orientation(t): c
@@ -234,7 +234,7 @@ def test_full_character_expansion_consistent():
         psi = random_ddr_parameter(rng, max_blocks=2, max_level=6)
         if sum(int(b.A.twice - b.B.twice) for b in psi.blocks) > 8:
             continue
-        for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0)[:4]:
+        for eps in enumerate_characters(psi)[:4]:
             out = packet_expand_fully(psi, eps)
             for term in out.terms:
                 core = term.core.parameter()

@@ -11,10 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 # constants kept although nothing reads them, each with its reason
-UNREAD_CONSTANTS = {
-    "S_HAT_SIGMA0": "names one of the four character spaces that "
-                    "in_character_space and enumerate_characters accept",
-}
+UNREAD_CONSTANTS = {}
 # top-level functions and classes kept although nothing under src/ or
 # bench/ reads them, each with its reason
 UNREAD_FUNCTIONS = {

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from arthurcalc.charspace import (CLASS, MULT, SignVector, constant,
-                                  enumerate_characters, S_GT_HAT_SIGMA0)
+                                  enumerate_characters)
 from arthurcalc.errors import DomainError, SupportMismatch, TooLarge
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
@@ -121,7 +121,7 @@ def test_translate_m_w_multiplicity_free():
         if any(b.mult > 1 for b in psi.blocks):
             continue
         order = random_p_order(rng, psi)
-        for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0)[:8]:
+        for eps in enumerate_characters(psi)[:8]:
             out = translate_m_w(psi, eps, order)
             assert out is not None
             hits += 1
@@ -158,7 +158,7 @@ def test_translate_m_w_injective():
             continue
         order = random_p_order(rng, psi)
         seen = {}
-        for eps in enumerate_characters(psi, S_GT_HAT_SIGMA0):
+        for eps in enumerate_characters(psi):
             out = translate_m_w(psi, eps, order)
             if out is None:
                 continue
@@ -179,12 +179,12 @@ def test_enumeration_bound():
     # fourteen instances with two classes each: both bounds exactly met
     edge = make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS,
                                    mult=14)])
-    assert len(packet_constituents(edge, constant(edge, MULT, -1))) == 2 ** 14
+    assert len(packet_constituents(edge, constant(edge, -1))) == 2 ** 14
     classes, instances = _above_the_bounds()
     for big, message in ((classes, "65536 constituent classes"),
                          (instances, "15 blocks")):
         with pytest.raises(TooLarge, match=f"^{message} exceeds bound"):
-            packet_constituents(big, constant(big, MULT))
+            packet_constituents(big, constant(big))
 
 
 def _filtered_block_classes(gap, sign):
@@ -250,7 +250,7 @@ def test_translate_m_w_compatible_with_products():
         if any(b.mult > 1 for b in psi.blocks):
             continue
         order = random_p_order(rng, psi)
-        chars = enumerate_characters(psi, S_GT_HAT_SIGMA0)
+        chars = enumerate_characters(psi)
         for e1 in chars[:4]:
             for e2 in chars[:4]:
                 t1 = translate_m_w(psi, e1, order)
