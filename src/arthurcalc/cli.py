@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from . import io_json as js
-from .charspace import MULT, SignVector, in_element_space
+from .charspace import CLASS, MULT, SignVector, in_element_space
 from .elementary import ConstructionNode, construction_trace
 from .errors import DomainError
 from .formal import ddr_recursion_expand, packet_recursion_expand
@@ -23,7 +23,7 @@ from .halfint import sign_pow
 from .packets import packet_constituents
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, classify,
                      diagonal_restriction, natural_order)
-from .segments import cuspidal_support
+from .segments import EpsMap, cuspidal_support
 from .signs import eps_m_mw_general, eps_of_pairs, z_mw_w
 from . import endoscopy as endo
 
@@ -153,8 +153,8 @@ def cmd_endoscopy(args) -> dict:
     return {
         "twisted": datum.twisted,
         "swapped": datum.swapped,
-        "g_one": js.group_to_json(datum.g_one),
-        "g_two": js.group_to_json(datum.g_two),
+        "g_one": js.group_to_json(datum.psi_one.group),
+        "g_two": js.group_to_json(datum.psi_two.group),
         "eta_one": js.quadchar_to_json(datum.eta_one),
         "eta_two": js.quadchar_to_json(datum.eta_two),
         "psi_one": js.parameter_to_json(datum.psi_one),
@@ -175,8 +175,8 @@ def cmd_packet(args) -> dict:
 
 def cmd_cuspidal_support(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    eps = _parse_signs(args.eps, len(psi.classes()), support="class")
-    phi, eps_c, trace = cuspidal_support(psi, eps)
+    eps = _parse_signs(args.eps, len(psi.classes()), support=CLASS)
+    phi, eps_c, trace = cuspidal_support(psi, EpsMap.from_vector(psi, eps))
     return {
         "steps": [{"kind": kind, "segment": js.segment_to_json(seg)}
                   for kind, seg in trace],
@@ -187,19 +187,20 @@ def cmd_cuspidal_support(args) -> dict:
 
 def _trace_to_json(node: ConstructionNode) -> dict:
     return {
-        "case": node.step.case_tag,
-        "rho": node.step.rho_id,
-        "segments": [js.segment_to_json(s) for s in node.step.inducing],
-        "notes": dict(node.step.annotations),
-        "children": [_trace_to_json(c) for c in node.step.children],
+        "case": node.case_tag,
+        "rho": node.rho_id,
+        "segments": [js.segment_to_json(s) for s in node.inducing],
+        "notes": dict(node.annotations),
+        "children": [_trace_to_json(c) for c in node.children],
     }
 
 
 def cmd_elementary_trace(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    eps = _parse_signs(args.eps, len(psi.classes()), support="class")
+    eps = _parse_signs(args.eps, len(psi.classes()), support=CLASS)
     branch = PLUS if args.branch == "+" else MINUS
-    node = construction_trace(psi, eps, case3ci_branch=branch)
+    node = construction_trace(psi, EpsMap.from_vector(psi, eps),
+                              case3ci_branch=branch)
     return _trace_to_json(node)
 
 

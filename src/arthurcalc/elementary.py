@@ -10,16 +10,15 @@ recursion prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import (AmbiguousChoice, DomainError, NotACharacter,
-                     NotElementary, TooLarge)
+from .errors import AmbiguousChoice, DomainError, NotElementary, TooLarge
 from .halfint import HalfInt
 from .labels import RhoLabel
 from .params import (PLUS, ArthurParameter, diagonal_restriction,
                      elementary_block, is_elementary)
-from .segments import (EpsMap, Segment, extends_cuspidal_chain,
-                       supercuspidal_test)
+from .segments import (EpsMap, Segment, check_character, cuspidal_chains,
+                       extends_cuspidal_chain)
 
 # Largest sum of the sizes max(a, b) that construction_trace accepts.  A
 # case-2 step lowers one size by two, so the trace of one block of size
@@ -39,13 +38,6 @@ CASE3C_II = "case3c_ii"
 def _check_elementary(psi: ArthurParameter) -> None:
     if not is_elementary(psi):
         raise NotElementary("construction requires an elementary parameter")
-
-
-def _eps_map(psi: ArthurParameter, eps) -> EpsMap:
-    """Characters of elementary parameters keyed by (rho id, alpha)."""
-    if isinstance(eps, EpsMap):
-        return eps
-    return EpsMap.from_vector(psi, eps)
 
 
 def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap
@@ -78,32 +70,17 @@ def _chains(psi: ArthurParameter
 
 
 @dataclass(frozen=True)
-class ConstructionStep:
-    """One node of the construction trace."""
-
-    case_tag: str
-    rho_id: Optional[str]
-    inducing: Tuple[Segment, ...]
-    annotations: Tuple[Tuple[str, str], ...]
-    children: Tuple["ConstructionNode", ...]
-
-
-@dataclass(frozen=True)
 class ConstructionNode:
+    """One node of the construction trace: the pair (psi, eps), the case
+    that applies to it, its inducing segments and its child nodes."""
+
     psi: ArthurParameter
     eps: EpsMap
-    step: ConstructionStep
-
-    def leaves(self) -> List["ConstructionNode"]:
-        if not self.step.children:
-            return [self]
-        out = []
-        for child in self.step.children:
-            out.extend(child.leaves())
-        return out
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.step.children)
+    case_tag: str
+    rho_id: Optional[str] = None
+    inducing: Tuple[Segment, ...] = ()
+    annotations: Tuple[Tuple[str, str], ...] = ()
+    children: Tuple["ConstructionNode", ...] = ()
 
 
 def _with_sizes(psi: ArthurParameter, rho: RhoLabel,
@@ -127,7 +104,7 @@ def _seg(rho: RhoLabel, x_twice: int, y_twice: int) -> Segment:
     return Segment(rho, HalfInt(x_twice), HalfInt(y_twice))
 
 
-def construction_trace(psi: ArthurParameter, eps,
+def construction_trace(psi: ArthurParameter, eps: EpsMap,
                        case3ci_branch: Optional[int] = PLUS
                        ) -> ConstructionNode:
     """Unwind the construction of an elementary pair into a tree.
@@ -135,18 +112,21 @@ def construction_trace(psi: ArthurParameter, eps,
     case3ci_branch fixes the two-element labelling choice that the
     construction leaves open when only two rho-sizes are present; it is
     recorded in the node annotations.  Passing None surfaces the choice
-    as an AmbiguousChoice error instead of picking a side.
+    as an AmbiguousChoice error instead of picking a side.  The pair is
+    checked here once: every child pair the recursion builds is again
+    elementary, a character of its parameter, and no larger.
     """
     _check_elementary(psi)
-    eps = _eps_map(psi, eps)
-    if set(eps.values) != {(b.rho.id, b.alpha)
-                           for b in psi.blocks} or eps.product() != 1:
-        raise NotACharacter("character must match the blocks with product 1")
+    check_character(psi, eps)
     total = sum(b.alpha for b in psi.blocks)
     if total > MAX_TRACE_SIZE:
         raise TooLarge(f"sizes max(a, b) sum to {total}, above the trace "
                        f"bound {MAX_TRACE_SIZE}")
+    return _trace(psi, eps, case3ci_branch)
 
+
+def _trace(psi: ArthurParameter, eps: EpsMap,
+           case3ci_branch: Optional[int]) -> ConstructionNode:
     # the first rho, by id, whose sizes are not all cuspidal
     chains = _chains(psi)
     for rho_id in sorted(chains):
@@ -155,32 +135,26 @@ def construction_trace(psi: ArthurParameter, eps,
         if a is not None:
             break
     else:
-        phi_cusp = diagonal_restriction(psi)
-        if not supercuspidal_test(phi_cusp, EpsMap(dict(eps.values))):
+        if not cuspidal_chains(diagonal_restriction(psi), eps):
             raise DomainError(
                 "fully cuspidal pair fails the supercuspidal conditions"
             )  # pragma: no cover
-        step = ConstructionStep(SUPERCUSPIDAL_BASE, None, (), (), ())
-        return ConstructionNode(psi, eps, step)
+        return ConstructionNode(psi, eps, SUPERCUSPIDAL_BASE)
 
     sizes = sorted(jord)
-
-    def drop(vals: EpsMap, *keys) -> Dict:
-        return {k: v for k, v in vals.values.items() if k not in keys}
 
     if a > b + 2 or b == 0:
         # lower the first non-cuspidal size by two
         seg = _seg(rho, (a - 1) * delta, (a - 1) * delta)
+        vals = eps.without((rho.id, a))
         if a - 2 >= 1:
             psi2 = _with_sizes(psi, rho, {a: (a - 2, delta)})
-            vals = drop(eps, (rho.id, a))
             vals[(rho.id, a - 2)] = eps[(rho.id, a)]
         else:
             psi2 = _with_sizes(psi, rho, {a: None})
-            vals = drop(eps, (rho.id, a))
-        child = construction_trace(psi2, EpsMap(vals), case3ci_branch)
-        step = ConstructionStep(CASE2_SHIFT, rho.id, (seg,), (), (child,))
-        return ConstructionNode(psi, eps, step)
+        child = _trace(psi2, EpsMap(vals), case3ci_branch)
+        return ConstructionNode(psi, eps, CASE2_SHIFT, rho.id, (seg,),
+                                children=(child,))
 
     # now a == b + 2; the parities of the rho-sizes decide the sub-case
     parity = a % 2
@@ -191,34 +165,32 @@ def construction_trace(psi: ArthurParameter, eps,
         # subrepresentation
         gone = (a, 1) if parity else (a,)
         changes: Dict[int, Optional[Tuple[int, int]]] = dict.fromkeys(gone)
-        vals = drop(eps, *((rho.id, al) for al in gone))
+        vals = eps.without(*((rho.id, al) for al in gone))
         for al in sizes:
             if parity < al <= b:
                 changes[al] = (al, -delta)
                 vals[(rho.id, al)] = -eps[(rho.id, al)]
         psi_minus = _with_sizes(psi, rho, changes)
-        child_minus = construction_trace(psi_minus, EpsMap(vals),
-                                         case3ci_branch)
+        child_minus = _trace(psi_minus, EpsMap(vals), case3ci_branch)
         psi_prime = _with_sizes(psi, rho, {a: None, b: None})
-        vals_p = drop(eps, (rho.id, a), (rho.id, b))
-        child_prime = construction_trace(psi_prime, EpsMap(vals_p),
-                                         case3ci_branch)
+        vals_p = eps.without((rho.id, a), (rho.id, b))
+        child_prime = _trace(psi_prime, EpsMap(vals_p), case3ci_branch)
         segs = (_seg(rho, (a - 1) * delta, 0 if parity else delta),
                 _seg(rho, (a - 1) * delta, -(b - 1) * delta))
-        step = ConstructionStep(CASE3B if parity else CASE3A, rho.id, segs,
-                                (), (child_minus, child_prime))
-        return ConstructionNode(psi, eps, step)
+        return ConstructionNode(psi, eps, CASE3B if parity else CASE3A,
+                                rho.id, segs,
+                                children=(child_minus, child_prime))
 
     if (a, b) != (3, 1):
         raise DomainError(f"unexpected case a={a}, b={b}")  # pragma: no cover
 
     # a = 3 over b = 1: branch choice inside a length-two socle
     psi_prime = _with_sizes(psi, rho, {3: None, 1: None})
-    vals_p = drop(eps, (rho.id, 3), (rho.id, 1))
-    child = construction_trace(psi_prime, EpsMap(vals_p), case3ci_branch)
+    vals_p = eps.without((rho.id, 3), (rho.id, 1))
+    child = _trace(psi_prime, EpsMap(vals_p), case3ci_branch)
     delta3 = jord[3]
-    remaining = sorted(al for al in sizes if al > 3)
-    if not remaining:
+    a_next = next((al for al in sizes if al > 3), None)
+    if a_next is None:
         if case3ci_branch is None:
             raise AmbiguousChoice(
                 "two-size case needs an explicit labelling branch")
@@ -226,14 +198,9 @@ def construction_trace(psi: ArthurParameter, eps,
         tag, notes = CASE3C_I, (("choice", "+" if case3ci_branch == PLUS
                                  else "-"),)
     else:
-        a_next = remaining[0]
-        delta_next = jord[a_next]
-        zeta = (eps[(rho.id, a_next)] * delta_next
-                * eps[(rho.id, 3)] * delta3)
+        zeta = eps[(rho.id, a_next)] * jord[a_next] * eps[(rho.id, 3)] * delta3
         tag, notes = CASE3C_II, (("a_next", str(a_next)),)
     segs = (_seg(rho, 2 * delta3, 2 * delta3), _seg(rho, 0, 0))
-    step = ConstructionStep(tag, rho.id, segs,
-                            notes + (("branch", "+" if zeta == PLUS else "-"),),
-                            (child,))
-    return ConstructionNode(psi, eps, step)
-
+    return ConstructionNode(
+        psi, eps, tag, rho.id, segs,
+        notes + (("branch", "+" if zeta == PLUS else "-"),), (child,))

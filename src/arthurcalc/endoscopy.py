@@ -21,20 +21,12 @@ from .signs import eps_mw_w, theta_ratio_mw_w
 
 @dataclass(frozen=True)
 class EndoscopicDatum:
-    g_one: GroupForm
-    g_two: GroupForm
     eta_one: QuadCharacter
     eta_two: QuadCharacter
     psi_one: ArthurParameter
     psi_two: ArthurParameter
     twisted: bool
     swapped: bool = False  # the two sides of s were exchanged to normalize
-
-    def __post_init__(self):
-        if self.psi_one.group != self.g_one:
-            raise DomainError("psi_one does not match g_one")
-        if self.psi_two.group != self.g_two:
-            raise DomainError("psi_two does not match g_two")
 
 
 def eta_block(block: JordanBlock) -> QuadCharacter:
@@ -98,8 +90,8 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
                            for blk in _regroup(plus))
         psi_one = ArthurParameter(g_one, blocks_one)
         psi_two = ArthurParameter(g_two, _regroup(minus))
-        return EndoscopicDatum(g_one, g_two, eta, eta, psi_one, psi_two,
-                               twisted=False, swapped=swapped)
+        return EndoscopicDatum(eta, eta, psi_one, psi_two, twisted=False,
+                               swapped=swapped)
 
     if kind == SO_ODD:
         if n_plus % 2 or n_minus % 2:
@@ -107,8 +99,7 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
         g_one = GroupForm.of_dim(SO_ODD, n_plus, triv)
         g_two = GroupForm.of_dim(SO_ODD, n_minus, triv)
         return EndoscopicDatum(
-            g_one, g_two, triv, triv,
-            ArthurParameter(g_one, _regroup(plus)),
+            triv, triv, ArthurParameter(g_one, _regroup(plus)),
             ArthurParameter(g_two, _regroup(minus)), twisted=False)
 
     # even orthogonal: the determinant condition forces even sides
@@ -119,8 +110,7 @@ def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
     g_one = GroupForm.of_dim(SO_EVEN, n_plus, eta_one)
     g_two = GroupForm.of_dim(SO_EVEN, n_minus, eta_two)
     return EndoscopicDatum(
-        g_one, g_two, eta_one, eta_two,
-        ArthurParameter(g_one, _regroup(plus)),
+        eta_one, eta_two, ArthurParameter(g_one, _regroup(plus)),
         ArthurParameter(g_two, _regroup(minus)), twisted=False)
 
 
@@ -144,8 +134,7 @@ def twisted_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
     blocks_two = tuple(replace(blk, rho=blk.rho.twist(eta_two))
                        for blk in _regroup(minus))
     return EndoscopicDatum(
-        g_one, g_two, eta_one, eta_two,
-        ArthurParameter(g_one, blocks_one),
+        eta_one, eta_two, ArthurParameter(g_one, blocks_one),
         ArthurParameter(g_two, blocks_two), twisted=True)
 
 

@@ -22,6 +22,9 @@ from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
                      JordanBlock, classify, from_AB)
 
+# Most terms packet_expand_fully takes off its work before it gives up.
+MAX_EXPANSION_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class Induce:
@@ -51,7 +54,7 @@ Op = object  # Induce | Jac
 
 
 def _entry_key(entry: Tuple[JordanBlock, Optional[int]]):
-    return entry[0].key(), entry[1] or 0
+    return entry[0].sort_key, entry[1] or 0
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,6 @@ class BasisTerm:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def prefix(self) -> Tuple[Induce, ...]:
-        return tuple(op for op in self.ops if isinstance(op, Induce))
-
-    @property
-    def jac_ops(self) -> Tuple[Jac, ...]:
-        return tuple(op for op in self.ops if isinstance(op, Jac))
 
     def __str__(self) -> str:
         ops = " ".join(str(op) for op in self.ops)
@@ -269,16 +264,16 @@ def _add_to(acc: Dict[BasisTerm, int], term: BasisTerm, coeff: int) -> bool:
 
 
 def packet_expand_fully(psi: ArthurParameter,
-                        eps: Optional[SignVector] = None,
-                        limit: int = 100000) -> FormalSum:
+                        eps: Optional[SignVector] = None) -> FormalSum:
     """Iterate a block recursion until every core is elementary: the
     stable one without eps, the character one on each core's own signs
     with it.
 
     Each step takes the pending term least by str, ties in the order
     they entered, off the work and expands its first compound block;
-    more than limit steps raise.  The heap keeps each entry's str key;
-    an entry whose term has since cancelled or re-entered is skipped.
+    more than MAX_EXPANSION_STEPS steps raise.  The heap keeps each
+    entry's str key; an entry whose term has since cancelled or
+    re-entered is skipped.
     The input is checked once, as the one-block recursions check theirs.
     """
     _check_ddr(psi, eps)
@@ -302,7 +297,7 @@ def packet_expand_fully(psi: ArthurParameter,
         if term not in work or entry[term] != n:
             continue
         steps += 1
-        if steps > limit:
+        if steps > MAX_EXPANSION_STEPS:
             raise DomainError("expansion exceeded the step limit")
         coeff = work.pop(term)
         core_psi = term.core.parameter()
@@ -341,6 +336,7 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     gap = int(A - B) + 1
 
     rest = [inst for inst in psi.instances() if inst != chosen]
+    rest_keys = [inst[0].sort_key for inst in rest]
     s_rest = [value_at(psi, s, inst) for inst in rest]
     s_val = value_at(psi, s, chosen)
 
@@ -352,27 +348,27 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
 
     def vec(param: ArthurParameter,
             values: Dict[tuple, int]) -> SignVector:
-        return SignVector(MULT, tuple(values[inst[0].key()]
+        return SignVector(MULT, tuple(values[inst[0].sort_key]
                                       for inst in param.instances()))
 
     ok = True
     for eps_signs in itertools.product((1, -1), repeat=len(rest) + 1):
-        eps_vals = dict(zip([inst[0].key() for inst in rest], eps_signs))
-        eps_vals[blk.key()] = eps_signs[-1]
+        eps_vals = dict(zip(rest_keys, eps_signs))
+        eps_vals[blk.sort_key] = eps_signs[-1]
         if math.prod(eps_vals.values()) != 1:
             continue
         eps = vec(psi, eps_vals)
         base = pair(eps, s.pointwise(s_psi(psi)))
-        eta0 = eps_vals[blk.key()]
+        eta0 = eps_vals[blk.sort_key]
 
         # identification with the raised-base parameter
         if blk1 is not None:
             psi1 = psi.with_blocks(rest_blocks + [blk1])
             vals1 = dict(eps_vals)
-            del vals1[blk.key()]
-            vals1[blk1.key()] = eta0
-            s1_vals = dict(zip([inst[0].key() for inst in rest], s_rest))
-            s1_vals[blk1.key()] = s_val
+            del vals1[blk.sort_key]
+            vals1[blk1.sort_key] = eta0
+            s1_vals = dict(zip(rest_keys, s_rest))
+            s1_vals[blk1.sort_key] = s_val
             eps1 = vec(psi1, vals1)
             s1 = vec(psi1, s1_vals)
             if pair(eps1, s1.pointwise(s_psi(psi1))) != base:
@@ -381,12 +377,12 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
         # all lifts to the two-block split
         for eta in (1, -1):
             vals2 = dict(eps_vals)
-            del vals2[blk.key()]
-            vals2[blk2a.key()] = eta
-            vals2[blk2b.key()] = eta * eta0
-            s2_vals = dict(zip([inst[0].key() for inst in rest], s_rest))
-            s2_vals[blk2a.key()] = s_val
-            s2_vals[blk2b.key()] = s_val
+            del vals2[blk.sort_key]
+            vals2[blk2a.sort_key] = eta
+            vals2[blk2b.sort_key] = eta * eta0
+            s2_vals = dict(zip(rest_keys, s_rest))
+            s2_vals[blk2a.sort_key] = s_val
+            s2_vals[blk2b.sort_key] = s_val
             eps2 = vec(psi2, vals2)
             s2 = vec(psi2, s2_vals)
             predicted = (eta if gap % 2 else 1) * \

@@ -24,13 +24,6 @@ class HalfInt:
             return value
         return HalfInt(2 * value)
 
-    @staticmethod
-    def half(twice: int) -> "HalfInt":
-        return HalfInt(twice)
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def floor(self) -> int:
         # integer division toward -infinity, so [-1/2] == -1
         return self.twice // 2

@@ -96,6 +96,3 @@ class RhoLabel:
         new_id = f"{self.id}(x){eta}"
         return RhoLabel(new_id, self.dim, self.self_dual_type,
                         self.det_char * (eta ** self.dim))
-
-    def sort_key(self):
-        return (self.id, self.dim, self.self_dual_type)

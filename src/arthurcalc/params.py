@@ -111,7 +111,6 @@ def _merge_facts(blk: "JordanBlock") -> tuple:
     """(sort_key, total_dim), which a parameter reads to merge and count
     its blocks, stored on the block."""
     rho, a, b = blk.rho, blk.a, blk.b
-    # key() flattened: it sorts in the same order
     key = (rho.id, rho.dim, rho.self_dual_type, a, b, _ZETA_CHAR[blk.zeta])
     total = blk.mult * a * b * rho.dim
     _store(blk, "sort_key", key)
@@ -223,14 +222,11 @@ class JordanBlock:
             raise BadBlock("cannot override zeta of an unbalanced block")
         return replace(self, zeta=zeta)
 
-    def key(self):
-        return (self.rho.sort_key(), self.a, self.b, _ZETA_CHAR[self.zeta])
-
     # The block's facts, derived once per block object; they are no
     # fields, so equality, hashing, repr and replace ignore them.
-    sort_key = _Fact(_merge_facts, 0, "key() flattened, which sorts in the "
-                     "same order: (rho id, rho dim, self-dual type, a, b, "
-                     "zeta).")
+    sort_key = _Fact(_merge_facts, 0, "(rho id, rho dim, self-dual type, a, "
+                     "b, zeta): the order blocks sort in, and the key "
+                     "that tells blocks apart up to multiplicity.")
     total_dim = _Fact(_merge_facts, 1,
                       "Dimension of all copies, mult*a*b*d_rho.")
     parity = _Fact(_class_facts, 0, "Orthogonal/symplectic type of the "
@@ -550,7 +546,7 @@ def natural_order(psi: ArthurParameter) -> BlockOrder:
 
 
 def _instance_key(inst: Instance):
-    return inst[0].key(), inst[1]
+    return inst[0].sort_key, inst[1]
 
 
 def min_p_order(psi: ArthurParameter) -> BlockOrder:
@@ -621,8 +617,8 @@ def number_copies(blocks: Iterable[JordanBlock]) -> Tuple[Instance, ...]:
     counts: Dict[tuple, int] = {}
     out = []
     for blk in blocks:
-        k = counts.get(blk.key(), 0)
-        counts[blk.key()] = k + 1
+        k = counts.get(blk.sort_key, 0)
+        counts[blk.sort_key] = k + 1
         out.append((blk, k))
     return tuple(out)
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Container, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Container, Dict, List, Mapping, Optional, Tuple
 
 from .charspace import CLASS, SignVector, check_vector
 from .errors import DomainError, NotACharacter, NotDiscrete, SupportMismatch
@@ -45,20 +46,30 @@ def _require_discrete(phi: ArthurParameter) -> None:
         raise NotDiscrete("operation requires a tempered discrete parameter")
 
 
-def jord_rho_sizes(phi: ArthurParameter, rho: RhoLabel) -> List[int]:
-    return sorted(b.a for b in phi.blocks if b.rho.id == rho.id)
+def _rho_sizes(phi: ArthurParameter) -> List[Tuple[RhoLabel, List[int]]]:
+    """Per rho, by id, its label and its ascending sizes, in one pass over
+    the blocks of a discrete parameter, which sort by rho id, then a."""
+    out: Dict[str, Tuple[RhoLabel, List[int]]] = {}
+    for b in phi.blocks:
+        out.setdefault(b.rho.id, (b.rho, []))[1].append(b.a)
+    return list(out.values())
 
 
+@dataclass(frozen=True)
 class EpsMap:
-    """A character of a tempered discrete parameter, keyed by (rho id, a)."""
+    """A character keyed by (rho id, alpha), which is (rho id, a) on a
+    discrete parameter.  A value: values is a read-only copy, and equal
+    maps compare equal and hash alike."""
 
-    def __init__(self, values: Dict[Tuple[str, int], int]):
-        self.values = dict(values)
+    values: Mapping[Tuple[str, int], int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values",
+                           MappingProxyType(dict(self.values)))
 
     @staticmethod
     def from_vector(phi: ArthurParameter, eps: SignVector) -> "EpsMap":
-        """The values of a class-support vector keyed by (rho id, alpha),
-        which is (rho id, a) on a discrete parameter."""
+        """The values of a class-support vector keyed by (rho id, alpha)."""
         try:
             check_vector(phi, eps, CLASS)
         except SupportMismatch as e:
@@ -67,17 +78,24 @@ class EpsMap:
         return EpsMap({(blk.rho.id, blk.alpha): sg
                        for blk, sg in zip(phi.classes(), eps.signs)})
 
-    def product(self) -> int:
-        return math.prod(self.values.values())
+    def without(self, *keys: Tuple[str, int]) -> Dict[Tuple[str, int], int]:
+        """A new dict of the values whose keys are not among keys."""
+        return {k: v for k, v in self.values.items() if k not in keys}
 
     def __getitem__(self, key: Tuple[str, int]) -> int:
         return self.values[key]
 
+    def __hash__(self) -> int:
+        # a mappingproxy has no hash of its own
+        return hash(frozenset(self.values.items()))
 
-def _check_char(phi: ArthurParameter, eps: EpsMap) -> None:
-    if set(eps.values) != {(b.rho.id, b.a) for b in phi.blocks}:
+
+def check_character(psi: ArthurParameter, eps: EpsMap) -> None:
+    """Refuse eps unless it has one value per block of psi, keyed by
+    (rho id, alpha), with product 1."""
+    if set(eps.values) != {(b.rho.id, b.alpha) for b in psi.blocks}:
         raise NotACharacter("character support does not match the blocks")
-    if eps.product() != 1:
+    if math.prod(eps.values.values()) != 1:
         raise NotACharacter("character fails the product condition")
 
 
@@ -93,19 +111,22 @@ def extends_cuspidal_chain(size: int, sizes: Container[int],
     return size != 2 or sign(2) == -1
 
 
-def supercuspidal_test(phi: ArthurParameter, eps) -> bool:
-    """Whether (phi, eps) is a supercuspidal pair: per rho the sizes form
-    a gapless chain, the signs alternate, and the bottom even size gets -1."""
-    _require_discrete(phi)
-    if isinstance(eps, SignVector):
-        eps = EpsMap.from_vector(phi, eps)
-    _check_char(phi, eps)
-    for rho in phi.rho_labels():
-        sizes = jord_rho_sizes(phi, rho)
+def cuspidal_chains(phi: ArthurParameter, eps: EpsMap) -> bool:
+    """Whether per rho the sizes of a checked discrete pair (phi, eps)
+    form a cuspidal chain."""
+    for rho, sizes in _rho_sizes(phi):
         sign = lambda a, rid=rho.id: eps[(rid, a)]
         if not all(extends_cuspidal_chain(a, sizes, sign) for a in sizes):
             return False
     return True
+
+
+def supercuspidal_test(phi: ArthurParameter, eps: EpsMap) -> bool:
+    """Whether (phi, eps) is a supercuspidal pair: per rho the sizes form
+    a gapless chain, the signs alternate, and the bottom even size gets -1."""
+    _require_discrete(phi)
+    check_character(phi, eps)
+    return cuspidal_chains(phi, eps)
 
 
 GAP = "gap"
@@ -119,7 +140,7 @@ class ReductionStep:
     kind: str
     segments: Tuple[Segment, ...]
     phi: Optional[ArthurParameter]
-    eps: Optional["EpsMap"]
+    eps: Optional[EpsMap]
 
 
 def _drop_sizes(phi: ArthurParameter, rho: RhoLabel,
@@ -128,7 +149,7 @@ def _drop_sizes(phi: ArthurParameter, rho: RhoLabel,
             if not (b.rho.id == rho.id and b.a in sizes)]
 
 
-def parabolic_reduce_step(phi: ArthurParameter, eps) -> ReductionStep:
+def parabolic_reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
     """One step of cuspidal-support reduction, or none when supercuspidal.
 
     Case priority is even_min, then pair, then gap, scanning the blocks
@@ -136,63 +157,49 @@ def parabolic_reduce_step(phi: ArthurParameter, eps) -> ReductionStep:
     not the terminal pair.
     """
     _require_discrete(phi)
-    if isinstance(eps, SignVector):
-        eps = EpsMap.from_vector(phi, eps)
-    _check_char(phi, eps)
-
-    labels = sorted(phi.rho_labels(), key=lambda r: r.id)
+    check_character(phi, eps)
+    chains = _rho_sizes(phi)
 
     # even bottom with positive sign peels off entirely
-    for rho in labels:
-        sizes = jord_rho_sizes(phi, rho)
-        if sizes and sizes[0] % 2 == 0 and eps[(rho.id, sizes[0])] == 1:
-            a_min = sizes[0]
+    for rho, sizes in chains:
+        a_min = sizes[0]
+        if a_min % 2 == 0 and eps[(rho.id, a_min)] == 1:
             seg = Segment(rho, HalfInt(a_min - 1), HalfInt(1))
             phi2 = phi.with_blocks(_drop_sizes(phi, rho, a_min))
-            eps2 = EpsMap({k: v for k, v in eps.values.items()
-                           if k != (rho.id, a_min)})
+            eps2 = EpsMap(eps.without((rho.id, a_min)))
             return ReductionStep(EVEN_MIN, (seg,), phi2, eps2)
 
     # adjacent sizes with equal signs drop together
-    for rho in labels:
-        sizes = jord_rho_sizes(phi, rho)
-        for a in reversed(sizes):
-            lower = [x for x in sizes if x < a]
-            if not lower:
-                continue
-            a_minus = max(lower)
-            if eps[(rho.id, a)] * eps[(rho.id, a_minus)] == 1:
+    for rho, sizes in chains:
+        for i in range(len(sizes) - 1, 0, -1):
+            a, a_minus = sizes[i], sizes[i - 1]
+            if eps[(rho.id, a)] == eps[(rho.id, a_minus)]:
                 seg = Segment(rho, HalfInt(a - 1), HalfInt(-(a_minus - 1)))
                 phi2 = phi.with_blocks(_drop_sizes(phi, rho, a, a_minus))
-                eps2 = EpsMap({k: v for k, v in eps.values.items()
-                               if k not in ((rho.id, a), (rho.id, a_minus))})
+                eps2 = EpsMap(eps.without((rho.id, a), (rho.id, a_minus)))
                 return ReductionStep(PAIR, (seg,), phi2, eps2)
 
-    # a gap below an alternating size closes by two
-    for rho in labels:
-        sizes = jord_rho_sizes(phi, rho)
-        for a in reversed(sizes):
-            lower = [x for x in sizes if x < a]
-            a_minus = max(lower) if lower else (0 if a % 2 == 0 else -1)
-            prod = eps[(rho.id, a)] * eps[(rho.id, a_minus)] if lower else -1
-            if prod == -1 and a_minus < a - 2:
+    # the signs of adjacent sizes now alternate, and a gap below a size
+    # closes by two; below the least size sits 0 or -1 by parity
+    for rho, sizes in chains:
+        for i in range(len(sizes) - 1, -1, -1):
+            a = sizes[i]
+            a_minus = sizes[i - 1] if i else -(a % 2)
+            if a_minus < a - 2:
                 seg = Segment(rho, HalfInt(a - 1), HalfInt(a_minus + 3))
                 phi2 = phi.with_blocks(_drop_sizes(phi, rho, a) +
                                        [JordanBlock(rho, a_minus + 2, 1)])
-                vals = {k: v for k, v in eps.values.items()
-                        if k != (rho.id, a)}
+                vals = eps.without((rho.id, a))
                 vals[(rho.id, a_minus + 2)] = eps[(rho.id, a)]
                 return ReductionStep(GAP, (seg,), phi2, EpsMap(vals))
 
     return ReductionStep(NONE, (), None, None)
 
 
-def cuspidal_support(phi: ArthurParameter, eps
-                     ) -> Tuple[ArthurParameter, "EpsMap",
+def cuspidal_support(phi: ArthurParameter, eps: EpsMap
+                     ) -> Tuple[ArthurParameter, EpsMap,
                                 List[Tuple[str, Segment]]]:
     """Iterate reduction steps down to a supercuspidal pair."""
-    if isinstance(eps, SignVector):
-        eps = EpsMap.from_vector(phi, eps)
     trace: List[Tuple[str, Segment]] = []
     budget = sum(b.a for b in phi.blocks) + 1
     for _ in range(budget):

@@ -212,7 +212,8 @@ def eps_m_mw_elementary(psi: ArthurParameter) -> SignVector:
             values.append(1)
             continue
         same = [o for o, _ in insts
-                if o.rho.id == blk.rho.id and o.key() != blk.key()]
+                if o.rho.id == blk.rho.id
+                and o.sort_key != blk.sort_key]
         m = sum(1 for o in same
                 if elementary_alpha(o) > alpha and elementary_delta(o) == MINUS)
         n = sum(1 for o in same if elementary_alpha(o) < alpha)

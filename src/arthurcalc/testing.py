@@ -290,7 +290,7 @@ def _transfer_sign(rng: random.Random, size: Size) -> Tuple[int, int]:
     for pool in _block_pools():
         for n in ((1, 2, 3) if size.full else (1, 2)):
             for combo in itertools.combinations_with_replacement(pool, n):
-                if n > 1 and len({b.key() for b in combo}) < n:
+                if n > 1 and len({b.sort_key for b in combo}) < n:
                     continue  # repeated entries covered by mult elsewhere
                 try:
                     psi = make_parameter(list(combo))

@@ -219,11 +219,6 @@ class RestrictedData:
         return frozenset(_group(self).elements)
 
     @cached_property
-    def w_long_g(self) -> SignedPerm:
-        """The longest element, the restriction of the ambient one."""
-        return _group(self).elements[_levi_longest(self, self.simples)]
-
-    @cached_property
     def roots(self) -> Tuple[Vec, ...]:
         return self.positives + tuple(_neg(v) for v in self.positives)
 

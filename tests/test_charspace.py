@@ -19,8 +19,8 @@ from arthurcalc.packets import packet_constituents, translate_m_w
 from arthurcalc.params import (PLUS, ArthurParameter, GroupForm, JordanBlock,
                                SO_EVEN, from_AB, make_parameter,
                                natural_order)
-from arthurcalc.segments import (cuspidal_support, parabolic_reduce_step,
-                                 supercuspidal_test)
+from arthurcalc.segments import (EpsMap, cuspidal_support,
+                                 parabolic_reduce_step, supercuspidal_test)
 from arthurcalc.testing import random_pure_parameter
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
@@ -197,6 +197,11 @@ def _sp4():
                            JordanBlock(RHO, 3, 1)])
 
 
+def _from_vector(fn):
+    """fn on the character map of a class vector, as the CLI calls it."""
+    return lambda psi, eps: fn(psi, EpsMap.from_vector(psi, eps))
+
+
 # function -> (parameter builder, support, a vector it accepts, the call,
 # the error a wrongly sized or supported vector gets)
 TAKES_A_VECTOR = {
@@ -219,14 +224,19 @@ TAKES_A_VECTOR = {
     "sign_transfer_check": (_so4, MULT, (1, 1), lambda psi, s:
                             sign_transfer_check(psi, s, natural_order(psi)),
                             SupportMismatch),
-    "cuspidal_support": (_so4, CLASS, (1, 1), cuspidal_support,
+    # the one conversion to the character map that segments and
+    # elementary take, alone and ahead of each function that takes the map
+    "EpsMap.from_vector": (_so4, CLASS, (1, 1), EpsMap.from_vector,
+                           NotACharacter),
+    "cuspidal_support": (_so4, CLASS, (1, 1), _from_vector(cuspidal_support),
                          NotACharacter),
-    "supercuspidal_test": (_so4, CLASS, (1, 1), supercuspidal_test,
-                           NotACharacter),
-    "parabolic_reduce_step": (_so4, CLASS, (1, 1), parabolic_reduce_step,
+    "supercuspidal_test": (_so4, CLASS, (1, 1),
+                           _from_vector(supercuspidal_test), NotACharacter),
+    "parabolic_reduce_step": (_so4, CLASS, (1, 1),
+                              _from_vector(parabolic_reduce_step),
                               NotACharacter),
-    "construction_trace": (_so4, CLASS, (1, 1), construction_trace,
-                           NotACharacter),
+    "construction_trace": (_so4, CLASS, (1, 1),
+                           _from_vector(construction_trace), NotACharacter),
     "cont": (_so4, MULT, (1, 1), cont, SupportMismatch),
     "ext": (_so4, CLASS, (1, 1), ext, SupportMismatch),
     "value_at": (_so4, MULT, (1, 1), lambda psi, v:

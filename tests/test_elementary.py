@@ -6,15 +6,16 @@ from arthurcalc.charspace import CLASS, MULT, SignVector
 from arthurcalc.elementary import (CASE2_SHIFT, CASE3A, CASE3B, CASE3C_I,
                                    CASE3C_II, SUPERCUSPIDAL_BASE, _chains,
                                    _check_elementary, _cuspidal_bound,
-                                   _eps_map, construction_trace)
+                                   construction_trace)
 from arthurcalc.errors import (AmbiguousChoice, NotACharacter,
                                NotElementary, UnresolvedZeta)
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
                                diagonal_restriction, elementary_alpha,
                                elementary_block, elementary_delta,
-                               make_parameter)
-from arthurcalc.segments import EpsMap, cuspidal_support, supercuspidal_test
+                               is_elementary, make_parameter)
+from arthurcalc.segments import (EpsMap, check_character, cuspidal_support,
+                                 parabolic_reduce_step, supercuspidal_test)
 from arthurcalc.signs import aubert_flip
 from arthurcalc.testing import random_elementary
 
@@ -34,7 +35,18 @@ def rho_cuspidal_bound(psi, eps, rho):
     reads it off the chains of an elementary parameter."""
     _check_elementary(psi)
     _, jord = _chains(psi).get(rho.id, (rho, {}))
-    return _cuspidal_bound(rho.id, jord, _eps_map(psi, eps))
+    return _cuspidal_bound(rho.id, jord, eps)
+
+
+def leaves(node):
+    """The leaves of a construction tree, left to right."""
+    if not node.children:
+        return [node]
+    return [leaf for child in node.children for leaf in leaves(child)]
+
+
+def tree_size(node):
+    return 1 + sum(tree_size(c) for c in node.children)
 
 
 def aubert_chain(psi):
@@ -89,42 +101,42 @@ def test_rho_cuspidal_bound_broken_alternation():
 def test_trace_supercuspidal_base():
     psi = _elem([(1, PLUS), (3, PLUS), (5, PLUS)])
     node = construction_trace(psi, _eps({1: -1, 3: 1, 5: -1}))
-    assert node.step.case_tag == SUPERCUSPIDAL_BASE
-    assert node.size() == 1
+    assert node.case_tag == SUPERCUSPIDAL_BASE
+    assert tree_size(node) == 1
 
 
 def test_trace_case2_spec_example():
     psi = _elem([(1, PLUS), (5, PLUS)])
     node = construction_trace(psi, _eps({1: -1, 5: -1}))
-    assert node.step.case_tag == CASE2_SHIFT
-    seg = node.step.inducing[0]
+    assert node.case_tag == CASE2_SHIFT
+    seg = node.inducing[0]
     assert seg.x.twice == 4 and seg.y.twice == 4  # exponent delta * 2
-    child = node.step.children[0]
+    child = node.children[0]
     assert sorted(elementary_alpha(b) for b in child.psi.blocks) == [1, 3]
 
 
 def test_trace_case3c():
     psi = _elem([(1, PLUS), (3, PLUS)])
     node = construction_trace(psi, _eps({1: -1, 3: -1}))
-    assert node.step.case_tag == CASE3C_I
-    assert ("choice", "+") in node.step.annotations
+    assert node.case_tag == CASE3C_I
+    assert ("choice", "+") in node.annotations
     node2 = construction_trace(psi, _eps({1: -1, 3: -1}), case3ci_branch=MINUS)
-    assert ("choice", "-") in node2.step.annotations
+    assert ("choice", "-") in node2.annotations
 
     bigger = _elem([(1, PLUS), (3, PLUS), (5, MINUS)])
     node3 = construction_trace(bigger, _eps({1: -1, 3: -1, 5: 1}))
-    assert node3.step.case_tag == CASE3C_II
-    assert ("a_next", "5") in node3.step.annotations
+    assert node3.case_tag == CASE3C_II
+    assert ("a_next", "5") in node3.annotations
 
 
 def test_trace_case3a_even_sizes():
     rho2 = RhoLabel("sig", 2, SYMPLECTIC)
     psi = _elem([(2, PLUS), (4, PLUS)], rho=rho2)
     node = construction_trace(psi, _eps({2: -1, 4: -1}, rho=rho2))
-    assert node.step.case_tag == CASE3A
-    assert len(node.step.children) == 2
+    assert node.case_tag == CASE3A
+    assert len(node.children) == 2
     # primary child flips the chain below b
-    child = node.step.children[0]
+    child = node.children[0]
     assert {elementary_alpha(b): b.zeta for b in child.psi.blocks} == \
         {2: MINUS}
     assert child.eps[("sig", 2)] == 1
@@ -134,9 +146,9 @@ def test_trace_case3b_odd_sizes():
     psi = _elem([(1, PLUS), (3, PLUS), (5, PLUS)])
     # cuspidal through 3 (eps alternates 1,3), fails at 5
     node = construction_trace(psi, _eps({1: 1, 3: -1, 5: -1}))
-    assert node.step.case_tag == CASE3B
-    assert len(node.step.children) == 2
-    segs = node.step.inducing
+    assert node.case_tag == CASE3B
+    assert len(node.children) == 2
+    segs = node.inducing
     assert segs[0].y.twice == 0    # first embedding ends at 0
     assert segs[1].y.twice == -2   # companion ends at -delta(b-1)/2
 
@@ -158,10 +170,10 @@ def test_all_leaves_supercuspidal():
         eps = EpsMap({(b.rho.id, elementary_alpha(b)): s
                       for b, s in zip(classes, signs)})
         node = construction_trace(psi, eps)
-        for leaf in node.leaves():
-            assert leaf.step.case_tag == SUPERCUSPIDAL_BASE
+        for leaf in leaves(node):
+            assert leaf.case_tag == SUPERCUSPIDAL_BASE
             phi = diagonal_restriction(leaf.psi)
-            assert supercuspidal_test(phi, EpsMap(dict(leaf.eps.values)))
+            assert supercuspidal_test(phi, leaf.eps)
         done += 1
     assert done > 100
 
@@ -183,7 +195,7 @@ def test_trace_children_shrink():
 
         def walk(n):
             total = sum(elementary_alpha(b) for b in n.psi.blocks)
-            for c in n.step.children:
+            for c in n.children:
                 child_total = sum(elementary_alpha(b) for b in c.psi.blocks)
                 assert child_total < total
                 walk(c)
@@ -232,7 +244,7 @@ def test_not_elementary_rejected():
 
 def _leaf_pairs(node):
     out = []
-    for leaf in node.leaves():
+    for leaf in leaves(node):
         phi = diagonal_restriction(leaf.psi)
         key = (tuple(sorted((b.rho.id, b.a) for b in phi.blocks)),
                tuple(sorted(leaf.eps.values.items())))
@@ -271,8 +283,8 @@ def test_tempered_trace_matches_cuspidal_support():
     for _ in range(300):
         phi, eps = random_discrete_pair(rng, max_blocks=4, max_a=7)
         elem = phi.resolve_zeta(PLUS)
-        node = construction_trace(elem, EpsMap(dict(eps.values)))
-        cusp, eps_c, _ = cuspidal_support(phi, EpsMap(dict(eps.values)))
+        node = construction_trace(elem, eps)
+        cusp, eps_c, _ = cuspidal_support(phi, eps)
         expect = (tuple(sorted((b.rho.id, b.a) for b in cusp.blocks)),
                   tuple(sorted(eps_c.values.items())))
         assert set(_leaf_pairs(node)) == {expect}
@@ -289,7 +301,7 @@ def test_case3ci_ambiguity_surfaced():
     sc = _elem([(1, PLUS), (3, PLUS), (5, PLUS)])
     node = construction_trace(sc, _eps({1: -1, 3: 1, 5: -1}),
                               case3ci_branch=None)
-    assert node.step.case_tag == SUPERCUSPIDAL_BASE
+    assert node.case_tag == SUPERCUSPIDAL_BASE
 
 
 def test_character_checked_before_zeta():
@@ -303,20 +315,35 @@ def test_character_checked_before_zeta():
         construction_trace(psi, _eps({1: -1, 3: -1}))
 
 
+def _rho_row(rho):
+    return rho.id, rho.dim, rho.self_dual_type
+
+
 def _psi_row(psi):
     return (str(psi.group),
-            tuple((b.rho.sort_key(), b.a, b.b, b.mult, b.zeta)
+            tuple((_rho_row(b.rho), b.a, b.b, b.mult, b.zeta)
                   for b in psi.blocks))
 
 
 def _node_row(node):
-    step = node.step
-    return (step.case_tag, step.rho_id,
-            tuple((s.rho.sort_key(), s.x.twice, s.y.twice)
-                  for s in step.inducing),
-            step.annotations, _psi_row(node.psi),
+    return (node.case_tag, node.rho_id,
+            tuple((_rho_row(s.rho), s.x.twice, s.y.twice)
+                  for s in node.inducing),
+            node.annotations, _psi_row(node.psi),
             tuple(sorted(node.eps.values.items())),
-            tuple(_node_row(c) for c in step.children))
+            tuple(_node_row(c) for c in node.children))
+
+
+def _fingerprint_pairs():
+    """The seeded elementary pairs that the trace fingerprint covers."""
+    rng = random.Random(2024)
+    for _ in range(150):
+        psi = random_elementary(rng, max_blocks=4, max_alpha=9)
+        signs = [rng.choice((1, -1)) for _ in psi.classes()]
+        if signs.count(-1) % 2:
+            signs[0] = -signs[0]
+        yield psi, EpsMap({(b.rho.id, elementary_alpha(b)): s
+                           for b, s in zip(psi.classes(), signs)})
 
 
 def _trace_fingerprint():
@@ -325,15 +352,8 @@ def _trace_fingerprint():
     labelling branches and the unlabelled one (or its error), plus the
     cuspidal bound of every rho at the root."""
     import hashlib
-    rng = random.Random(2024)
     digest = hashlib.sha256()
-    for _ in range(150):
-        psi = random_elementary(rng, max_blocks=4, max_alpha=9)
-        signs = [rng.choice((1, -1)) for _ in psi.classes()]
-        if signs.count(-1) % 2:
-            signs[0] = -signs[0]
-        eps = EpsMap({(b.rho.id, elementary_alpha(b)): s
-                      for b, s in zip(psi.classes(), signs)})
+    for psi, eps in _fingerprint_pairs():
         rows = [_psi_row(psi),
                 tuple(rho_cuspidal_bound(psi, eps, rho)
                       for rho in psi.rho_labels())]
@@ -355,15 +375,85 @@ def test_trace_fingerprint():
     assert _trace_fingerprint() == TRACE_FINGERPRINT
 
 
+def test_trace_children_keep_the_invariants_checked_at_the_root():
+    """construction_trace checks elementarity and the character only at
+    its root; every child the recursion builds is again elementary, has
+    a character that passes the one check, and is no larger."""
+    nodes = 0
+
+    def walk(node):
+        nonlocal nodes
+        nodes += 1
+        total = sum(elementary_alpha(b) for b in node.psi.blocks)
+        for child in node.children:
+            assert is_elementary(child.psi)
+            check_character(child.psi, child.eps)
+            assert sum(elementary_alpha(b) for b in child.psi.blocks) <= total
+            walk(child)
+
+    for psi, eps in _fingerprint_pairs():
+        for branch in (PLUS, MINUS):
+            walk(construction_trace(psi, eps, branch))
+    assert nodes > 1000
+
+
+def test_trace_checks_its_pair_once(monkeypatch):
+    import arthurcalc.elementary as elementary
+    import arthurcalc.segments as segments
+    calls = []
+    for module, name in ((elementary, "is_elementary"),
+                         (elementary, "check_character"),
+                         (segments, "check_character")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    psi = _elem([(1, PLUS), (3, PLUS), (5, PLUS)])
+    node = construction_trace(psi, _eps({1: 1, 3: -1, 5: -1}))
+    assert tree_size(node) > 3
+    assert sorted(calls) == ["check_character", "is_elementary"]
+
+
+def test_equal_traces_compare_equal():
+    psi = _elem([(1, PLUS), (3, PLUS), (5, PLUS)])
+    first = construction_trace(psi, _eps({1: -1, 3: 1, 5: -1}))
+    second = construction_trace(psi, _eps({1: -1, 3: 1, 5: -1}))
+    assert first == second and hash(first) == hash(second)
+    with pytest.raises(TypeError):
+        first.eps.values[("rho", 1)] = 1
+    assert first.eps[("rho", 1)] == -1
+
+
+# each function that takes a character refuses a map that is not one
+TAKES_A_CHARACTER = {
+    "cuspidal_support": cuspidal_support,
+    "supercuspidal_test": supercuspidal_test,
+    "parabolic_reduce_step": parabolic_reduce_step,
+    "construction_trace": construction_trace,
+}
+WRONG_MAPS = {"missing": {1: -1, 3: -1}, "extra": {1: -1, 3: 1, 5: -1, 7: 1},
+              "product": {1: -1, 3: 1, 5: 1}}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_MAPS))
+@pytest.mark.parametrize("name", sorted(TAKES_A_CHARACTER))
+def test_every_character_is_checked_against_its_parameter(name, wrong):
+    # Sp(8) = (rho,1,1,+) + (rho,3,1,+) + (rho,5,1,+): discrete and
+    # elementary, so alpha = a on every block
+    psi = _elem([(1, PLUS), (3, PLUS), (5, PLUS)])
+    call = TAKES_A_CHARACTER[name]
+    call(psi, _eps({1: -1, 3: 1, 5: -1}))
+    with pytest.raises(NotACharacter):
+        call(psi, _eps(WRONG_MAPS[wrong]))
+
+
 @pytest.mark.parametrize("support,signs", [(CLASS, (1, 1, 1, 1)),
                                            (MULT, (1, 1, 1))],
                          ids=["four-signs", "mult-support"])
 def test_trace_refuses_what_cuspidal_support_refuses(support, signs):
-    # Sp(8) = (rho,1,1,+) + (rho,1,5,-) + (rho,3,1,+): three block classes
+    # Sp(8) = (rho,1,1,+) + (rho,1,5,-) + (rho,3,1,+): three block classes;
+    # both commands turn their signs into a character by the one
+    # conversion, which refuses a vector off the block classes
     psi = make_parameter([JordanBlock(RHO, 1, 1, 1, PLUS),
                           JordanBlock(RHO, 1, 5), JordanBlock(RHO, 3, 1)])
-    eps = SignVector(support, signs)
     with pytest.raises(NotACharacter):
-        cuspidal_support(psi, eps)
-    with pytest.raises(NotACharacter):
-        construction_trace(psi, eps)
+        EpsMap.from_vector(psi, SignVector(support, signs))

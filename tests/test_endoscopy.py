@@ -32,8 +32,8 @@ def test_elliptic_symplectic_spec_example():
     # canonical instances: (1,1) first; s = +1 on (1,1), -1 on (2,2)
     s = SignVector(MULT, (1, -1))
     datum = elliptic_datum(psi, s)
-    assert datum.g_one.kind == SP and datum.g_one.n == 0
-    assert datum.g_two.kind == SO_EVEN and datum.g_two.n == 2
+    assert datum.psi_one.group.kind == SP and datum.psi_one.group.n == 0
+    assert datum.psi_two.group.kind == SO_EVEN and datum.psi_two.group.n == 2
     assert datum.eta_two == eta_block(JordanBlock(RHO, 2, 2, 1, PLUS))
     assert datum.eta_two.is_trivial()  # a*b = 4 even
     assert [b.a for b in datum.psi_one.blocks] == [1]
@@ -46,7 +46,7 @@ def test_elliptic_trivial_s():
                           JordanBlock(RHO, 1, 1, 1, PLUS)])
     s = SignVector(MULT, (1, 1))
     datum = elliptic_datum(psi, s)
-    assert datum.g_two.N == 0
+    assert datum.psi_two.group.N == 0
     assert datum.psi_one.blocks == psi.blocks  # trivial twist, same labels
 
 
@@ -56,7 +56,7 @@ def test_elliptic_swap_normalization():
     s = SignVector(MULT, (-1, 1))  # odd side carries -1: gets swapped
     datum = elliptic_datum(psi, s)
     assert datum.swapped
-    assert datum.g_one.kind == SP
+    assert datum.psi_one.group.kind == SP
 
 
 def test_elliptic_so_odd_bad_split():
@@ -73,10 +73,10 @@ def test_elliptic_so_odd_bad_split():
                            JordanBlock(rho2, 3, 1)])
     assert psi2.group.kind == SO_ODD
     ok = elliptic_datum(psi2, SignVector(MULT, (-1, 1)))
-    assert ok.g_one.kind == SO_ODD and ok.g_two.kind == SO_ODD
+    assert ok.psi_one.group.kind == SO_ODD and ok.psi_two.group.kind == SO_ODD
     assert ok.eta_one.is_trivial() and ok.eta_two.is_trivial()
     ok2 = elliptic_datum(psi2, SignVector(MULT, (1, 1)))
-    assert ok2.g_two.N == 0
+    assert ok2.psi_two.group.N == 0
 
 
 def test_twisted_datum_spec_examples():
@@ -88,9 +88,9 @@ def test_twisted_datum_spec_examples():
     assert not in_element_space(s, psi)
     datum = twisted_datum(psi, s)
     assert datum.twisted
-    assert {datum.g_one.kind, datum.g_two.kind} == {SP}
-    assert datum.g_one.N % 2 == 1 and datum.g_two.N % 2 == 1
-    assert datum.g_one.N + datum.g_two.N == psi.group.N
+    assert {datum.psi_one.group.kind, datum.psi_two.group.kind} == {SP}
+    assert datum.psi_one.group.N % 2 == 1 and datum.psi_two.group.N % 2 == 1
+    assert datum.psi_one.group.N + datum.psi_two.group.N == psi.group.N
 
     good = SignVector(MULT, (1, 1))
     with pytest.raises(NotApplicable):
@@ -105,7 +105,7 @@ def test_twisted_single_block_split():
                          eta=QuadCharacter.of("e"))
     s = SignVector(MULT, (-1, 1))
     datum = twisted_datum(psi, s)
-    assert {datum.g_one.N, datum.g_two.N} == {1, 3}
+    assert {datum.psi_one.group.N, datum.psi_two.group.N} == {1, 3}
 
 
 def test_sign_transfer_spec_example():

@@ -7,7 +7,8 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector,
                                   eps_zero)
 from arthurcalc.errors import (DomainError, NoCompoundBlock, NotDDR,
                                SupportMismatch, TooLarge)
-from arthurcalc.formal import (BasisTerm, CoreLabel, FormalSum,
+import arthurcalc.formal as formal
+from arthurcalc.formal import (BasisTerm, CoreLabel, FormalSum, Induce, Jac,
                                ddr_recursion_expand,
                                endoscopic_sign_bookkeeping,
                                packet_expand_fully, packet_recursion_expand,
@@ -30,6 +31,16 @@ def _psi_10():
 def _compound(psi):
     return next(inst for inst in psi.instances()
                 if inst[0].A != inst[0].B)
+
+
+def _prefix(term):
+    """The parabolic inductions of a term, in order."""
+    return tuple(op for op in term.ops if isinstance(op, Induce))
+
+
+def _jac_ops(term):
+    """The Jacquet markers of a term, in order."""
+    return tuple(op for op in term.ops if isinstance(op, Jac))
 
 
 def test_ddr_expand_suppression():
@@ -58,9 +69,9 @@ def test_ddr_expand_c_term_shape():
     assert len(c_terms) == 1
     term, coeff = c_terms[0]
     assert coeff == 1  # C = A contributes (+1)
-    ind = term.prefix[0]
+    ind = _prefix(term)[0]
     assert (ind.x.twice, ind.y.twice) == (0, -2)  # <zeta B, ..., -zeta C>
-    assert term.jac_ops == ()  # B + 2 exceeds C = A = B + 1
+    assert _jac_ops(term) == ()  # B + 2 exceeds C = A = B + 1
     # raised-base block is empty: the core keeps only the filler
     assert [b.a for b, _ in term.core.entries] == [7]
 
@@ -75,7 +86,7 @@ def test_ddr_expand_taller_block():
     assert len(out) == 4
     coeffs = sorted(c for t, c in out.terms.items() if t.ops)
     assert coeffs == [-1, 1]  # (-1)^{A-C}
-    jacs = [t.jac_ops for t, c in out.terms.items()
+    jacs = [_jac_ops(t) for t, c in out.terms.items()
             if t.ops and c == 1]
     assert jacs[0][0].exponents == (HalfInt(4),)  # Jac at zeta(B+2) = 2
 
@@ -91,7 +102,7 @@ def test_ddr_expand_negative_zeta():
     eps = SignVector(MULT, (1, 1))
     out = ddr_recursion_expand(psi, eps, chosen)
     term = next(t for t in out.terms if t.ops)
-    ind = term.prefix[0]
+    ind = _prefix(term)[0]
     assert (ind.x.twice, ind.y.twice) == (0, 2)  # <0, ..., +C> for zeta=-1
 
 
@@ -110,7 +121,7 @@ def test_packet_expand_coefficient_of_top():
     chosen = _compound(psi)
     out = packet_recursion_expand(psi, chosen)
     top = [c for t, c in out.terms.items()
-           if t.prefix and t.prefix[0].y.twice == -6]  # C = A term
+           if _prefix(t) and _prefix(t)[0].y.twice == -6]  # C = A term
     assert top == [1]
 
 
@@ -454,9 +465,11 @@ def test_full_expansion_refuses_non_ddr():
         packet_expand_fully(psi)
 
 
-def test_full_expansion_step_limit():
+def test_full_expansion_step_limit(monkeypatch):
     # the k = 5 expansion takes 93 steps, one per term taken off the work
     psi = _k_family(5)
-    assert len(packet_expand_fully(psi, limit=93)) == 52
+    monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 93)
+    assert len(packet_expand_fully(psi)) == 52
+    monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 92)
     with pytest.raises(DomainError, match="step limit"):
-        packet_expand_fully(psi, limit=92)
+        packet_expand_fully(psi)

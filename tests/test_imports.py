@@ -1,6 +1,7 @@
 """Every module under src/ and tests/ uses each name it imports, every
 module-level constant under src/ is read somewhere, and every top-level
-function and class under src/ is read from src/ or bench/."""
+function and class under src/, and every method and property of those
+classes, is read from src/ or bench/."""
 
 import ast
 import pathlib
@@ -18,6 +19,9 @@ UNREAD_FUNCTIONS = {
     "main": "cli.main is the arthurcalc console script that pyproject.toml "
             "declares",
 }
+# methods and properties of classes under src/ kept although nothing
+# under src/ or bench/ reads them, each with its reason
+UNREAD_MEMBERS = {}
 
 
 def _unused_imports(path):
@@ -103,4 +107,50 @@ def test_no_unread_functions():
     unread = [f"{where}: {node.name}" for where, node in defined
               if reads[node.name] == list(_references(node)).count(node.name)
               and node.name not in UNREAD_FUNCTIONS]
+    assert unread == []
+
+
+def _tracer_names():
+    """The dotted names in the string constants of bench/tracer.py, other
+    than docstrings, split into their parts: the tracer reads members
+    that they name."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docs:
+            yield from re.findall(r"\w+", node.value)
+
+
+def _attributes(tree):
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)]
+
+
+def test_no_unread_members():
+    """Like test_no_unread_functions for the methods and properties of
+    the classes under src/, dunders aside: each must be read as an
+    attribute under src/ or bench/, outside its own definition, or be
+    named in a string that bench/tracer.py uses."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted([*ROOT.glob("src/**/*.py"),
+                                 *ROOT.glob("bench/**/*.py")])}
+    reads = Counter(name for tree in trees.values()
+                    for name in _attributes(tree))
+    reads.update(_tracer_names())
+    defined = [(f"{path.relative_to(ROOT)}:{member.lineno}", cls, member)
+               for path, tree in trees.items()
+               if path.is_relative_to(ROOT / "src")
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for member in cls.body
+               if isinstance(member, ast.FunctionDef)
+               and not (member.name.startswith("__")
+                        and member.name.endswith("__"))]
+    assert len(defined) > 40
+    unread = [f"{where}: {cls.name}.{member.name}"
+              for where, cls, member in defined
+              if reads[member.name] == _attributes(member).count(member.name)
+              and f"{cls.name}.{member.name}" not in UNREAD_MEMBERS]
     assert unread == []

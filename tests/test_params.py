@@ -98,6 +98,12 @@ def test_block_parity_spec_examples():
     assert JordanBlock(rho_nsd, 3, 2).parity is None
 
 
+def _block_key(blk):
+    """(rho id, rho dim, self-dual type, a, b, zeta), spelled out."""
+    zeta = {PLUS: "+", MINUS: "-", None: "?"}[blk.zeta]
+    return blk.rho.id, blk.rho.dim, blk.rho.self_dual_type, blk.a, blk.b, zeta
+
+
 def test_block_facts_are_derived_once_outside_the_fields():
     rng = random.Random(41)
     for _ in range(50):
@@ -107,7 +113,7 @@ def test_block_facts_are_derived_once_outside_the_fields():
             assert fresh.segment == (blk.rho.id, blk.B.twice, blk.A.twice)
             assert fresh.total_dim == blk.mult * blk.dim
             assert fresh.parity == _parity(blk)
-            assert fresh.sort_key == (*blk.rho.sort_key(), *blk.key()[1:])
+            assert fresh.sort_key == _block_key(blk)
             # the reads stored every fact on the block
             assert {"sort_key", "total_dim", "parity", "segment",
                     "alpha"} <= vars(fresh).keys()
@@ -245,13 +251,14 @@ def _reference_construct(group, blocks):
     merge, total dimension, dual pairs."""
     merged = {}
     for blk in blocks:
-        old = merged.get(blk.key())
+        old = merged.get(_block_key(blk))
         if old is None:
-            merged[blk.key()] = blk
+            merged[_block_key(blk)] = blk
         elif old.rho != blk.rho:
             return DomainError, f"label id {blk.rho.id!r} used inconsistently"
         else:
-            merged[blk.key()] = replace(old, mult=old.mult + blk.mult)
+            merged[_block_key(blk)] = replace(old,
+                                              mult=old.mult + blk.mult)
     out = tuple(blk for _, blk in sorted(merged.items()))
     total = sum(blk.mult * blk.dim for blk in blocks)
     if total != group.N:
@@ -533,11 +540,13 @@ def test_split_p_np_reassembly():
     psi_p, psi_np = split_p_np(psi)
     rebuilt = {}
     for blk in list(psi_p.blocks):
-        rebuilt[blk.key()] = rebuilt.get(blk.key(), 0) + blk.mult
+        key = _block_key(blk)
+        rebuilt[key] = rebuilt.get(key, 0) + blk.mult
     for blk in psi_np:
         for one in (blk, JordanBlock(blk.rho.dual(), blk.a, blk.b)):
-            rebuilt[one.key()] = rebuilt.get(one.key(), 0) + blk.mult
-    original = {b.key(): b.mult for b in psi.blocks}
+            key = _block_key(one)
+            rebuilt[key] = rebuilt.get(key, 0) + blk.mult
+    original = {_block_key(b): b.mult for b in psi.blocks}
     assert rebuilt == original
     total_np = sum(b.mult * b.dim for b in psi_np)
     assert psi_p.group.N + 2 * total_np == psi.group.N

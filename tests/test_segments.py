@@ -114,3 +114,21 @@ def test_cuspidal_support_random_invariants():
         for kind, seg in trace:
             removed += 2 * seg.length * seg.rho.dim
         assert removed + cusp.group.N == phi.group.N
+
+
+def test_epsmap_is_a_value():
+    values = {("rho", 1): -1, ("rho", 3): -1}
+    first, second = EpsMap(values), EpsMap(dict(values))
+    assert first == second and hash(first) == hash(second)
+    assert first != EpsMap({("rho", 1): 1, ("rho", 3): 1})
+    values[("rho", 1)] = 1  # the map keeps its own copy
+    assert first == second
+    with pytest.raises(TypeError):
+        first.values[("rho", 1)] = 1
+
+
+def test_equal_cuspidal_supports_compare_equal():
+    phi = _phi(1, 3, 7)
+    first = cuspidal_support(phi, _eps(phi, (-1, 1, -1)))
+    second = cuspidal_support(phi, _eps(phi, (-1, 1, -1)))
+    assert first[2] and first == second

@@ -368,8 +368,8 @@ def test_z_mw_w_shift_oracle_against_sup_inf_set():
         counters = {}
         for oinst in order.sequence:
             nb = shifted_blk if oinst == inst else oinst[0]
-            k = counters.get(nb.key(), 0)
-            counters[nb.key()] = k + 1
+            k = counters.get(nb.sort_key, 0)
+            counters[nb.sort_key] = k + 1
             new_seq.append((nb, k))
         blocks = [b for b, _ in new_seq]
         try:
