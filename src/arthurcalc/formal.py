@@ -24,6 +24,9 @@ from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
 
 # Most terms packet_expand_fully takes off its work before it gives up.
 MAX_EXPANSION_STEPS = 100_000
+# Most exponents the Jacquet markers of one recursion step write; no test,
+# golden, selftest or benchmark input has A - B above 6, which writes 15.
+MAX_JACQUET_EXPONENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,11 @@ def _c_indexed_terms(psi: ArthurParameter, chosen: Instance,
     give distinct prefixes, and every term has a nonempty prefix."""
     blk = chosen[0]
     A, B, zeta = _require_compound(blk)
+    width = int(A - B)
+    exponents = width * (width - 1) // 2  # C - B - 1 for each C in (B, A]
+    if exponents > MAX_JACQUET_EXPONENTS:
+        raise TooLarge(f"A - B = {width} gives {exponents} Jacquet exponents, "
+                       f"above the bound {MAX_JACQUET_EXPONENTS}")
     extra = []
     if (B + 2).twice <= A.twice:
         extra.append((from_AB(blk.rho, A, B + 2, zeta), eta0))
@@ -298,7 +306,7 @@ def packet_expand_fully(psi: ArthurParameter,
             continue
         steps += 1
         if steps > MAX_EXPANSION_STEPS:
-            raise DomainError("expansion exceeded the step limit")
+            raise TooLarge("expansion exceeded the step limit")
         coeff = work.pop(term)
         core_psi = term.core.parameter()
         chosen = next((inst for inst in _instances(core_psi)

@@ -17,7 +17,7 @@ from .charspace import (CLASS, SignVector, check_vector, in_character_space,
                         per_class)
 from .errors import DomainError, NotACharacter, OutOfRange, TooLarge
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
-from .params import ArthurParameter, BlockOrder, classify
+from .params import ArthurParameter, BlockOrder, _trusted, classify
 from .signs import eps_m_w
 
 # Most block instances, and most constituent classes, that
@@ -103,9 +103,11 @@ def _block_classes(gap: int, sign: int) -> List[List[Tuple[int, int]]]:
 def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
     """The pairs whose (l, eta) at each block is one of its entries in
     per_block, in product order."""
+    # one (l, eta) per block and eta = +-1, both from _block_classes;
     # zip(*()) is empty: a parameter without blocks has one empty pair
-    return [LEtaPair(*zip(*combo)) if combo else LEtaPair((), ())
-            for combo in itertools.product(*per_block)]
+    return [_trusted(LEtaPair, l=l, eta=eta) for l, eta in
+            (zip(*combo) if combo else ((), ())
+             for combo in itertools.product(*per_block))]
 
 
 def _gaps(psi: ArthurParameter) -> Tuple[int, ...]:
@@ -146,7 +148,9 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     # a class of psi picks a class at every block; product order keeps
     # the classes in first-seen order
     per_block = map(_block_classes, gaps, eps.signs)
-    return [ConstituentClass(members[0], tuple(members), status)
+    # members from _pairs, status one of the two; the class checks nothing
+    return [_trusted(ConstituentClass, representative=members[0],
+                     members=tuple(members), status=status)
             for members in map(_pairs, itertools.product(*per_block))]
 
 

@@ -84,6 +84,15 @@ class GroupForm:
 _store = object.__setattr__
 
 
+def _trusted(cls, **values):
+    """A frozen dataclass value with these fields and derived values, made
+    without cls's checks, for values valid by construction (each caller
+    says why); it is whole before any other code sees it."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
 class _Derived:
     """A value derived from a frozen object's fields on first read.
 

@@ -158,6 +158,13 @@ def parabolic_reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
     """
     _require_discrete(phi)
     check_character(phi, eps)
+    return _reduce_step(phi, eps)
+
+
+def _reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
+    """parabolic_reduce_step on a checked pair: each case drops a block
+    valued 1 or two of equal value, or moves one block and its value down
+    a gap of its parity, so the pair it returns passes the checks too."""
     chains = _rho_sizes(phi)
 
     # even bottom with positive sign peels off entirely
@@ -200,12 +207,14 @@ def cuspidal_support(phi: ArthurParameter, eps: EpsMap
                      ) -> Tuple[ArthurParameter, EpsMap,
                                 List[Tuple[str, Segment]]]:
     """Iterate reduction steps down to a supercuspidal pair."""
+    _require_discrete(phi)
+    check_character(phi, eps)
     trace: List[Tuple[str, Segment]] = []
     budget = sum(b.a for b in phi.blocks) + 1
     for _ in range(budget):
-        step = parabolic_reduce_step(phi, eps)
+        step = _reduce_step(phi, eps)
         if step.kind == NONE:
-            assert supercuspidal_test(phi, eps)
+            assert cuspidal_chains(phi, eps)
             return phi, eps, trace
         trace.extend((step.kind, seg) for seg in step.segments)
         phi, eps = step.phi, step.eps

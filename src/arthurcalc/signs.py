@@ -22,8 +22,9 @@ from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
 from .halfint import sign_pow
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
-                     JordanBlock, classify, elementary_alpha, elementary_delta,
-                     is_elementary, is_parity_pure, split_p_np)
+                     JordanBlock, _sort_key, _trusted, classify,
+                     elementary_alpha, elementary_delta, is_elementary,
+                     is_parity_pure, split_p_np)
 
 
 @dataclass(frozen=True)
@@ -229,15 +230,25 @@ def eps_m_w(psi: ArthurParameter, order: BlockOrder) -> SignVector:
 
 # -- sign-flip involution on elementary parameters ---------------------------
 
+# classify of an elementary parameter, which is discrete when tempered
+_ELEMENTARY = frozenset({"discrete_diag_restriction", "elementary"})
+_ELEMENTARY_TEMPERED = _ELEMENTARY | {"tempered", "discrete"}
+
+
 def aubert_flip(psi: ArthurParameter, rho: RhoLabel, x0: int,
                 strict: bool = True) -> ArthurParameter:
     """Flip delta on the rho-blocks with alpha < x0 (or <= x0)."""
     if not is_elementary(psi):
         raise NotElementary("the flip is defined on elementary parameters")
     top = x0 if strict else x0 + 1
-    return ArthurParameter(psi.group, tuple([
+    blocks = tuple(sorted([
         blk.flip_partner if blk.rho.id == rho.id and blk.alpha < top
-        else blk for blk in psi.blocks]))
+        else blk for blk in psi.blocks], key=_sort_key))
+    # flip partners keep rho, parity, dim and segment: elementary, no merges
+    flags = _ELEMENTARY_TEMPERED if all(blk.b == 1 for blk in blocks) \
+        else _ELEMENTARY
+    return _trusted(ArthurParameter, group=psi.group, blocks=blocks,
+                    _flags=flags)
 
 
 def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:

@@ -387,6 +387,39 @@ def test_diag_restriction_size_bound():
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("flags", [[], ["--eps=+"]])
+def test_expand_size_bound(flags):
+    # one step on (r, a, a, +) writes (a - 1)(a - 2)/2 Jacquet exponents:
+    # refused from A - B alone, before any term is built
+    import tracemalloc
+    a = 400001
+    payload = {"group": {"kind": "Sp", "n": (a * a - 1) // 2},
+               "blocks": [_block(a=a, b=a, zeta="+")]}
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(["expand", json.dumps(payload), "--block", "0",
+                           *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert json.loads(out) == {
+        "error": "A - B = 400000 gives 79999800000 Jacquet exponents, above "
+                 "the bound 100000",
+        "type": "TooLarge"}
+    assert peak < 2 ** 20
+
+
+def test_expand_size_bound_edge():
+    # A - B = 446 writes 99 235 exponents and is expanded; 448 writes
+    # 100 128 and is refused
+    for a, rc_want in ((447, 0), (449, 1)):
+        payload = {"group": {"kind": "Sp", "n": (a * a - 1) // 2},
+                   "blocks": [_block(a=a, b=a, zeta="+")]}
+        rc, out = run_cli(["expand", json.dumps(payload), "--block", "0"])
+        assert rc == rc_want
+
+
 @pytest.mark.parametrize("command,flag", [("packet", "--eps=+"),
                                           ("endoscopy", "--s=+")])
 def test_sign_string_sized_from_multiplicities(command, flag):

@@ -471,5 +471,5 @@ def test_full_expansion_step_limit(monkeypatch):
     monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 93)
     assert len(packet_expand_fully(psi)) == 52
     monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 92)
-    with pytest.raises(DomainError, match="step limit"):
+    with pytest.raises(TooLarge, match="step limit"):
         packet_expand_fully(psi)

@@ -9,10 +9,10 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector, constant,
 from arthurcalc.errors import DomainError, SupportMismatch, TooLarge
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
-from arthurcalc.packets import (GUARANTEED, UNDECIDED, LEtaPair,
-                                _block_classes, _class_count, _gaps,
-                                eta_constraint_check, packet_constituents,
-                                translate_m_w)
+from arthurcalc.packets import (GUARANTEED, UNDECIDED, ConstituentClass,
+                                LEtaPair, _block_classes, _class_count,
+                                _gaps, eta_constraint_check,
+                                packet_constituents, translate_m_w)
 from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
                                make_parameter)
 from arthurcalc.testing import (_ddr_grid, random_p_order,
@@ -362,6 +362,30 @@ def test_packet_constituents_match_reference_off_ddr():
         assert "discrete_diag_restriction" not in classify(psi)
         merged += _assert_constituents_match_reference(psi)
     assert merged > 0
+
+
+def test_constituents_equal_their_checked_rebuilds():
+    """packet_constituents builds its classes and pairs without their
+    constructors' checks; each equals, field for field, the value that
+    the checked constructors build from its fields."""
+    rng = random.Random(24)
+    ddr = set()
+    classes = 0
+    for _ in range(150):
+        psi = random_pure_parameter(rng, max_blocks=4, max_ab=4)
+        n = len(psi.instances())
+        if n > 6:
+            continue
+        ddr.add("discrete_diag_restriction" in classify(psi))
+        for signs in itertools.product((1, -1), repeat=n):
+            for got in packet_constituents(psi, SignVector(MULT, signs)):
+                members = tuple(LEtaPair(p.l, p.eta) for p in got.members)
+                want = ConstituentClass(members[0], members, got.status)
+                assert vars(got) == vars(want)
+                assert [vars(p) for p in got.members] == \
+                    [vars(p) for p in members]
+                classes += 1
+    assert ddr == {True, False} and classes > 1000
 
 
 def test_gaps_are_a_minus_b_plus_one_on_instances():

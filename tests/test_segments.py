@@ -132,3 +132,34 @@ def test_equal_cuspidal_supports_compare_equal():
     first = cuspidal_support(phi, _eps(phi, (-1, 1, -1)))
     second = cuspidal_support(phi, _eps(phi, (-1, 1, -1)))
     assert first[2] and first == second
+
+
+def test_cuspidal_support_checks_its_pair_once(monkeypatch):
+    import arthurcalc.segments as segments
+    calls = []
+    for name in ("_require_discrete", "check_character"):
+        real = getattr(segments, name)
+        monkeypatch.setattr(segments, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    phi = _phi(1, 3, 7, 9)
+    _, _, trace = cuspidal_support(phi, _eps(phi, (1, -1, 1, -1)))
+    assert len(trace) == 2
+    assert sorted(calls) == ["_require_discrete", "check_character"]
+
+
+def test_reduction_steps_keep_the_invariants_checked_once():
+    """cuspidal_support checks its pair only on entry; every pair a step
+    builds is again discrete and its character lives on its blocks."""
+    from arthurcalc.params import classify
+    from arthurcalc.segments import _reduce_step, check_character
+    rng = random.Random(5)
+    steps = 0
+    for _ in range(200):
+        phi, eps = random_discrete_pair(rng)
+        step = _reduce_step(phi, eps)
+        while step.kind != NONE:
+            steps += 1
+            assert "discrete" in classify(step.phi)
+            check_character(step.phi, step.eps)
+            step = _reduce_step(step.phi, step.eps)
+    assert steps > 400

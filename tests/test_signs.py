@@ -218,18 +218,44 @@ def _reference_flip(psi, rho, x0, strict):
 
 
 def test_aubert_flip_matches_reference_on_every_x0():
+    """aubert_flip builds its result without the constructor's checks and
+    with the flags of classify stored; the reference builds it through
+    the checked constructor and derives them."""
     rng = random.Random(62)
-    flips = 0
-    for _ in range(150):
+    flips = tempered = 0
+    for _ in range(500):
         psi = random_elementary(rng)
+        top = max(elementary_alpha(blk) for blk in psi.blocks)
+        for rho in psi.rho_labels():
+            for x0 in range(top + 3):
+                for strict in (True, False):
+                    got = aubert_flip(psi, rho, x0, strict)
+                    want = _reference_flip(psi, rho, x0, strict)
+                    assert "_flags" in vars(got)
+                    assert (got, got.blocks, got._flags) == \
+                        (want, want.blocks, classify(want))
+                    flips += got != psi
+                    tempered += "tempered" in got._flags
+    assert flips > 1000 and 100 < tempered < flips
+
+
+def test_double_flip_derives_no_flags(monkeypatch):
+    flags = vars(ArthurParameter)["_flags"]
+    real, calls = flags.derive, []
+    monkeypatch.setattr(flags, "derive",
+                        lambda psi: calls.append(psi) or real(psi))
+    rng = random.Random(64)
+    for _ in range(50):
+        psi = random_elementary(rng)
+        classify(psi)
+        calls.clear()
         top = max(elementary_alpha(blk) for blk in psi.blocks)
         for rho in psi.rho_labels():
             for x0 in range(top + 2):
                 for strict in (True, False):
-                    got = aubert_flip(psi, rho, x0, strict)
-                    assert got == _reference_flip(psi, rho, x0, strict)
-                    flips += got != psi
-    assert flips > 1000
+                    assert aubert_flip(aubert_flip(psi, rho, x0, strict),
+                                       rho, x0, strict) == psi
+        assert calls == []
 
 
 def test_flip_partner_is_an_involution_the_value_ignores():
