@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import SupportMismatch, TooLarge
+from .errors import DomainError, SupportMismatch, TooLarge
 from .halfint import sign_pow
-from .params import SO_EVEN, ArthurParameter, Instance
+from .params import SO_EVEN, ArthurParameter, Instance, JordanBlock
 
 MULT = "mult"
 CLASS = "class"
@@ -93,19 +93,40 @@ def constant(psi: ArthurParameter, sign: int = 1) -> SignVector:
     return SignVector(MULT, (sign,) * psi.instance_count())
 
 
-def vector_on_instances(psi: ArthurParameter, fn) -> SignVector:
-    return SignVector(MULT, tuple(fn(blk, k) for blk, k in psi.instances()))
+def _per_block(psi: ArthurParameter, sign) -> SignVector:
+    """The mult-support vector with sign(blk) on every copy of blk."""
+    return SignVector(MULT, tuple(sign(blk) for blk in psi.blocks
+                                  for _ in range(blk.mult)))
+
+
+def instance_index(psi: ArthurParameter, inst: Instance) -> int:
+    """The position of inst in psi.instances(), read off the blocks: the
+    copies of the blocks before inst's, then its copy index.  inst is an
+    instance of psi when its block is one of psi's with multiplicity one
+    and its index is an int below that block's multiplicity; anything
+    else is refused with a DomainError that names it."""
+    if (isinstance(inst, tuple) and len(inst) == 2
+            and isinstance(inst[0], JordanBlock) and isinstance(inst[1], int)):
+        one, k = inst
+        key, pos = one.sort_key, 0
+        for blk in psi.blocks:
+            if blk.sort_key == key:
+                if blk.rho == one.rho and one.mult == 1 and 0 <= k < blk.mult:
+                    return pos + k
+                break
+            pos += blk.mult
+    raise DomainError(f"{inst} is not a block instance of the parameter")
 
 
 def value_at(psi: ArthurParameter, v: SignVector, inst: Instance) -> int:
     """Value of a mult-support vector at a block instance."""
     check_vector(psi, v)
-    return v.signs[psi.instances().index(inst)]
+    return v.signs[instance_index(psi, inst)]
 
 
 def s_psi(psi: ArthurParameter) -> SignVector:
     """Image of the central SL(2)-element: -1 exactly where b is even."""
-    return vector_on_instances(psi, lambda blk, _: -1 if blk.b % 2 == 0 else 1)
+    return _per_block(psi, lambda blk: -1 if blk.b % 2 == 0 else 1)
 
 
 def eps_zero(psi: ArthurParameter) -> SignVector:
@@ -113,8 +134,7 @@ def eps_zero(psi: ArthurParameter) -> SignVector:
     orthogonal groups only, all +1 otherwise)."""
     if psi.group.kind != SO_EVEN:
         return constant(psi)
-    return vector_on_instances(psi,
-                               lambda blk, _: -1 if blk.dim % 2 == 1 else 1)
+    return _per_block(psi, lambda blk: -1 if blk.dim % 2 == 1 else 1)
 
 
 def cont(psi: ArthurParameter, s: SignVector) -> SignVector:

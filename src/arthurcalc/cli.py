@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import io_json as js
 from .charspace import CLASS, MULT, SignVector, in_element_space
@@ -185,14 +185,24 @@ def cmd_cuspidal_support(args) -> dict:
     }
 
 
-def _trace_to_json(node: ConstructionNode) -> dict:
-    return {
-        "case": node.case_tag,
-        "rho": node.rho_id,
-        "segments": [js.segment_to_json(s) for s in node.inducing],
-        "notes": dict(node.annotations),
-        "children": [_trace_to_json(c) for c in node.children],
-    }
+def _trace_to_json(root: ConstructionNode) -> dict:
+    """The trace as JSON, each node that several parents share converted
+    once; its one dict then appears under each of them."""
+    done: Dict[int, dict] = {}
+
+    def convert(node: ConstructionNode) -> dict:
+        out = done.get(id(node))
+        if out is None:
+            out = done[id(node)] = {
+                "case": node.case_tag,
+                "rho": node.rho_id,
+                "segments": [js.segment_to_json(s) for s in node.inducing],
+                "notes": dict(node.annotations),
+                "children": [convert(c) for c in node.children],
+            }
+        return out
+
+    return convert(root)
 
 
 def cmd_elementary_trace(args) -> dict:

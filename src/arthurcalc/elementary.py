@@ -22,9 +22,11 @@ from .segments import (EpsMap, Segment, check_character, cuspidal_chains,
 
 # Largest sum of the sizes max(a, b) that construction_trace accepts.  A
 # case-2 step lowers one size by two, so the trace of one block of size
-# alpha nests about alpha / 2 levels, and writing it as JSON or a table
-# takes two frames a level.  The bound keeps that well below Python's
-# default recursion limit of 1000, with room for the callers' frames.
+# alpha nests about alpha / 2 levels, and building it, or writing it as
+# JSON or a table, takes two frames a level.  The bound keeps that well
+# below Python's default recursion limit of 1000, with room for the
+# callers' frames.  It does not bound the printed tree, whose node count
+# can grow exponentially with the number of sizes.
 MAX_TRACE_SIZE = 600
 
 SUPERCUSPIDAL_BASE = "supercuspidal_base"
@@ -122,11 +124,25 @@ def construction_trace(psi: ArthurParameter, eps: EpsMap,
     if total > MAX_TRACE_SIZE:
         raise TooLarge(f"sizes max(a, b) sum to {total}, above the trace "
                        f"bound {MAX_TRACE_SIZE}")
-    return _trace(psi, eps, case3ci_branch)
+    return _trace(psi, eps, case3ci_branch, {})
 
 
-def _trace(psi: ArthurParameter, eps: EpsMap,
-           case3ci_branch: Optional[int]) -> ConstructionNode:
+def _trace(psi: ArthurParameter, eps: EpsMap, case3ci_branch: Optional[int],
+           built: Dict[tuple, ConstructionNode]) -> ConstructionNode:
+    """The node of (psi, eps), built once per trace: a pair that the
+    recursion reaches again gets the node built for it the first time,
+    since a node depends on its pair and the branch alone.  Without this
+    the tree's node count grows exponentially with the number of sizes,
+    while its distinct pairs grow polynomially."""
+    key = (psi, eps)
+    node = built.get(key)
+    if node is None:
+        node = built[key] = _node(psi, eps, case3ci_branch, built)
+    return node
+
+
+def _node(psi: ArthurParameter, eps: EpsMap, case3ci_branch: Optional[int],
+          built: Dict[tuple, ConstructionNode]) -> ConstructionNode:
     # the first rho, by id, whose sizes are not all cuspidal
     chains = _chains(psi)
     for rho_id in sorted(chains):
@@ -152,7 +168,7 @@ def _trace(psi: ArthurParameter, eps: EpsMap,
             vals[(rho.id, a - 2)] = eps[(rho.id, a)]
         else:
             psi2 = _with_sizes(psi, rho, {a: None})
-        child = _trace(psi2, EpsMap(vals), case3ci_branch)
+        child = _trace(psi2, EpsMap(vals), case3ci_branch, built)
         return ConstructionNode(psi, eps, CASE2_SHIFT, rho.id, (seg,),
                                 children=(child,))
 
@@ -171,10 +187,10 @@ def _trace(psi: ArthurParameter, eps: EpsMap,
                 changes[al] = (al, -delta)
                 vals[(rho.id, al)] = -eps[(rho.id, al)]
         psi_minus = _with_sizes(psi, rho, changes)
-        child_minus = _trace(psi_minus, EpsMap(vals), case3ci_branch)
+        child_minus = _trace(psi_minus, EpsMap(vals), case3ci_branch, built)
         psi_prime = _with_sizes(psi, rho, {a: None, b: None})
         vals_p = eps.without((rho.id, a), (rho.id, b))
-        child_prime = _trace(psi_prime, EpsMap(vals_p), case3ci_branch)
+        child_prime = _trace(psi_prime, EpsMap(vals_p), case3ci_branch, built)
         segs = (_seg(rho, (a - 1) * delta, 0 if parity else delta),
                 _seg(rho, (a - 1) * delta, -(b - 1) * delta))
         return ConstructionNode(psi, eps, CASE3B if parity else CASE3A,
@@ -187,7 +203,7 @@ def _trace(psi: ArthurParameter, eps: EpsMap,
     # a = 3 over b = 1: branch choice inside a length-two socle
     psi_prime = _with_sizes(psi, rho, {3: None, 1: None})
     vals_p = eps.without((rho.id, 3), (rho.id, 1))
-    child = _trace(psi_prime, EpsMap(vals_p), case3ci_branch)
+    child = _trace(psi_prime, EpsMap(vals_p), case3ci_branch, built)
     delta3 = jord[3]
     a_next = next((al for al in sizes if al > 3), None)
     if a_next is None:

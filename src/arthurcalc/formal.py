@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .charspace import (ENUM_BOUND, MULT, SignVector, check_vector,
-                        in_character_space, pair, s_psi, value_at)
+                        in_character_space, instance_index, pair, s_psi,
+                        value_at)
 from .errors import DomainError, NoCompoundBlock, NotDDR, TooLarge
 from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
@@ -149,10 +150,8 @@ def _instances(psi: ArthurParameter) -> Iterator[Instance]:
 
 
 def _find_instance(psi: ArthurParameter, chosen: Instance) -> JordanBlock:
-    for blk, k in _instances(psi):
-        if (blk, k) == chosen:
-            return blk
-    raise DomainError(f"{chosen} is not a block instance of the parameter")
+    instance_index(psi, chosen)  # refuses what is no instance of psi
+    return chosen[0]
 
 
 def _check_ddr(psi: ArthurParameter, eps: Optional[SignVector]) -> None:

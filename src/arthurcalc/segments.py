@@ -149,22 +149,16 @@ def _drop_sizes(phi: ArthurParameter, rho: RhoLabel,
             if not (b.rho.id == rho.id and b.a in sizes)]
 
 
-def parabolic_reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
-    """One step of cuspidal-support reduction, or none when supercuspidal.
+def _reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
+    """One step of cuspidal-support reduction on a checked pair, or none
+    when it is supercuspidal.
 
     Case priority is even_min, then pair, then gap, scanning the blocks
     of each rho by descending size; the choice only affects the trace,
-    not the terminal pair.
+    not the terminal pair.  Each case drops a block valued 1 or two of
+    equal value, or moves one block and its value down a gap of its
+    parity, so the pair it returns passes the checks too.
     """
-    _require_discrete(phi)
-    check_character(phi, eps)
-    return _reduce_step(phi, eps)
-
-
-def _reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
-    """parabolic_reduce_step on a checked pair: each case drops a block
-    valued 1 or two of equal value, or moves one block and its value down
-    a gap of its parity, so the pair it returns passes the checks too."""
     chains = _rho_sizes(phi)
 
     # even bottom with positive sign peels off entirely

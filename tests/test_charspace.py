@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -9,19 +11,19 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector, cont, constant,
 from arthurcalc.elementary import construction_trace
 from arthurcalc.endoscopy import (elliptic_datum, sign_transfer_check,
                                   twisted_datum)
-from arthurcalc.errors import NotACharacter, SupportMismatch
+from arthurcalc.errors import DomainError, NotACharacter, SupportMismatch
 from arthurcalc.formal import (CoreLabel, ddr_recursion_expand,
                                endoscopic_sign_bookkeeping,
-                               packet_expand_fully)
+                               packet_expand_fully, packet_recursion_expand)
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc.packets import packet_constituents, translate_m_w
-from arthurcalc.params import (PLUS, ArthurParameter, GroupForm, JordanBlock,
-                               SO_EVEN, from_AB, make_parameter,
+from arthurcalc.params import (PLUS, SO_EVEN, SO_ODD, SP, ArthurParameter,
+                               GroupForm, JordanBlock, from_AB, make_parameter,
                                natural_order)
-from arthurcalc.segments import (EpsMap, cuspidal_support,
-                                 parabolic_reduce_step, supercuspidal_test)
+from arthurcalc.segments import EpsMap, cuspidal_support, supercuspidal_test
 from arthurcalc.testing import random_pure_parameter
+from reduction import parabolic_reduce_step
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 
@@ -273,3 +275,104 @@ def test_every_vector_is_checked_against_its_parameter(name, wrong):
     with pytest.raises(error) as caught:
         call(psi, bad)
     assert type(caught.value) is error
+
+
+def _with_mults(rng):
+    """A seeded parameter whose blocks each have multiplicity 1 to 3."""
+    psi = random_pure_parameter(rng, max_blocks=4)
+    return make_parameter([replace(blk, mult=rng.randint(1, 3))
+                           for blk in psi.blocks])
+
+
+def test_block_readers_match_the_instance_walk():
+    """s_psi, eps_zero and value_at, which read the blocks and their
+    multiplicities, agree with the same rules read off psi.instances()."""
+    rng = random.Random(27)
+    kinds, mults = set(), set()
+    for _ in range(300):
+        psi = _with_mults(rng)
+        insts = psi.instances()
+        kinds.add(psi.group.kind)
+        mults.update(blk.mult for blk in psi.blocks)
+        orthogonal = psi.group.kind == SO_EVEN
+        assert s_psi(psi) == SignVector(MULT, tuple(
+            -1 if blk.b % 2 == 0 else 1 for blk, _ in insts))
+        assert eps_zero(psi) == SignVector(MULT, tuple(
+            -1 if orthogonal and blk.dim % 2 == 1 else 1 for blk, _ in insts))
+        v = SignVector(MULT, tuple(rng.choice((1, -1)) for _ in insts))
+        for inst in insts:
+            assert value_at(psi, v, inst) == v.signs[insts.index(inst)]
+    assert kinds == {SP, SO_ODD, SO_EVEN} and mults == {1, 2, 3}
+
+
+def test_block_readers_build_no_instances(monkeypatch):
+    # SO(12,e) = (rho,1,1,+) + 2(rho,2,2,+) + (rho,3,1,+), in instance
+    # order: a block with two copies, and odd dimensions for eps_zero's
+    # orientation branch
+    psi = make_parameter([JordanBlock(RHO, 2, 2, 2, PLUS),
+                          JordanBlock(RHO, 1, 1, 1, PLUS),
+                          JordanBlock(RHO, 3, 1)], eta=QuadCharacter.of("e"))
+    assert psi.group.kind == SO_EVEN
+    insts, v = psi.instances(), constant(psi, -1)
+    monkeypatch.setattr(ArthurParameter, "instances", None)
+    assert s_psi(psi).signs == (1, -1, -1, 1)
+    assert eps_zero(psi).signs == (-1, 1, 1, -1)
+    assert [value_at(psi, v, inst) for inst in insts] == [-1] * 4
+
+
+def test_bookkeeping_instances_count(monkeypatch):
+    # two instances, four sign vectors, two of product one: the instances
+    # of the other blocks once, then per character those of psi, of the
+    # raised-base parameter and of the two lifts to the split
+    psi = _ddr()
+    chosen = _compound(psi)
+    real, calls = ArthurParameter.instances, []
+    monkeypatch.setattr(ArthurParameter, "instances",
+                        lambda self: calls.append(self) or real(self))
+    assert endoscopic_sign_bookkeeping(psi, constant(psi, -1), chosen)
+    assert len(calls) == 11
+
+
+def _foreign_instances(psi):
+    """Near misses of an instance of psi's first block: its copy index at
+    the multiplicity, the block with multiplicity two, a block psi lacks,
+    the block under a label that differs only in its determinant, and a
+    value of the wrong shape."""
+    blk = psi.blocks[0]
+    one = replace(blk, mult=1)
+    relabelled = replace(blk.rho, det_char=QuadCharacter.of("x"))
+    return {"index": (one, blk.mult), "mult": (replace(blk, mult=2), 0),
+            "absent": (JordanBlock(RHO, 5, 1), 0),
+            "label": (replace(one, rho=relabelled), 0), "shape": (one,)}
+
+
+FOREIGN = ["index", "mult", "absent", "label", "shape"]
+
+
+def _refused_as_foreign(psi, inst, call):
+    """call() refuses inst with the one DomainError that names it, where
+    psi.instances().index refuses it too."""
+    with pytest.raises(ValueError):
+        psi.instances().index(inst)
+    message = re.escape(f"{inst} is not a block instance of the parameter")
+    with pytest.raises(DomainError, match=f"^{message}$") as caught:
+        call()
+    assert type(caught.value) is DomainError
+
+
+@pytest.mark.parametrize("kind", FOREIGN)
+def test_value_at_refuses_a_foreign_instance(kind):
+    psi = _sp4()  # its first block has two copies
+    inst = _foreign_instances(psi)[kind]
+    _refused_as_foreign(psi, inst,
+                        lambda: value_at(psi, constant(psi), inst))
+
+
+@pytest.mark.parametrize("kind", FOREIGN)
+def test_recursions_refuse_a_foreign_instance(kind):
+    psi = _ddr()
+    inst = _foreign_instances(psi)[kind]
+    _refused_as_foreign(psi, inst, lambda: ddr_recursion_expand(
+        psi, SignVector(MULT, (1, 1)), inst))
+    _refused_as_foreign(psi, inst,
+                        lambda: packet_recursion_expand(psi, inst))

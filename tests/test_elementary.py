@@ -15,9 +15,10 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
                                elementary_block, elementary_delta,
                                is_elementary, make_parameter)
 from arthurcalc.segments import (EpsMap, check_character, cuspidal_support,
-                                 parabolic_reduce_step, supercuspidal_test)
+                                 supercuspidal_test)
 from arthurcalc.signs import aubert_flip
 from arthurcalc.testing import random_elementary
+from reduction import parabolic_reduce_step
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 
@@ -421,6 +422,35 @@ def test_equal_traces_compare_equal():
     with pytest.raises(TypeError):
         first.eps.values[("rho", 1)] = 1
     assert first.eps[("rho", 1)] == -1
+
+
+def test_trace_builds_each_distinct_pair_once():
+    """On one rho with the 24 sizes 1, 3, ..., 47 the tree has 109 296
+    nodes but only 520 distinct pairs (psi, eps); each pair gets one node
+    object, which every parent that reaches the pair shares."""
+    import tracemalloc
+    sizes = range(1, 48, 2)
+    psi = _elem([(a, PLUS) for a in sizes])
+    eps = _eps({a: 1 if c == "+" else -1
+                for a, c in zip(sizes, "-+-+-++-----+---++----+-")})
+    tracemalloc.start()
+    try:
+        root = construction_trace(psi, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    below, pairs = {}, set()
+
+    def walk(node):
+        # the size of the tree under node, each node object walked once
+        if id(node) not in below:
+            pairs.add((node.psi, node.eps))
+            below[id(node)] = 1 + sum(walk(c) for c in node.children)
+        return below[id(node)]
+
+    assert walk(root) == 109_296
+    assert len(below) == len(pairs) == 520
+    assert peak < 4 * 2 ** 20
 
 
 # each function that takes a character refuses a map that is not one

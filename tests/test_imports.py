@@ -18,9 +18,6 @@ UNREAD_CONSTANTS = {}
 UNREAD_FUNCTIONS = {
     "main": "cli.main is the arthurcalc console script that pyproject.toml "
             "declares",
-    "parabolic_reduce_step": "the public, checked form of one reduction "
-                             "step; cuspidal_support checks its pair once "
-                             "and runs the unchecked segments._reduce_step",
 }
 # methods and properties of classes under src/ kept although nothing
 # under src/ or bench/ reads them, each with its reason

@@ -6,9 +6,9 @@ from arthurcalc.errors import NotDiscrete
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
 from arthurcalc.params import PLUS, JordanBlock, make_parameter
 from arthurcalc.segments import (EVEN_MIN, GAP, NONE, PAIR, EpsMap,
-                                 cuspidal_support, parabolic_reduce_step,
-                                 supercuspidal_test)
+                                 cuspidal_support, supercuspidal_test)
 from arthurcalc.testing import random_discrete_pair
+from reduction import parabolic_reduce_step
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 
