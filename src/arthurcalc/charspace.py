@@ -72,7 +72,7 @@ def check_vector(psi: ArthurParameter, v: SignVector, support: str = MULT,
     if support == MULT:
         n, what = psi.instance_count(), "instances"
     else:
-        n, what = len(psi.classes()), "classes"
+        n, what = len(psi.blocks), "classes"
     if len(v.signs) != n:
         raise SupportMismatch(f"{len(v.signs)} signs given for {n} block "
                               f"{what}")
@@ -86,7 +86,7 @@ def per_class(psi: ArthurParameter, v: SignVector) -> List[Tuple[int, ...]]:
     """
     check_vector(psi, v)
     signs = iter(v.signs)
-    return [tuple(itertools.islice(signs, blk.mult)) for blk in psi.classes()]
+    return [tuple(itertools.islice(signs, blk.mult)) for blk in psi.blocks]
 
 
 def constant(psi: ArthurParameter, sign: int = 1) -> SignVector:
@@ -145,8 +145,7 @@ def cont(psi: ArthurParameter, s: SignVector) -> SignVector:
 def ext(psi: ArthurParameter, eps: SignVector) -> SignVector:
     """Pull a class-support vector back to instances (constant on copies)."""
     check_vector(psi, eps, CLASS)
-    return SignVector(MULT, tuple(sg for blk, sg in zip(psi.classes(),
-                                                        eps.signs)
+    return SignVector(MULT, tuple(sg for blk, sg in zip(psi.blocks, eps.signs)
                                   for _ in range(blk.mult)))
 
 
@@ -172,7 +171,7 @@ def in_element_space(s: SignVector, psi: ArthurParameter) -> bool:
     check_vector(psi, s, name="s")
     if psi.group.kind != SO_EVEN:
         return True
-    dims = (blk.dim for blk in psi.classes() for _ in range(blk.mult))
+    dims = (blk.dim for blk in psi.blocks for _ in range(blk.mult))
     p = 1
     for sign, dim in zip(s.signs, dims):
         p *= sign_pow(dim) if sign == -1 else 1

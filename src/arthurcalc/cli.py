@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from . import io_json as js
 from .charspace import CLASS, MULT, SignVector, in_element_space
 from .elementary import ConstructionNode, construction_trace
-from .errors import DomainError
+from .errors import DomainError, TooLarge
 from .formal import ddr_recursion_expand, packet_recursion_expand
 from .halfint import sign_pow
 from .packets import packet_constituents
@@ -175,7 +175,7 @@ def cmd_packet(args) -> dict:
 
 def cmd_cuspidal_support(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    eps = _parse_signs(args.eps, len(psi.classes()), support=CLASS)
+    eps = _parse_signs(args.eps, len(psi.blocks), support=CLASS)
     phi, eps_c, trace = cuspidal_support(psi, EpsMap.from_vector(psi, eps))
     return {
         "steps": [{"kind": kind, "segment": js.segment_to_json(seg)}
@@ -183,6 +183,11 @@ def cmd_cuspidal_support(args) -> dict:
         "cuspidal": js.parameter_to_json(phi),
         "eps": js.epsmap_to_json(eps_c),
     }
+
+
+# Most nodes elementary-trace prints.  A node that several parents share
+# prints under each, exponentially more often than the trace holds it.
+MAX_PRINTED_NODES = 10_000
 
 
 def _trace_to_json(root: ConstructionNode) -> dict:
@@ -207,11 +212,21 @@ def _trace_to_json(root: ConstructionNode) -> dict:
 
 def cmd_elementary_trace(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    eps = _parse_signs(args.eps, len(psi.classes()), support=CLASS)
+    eps = _parse_signs(args.eps, len(psi.blocks), support=CLASS)
     branch = PLUS if args.branch == "+" else MINUS
-    node = construction_trace(psi, EpsMap.from_vector(psi, eps),
+    root = construction_trace(psi, EpsMap.from_vector(psi, eps),
                               case3ci_branch=branch)
-    return _trace_to_json(node)
+    below: Dict[int, int] = {}  # node id -> nodes it prints, itself included
+
+    def printed(node: ConstructionNode) -> int:
+        if id(node) not in below:
+            below[id(node)] = 1 + sum(map(printed, node.children))
+        return below[id(node)]
+
+    if printed(root) > MAX_PRINTED_NODES:
+        raise TooLarge(f"the trace prints {printed(root)} nodes, above the "
+                       f"bound {MAX_PRINTED_NODES}")
+    return _trace_to_json(root)
 
 
 def cmd_expand(args) -> dict:

@@ -10,6 +10,7 @@ recursion prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from .errors import AmbiguousChoice, DomainError, NotElementary, TooLarge
@@ -25,8 +26,7 @@ from .segments import (EpsMap, Segment, check_character, cuspidal_chains,
 # alpha nests about alpha / 2 levels, and building it, or writing it as
 # JSON or a table, takes two frames a level.  The bound keeps that well
 # below Python's default recursion limit of 1000, with room for the
-# callers' frames.  It does not bound the printed tree, whose node count
-# can grow exponentially with the number of sizes.
+# callers' frames.  cli.MAX_PRINTED_NODES bounds the printed tree.
 MAX_TRACE_SIZE = 600
 
 SUPERCUSPIDAL_BASE = "supercuspidal_base"
@@ -74,7 +74,9 @@ def _chains(psi: ArthurParameter
 @dataclass(frozen=True)
 class ConstructionNode:
     """One node of the construction trace: the pair (psi, eps), the case
-    that applies to it, its inducing segments and its child nodes."""
+    that applies to it, its inducing segments and its child nodes.  Nodes
+    compare by value and hash their own pair and case, so both read a node
+    that several parents share once, not once per path to it."""
 
     psi: ArthurParameter
     eps: EpsMap
@@ -83,6 +85,30 @@ class ConstructionNode:
     inducing: Tuple[Segment, ...] = ()
     annotations: Tuple[Tuple[str, str], ...] = ()
     children: Tuple["ConstructionNode", ...] = ()
+
+    def __hash__(self) -> int:
+        return hash((self.psi, self.eps, self.case_tag))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstructionNode):
+            return NotImplemented
+        equal = set()  # the pairs of nodes found equal, by id
+
+        def same(x: ConstructionNode, y: ConstructionNode) -> bool:
+            if x is y or (id(x), id(y)) in equal:
+                return True
+            if (_own(x) != _own(y) or len(x.children) != len(y.children)
+                    or not all(map(same, x.children, y.children))):
+                return False
+            equal.add((id(x), id(y)))
+            return True
+
+        return same(self, other)
+
+
+# a node's fields other than its children
+_own = attrgetter("psi", "eps", "case_tag", "rho_id", "inducing",
+                  "annotations")
 
 
 def _with_sizes(psi: ArthurParameter, rho: RhoLabel,

@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .charspace import (ENUM_BOUND, MULT, SignVector, check_vector,
                         in_character_space, instance_index, pair, s_psi,
@@ -90,10 +90,6 @@ class CoreLabel:
             ent = tuple((blk, sg) for (blk, _), sg in zip(insts, signs.signs))
         return CoreLabel(psi.group, tuple(sorted(ent, key=_entry_key)))
 
-    def parameter(self) -> ArthurParameter:
-        return ArthurParameter(self.group,
-                               tuple(blk for blk, _ in self.entries))
-
     def __str__(self) -> str:
         body = ", ".join(
             f"{blk}:{'' if sg is None else ('+' if sg == 1 else '-')}"
@@ -140,20 +136,6 @@ class FormalSum:
         return "  ".join(bits)
 
 
-def _instances(psi: ArthurParameter) -> Iterator[Instance]:
-    """psi.instances() walked off the blocks, each block of multiplicity
-    one reused as it is."""
-    for blk in psi.blocks:
-        one = blk if blk.mult == 1 else replace(blk, mult=1)
-        for k in range(blk.mult):
-            yield one, k
-
-
-def _find_instance(psi: ArthurParameter, chosen: Instance) -> JordanBlock:
-    instance_index(psi, chosen)  # refuses what is no instance of psi
-    return chosen[0]
-
-
 def _check_ddr(psi: ArthurParameter, eps: Optional[SignVector]) -> None:
     """The input checks of the block recursions: discrete diagonal
     restriction, and for a character its support, length and product."""
@@ -170,48 +152,53 @@ def _require_compound(blk: JordanBlock) -> Tuple[HalfInt, HalfInt, int]:
     return A, B, blk.zeta_resolved() if blk.a == blk.b else blk.zeta
 
 
-def _core_without(psi: ArthurParameter, chosen: Instance,
-                  signs: Optional[SignVector],
-                  extra: List[Tuple[JordanBlock, Optional[int]]]
-                  ) -> CoreLabel:
-    entries = []
-    for inst, sg in zip(_instances(psi),
-                        signs.signs if signs else itertools.repeat(None)):
-        if inst == chosen:
-            continue
-        entries.append((inst[0], sg))
-    entries.extend(extra)
-    group = GroupForm.of_dim(psi.group.kind,
-                             sum(blk.dim for blk, _ in entries),
-                             psi.group.eta)
-    return CoreLabel(group, tuple(sorted(entries, key=_entry_key)))
-
-
-def _c_indexed_terms(psi: ArthurParameter, chosen: Instance,
-                     signs: Optional[SignVector],
-                     eta0: Optional[int]) -> Dict[BasisTerm, int]:
-    """The C-indexed terms of either recursion: a parabolic prefix and a
-    Jacquet marker over a core with the base raised by two, the raised
-    block carrying eta0 (None at the stable-packet level).  Distinct C
-    give distinct prefixes, and every term has a nonempty prefix."""
-    blk = chosen[0]
+def _step(core: CoreLabel, i: int) -> Dict[BasisTerm, int]:
+    """One step of either recursion on entry i of a checked DDR core: at
+    the character level when the entry carries a sign eta0, at the
+    stable-packet level when it carries None.  Each new core is the other
+    entries plus the raised or split blocks, on the group their dimensions
+    give; those blocks keep the DDR conditions and the product of the
+    signs, so every core built here is again a DDR core."""
+    blk, eta0 = core.entries[i]
     A, B, zeta = _require_compound(blk)
     width = int(A - B)
     exponents = width * (width - 1) // 2  # C - B - 1 for each C in (B, A]
     if exponents > MAX_JACQUET_EXPONENTS:
         raise TooLarge(f"A - B = {width} gives {exponents} Jacquet exponents, "
                        f"above the bound {MAX_JACQUET_EXPONENTS}")
-    extra = []
-    if (B + 2).twice <= A.twice:
-        extra.append((from_AB(blk.rho, A, B + 2, zeta), eta0))
-    core = _core_without(psi, chosen, signs, extra)
+    rho, rest = blk.rho, core.entries[:i] + core.entries[i + 1:]
+
+    def with_blocks(*extra) -> CoreLabel:
+        entries = rest + extra
+        dim = sum(b.dim for b, _ in entries)
+        group = GroupForm.of_dim(core.group.kind, dim, core.group.eta)
+        return CoreLabel(group, tuple(sorted(entries, key=_entry_key)))
+
     out: Dict[BasisTerm, int] = {}
-    for C in hrange(B + 1, A):
-        ops = [Induce(blk.rho.id, zeta * B, -(zeta * C))]
-        jac_seq = tuple(zeta * D for D in hrange(B + 2, C))
-        if jac_seq:
-            ops.append(Jac(blk.rho.id, jac_seq))
-        out[BasisTerm(tuple(ops), core)] = sign_pow(int(A - C))
+    raised = (B + 2).twice <= A.twice
+    # the C-indexed terms, over the core with the base raised by two; they
+    # vanish when the raised base would exceed the top and eta0 is -1
+    if raised or eta0 != -1:
+        c_core = with_blocks(*([(from_AB(rho, A, B + 2, zeta), eta0)]
+                               if raised else []))
+        for C in hrange(B + 1, A):
+            ops = [Induce(rho.id, zeta * B, -(zeta * C))]
+            jac_seq = tuple(zeta * D for D in hrange(B + 2, C))
+            if jac_seq:
+                ops.append(Jac(rho.id, jac_seq))
+            out[BasisTerm(tuple(ops), c_core)] = sign_pow(int(A - C))
+    # the split terms: one at the stable level, one per sign eta otherwise
+    top, base = from_AB(rho, A, B + 1, zeta), from_AB(rho, B, B, zeta)
+    gap = width + 1  # A - B + 1
+    coeff = sign_pow(gap // 2)
+    if eta0 is None:
+        out[BasisTerm((), with_blocks((top, None), (base, None)))] = coeff
+        return out
+    if (gap - 1) % 2:
+        coeff *= eta0
+    for eta in (1, -1):
+        split = with_blocks((top, eta), (base, eta * eta0))
+        out[BasisTerm((), split)] = coeff * eta if gap % 2 else coeff
     return out
 
 
@@ -225,39 +212,17 @@ def ddr_recursion_expand(psi: ArthurParameter, eps: SignVector,
     the top and the block's character value is -1 the C-terms vanish.
     """
     _check_ddr(psi, eps)
-    blk = _find_instance(psi, chosen)
-    A, B, zeta = _require_compound(blk)
-    eta0 = value_at(psi, eps, chosen)
-    rho = blk.rho
-
-    gap = int(A - B) + 1  # A - B + 1
-    suppressed = (B + 2).twice > A.twice and eta0 == -1
-    out = {} if suppressed else _c_indexed_terms(psi, chosen, eps, eta0)
-    # the two split terms have an empty prefix and differ in eta
-    for eta in (1, -1):
-        coeff = sign_pow(gap // 2)
-        coeff *= eta if gap % 2 else 1
-        coeff *= eta0 if (gap - 1) % 2 else 1
-        extra = [(from_AB(rho, A, B + 1, zeta), eta),
-                 (from_AB(rho, B, B, zeta), eta * eta0)]
-        core = _core_without(psi, chosen, eps, extra)
-        out[BasisTerm((), core)] = coeff
-    return FormalSum(out)
+    # a DDR parameter has no multiplicities: entry i is instance i
+    i = instance_index(psi, chosen)
+    return FormalSum(_step(CoreLabel.of(psi, eps), i))
 
 
 def packet_recursion_expand(psi: ArthurParameter,
                             chosen: Instance) -> FormalSum:
     """Expand one compound block at the stable-packet level."""
     _check_ddr(psi, None)
-    blk = _find_instance(psi, chosen)
-    A, B, zeta = _require_compound(blk)
-    gap = int(A - B) + 1
-    extra = [(from_AB(blk.rho, A, B + 1, zeta), None),
-             (from_AB(blk.rho, B, B, zeta), None)]
-    core = _core_without(psi, chosen, None, extra)
-    out = _c_indexed_terms(psi, chosen, None, None)
-    out[BasisTerm((), core)] = sign_pow(gap // 2)
-    return FormalSum(out)
+    i = instance_index(psi, chosen)
+    return FormalSum(_step(CoreLabel.of(psi), i))
 
 
 def _add_to(acc: Dict[BasisTerm, int], term: BasisTerm, coeff: int) -> bool:
@@ -281,7 +246,8 @@ def packet_expand_fully(psi: ArthurParameter,
     more than MAX_EXPANSION_STEPS steps raise.  The heap keeps each
     entry's str key; an entry whose term has since cancelled or
     re-entered is skipped.
-    The input is checked once, as the one-block recursions check theirs.
+    The input is checked once, as the one-block recursions check theirs;
+    every core a step builds is again a DDR core (see _step).
     """
     _check_ddr(psi, eps)
     work: Dict[BasisTerm, int] = {}
@@ -307,18 +273,12 @@ def packet_expand_fully(psi: ArthurParameter,
         if steps > MAX_EXPANSION_STEPS:
             raise TooLarge("expansion exceeded the step limit")
         coeff = work.pop(term)
-        core_psi = term.core.parameter()
-        chosen = next((inst for inst in _instances(core_psi)
-                       if inst[0].A != inst[0].B), None)
-        if chosen is None:
+        i = next((i for i, (blk, _) in enumerate(term.core.entries)
+                  if blk.A != blk.B), None)
+        if i is None:
             _add_to(done, term, coeff)
             continue
-        if eps is None:
-            inner = packet_recursion_expand(core_psi, chosen)
-        else:
-            signs = SignVector(MULT, tuple(sg for _, sg in term.core.entries))
-            inner = ddr_recursion_expand(core_psi, signs, chosen)
-        for t2, c2 in inner.terms.items():
+        for t2, c2 in _step(term.core, i).items():
             push(BasisTerm(term.ops + t2.ops, t2.core), coeff * c2)
     return FormalSum(done)
 
@@ -337,7 +297,8 @@ def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,
     # the loop below runs over all 2^n sign vectors on the n instances
     if len(s) > ENUM_BOUND:
         raise TooLarge(f"{len(s)} blocks exceeds bound {ENUM_BOUND}")
-    blk = _find_instance(psi, chosen)
+    instance_index(psi, chosen)  # refuses what is no instance of psi
+    blk = chosen[0]
     A, B, zeta = _require_compound(blk)
     rho = blk.rho
     gap = int(A - B) + 1

@@ -373,10 +373,6 @@ class ArthurParameter:
             flags.add("discrete")
         return frozenset(flags)
 
-    def classes(self) -> Tuple[JordanBlock, ...]:
-        """Jord(psi) without multiplicity (mult field kept for reference)."""
-        return self.blocks
-
     def rho_labels(self) -> List[RhoLabel]:
         seen = {}
         for blk in self.blocks:

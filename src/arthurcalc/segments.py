@@ -76,7 +76,7 @@ class EpsMap:
             raise NotACharacter(
                 f"character must live on the block classes: {e}") from None
         return EpsMap({(blk.rho.id, blk.alpha): sg
-                       for blk, sg in zip(phi.classes(), eps.signs)})
+                       for blk, sg in zip(phi.blocks, eps.signs)})
 
     def without(self, *keys: Tuple[str, int]) -> Dict[Tuple[str, int], int]:
         """A new dict of the values whose keys are not among keys."""

@@ -163,10 +163,10 @@ def random_discrete_pair(rng: random.Random, max_blocks: int = 5,
             else 0
         blocks = [JordanBlock(rho, 1 if parity else 2, 1)]
     phi = make_parameter(blocks)
-    signs = [rng.choice((1, -1)) for _ in phi.classes()]
+    signs = [rng.choice((1, -1)) for _ in phi.blocks]
     if math.prod(signs) != 1:
         signs[0] = -signs[0]
-    eps = EpsMap({(b.rho.id, b.a): s for b, s in zip(phi.classes(), signs)})
+    eps = EpsMap({(b.rho.id, b.a): s for b, s in zip(phi.blocks, signs)})
     return phi, eps
 
 

@@ -87,7 +87,7 @@ def test_adjointness_property():
     for _ in range(100):
         psi = random_pure_parameter(rng, max_blocks=4)
         insts = psi.instances()
-        classes = psi.classes()
+        classes = psi.blocks
         eps = SignVector(CLASS, tuple(rng.choice((1, -1)) for _ in classes))
         s = SignVector(MULT, tuple(rng.choice((1, -1)) for _ in insts))
         assert pair(ext(psi, eps), s) == pair(eps, cont(psi, s))

@@ -331,6 +331,30 @@ def test_elementary_trace_size_bound(fmt):
             assert out.splitlines()[-1] == "type: TooLarge"
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_elementary_trace_printed_size_bound(fmt):
+    # one rho with the 24 sizes 1, 3, ..., 47: a trace of 520 distinct
+    # nodes that prints 109 296, refused from the shared nodes before any
+    # output is built
+    import tracemalloc
+    payload = {"group": {"kind": "SOeven", "n": 288},
+               "blocks": [_block(a=a, b=1) for a in range(1, 48, 2)]}
+    tracemalloc.start()
+    try:
+        rc, out = run_cli(["elementary-trace", json.dumps(payload),
+                           "--eps=-+-+-++-----+---++----+-", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    message = "the trace prints 109296 nodes, above the bound 10000"
+    if fmt == "json":
+        assert json.loads(out) == {"error": message, "type": "TooLarge"}
+    else:
+        assert out.splitlines() == [f"error: {message}", "type: TooLarge"]
+    assert peak < 4 * 2 ** 20
+
+
 def test_packet_class_bound():
     # per-block class counts 1, 21, ..., 26: 165 765 600 classes, refused
     # from the counts alone, before any class is built

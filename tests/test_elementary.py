@@ -159,7 +159,7 @@ def test_all_leaves_supercuspidal():
     done = 0
     for _ in range(300):
         psi = random_elementary(rng, max_blocks=4, max_alpha=7)
-        classes = psi.classes()
+        classes = psi.blocks
         signs = [rng.choice((1, -1)) for _ in classes]
         if len(signs) and signs.count(-1) % 2:
             signs[0] = -signs[0]  # land in the character space
@@ -183,7 +183,7 @@ def test_trace_children_shrink():
     rng = random.Random(20)
     for _ in range(100):
         psi = random_elementary(rng, max_blocks=3, max_alpha=7)
-        classes = psi.classes()
+        classes = psi.blocks
         signs = [rng.choice((1, -1)) for _ in classes]
         prod = 1
         for s in signs:
@@ -259,7 +259,7 @@ def test_all_leaves_share_one_supercuspidal_pair():
     rounds = 0
     for _ in range(300):
         psi = random_elementary(rng, max_blocks=4, max_alpha=7)
-        classes = psi.classes()
+        classes = psi.blocks
         signs = [rng.choice((1, -1)) for _ in classes]
         prod = 1
         for s in signs:
@@ -340,11 +340,11 @@ def _fingerprint_pairs():
     rng = random.Random(2024)
     for _ in range(150):
         psi = random_elementary(rng, max_blocks=4, max_alpha=9)
-        signs = [rng.choice((1, -1)) for _ in psi.classes()]
+        signs = [rng.choice((1, -1)) for _ in psi.blocks]
         if signs.count(-1) % 2:
             signs[0] = -signs[0]
         yield psi, EpsMap({(b.rho.id, elementary_alpha(b)): s
-                           for b, s in zip(psi.classes(), signs)})
+                           for b, s in zip(psi.blocks, signs)})
 
 
 def _trace_fingerprint():
@@ -424,15 +424,32 @@ def test_equal_traces_compare_equal():
     assert first.eps[("rho", 1)] == -1
 
 
+def _chain24():
+    """One rho with the 24 sizes 1, 3, ..., 47 and a character whose trace
+    reaches many pairs again."""
+    sizes = range(1, 48, 2)
+    psi = _elem([(a, PLUS) for a in sizes])
+    return psi, _eps({a: 1 if c == "+" else -1
+                      for a, c in zip(sizes, "-+-+-++-----+---++----+-")})
+
+
+def _distinct_nodes(root):
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return list(seen.values())
+
+
 def test_trace_builds_each_distinct_pair_once():
     """On one rho with the 24 sizes 1, 3, ..., 47 the tree has 109 296
     nodes but only 520 distinct pairs (psi, eps); each pair gets one node
     object, which every parent that reaches the pair shares."""
     import tracemalloc
-    sizes = range(1, 48, 2)
-    psi = _elem([(a, PLUS) for a in sizes])
-    eps = _eps({a: 1 if c == "+" else -1
-                for a, c in zip(sizes, "-+-+-++-----+---++----+-")})
+    psi, eps = _chain24()
     tracemalloc.start()
     try:
         root = construction_trace(psi, eps)
@@ -451,6 +468,35 @@ def test_trace_builds_each_distinct_pair_once():
     assert walk(root) == 109_296
     assert len(below) == len(pairs) == 520
     assert peak < 4 * 2 ** 20
+
+
+def test_trace_equality_and_hash_read_each_node_once(monkeypatch):
+    # the 24-size chain prints 109 296 nodes from 520 distinct ones; ==
+    # against a rebuilt trace compares the parameters of each pair of
+    # distinct nodes once, and a node's hash reads its own pair alone
+    root, rebuilt = (construction_trace(*_chain24()) for _ in range(2))
+    nodes = _distinct_nodes(root)
+    assert len(nodes) == len(_distinct_nodes(rebuilt)) == 520
+    calls = {"eq": 0, "hash": 0}
+    eq, hash_of = ArthurParameter.__eq__, ArthurParameter.__hash__
+
+    def counting_eq(self, other):
+        calls["eq"] += 1
+        return eq(self, other)
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return hash_of(self)
+
+    monkeypatch.setattr(ArthurParameter, "__eq__", counting_eq)
+    monkeypatch.setattr(ArthurParameter, "__hash__", counting_hash)
+    assert root == rebuilt
+    assert calls["eq"] <= len(nodes)
+    assert hash(root) == hash(rebuilt)
+    assert calls["hash"] == 2
+    for node in nodes:
+        hash(node)
+    assert calls["hash"] == 2 + len(nodes)
 
 
 # each function that takes a character refuses a map that is not one

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,8 +16,8 @@ from arthurcalc.formal import (BasisTerm, CoreLabel, FormalSum, Induce, Jac,
                                twist_by_orientation)
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
-from arthurcalc.params import (MINUS, PLUS, JordanBlock, from_AB,
-                               make_parameter)
+from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
+                               classify, from_AB, make_parameter)
 from arthurcalc.testing import random_ddr_parameter
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
@@ -142,12 +143,11 @@ def test_full_expansion_terminates_elementary_cores():
         out = packet_expand_fully(psi)
         assert len(out) >= 1
         for term in out.terms:
-            core = term.core.parameter()
-            assert all(b.A == b.B for b in core.blocks)
+            assert all(b.A == b.B for b, _ in term.core.entries)
 
 
 def test_expand_empty_sum():
-    from arthurcalc.params import ArthurParameter, GroupForm, SO_EVEN
+    from arthurcalc.params import GroupForm, SO_EVEN
     empty = ArthurParameter(GroupForm(SO_EVEN, 0, QuadCharacter.of("e")), ())
     out = packet_expand_fully(empty)
     assert len(out) == 1  # the empty core itself
@@ -248,8 +248,7 @@ def test_full_character_expansion_consistent():
         for eps in enumerate_characters(psi)[:4]:
             out = packet_expand_fully(psi, eps)
             for term in out.terms:
-                core = term.core.parameter()
-                assert all(b.A == b.B for b in core.blocks)
+                assert all(b.A == b.B for b, _ in term.core.entries)
                 prod = 1
                 for _, sg in term.core.entries:
                     prod *= sg
@@ -345,7 +344,6 @@ def test_block_facts_shared_across_threads():
     # threads: every thread must get what one thread alone gets
     import sys
     import threading
-    from arthurcalc.params import ArthurParameter, classify
     from arthurcalc.signs import aubert_flip, beta_sign, s_ratio
     from arthurcalc.testing import random_elementary
     rng = random.Random(86)
@@ -416,13 +414,7 @@ def _full_expansion_fingerprint():
         psi = _k_family(k)
         digest.update(repr([str(psi),
                             row(lambda: packet_expand_fully(psi))]).encode())
-    rng = random.Random(7)
-    for _ in range(200):
-        psi = random_ddr_parameter(rng, max_blocks=3, max_level=8)
-        signs = [rng.choice((1, -1)) for _ in psi.instances()]
-        if signs.count(-1) % 2 and rng.random() < 0.9:
-            signs[0] = -signs[0]
-        eps = SignVector(MULT, tuple(signs))
+    for psi, eps in _corpus_draws():
         rows = [str(psi), str(eps), row(lambda: packet_expand_fully(psi)),
                 row(lambda: packet_expand_fully(psi, eps))]
         digest.update(repr(rows).encode())
@@ -438,6 +430,79 @@ FULL_EXPANSION_FINGERPRINT = \
 
 def test_full_expansion_fingerprint():
     assert _full_expansion_fingerprint() == FULL_EXPANSION_FINGERPRINT
+
+
+def _corpus_draws():
+    """The seeded DDR draws of the full-expansion fingerprint, each with
+    its sign vector."""
+    rng = random.Random(7)
+    for _ in range(200):
+        psi = random_ddr_parameter(rng, max_blocks=3, max_level=8)
+        signs = [rng.choice((1, -1)) for _ in psi.instances()]
+        if signs.count(-1) % 2 and rng.random() < 0.9:
+            signs[0] = -signs[0]
+        yield psi, SignVector(MULT, tuple(signs))
+
+
+def test_every_step_builds_a_ddr_core(monkeypatch):
+    # what the per-step _check_ddr and the parameter rebuild used to
+    # guard: every core a step builds is a DDR parameter on a group of
+    # the input's kind and eta, its blocks kept apart by their sort keys,
+    # and at the character level its signs multiply to one
+    built = []
+    step = formal._step
+
+    def recording_step(core, i):
+        out = step(core, i)
+        built.extend(term.core for term in out)
+        return out
+
+    monkeypatch.setattr(formal, "_step", recording_step)
+    checked = 0
+    for psi, eps in _corpus_draws():
+        for level in (None, eps):
+            if level is not None and eps.product() != 1:
+                continue
+            built.clear()
+            packet_expand_fully(psi, level)
+            for core in built:
+                blocks = tuple(blk for blk, _ in core.entries)
+                param = ArthurParameter(core.group, blocks)
+                assert param.blocks == blocks
+                assert "discrete_diag_restriction" in classify(param)
+                assert core.group.kind == psi.group.kind
+                assert core.group.eta == psi.group.eta
+                assert len({blk.sort_key for blk in blocks}) == len(blocks)
+                signs = [sg for _, sg in core.entries]
+                if level is None:
+                    assert signs == [None] * len(signs)
+                else:
+                    assert math.prod(signs) == 1
+                checked += 1
+    assert checked > 5_000
+
+
+def test_full_expansion_checks_its_input_once(monkeypatch):
+    # the input check runs once, and no parameter is built after it: each
+    # step builds its cores from the entries of the last
+    psi = _k_family(5)
+    counts = {}
+    check, post = formal._check_ddr, ArthurParameter.__post_init__
+
+    def counting_check(*args):
+        check(*args)
+        counts["checks"] += 1
+
+    def counting_post(self):
+        counts["built"] += bool(counts["checks"])
+        post(self)
+
+    monkeypatch.setattr(formal, "_check_ddr", counting_check)
+    monkeypatch.setattr(ArthurParameter, "__post_init__", counting_post)
+    for eps in (None, SignVector(MULT, (1, 1))):
+        counts.update(checks=0, built=0)
+        assert len(packet_expand_fully(psi, eps)) > 1
+        assert counts == {"checks": 1, "built": 0}
 
 
 def _psi_so6():

@@ -19,7 +19,7 @@ def _phi(*sizes, rho=RHO):
 
 def _eps(phi, values):
     return EpsMap({(b.rho.id, b.a): v
-                   for b, v in zip(phi.classes(), values)})
+                   for b, v in zip(phi.blocks, values)})
 
 
 def test_supercuspidal_spec_examples():
