@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from . import io_json as js
@@ -21,8 +22,8 @@ from .errors import DomainError, TooLarge
 from .formal import ddr_recursion_expand, packet_recursion_expand
 from .halfint import sign_pow
 from .packets import packet_constituents
-from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, classify,
-                     diagonal_restriction, natural_order)
+from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
+                     classify, diagonal_restriction, natural_order)
 from .segments import EpsMap, cuspidal_support
 from .signs import eps_m_mw_general, eps_of_pairs, z_mw_w
 from . import endoscopy as endo
@@ -103,14 +104,17 @@ def _order_for(psi: ArthurParameter, mode: str,
         if not raw or "order" not in raw:
             raise UsageError("order mode 'file' needs an order array "
                              "in the input")
-        insts = psi.instances()
         positions = raw["order"]
         if not isinstance(positions, list) or any(
                 isinstance(i, bool) or not isinstance(i, int)
                 for i in positions):
             raise UsageError("order array must hold integer block indices")
-        if sorted(positions) != list(range(len(insts))):
+        # sized from the multiplicities: the instances are built only for
+        # an order as long as the input that lists them
+        n = psi.instance_count()
+        if len(positions) != n or sorted(positions) != list(range(n)):
             raise UsageError("order array must permute the block indices")
+        insts = psi.instances()
         return BlockOrder(tuple(insts[i] for i in positions))
     raise UsageError(f"unknown order mode {mode!r}")
 
@@ -229,14 +233,22 @@ def cmd_elementary_trace(args) -> dict:
     return _trace_to_json(root)
 
 
+def _instance_at(psi: ArthurParameter, index: int) -> Instance:
+    """psi.instances()[index], without building the others."""
+    for blk in psi.blocks:
+        if index < blk.mult:
+            return replace(blk, mult=1), index
+        index -= blk.mult
+
+
 def cmd_expand(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
-    insts = psi.instances()
-    if not 0 <= args.block < len(insts):
+    n = psi.instance_count()
+    if not 0 <= args.block < n:
         raise UsageError(f"block index {args.block} out of range")
-    chosen = insts[args.block]
+    chosen = _instance_at(psi, args.block)
     if args.eps is not None:
-        eps = _parse_signs(args.eps, len(insts))
+        eps = _parse_signs(args.eps, n)
         total = ddr_recursion_expand(psi, eps, chosen)
     else:
         total = packet_recursion_expand(psi, chosen)

@@ -17,7 +17,7 @@ from .charspace import (CLASS, SignVector, check_vector, in_character_space,
                         per_class)
 from .errors import DomainError, NotACharacter, OutOfRange, TooLarge
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
-from .params import ArthurParameter, BlockOrder, _trusted, classify
+from .params import ArthurParameter, BlockOrder, classify
 from .signs import eps_m_w
 
 # Most block instances, and most constituent classes, that
@@ -28,6 +28,8 @@ from .signs import eps_m_w
 # bound that has at most two classes at each block.
 ENUM_BOUND = 14
 MAX_CLASSES = 2 ** ENUM_BOUND
+
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -71,17 +73,20 @@ def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
 
 
 def _class_count(gap: int, sign: int) -> int:
-    """len(_block_classes(gap, sign)), without building the list."""
+    """How many classes _block_classes(gap, sign) lists, without
+    building them."""
     if gap % 2:
         return gap // 2 + 1
     half = gap // 2
     return 2 * (half // 2) + 1 if sign == 1 else 2 * ((half + 1) // 2)
 
 
-def _block_classes(gap: int, sign: int) -> List[List[Tuple[int, int]]]:
+def _block_classes(gap: int, sign: int
+                   ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """The classes of the (l, eta), 0 <= l <= [gap/2], whose character
     value eta**gap * (-1)**([gap/2] + l) at a block with A - B + 1 = gap
-    is sign, l ascending and eta = +1 first.
+    is sign: the l of each class and the etas of each class, l ascending
+    and eta = +1 first.
 
     Two pairs label one constituent exactly when they have the same l,
     and the same eta unless 2l = gap.  An odd gap fixes eta at each l.
@@ -91,29 +96,16 @@ def _block_classes(gap: int, sign: int) -> List[List[Tuple[int, int]]]:
     half = gap // 2
     minus = sign != 1  # (-1)**minus == sign
     if gap % 2:
-        return [[(l, sign_pow(half + l + minus))] for l in range(half + 1)]
-    classes = []
+        return (tuple(range(half + 1)),
+                tuple((sign_pow(half + l + minus),) for l in range(half + 1)))
+    ls, etas = [], []
     for l in range((half + minus) % 2, half, 2):
-        classes += [[(l, 1)], [(l, -1)]]
+        ls += [l, l]
+        etas += [(1,), (-1,)]
     if not minus:
-        classes.append([(half, 1), (half, -1)])
-    return classes
-
-
-def _pairs(per_block: List[List[Tuple[int, int]]]) -> List[LEtaPair]:
-    """The pairs whose (l, eta) at each block is one of its entries in
-    per_block, in product order."""
-    # one (l, eta) per block and eta = +-1, both from _block_classes;
-    # zip(*()) is empty: a parameter without blocks has one empty pair
-    return [_trusted(LEtaPair, l=l, eta=eta) for l, eta in
-            (zip(*combo) if combo else ((), ())
-             for combo in itertools.product(*per_block))]
-
-
-def _gaps(psi: ArthurParameter) -> Tuple[int, ...]:
-    """A - B + 1 = min(a, b) per block instance."""
-    return tuple(gap for blk in psi.blocks
-                 for gap in [min(blk.a, blk.b)] * blk.mult)
+        ls.append(half)
+        etas.append((1, -1))
+    return tuple(ls), tuple(etas)
 
 
 GUARANTEED = "guaranteed"
@@ -138,20 +130,37 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     status = GUARANTEED if "discrete_diag_restriction" in classify(psi) \
         else UNDECIDED
     check_vector(psi, eps)
-    gaps = _gaps(psi)
+    gaps = psi._gaps
     if len(gaps) > ENUM_BOUND:
         raise TooLarge(f"{len(gaps)} blocks exceeds bound {ENUM_BOUND}")
     count = math.prod(map(_class_count, gaps, eps.signs))
     if count > MAX_CLASSES:
         raise TooLarge(f"{count} constituent classes exceeds bound "
                        f"{MAX_CLASSES}")
-    # a class of psi picks a class at every block; product order keeps
-    # the classes in first-seen order
-    per_block = map(_block_classes, gaps, eps.signs)
-    # members from _pairs, status one of the two; the class checks nothing
-    return [_trusted(ConstituentClass, representative=members[0],
-                     members=tuple(members), status=status)
-            for members in map(_pairs, itertools.product(*per_block))]
+    # a class of psi picks a class at every block, in product order, which
+    # keeps the classes in first-seen order; its members share its l and
+    # pick one of its etas at each block, two only where 2l = gap
+    rows = list(map(_block_classes, gaps, eps.signs))
+    ls, etas = zip(*rows) if rows else ((), ())
+    classes = []
+    for l, choices in zip(itertools.product(*ls), itertools.product(*etas)):
+        # l and eta = +-1 of one length, from _block_classes, stored
+        # unchecked; a store per field costs less than params._trusted
+        members = []
+        for eta in itertools.product(*choices):
+            pair = _new(LEtaPair)
+            fields = pair.__dict__
+            fields["l"] = l
+            fields["eta"] = eta
+            members.append(pair)
+        members = tuple(members)
+        cls = _new(ConstituentClass)
+        fields = cls.__dict__
+        fields["representative"] = members[0]
+        fields["members"] = members
+        fields["status"] = status
+        classes.append(cls)
+    return classes
 
 
 def translate_m_w(psi: ArthurParameter, eps: SignVector,

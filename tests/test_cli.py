@@ -463,6 +463,36 @@ def test_sign_string_sized_from_multiplicities(command, flag):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("argv,rc_want,out_want,err_want", [
+    (["expand", "--block", "0"], 1,
+     {"error": "the recursion expands DDR parameters", "type": "NotDDR"}, ""),
+    (["expand", "--block", "0", "--eps=+"], 2, None,
+     "usage error: expected a string of 1000000 signs, got '+'\n"),
+    (["expand", "--block", "1000000"], 2, None,
+     "usage error: block index 1000000 out of range\n"),
+    (["signs", "--order", "file"], 2, None,
+     "usage error: order array must permute the block indices\n"),
+], ids=["expand", "expand-eps", "expand-index", "signs-order"])
+def test_block_choice_sized_from_multiplicities(argv, rc_want, out_want,
+                                                err_want):
+    # a million copies of one block, with an order that lists one: each
+    # answer comes from their count, before any copy is built
+    import tracemalloc
+    payload = {"group": {"kind": "SOeven", "n": 500000},
+               "blocks": [_block(a=1, b=1, zeta="+", mult=1000000)],
+               "order": [0]}
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli_err([argv[0], json.dumps(payload), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == rc_want
+    assert (json.loads(out) if out_want else out) == (out_want or "")
+    assert err == err_want
+    assert peak < 2 ** 20
+
+
 def test_signs_reads_and_parses_its_input_once(monkeypatch):
     opened, parsed = [], []
     real_open = open

@@ -205,3 +205,51 @@ def test_cli_main_has_three_outcomes(argv):
         assert set(payload) == {"error", "type"}
         assert out.getvalue() == json.dumps(
             payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def _large_block(draw):
+    rho = {"id": draw(st.sampled_from(("r", "s"))),
+           "dim": draw(st.integers(1, 2)),
+           "type": draw(st.sampled_from(RHO_TYPES))}
+    blk = {"rho": rho, "a": draw(st.integers(1, 10 ** 6)),
+           "b": draw(st.integers(1, 10 ** 6)), "mult": draw(st.integers(1, 2))}
+    zeta = draw(st.sampled_from((None, "+", "-")))
+    if zeta is not None:
+        blk["zeta"] = zeta
+    return blk
+
+
+@st.composite
+def large_packets(draw):
+    """packet on one or two blocks with a and b up to 10**6, on the group
+    their dimension gives, with a sign string usually one per copy."""
+    blocks = draw(st.lists(_large_block(), min_size=1, max_size=2))
+    total = sum(b["rho"]["dim"] * b["a"] * b["b"] * b["mult"]
+                for b in blocks)
+    kind = draw(st.sampled_from(KINDS))
+    n = (total - 1) // 2 if kind == "Sp" else total // 2
+    param = {"group": {"kind": kind, "n": n}, "blocks": blocks}
+    argv = ["packet", json.dumps(param)]
+    argv += draw(_option("--eps", _signs(sum(b["mult"] for b in blocks))))
+    return argv + draw(st.sampled_from([[], ["--format", "table"]]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(large_packets())
+def test_packet_on_large_blocks_is_bounded_before_any_table(argv):
+    # a refusal costs a few MiB at most; a listing, which the class bound
+    # keeps to 16 384 classes, takes memory in proportion to what it
+    # prints (about 14 bytes per byte printed at that bound)
+    import tracemalloc
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc in (0, 1, 2)
+    assert peak < 4 * 2 ** 20 + 32 * len(out.getvalue())

@@ -11,12 +11,12 @@ from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc.packets import (GUARANTEED, UNDECIDED, ConstituentClass,
                                 LEtaPair, _block_classes, _class_count,
-                                _gaps, eta_constraint_check,
+                                eta_constraint_check,
                                 packet_constituents, translate_m_w)
 from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
                                make_parameter)
-from arthurcalc.testing import (_ddr_grid, random_p_order,
-                                random_pure_parameter)
+from arthurcalc.testing import (_ddr_grid, random_ddr_parameter,
+                                random_p_order, random_pure_parameter)
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 
@@ -203,7 +203,8 @@ def _filtered_block_classes(gap, sign):
 def test_block_classes_closed_form_matches_the_filter():
     for gap in range(1, 41):
         for sign in (1, -1):
-            classes = _block_classes(gap, sign)
+            classes = [[(l, eta) for eta in etas]
+                       for l, etas in zip(*_block_classes(gap, sign))]
             assert classes == _filtered_block_classes(gap, sign), (gap, sign)
             assert _class_count(gap, sign) == len(classes) > 0
 
@@ -393,8 +394,52 @@ def test_gaps_are_a_minus_b_plus_one_on_instances():
     repeated = 0
     for _ in range(200):
         psi = random_pure_parameter(rng, max_blocks=6, max_ab=4)
-        assert _gaps(psi) == tuple(int(blk.A - blk.B) + 1
-                                   for blk, _ in psi.instances()), psi
+        assert psi._gaps == tuple(int(blk.A - blk.B) + 1
+                                  for blk, _ in psi.instances()), psi
         repeated += any(b.mult > 1 for b in psi.blocks)
     assert repeated > 10
 
+
+def _census_fingerprint():
+    """SHA-256 over packet_constituents on seeded DDR and off-DDR
+    parameters, multiplicities among them, and on two parameters at or
+    above the class bound, at every sign vector; each row holds every
+    class's representative, members and status as repr, or the error's
+    class and message."""
+    import hashlib
+    rng = random.Random(2929)
+    params = []
+    while len(params) < 120:
+        psi = random_ddr_parameter(rng, max_blocks=3) if len(params) % 3 \
+            else random_pure_parameter(rng, max_blocks=5, max_ab=5)
+        if psi.instance_count() <= 6:
+            params.append(psi)
+    # gap 256 has 129 classes at + and 128 at -: only (-, -) is listed
+    params += [_above_the_bounds()[0],
+               make_parameter([from_AB(RHO, HalfInt(2 * k + 510),
+                                       HalfInt(2 * k), PLUS)
+                               for k in (0, 258)])]
+    assert {"discrete_diag_restriction" in classify(psi)
+            for psi in params} == {True, False}
+    assert any(blk.mult > 1 for psi in params for blk in psi.blocks)
+    digest = hashlib.sha256()
+    for psi in params:
+        rows = [repr(psi)]
+        for signs in itertools.product((1, -1),
+                                       repeat=psi.instance_count()):
+            try:
+                rows.append([(c.representative, c.members, c.status) for c in
+                             packet_constituents(psi, SignVector(MULT, signs))])
+            except DomainError as e:
+                rows.append((type(e).__name__, str(e)))
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed before the classes were built per block class
+CENSUS_FINGERPRINT = \
+    "b9846ddeab5e9020e6ce38e37fbe5a7f22f93d83623aa8d88dfcb38ce5f9d023"
+
+
+def test_census_fingerprint():
+    assert _census_fingerprint() == CENSUS_FINGERPRINT
