@@ -17,7 +17,7 @@ from .charspace import (CLASS, SignVector, check_vector, in_character_space,
                         per_class)
 from .errors import DomainError, NotACharacter, OutOfRange, TooLarge
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
-from .params import ArthurParameter, BlockOrder, classify
+from .params import ArthurParameter, BlockOrder, _trusted, classify
 from .signs import eps_m_w
 
 # Most block instances, and most constituent classes, that
@@ -28,8 +28,6 @@ from .signs import eps_m_w
 # bound that has at most two classes at each block.
 ENUM_BOUND = 14
 MAX_CLASSES = 2 ** ENUM_BOUND
-
-_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -144,22 +142,12 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     ls, etas = zip(*rows) if rows else ((), ())
     classes = []
     for l, choices in zip(itertools.product(*ls), itertools.product(*etas)):
-        # l and eta = +-1 of one length, from _block_classes, stored
-        # unchecked; a store per field costs less than params._trusted
-        members = []
-        for eta in itertools.product(*choices):
-            pair = _new(LEtaPair)
-            fields = pair.__dict__
-            fields["l"] = l
-            fields["eta"] = eta
-            members.append(pair)
-        members = tuple(members)
-        cls = _new(ConstituentClass)
-        fields = cls.__dict__
-        fields["representative"] = members[0]
-        fields["members"] = members
-        fields["status"] = status
-        classes.append(cls)
+        # l and eta = +-1 of one length, from _block_classes, status one
+        # of the two: the pairs and the class check nothing
+        members = tuple(_trusted(LEtaPair, l=l, eta=eta)
+                        for eta in itertools.product(*choices))
+        classes.append(_trusted(ConstituentClass, representative=members[0],
+                                members=members, status=status))
     return classes
 
 

@@ -379,21 +379,6 @@ class ArthurParameter:
         return tuple(gap for blk in self.blocks
                      for gap in [min(blk.a, blk.b)] * blk.mult)
 
-    @_Derived
-    def _alphas(self) -> Dict[str, Tuple[int, ...]]:
-        """The sizes alpha of the blocks of each rho id, ascending."""
-        alphas: Dict[str, List[int]] = {}
-        for blk in self.blocks:
-            alphas.setdefault(blk.rho.id, []).append(blk.alpha)
-        return {rid: tuple(sorted(sizes)) for rid, sizes in alphas.items()}
-
-    @_Derived
-    def _flips(self) -> Dict[tuple, "ArthurParameter"]:
-        """The sign flips of this elementary parameter, filled by
-        signs.aubert_flip and keyed by (rho id, number of that id's blocks
-        that flip)."""
-        return {}
-
     def rho_labels(self) -> List[RhoLabel]:
         seen = {}
         for blk in self.blocks:

@@ -13,7 +13,6 @@ list the parameter's instances exactly once.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -238,41 +237,28 @@ _ELEMENTARY_TEMPERED = _ELEMENTARY | {"tempered", "discrete"}
 
 def aubert_flip(psi: ArthurParameter, rho: RhoLabel, x0: int,
                 strict: bool = True) -> ArthurParameter:
-    """Flip delta on the rho-blocks with alpha < x0 (or <= x0).
-
-    The flips are kept on psi, keyed by rho's id and how many of its
-    blocks flip, which names them: those of the smallest alpha."""
+    """Flip delta on the rho-blocks with alpha < x0 (or <= x0)."""
     if not is_elementary(psi):
         raise NotElementary("the flip is defined on elementary parameters")
     top = x0 if strict else x0 + 1
-    count = bisect_left(psi._alphas.get(rho.id, ()), top)
-    if not count:
-        return psi
-    key = rho.id, count
-    flipped = psi._flips.get(key)
-    if flipped is None:
-        blocks = tuple(sorted([
-            blk.flip_partner if blk.rho.id == rho.id and blk.alpha < top
-            else blk for blk in psi.blocks], key=_sort_key))
-        # flip partners keep rho, parity, dim, segment and alpha:
-        # elementary, no merges, the same sizes, and the same key flips
-        # back to psi
-        flags = _ELEMENTARY_TEMPERED if all(blk.b == 1 for blk in blocks) \
-            else _ELEMENTARY
-        flipped = psi._flips[key] = _trusted(
-            ArthurParameter, group=psi.group, blocks=blocks, _flags=flags,
-            _alphas=psi._alphas, _flips={key: psi})
-    return flipped
+    blocks = tuple(sorted([
+        blk.flip_partner if blk.rho.id == rho.id and blk.alpha < top
+        else blk for blk in psi.blocks], key=_sort_key))
+    # flip partners keep rho, parity, dim and segment: elementary, no merges
+    flags = _ELEMENTARY_TEMPERED if all(blk.b == 1 for blk in blocks) \
+        else _ELEMENTARY
+    return _trusted(ArthurParameter, group=psi.group, blocks=blocks,
+                    _flags=flags)
 
 
 def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:
     """The sign relating the flipped normalized action to its target."""
     if not is_elementary(psi):
         raise NotElementary("beta is defined on elementary parameters")
-    alphas = psi._alphas.get(rho.id, ())
+    alphas = [b.alpha for b in psi.blocks if b.rho.id == rho.id]
     if any((alpha - alphas[0]) % 2 for alpha in alphas):
         raise MixedParity(f"rho {rho.id} mixes odd and even sizes")
-    below = alphas[:bisect_left(alphas, x0)]
+    below = [alpha for alpha in alphas if alpha < x0]
     if not below:
         return 1
     if below[0] % 2:

@@ -258,69 +258,6 @@ def test_double_flip_derives_no_flags(monkeypatch):
         assert calls == []
 
 
-def _flip_everywhere(psi):
-    """Every flip and double flip of psi, at every label of psi and one
-    it lacks, x0 from 0 to max alpha + 2, strict and not."""
-    top = max(elementary_alpha(blk) for blk in psi.blocks)
-    out = []
-    for rho in psi.rho_labels() + [RhoLabel("zz", 1, ORTHOGONAL)]:
-        for x0 in range(top + 3):
-            for strict in (True, False):
-                once = aubert_flip(psi, rho, x0, strict)
-                out.append((once, aubert_flip(once, rho, x0, strict)))
-    return out
-
-
-def test_repeated_flips_are_kept_on_the_parameter():
-    rng = random.Random(65)
-    kept = 0
-    for _ in range(200):
-        psi = random_elementary(rng)
-        first = _flip_everywhere(psi)
-        again = _flip_everywhere(psi)
-        # the same objects, and a double flip gives back psi itself
-        assert all(a is b and aa is bb is psi
-                   for (a, aa), (b, bb) in zip(first, again))
-        # at most one entry per label and count of its blocks that flip:
-        # the sum over labels of (blocks of the label + 1)
-        assert len(psi._flips) <= len(psi.blocks) + len(psi.rho_labels())
-        kept += len(psi._flips)
-    assert kept > 500
-
-
-def test_flips_from_four_threads_agree():
-    # four threads race on the memos of the same parameters, switching
-    # often: each gets flips equal to those of a fresh parameter, and a
-    # race never leaves a memo above its bound
-    import sys
-    import threading
-    params = [random_elementary(random.Random(66 + k)) for k in range(20)]
-    want = [[(repr(a), repr(aa)) for a, aa in _flip_everywhere(
-        ArthurParameter(psi.group, psi.blocks))] for psi in params]
-    start = threading.Barrier(4)
-    results = [None] * 4
-
-    def work(k):
-        start.wait()
-        results[k] = [[(repr(a), repr(aa)) for a, aa in _flip_everywhere(psi)]
-                      for psi in params]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [want] * 4
-    assert all(len(psi._flips) <= len(psi.blocks) + len(psi.rho_labels())
-               for psi in params)
-
-
 def test_flip_partner_is_an_involution_the_value_ignores():
     rng = random.Random(63)
     for _ in range(100):
