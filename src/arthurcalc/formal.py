@@ -8,7 +8,6 @@ markers are never evaluated.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +22,8 @@ from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
                      JordanBlock, classify, from_AB)
 
-# Most terms packet_expand_fully takes off its work before it gives up.
+# Most recursion steps packet_expand_fully runs before it gives up; each
+# step expands one term, and elementary terms take none.
 MAX_EXPANSION_STEPS = 100_000
 # Most exponents the Jacquet markers of one recursion step write; no test,
 # golden, selftest or benchmark input has A - B above 6, which writes 15.
@@ -127,13 +127,16 @@ class FormalSum:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def ordered(self) -> List[Tuple[BasisTerm, int]]:
+        """The (term, coefficient) pairs by the str of the term, ties in
+        the order they entered: the order of every printed sum."""
+        return sorted(self.terms.items(), key=lambda kv: str(kv[0]))
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for t, c in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
-            bits.append(f"{'+' if c >= 0 else '-'}{abs(c)} {t}")
-        return "  ".join(bits)
+        return "  ".join(f"{'+' if c >= 0 else '-'}{abs(c)} {t}"
+                         for t, c in self.ordered())
 
 
 def _check_ddr(psi: ArthurParameter, eps: Optional[SignVector]) -> None:
@@ -225,14 +228,10 @@ def packet_recursion_expand(psi: ArthurParameter,
     return FormalSum(_step(CoreLabel.of(psi), i))
 
 
-def _add_to(acc: Dict[BasisTerm, int], term: BasisTerm, coeff: int) -> bool:
-    """acc[term] += coeff, dropping a zero sum; True if term was absent."""
-    old = acc.get(term, 0)
-    if old + coeff:
-        acc[term] = old + coeff
-    else:
-        del acc[term]
-    return not old
+def _level(core: CoreLabel) -> int:
+    """The sum of A - B over a core's entries; every term a step builds
+    from a core lies strictly below it, and elementary cores are level 0."""
+    return sum(min(blk.a, blk.b) - 1 for blk, _ in core.entries)
 
 
 def packet_expand_fully(psi: ArthurParameter,
@@ -241,46 +240,33 @@ def packet_expand_fully(psi: ArthurParameter,
     stable one without eps, the character one on each core's own signs
     with it.
 
-    Each step takes the pending term least by str, ties in the order
-    they entered, off the work and expands its first compound block;
-    more than MAX_EXPANSION_STEPS steps raise.  The heap keeps each
-    entry's str key; an entry whose term has since cancelled or
-    re-entered is skipped.
+    The work is kept by level (see _level) and taken highest level first.
+    A step raises a block's base by two or splits it, so every term that
+    adds to a level comes from a higher one: each term of the top level
+    is expanded once, on its first compound block, with its whole
+    coefficient.  More than MAX_EXPANSION_STEPS steps raise.
     The input is checked once, as the one-block recursions check theirs;
     every core a step builds is again a DDR core (see _step).
     """
     _check_ddr(psi, eps)
-    work: Dict[BasisTerm, int] = {}
-    # term -> number of its live entry, so that distinct terms of equal
-    # str (rho labels sharing an id) keep the order they entered in
-    entry: Dict[BasisTerm, int] = {}
-    heap: List[Tuple[str, int, BasisTerm]] = []
-    done: Dict[BasisTerm, int] = {}
-    numbers = itertools.count()
-
-    def push(term: BasisTerm, coeff: int) -> None:
-        if _add_to(work, term, coeff):
-            entry[term] = n = next(numbers)
-            heapq.heappush(heap, (str(term), n, term))
-
-    push(BasisTerm((), CoreLabel.of(psi, eps)), 1)
+    start = BasisTerm((), CoreLabel.of(psi, eps))
+    # level -> {term: coefficient}; only levels some term reached exist
+    levels: Dict[int, Dict[BasisTerm, int]] = {_level(start.core): {start: 1}}
     steps = 0
-    while heap:
-        _, n, term = heapq.heappop(heap)
-        if term not in work or entry[term] != n:
-            continue
-        steps += 1
-        if steps > MAX_EXPANSION_STEPS:
-            raise TooLarge("expansion exceeded the step limit")
-        coeff = work.pop(term)
-        i = next((i for i, (blk, _) in enumerate(term.core.entries)
-                  if blk.A != blk.B), None)
-        if i is None:
-            _add_to(done, term, coeff)
-            continue
-        for t2, c2 in _step(term.core, i).items():
-            push(BasisTerm(term.ops + t2.ops, t2.core), coeff * c2)
-    return FormalSum(done)
+    while (top := max(levels, default=0)) > 0:
+        for term, coeff in levels.pop(top).items():
+            if not coeff:
+                continue
+            steps += 1
+            if steps > MAX_EXPANSION_STEPS:
+                raise TooLarge("expansion exceeded the step limit")
+            i = next(i for i, (blk, _) in enumerate(term.core.entries)
+                     if blk.A != blk.B)
+            for t2, c2 in _step(term.core, i).items():
+                bucket = levels.setdefault(_level(t2.core), {})
+                new = BasisTerm(term.ops + t2.ops, t2.core)
+                bucket[new] = bucket.get(new, 0) + coeff * c2
+    return FormalSum(levels.get(0))
 
 
 def endoscopic_sign_bookkeeping(psi: ArthurParameter, s: SignVector,

@@ -147,9 +147,8 @@ def term_to_json(term: BasisTerm) -> Dict[str, Any]:
 
 
 def sum_to_json(s: FormalSum) -> Dict[str, Any]:
-    terms = sorted(s.terms.items(), key=lambda kv: str(kv[0]))
     return {"terms": [{"coeff": c, "term": term_to_json(t)}
-                      for t, c in terms]}
+                      for t, c in s.ordered()]}
 
 
 def dumps(obj: Any) -> str:

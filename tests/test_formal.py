@@ -432,6 +432,25 @@ def test_full_expansion_fingerprint():
     assert _full_expansion_fingerprint() == FULL_EXPANSION_FINGERPRINT
 
 
+# computed from the str-keyed heap the level sweep replaced
+LARGE_K_FINGERPRINT = \
+    "af84d70a4a30bf80dbbabe71b3a85c568799ffa85af95f253872a05d435e1f9d"
+
+
+def test_full_expansion_fingerprint_at_large_k():
+    # SHA-256 over the stable expansions of the k family at k = 8 and 9
+    # (1 528 and 5 240 terms), each as str and as sum_to_json
+    import hashlib
+    from arthurcalc import io_json as js
+    digest = hashlib.sha256()
+    for k in (8, 9):
+        psi = _k_family(k)
+        total = packet_expand_fully(psi)
+        digest.update(repr([str(psi), str(total),
+                            js.dumps(js.sum_to_json(total))]).encode())
+    assert digest.hexdigest() == LARGE_K_FINGERPRINT
+
+
 def _corpus_draws():
     """The seeded DDR draws of the full-expansion fingerprint, each with
     its sign vector."""
@@ -531,10 +550,60 @@ def test_full_expansion_refuses_non_ddr():
 
 
 def test_full_expansion_step_limit(monkeypatch):
-    # the k = 5 expansion takes 93 steps, one per term taken off the work
+    # the k = 5 expansion runs 41 steps, one per compound term; its 52
+    # elementary terms take none
     psi = _k_family(5)
-    monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 93)
+    monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 41)
     assert len(packet_expand_fully(psi)) == 52
-    monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 92)
+    monkeypatch.setattr(formal, "MAX_EXPANSION_STEPS", 40)
     with pytest.raises(TooLarge, match="step limit"):
         packet_expand_fully(psi)
+
+
+def test_full_expansion_expands_each_term_once(monkeypatch):
+    # every contribution to a term comes from a higher level, so a term is
+    # expanded once, with its whole coefficient; the term a step expands
+    # is read off the caller, since _step sees only its core
+    import sys
+    expanded = []
+    step = formal._step
+
+    def recording_step(core, i):
+        expanded.append(sys._getframe(1).f_locals["term"])
+        assert expanded[-1].core is core
+        return step(core, i)
+
+    monkeypatch.setattr(formal, "_step", recording_step)
+    runs = [(_k_family(k), None) for k in range(2, 9)]
+    for psi, eps in _corpus_draws():
+        runs.append((psi, None))
+        if eps.product() == 1:
+            runs.append((psi, eps))
+    total = 0
+    for psi, eps in runs:
+        expanded.clear()
+        packet_expand_fully(psi, eps)
+        assert len(set(expanded)) == len(expanded)
+        total += len(expanded)
+    assert total > 3_000
+
+
+def test_full_expansion_refuses_a_huge_block_before_any_work():
+    # one DDR block with A - B = 10**6: the first step refuses its Jacquet
+    # markers, and nothing is sized by the level 10**6 before that
+    import tracemalloc
+    psi = make_parameter([JordanBlock(RHO, 1_000_001, 1_000_001, 1, PLUS)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="Jacquet exponents"):
+            packet_expand_fully(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_full_expansion_of_a_sum_that_cancels(monkeypatch):
+    # a step whose terms all cancel leaves no level-0 bucket; the sum is 0
+    monkeypatch.setattr(formal, "_step", lambda core, i: {})
+    assert str(packet_expand_fully(_k_family(3))) == "0"
