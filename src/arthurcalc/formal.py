@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .charspace import (ENUM_BOUND, MULT, SignVector, check_vector,
@@ -20,7 +19,7 @@ from .charspace import (ENUM_BOUND, MULT, SignVector, check_vector,
 from .errors import DomainError, NoCompoundBlock, NotDDR, TooLarge
 from .halfint import HalfInt, hrange, sign_pow
 from .params import (SO_EVEN, ArthurParameter, GroupForm, Instance,
-                     JordanBlock, classify, from_AB)
+                     JordanBlock, _Derived, classify, from_AB)
 
 # Most recursion steps packet_expand_fully runs before it gives up; each
 # step expands one term, and elementary terms take none.
@@ -72,7 +71,7 @@ class CoreLabel:
     group: object
     entries: Tuple[Tuple[JordanBlock, Optional[int]], ...]
 
-    @cached_property
+    @_Derived
     def _hash(self) -> int:
         return hash((self.group, self.entries))
 
@@ -102,7 +101,7 @@ class BasisTerm:
     ops: Tuple[Op, ...]
     core: CoreLabel
 
-    @cached_property
+    @_Derived
     def _hash(self) -> int:
         return hash((self.ops, self.core))
 

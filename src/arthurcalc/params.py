@@ -94,12 +94,13 @@ def _trusted(cls, **values):
 
 
 class _Derived:
-    """A value derived from a frozen object's fields on first read.
+    """A value derived from an immutable value, stored on it outside its
+    fields on first read (or by _trusted), where later reads find it
+    before this descriptor.
 
-    The value is stored on the instance, outside the fields, where later
-    reads find it before this descriptor.  No lock is taken, so a race
-    between threads only stores an equal value twice; see the README on
-    concurrency."""
+    This is how every derived value without a key is kept; keyed ones go
+    in the value's own weyl._memo.  No lock is taken, so a race between
+    threads only stores an equal value twice."""
 
     def __init__(self, derive: Callable):
         self.derive = derive

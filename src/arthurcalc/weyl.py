@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import prod
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
 from .errors import DomainError, RankTooSmall
+from .params import _Derived
 
 Vec = Tuple[int, ...]
 
@@ -42,12 +42,10 @@ T = TypeVar("T")
 
 def _memo(cache: Dict[Hashable, T], key: Hashable,
           build: Callable[[], T]) -> T:
-    """The value stored under key, built on first use.
-
-    Each cache belongs to one value, and each entry is a pure function of
-    that value and an immutable key, so a race between threads only
-    stores an equal value twice.
-    """
+    """The value stored under a tuple key in the cache of one value,
+    built on first use: what _Derived is for a value derived with a key.
+    No lock is taken, so a race between threads only stores an equal
+    value twice."""
     value = cache.get(key)
     if value is None:
         value = cache[key] = build()
@@ -207,20 +205,53 @@ class RestrictedData:
     datum: RootDatum
     positives: Tuple[Vec, ...]
     simples: Tuple[Vec, ...]
-    # the group's index tables and derived sets, built on first use
+    # keyed entries: tables and sets per root, element or set of roots
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    @_Derived
     def weyl(self) -> FrozenSet[SignedPerm]:
         """W^theta on the fixed space: the Weyl group of the restricted
         roots, generated by the restricted simple reflections
         (Steinberg, Endomorphisms of linear algebraic groups, 1.32)."""
-        return frozenset(_group(self).elements)
+        return frozenset(self._group.elements)
 
-    @cached_property
+    @_Derived
     def roots(self) -> Tuple[Vec, ...]:
         return self.positives + tuple(_neg(v) for v in self.positives)
+
+    @_Derived
+    def _group(self) -> _Group:
+        """W^theta on the indices of roots."""
+        return _generate(self)
+
+    @_Derived
+    def _where(self) -> Dict[Vec, int]:
+        """The position of each root in roots."""
+        return {b: k for k, b in enumerate(self.roots)}
+
+    @_Derived
+    def _inverses(self) -> Tuple[int, ...]:
+        """The index of the inverse of each element: x^-1 sends a simple
+        root a to the root that x sends to a."""
+        group = self._group
+        simple = group.images[group.one]
+        return tuple(group.by_images[tuple([p.index(a) for a in simple])]
+                     for p in group.perms)
+
+    @_Derived
+    def _inversions(self) -> Tuple[int, ...]:
+        """The inversion set N(w^-1) = {b > 0 : w^-1(b) < 0} of each
+        element, as a bit mask over the indices of positives: the positive
+        roots w(c) with c < 0."""
+        n = len(self.positives)
+        return tuple(sum(1 << j for j in p[n:] if j < n)
+                     for p in self._group.perms)
+
+    @_Derived
+    def _supports(self) -> Tuple[int, ...]:
+        """The support of each positive root on the simple roots."""
+        return _supports(self.positives, self.simples)
 
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
@@ -332,20 +363,20 @@ class SplitData:
     h_simples: Tuple[Vec, ...]
     d_h: FrozenSet[SignedPerm]
     mh_simples: Tuple[Vec, ...]   # ambient-standard Levi cut out by a_H
-    # derived sets per Levi, built on first use
+    # keyed entries: sets and tallies per Levi or set of simple roots
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
+    @_Derived
     def _d_h_ix(self) -> FrozenSet[int]:
-        index = _group(self.res).index
+        index = self.res._group.index
         return frozenset(index[w] for w in self.d_h)
 
-    @cached_property
+    @_Derived
     def _h_supports(self) -> Tuple[int, ...]:
         return _supports(self.h_positives, self.h_simples)
 
-    @cached_property
+    @_Derived
     def _h_bits(self) -> Tuple[Tuple[int, ...], int]:
         """The bit of +-res.roots[k] in a mask over h_positives (0 off the
         centralizer) for each k, and the mask of the centralizer base."""
@@ -353,7 +384,7 @@ class SplitData:
         return tuple(bit.get(b, 0) for b in self.res.positives) * 2, \
             sum(bit[a] for a in self.h_simples)
 
-    @cached_property
+    @_Derived
     def _a_h_stabilizer(self) -> FrozenSet[int]:
         """The elements w with w(a_H) = a_H, where the invariant central
         subtorus a_H is Fix(g) for the Galois twist g (everything when
@@ -362,8 +393,8 @@ class SplitData:
         that commute with g."""
         g = self.split.galois
         if g is None:
-            return frozenset(range(len(_group(self.res).elements)))
-        k = _group(self.res).index[g]
+            return frozenset(range(len(self.res._group.elements)))
+        k = self.res._group.index[g]
         return frozenset(x for x, (a, b) in enumerate(zip(
             _mult_table(self.res, k, True), _mult_table(self.res, k, False)))
             if a == b)
@@ -386,10 +417,10 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
             raise DomainError("galois twist must preserve the base")
         if g.inv() != g:
             raise DomainError("galois twist must be an involution")
-        if g not in _group(res).index:
+        if g not in res._group.index:
             raise DomainError("galois twist must lie in the twisted group")
 
-    elts = _group(res).elements
+    elts = res._group.elements
     d_h = frozenset(elts[x] for x in _min_reps(res, h_simples))
 
     # the roots orthogonal to a_H = Fix(g) are the roots that g negates
@@ -405,7 +436,7 @@ def build_split_data(datum: RootDatum, res: RestrictedData,
 
 def _positive_in(res: RestrictedData, v: Vec) -> bool:
     n = len(res.positives)
-    return _root_index(res).get(v, n) < n
+    return res._where.get(v, n) < n
 
 
 def _supports(positives: Sequence[Vec],
@@ -448,13 +479,8 @@ def _span_positions(res: RestrictedData,
     """The indices in res.positives of the roots in the span of the given
     restricted simple roots."""
     simples = tuple(simples)
-
-    def build():
-        supports = _memo(res._cache, "supports", lambda: _supports(
-            res.positives, res.simples))
-        return _supported_on(range(len(res.positives)), supports,
-                             res.simples, simples)
-    return _memo(res._cache, ("span", simples), build)
+    return _memo(res._cache, ("span", simples), lambda: _supported_on(
+        range(len(res.positives)), res._supports, res.simples, simples))
 
 
 def _root_span(res: RestrictedData,
@@ -487,17 +513,11 @@ class _Group:
     by_images: Dict[Tuple[int, ...], int]
 
 
-def _root_index(res: RestrictedData) -> Dict[Vec, int]:
-    """The position of each root in res.roots."""
-    return _memo(res._cache, "where", lambda: {
-        b: k for k, b in enumerate(res.roots)})
-
-
 def _generate(res: RestrictedData) -> _Group:
     """W^theta as the closure of the restricted simple reflections,
     acting on the indices of res.roots; each new element s * w costs one
     SignedPerm product."""
-    where = _root_index(res)
+    where = res._where
     simple = [where[b] for b in res.simples]
     gens = [(s, tuple(where[s.apply(b)] for b in res.roots))
             for s in (_reflection_in(res, b) for b in res.simples)]
@@ -519,10 +539,6 @@ def _generate(res: RestrictedData) -> _Group:
                   images, by_images)
 
 
-def _group(res: RestrictedData) -> _Group:
-    return _memo(res._cache, "group", lambda: _generate(res))
-
-
 def _product(group: _Group, x: int, y: int) -> int:
     """The index of x * y: the element sending each simple root a to
     x(y(a))."""
@@ -534,7 +550,7 @@ def _mult_table(res: RestrictedData, g: int, left: bool) -> Tuple[int, ...]:
     """Index of g * x (left) or x * g (right) for each element x: the
     images of the simple roots are read off a column at a time."""
     def build():
-        group = _group(res)
+        group = res._group
         if left:  # g(x(a)) for each simple root a
             columns = [map(group.perms[g].__getitem__, map(
                 itemgetter(i), group.images)) for i in range(len(res.simples))]
@@ -549,30 +565,8 @@ def _reflection_table(res: RestrictedData, beta: Vec,
                       left: bool) -> Tuple[int, ...]:
     """_mult_table of the reflection in a restricted root, which W^theta
     holds as the Weyl group of the restricted roots."""
-    return _mult_table(res, _group(res).index[_reflection_in(res, beta)],
+    return _mult_table(res, res._group.index[_reflection_in(res, beta)],
                        left)
-
-
-def _inverses(res: RestrictedData) -> Tuple[int, ...]:
-    """The index of the inverse of each element: x^-1 sends a simple
-    root a to the root that x sends to a."""
-    def build():
-        group = _group(res)
-        simple = group.images[group.one]
-        return tuple(group.by_images[tuple([p.index(a) for a in simple])]
-                     for p in group.perms)
-    return _memo(res._cache, "inv", build)
-
-
-def _inversions(res: RestrictedData) -> Tuple[int, ...]:
-    """The inversion set N(w^-1) = {b > 0 : w^-1(b) < 0} of each element,
-    as a bit mask over the indices of res.positives: the positive roots
-    w(c) with c < 0."""
-    def build():
-        n = len(res.positives)
-        return tuple(sum(1 << j for j in p[n:] if j < n)
-                     for p in _group(res).perms)
-    return _memo(res._cache, "inversions", build)
 
 
 def _min_reps(res: RestrictedData,
@@ -583,11 +577,11 @@ def _min_reps(res: RestrictedData,
     whose inversion set N(w^-1) misses the given roots, which must
     therefore be positive."""
     def build():
-        where, n = _root_index(res), len(res.positives)
+        where, n = res._where, len(res.positives)
         if not all(where.get(b, n) < n for b in simples):
             raise DomainError("coset representatives need positive roots")
         mask = sum(1 << where[b] for b in set(simples))
-        return frozenset([x for x, inv in enumerate(_inversions(res))
+        return frozenset([x for x, inv in enumerate(res._inversions)
                           if not inv & mask])
     return _memo(res._cache, ("reps", simples), build)
 
@@ -598,7 +592,7 @@ def _reflection_group(res: RestrictedData,
     coset of the identity."""
     def build():
         label, _ = _cosets(res, roots)
-        one = label[_group(res).one]
+        one = label[res._group.one]
         return frozenset(x for x, k in enumerate(label) if k == one)
     return _memo(res._cache, ("subgroup", roots), build)
 
@@ -607,7 +601,7 @@ def _levi_longest(res: RestrictedData, simples: Tuple[Vec, ...]) -> int:
     """The element of W_S sending every positive root of S to a negative
     one."""
     def build():
-        n, perms = len(res.positives), _group(res).perms
+        n, perms = len(res.positives), res._group.perms
         return next(x for x in _reflection_group(res, simples)
                     if all(perms[x][k] >= n for k in _span_positions(
                         res, simples)))
@@ -642,7 +636,7 @@ def _d_m_tilde(res: RestrictedData, levi: LeviG,
         if g is None:
             return d_m
         label, _ = _cosets(res, levi.simples)
-        wg = _mult_table(res, _group(res).index[g], False)
+        wg = _mult_table(res, res._group.index[g], False)
         # w g w^-1 lies in W_M exactly when w g lies in the coset W_M w
         return frozenset([w for w in d_m if label[wg[w]] == label[w]])
     return _memo(data._cache, ("tilde", levi.simples), build)
@@ -653,7 +647,7 @@ def _d_h_m(res: RestrictedData, levi: LeviG,
     def build():
         dm = _d_m_tilde(res, levi, data) if tilde else \
             _min_reps(res, levi.simples)
-        inv = _inverses(res)  # D_H is the smaller set
+        inv = res._inverses  # D_H is the smaller set
         return frozenset([w for w in data._d_h_ix if inv[w] in dm])
     return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
 
@@ -691,7 +685,7 @@ def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:
 
     def build():
         res = data.res
-        (bits, simple), perms = data._h_bits, _group(res).perms
+        (bits, simple), perms = data._h_bits, res._group.perms
         span = _span_positions(res, levi.simples)
         # distinct positive roots have distinct images up to sign, so the
         # sum of their bits is the union
@@ -721,7 +715,7 @@ Ring = Counter  # group-ring element: element index -> integer coefficient
 
 
 def _ring_mul(res: RestrictedData, a: Ring, b: Ring) -> Ring:
-    group = _group(res)
+    group = res._group
     out: Ring = Counter()
     for x, cx in a.items():
         for y, cy in b.items():
@@ -732,7 +726,7 @@ def _ring_mul(res: RestrictedData, a: Ring, b: Ring) -> Ring:
 def _long_double_flip(data: SplitData) -> int:
     """w_0(G) * w_0(M_H), M_H the Levi cut out by a_H."""
     res = data.res
-    return _product(_group(res), _levi_longest(res, res.simples),
+    return _product(res._group, _levi_longest(res, res.simples),
                     _levi_longest(res, data.mh_simples))
 
 
@@ -849,7 +843,7 @@ def _cosets(res: RestrictedData, left: Tuple[Vec, ...]
     of each coset."""
     def build():
         tables = [_reflection_table(res, b, True) for b in left]
-        return _orbits(len(_group(res).elements),
+        return _orbits(len(res._group.elements),
                        lambda x: [t[x] for t in tables])
     return _memo(res._cache, ("cosets", left), build)
 
@@ -896,7 +890,7 @@ def verify_coset_representatives(data: SplitData) -> bool:
 def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
     """The one-point intersection description of translated coset sets."""
     res = data.res
-    group, inv, d_h = _group(res), _inverses(res), data._d_h_ix
+    group, inv, d_h = res._group, res._inverses, data._d_h_ix
     d_m_inv = [inv[d] for d in _min_reps(res, levi.simples)]
     d_h_m = _d_h_m(res, levi, data, tilde=False)
     # y lies in w W_M, or in W_H w W_M, when it carries the label of w;

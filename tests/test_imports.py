@@ -40,6 +40,19 @@ def _unused_imports(path):
             for name, line in imported.items() if name not in used]
 
 
+def test_no_cached_property_under_src():
+    """Derived values are kept by params._Derived alone: on Python 3.11,
+    functools.cached_property takes one lock for all instances of a
+    class, so a first read on one value would wait for another."""
+    modules = sorted(ROOT.glob("src/**/*.py"))
+    assert modules
+    found = [f"{path.relative_to(ROOT)}:{k}"
+             for path in modules
+             for k, line in enumerate(path.read_text().splitlines(), 1)
+             if "cached_property" in line]
+    assert found == []
+
+
 def test_no_unused_imports():
     modules = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
     assert len(modules) > 20

@@ -170,7 +170,7 @@ def test_so_flip_is_pinned():
 
 def _w_h(data):
     """The Weyl group of the centralizer."""
-    elts = W._group(data.res).elements
+    elts = data.res._group.elements
     return {elts[x] for x in W._reflection_group(data.res, data.h_simples)}
 
 
@@ -245,7 +245,7 @@ def test_tilde_characterization_via_levi_of_invariants():
     # of positive systems through the invariant Levi
     datum = W.RootDatum(W.TYPE_B, 2)
     res = W.restricted_roots(datum)
-    index = W._group(res).index
+    index = res._group.index
     for data in W.catalog_split_data(datum, res):
         g = data.split.galois
         fixed = [w for w in res.weyl
@@ -291,7 +291,7 @@ def coset_reps(data, levi):
     """The five minimal representative sets attached to (split, Levi):
     (D_H, D_M, tilde-D_M, D_{H,M}, tilde-D_{H,M}), as elements."""
     res = data.res
-    elts = W._group(res).elements
+    elts = res._group.elements
     return (data.d_h,) + tuple(frozenset(elts[x] for x in s) for s in (
         W._min_reps(res, levi.simples), W._d_m_tilde(res, levi, data),
         W._d_h_m(res, levi, data, tilde=False),
@@ -436,7 +436,7 @@ def _m_prime_of(data, levi, w):
     restricted roots, whose base must be made of centralizer simple roots
     and span them all."""
     res = data.res
-    perm, where = W._group(res).perms[w], W._root_index(res)
+    perm, where = res._group.perms[w], res._where
     moved = {res.roots[perm[where[b]]]
              for b in W._root_span(res, levi.simples)}
     inter = [b for b in data.h_positives if b in moved]
@@ -489,6 +489,39 @@ def test_shared_splits_across_threads():
     assert [results[k] for k in range(4)] == [expect] * 4
 
 
+def test_first_reads_of_two_data_do_not_wait_on_each_other(monkeypatch):
+    # B3's group is held inside its derive until released; meanwhile a
+    # first read of C3's group must finish on its own
+    b3 = W.restricted_roots(W.RootDatum(W.TYPE_B, 3))
+    c3 = W.restricted_roots(W.RootDatum(W.TYPE_C, 3))
+    entered, release = threading.Event(), threading.Event()
+    generate = W._generate
+
+    def held(res):
+        if res is b3:
+            entered.set()
+            release.wait(timeout=30)
+        return generate(res)
+
+    monkeypatch.setattr(W, "_generate", held)
+    orders = []
+    first = threading.Thread(target=lambda: orders.append(len(b3.weyl)))
+    second = threading.Thread(target=lambda: orders.append(len(c3.weyl)))
+    first.start()
+    try:
+        assert entered.wait(timeout=10)
+        second.start()
+        second.join(timeout=2)
+        assert orders == [48]
+    finally:
+        release.set()
+        first.join(timeout=30)
+        if second.ident is not None:
+            second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert sorted(orders) == [48, 48]
+
+
 def _sorted_elements(group):
     return sorted(group, key=lambda w: (w.perm, w.signs))
 
@@ -518,7 +551,7 @@ def test_coset_representatives_reject_tampered_d_h():
             one = W.SignedPerm.identity(datum.restricted_dim())
             swapped = replace(data, d_h=(d_h - {one}) | {s})
             assert W._one_per_double_coset(
-                res, {W._group(res).index[w] for w in swapped.d_h},
+                res, {res._group.index[w] for w in swapped.d_h},
                 swapped.h_simples, ())
             assert not W.verify_coset_representatives(swapped)
         assert caught
@@ -547,7 +580,7 @@ def _double_cosets_by_products(group, left, right):
 def test_double_cosets_match_product_search():
     for datum in W.datum_catalog():
         res = W.restricted_roots(datum)
-        elts = W._group(res).elements
+        elts = res._group.elements
         for data in W.catalog_split_data(datum, res):
             for levi in W.levi_g_all(res):
                 coset, orbit = W._double_cosets(res, data.h_simples,
@@ -572,7 +605,7 @@ def _frontier_data():
 def test_min_reps_from_inversion_sets_match_positivity_filter():
     for datum in _frontier_data():
         res = W.restricted_roots(datum)
-        elts = W._group(res).elements
+        elts = res._group.elements
         bases = [levi.simples for levi in W.levi_g_all(res)] + \
             [data.h_simples for data in W.catalog_split_data(datum, res)]
         for simples in bases:
@@ -596,8 +629,8 @@ def test_min_reps_need_positive_roots():
 def test_memoized_reflections_and_inverses():
     for datum in W.datum_catalog():
         res = W.restricted_roots(datum)
-        elts = W._group(res).elements
-        inv = W._inverses(res)
+        elts = res._group.elements
+        inv = res._inverses
         assert len(inv) == len(elts) and set(elts) == set(res.weyl)
         for x, w in enumerate(elts):
             assert w * elts[inv[x]] == W.SignedPerm.identity(len(w.perm))
@@ -680,7 +713,7 @@ def test_one_per_double_coset_rejects_a_coset_met_twice():
         # W_H itself not at all
         moved = (data.d_h - {one}) | {s * other}
         assert len(moved) == len(data.d_h)
-        index = W._group(res).index
+        index = res._group.index
         assert not W._one_per_double_coset(res, {index[w] for w in moved},
                                            data.h_simples, ())
         checked += 1
@@ -740,7 +773,7 @@ def _theta_fixed_reference(datum):
 def _w_long_g(res):
     """The longest element of W^theta, the restriction of the ambient
     one."""
-    return W._group(res).elements[W._levi_longest(res, res.simples)]
+    return res._group.elements[W._levi_longest(res, res.simples)]
 
 
 def test_weyl_group_matches_theta_fixed_ambient_scan():
@@ -921,7 +954,7 @@ def test_invariant_torus_matches_fixed_subspace_reference():
                 return _rank_q(a_h + vecs) == dim
 
             assert dim == len(a_h) and all(_apply_q(g, v) == v for v in a_h)
-            elts = W._group(res).elements
+            elts = res._group.elements
             assert data._a_h_stabilizer == frozenset(
                 x for x, w in enumerate(elts)
                 if inside([_apply_q(w, v) for v in a_h]))
@@ -931,7 +964,7 @@ def test_invariant_torus_matches_fixed_subspace_reference():
             assert data.mh_simples == tuple(sorted(
                 orthogonal.intersection(res.simples)))
             assert orthogonal == set(W._root_span(res, data.mh_simples))
-            inv = W._inverses(res)
+            inv = res._inverses
             for levi in W.levi_g_all(res):
                 s_m = _kernel_q(levi.simples, m)
                 assert W._d_m_tilde(res, levi, data) == frozenset(
