@@ -21,7 +21,7 @@ from . import weyl as W
 from .charspace import (MULT, SignVector, cont, enumerate_characters,
                         enumerate_elements, eps_zero, ext, pair, s_psi)
 from .endoscopy import sign_transfer_check
-from .errors import DomainError
+from .errors import DomainError, SupportMismatch
 from .formal import (FormalSum, ddr_recursion_expand,
                      endoscopic_sign_bookkeeping, packet_expand_fully,
                      twist_by_orientation)
@@ -382,9 +382,14 @@ def _census(rng: random.Random, size: Size) -> Tuple[int, int]:
 
 
 def _keyed(param: ArthurParameter, vec: SignVector) -> Dict[tuple, int]:
-    """A sign vector on an elementary parameter, keyed by (label, alpha)."""
+    """A sign vector on an elementary parameter, keyed by (label, alpha).
+    An elementary parameter has multiplicity one, so its blocks are its
+    instances."""
+    if len(vec.signs) != len(param.blocks):
+        raise SupportMismatch(f"{len(vec.signs)} signs given for "
+                              f"{len(param.blocks)} blocks")
     return {(b.rho.id, elementary_alpha(b)): sg
-            for (b, _), sg in zip(param.instances(), vec.signs)}
+            for b, sg in zip(param.blocks, vec.signs)}
 
 
 def _flip_involution(rng: random.Random, size: Size) -> Tuple[int, int]:
@@ -412,18 +417,17 @@ def _flip_involution(rng: random.Random, size: Size) -> Tuple[int, int]:
             checks += 1
 
             # pairing reproduces the closed form for every character
-            insts = psi.instances()
             for eps in enumerate_characters(psi):
                 eps_keyed = _keyed(psi, eps)
                 eps_flip = SignVector(MULT, tuple(
                     eps_keyed[(b.rho.id, elementary_alpha(b))]
-                    for b, _ in flipped.instances()))
+                    for b in flipped.blocks))
                 lhs = pair(eps, s_psi(psi)) * pair(eps_flip, s_psi(flipped))
                 sizes = [elementary_alpha(b) for b in psi.blocks
                          if b.rho.id == rho.id]
                 if sizes and sizes[0] % 2 == 0:
                     expected = 1
-                    for (b, _), sg in zip(insts, eps.signs):
+                    for b, sg in zip(psi.blocks, eps.signs):
                         if b.rho.id == rho.id and elementary_alpha(b) < x0:
                             expected *= sg
                 else:

@@ -253,6 +253,14 @@ class RestrictedData:
         """The support of each positive root on the simple roots."""
         return _supports(self.positives, self.simples)
 
+    @_Derived
+    def _levis(self) -> Tuple[Tuple[LeviG, int], ...]:
+        """Each standard Levi, one per subset S of the simple roots, with
+        its sign (-1)^|S|."""
+        return tuple((LeviG(tuple(sorted(combo))), -1 if r % 2 else 1)
+                     for r in range(len(self.simples) + 1)
+                     for combo in itertools.combinations(self.simples, r))
+
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
     """Restricted root data plus the theta-fixed Weyl group."""
@@ -398,6 +406,26 @@ class SplitData:
         return frozenset(x for x, (a, b) in enumerate(zip(
             _mult_table(self.res, k, True), _mult_table(self.res, k, False)))
             if a == b)
+
+    @_Derived
+    def _h_levis(self) -> Dict[Tuple[Vec, ...], int]:
+        """The Galois-stable subsets of the centralizer base, each with its
+        sign (-1)^k, k the number of Galois orbits on it; read only."""
+        g, out = self.split.galois, {}
+        for r in range(len(self.h_simples) + 1):
+            for combo in itertools.combinations(self.h_simples, r):
+                images = combo if g is None else tuple(map(g.apply, combo))
+                if set(images) == set(combo):
+                    orbits = len({frozenset(p) for p in zip(combo, images)})
+                    out[tuple(sorted(combo))] = -1 if orbits % 2 else 1
+        return out
+
+    @_Derived
+    def _long_double_flip(self) -> int:
+        """w_0(G) * w_0(M_H), M_H the Levi cut out by a_H."""
+        res = self.res
+        return _product(res._group, _levi_longest(res, res.simples),
+                        _levi_longest(res, self.mh_simples))
 
 
 def build_split_data(datum: RootDatum, res: RestrictedData,
@@ -619,9 +647,7 @@ class LeviG:
 
 
 def levi_g_all(res: RestrictedData) -> List[LeviG]:
-    return [LeviG(tuple(sorted(combo)))
-            for r in range(len(res.simples) + 1)
-            for combo in itertools.combinations(res.simples, r)]
+    return [levi for levi, _ in res._levis]
 
 
 def _d_m_tilde(res: RestrictedData, levi: LeviG,
@@ -654,20 +680,7 @@ def _d_h_m(res: RestrictedData, levi: LeviG,
 
 def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
     """The Galois-stable subsets of the centralizer base."""
-    g = data.split.galois
-    subsets = [tuple(sorted(combo))
-               for r in range(len(data.h_simples) + 1)
-               for combo in itertools.combinations(data.h_simples, r)]
-    return [s for s in subsets
-            if g is None or set(g.apply(b) for b in s) == set(s)]
-
-
-def _h_orbit_count(data: SplitData, simples: Sequence[Vec]) -> int:
-    """The number of orbits of the Galois involution on simples."""
-    g = data.split.galois
-    if g is None:
-        return len(simples)
-    return len({frozenset((b, g.apply(b))) for b in simples})
+    return list(data._h_levis)
 
 
 def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:
@@ -723,13 +736,6 @@ def _ring_mul(res: RestrictedData, a: Ring, b: Ring) -> Ring:
     return out
 
 
-def _long_double_flip(data: SplitData) -> int:
-    """w_0(G) * w_0(M_H), M_H the Levi cut out by a_H."""
-    res = data.res
-    return _product(res._group, _levi_longest(res, res.simples),
-                    _levi_longest(res, data.mh_simples))
-
-
 def _truncate_h(a: Ring, data: SplitData) -> Ring:
     stable = data._a_h_stabilizer
     return Counter({w: c for w, c in a.items() if w in stable})
@@ -751,21 +757,19 @@ def _signed_sum(terms: Iterable[Tuple[int, Iterable[int]]]) -> Ring:
 def verify_identity_A(data: SplitData) -> bool:
     """Alternating sum of tilde coset sums against the long double flip."""
     res = data.res
-    total = _signed_sum((-1 if len(levi.simples) % 2 else 1,
-                         _d_m_tilde(res, levi, data))
-                        for levi in levi_g_all(res))
+    total = _signed_sum((sign, _d_m_tilde(res, levi, data))
+                        for levi, sign in res._levis)
     sign = -1 if len(data.mh_simples) % 2 else 1
-    return total == Counter({_long_double_flip(data): sign})
+    return total == Counter({data._long_double_flip: sign})
 
 
 def verify_identity_B(data: SplitData) -> bool:
     """Alternating sum of truncated centralizer coset sums."""
     res, stable = data.res, data._a_h_stabilizer
-    total = _signed_sum((-1 if _h_orbit_count(data, simples) % 2 else 1,
-                         _min_reps(res, simples) & stable)
-                        for simples in levi_h_all(data))
+    total = _signed_sum((sign, _min_reps(res, simples) & stable)
+                        for simples, sign in data._h_levis.items())
     target = _truncate_h(_ring_mul(
-        res, Counter(data._d_h_ix), {_long_double_flip(data): 1}), data)
+        res, Counter(data._d_h_ix), {data._long_double_flip: 1}), data)
     return total == target
 
 
@@ -794,27 +798,19 @@ class AlternatingReport:
 
 def verify_alternating_sum(data: SplitData) -> AlternatingReport:
     """The alternating double-coset count identity, one row per standard
-    Levi of the centralizer defined over the base field."""
-    res = data.res
-    levis = levi_g_all(res)
-    rows = []
-    for m_prime in levi_h_all(data):
-        lhs = 0
-        for levi in levis:
-            sign = -1 if len(levi.simples) % 2 else 1
-            lhs += sign * a_count(data, levi, m_prime)
-        rhs_exp = len(data.mh_simples) + _h_orbit_count(data, m_prime)
-        rhs = -1 if rhs_exp % 2 else 1
-        rows.append((m_prime, lhs, rhs))
+    Levi M' of the centralizer defined over the base field: the sum over
+    the standard Levis M of (-1)^|S_M| a_count(M, M'), read off one signed
+    sum of the tallies."""
+    total: Counter = Counter()
+    for levi, sign in data.res._levis:
+        (total.update if sign > 0 else total.subtract)(
+            _m_prime_tally(data, levi))
     # every admissible double coset must land on a Galois-stable Levi
-    g = data.split.galois
-    for levi in levis:
-        for mp in _m_prime_tally(data, levi):
-            if g is not None and set(g.apply(b) for b in mp) != set(mp):
-                raise DomainError(
-                    "admissible coset lands on an unstable Levi"
-                )  # pragma: no cover
-    return AlternatingReport(rows)
+    if not total.keys() <= data._h_levis.keys():
+        raise DomainError("admissible coset lands on an unstable Levi")
+    mh_sign = -1 if len(data.mh_simples) % 2 else 1
+    return AlternatingReport([(m_prime, total[m_prime], mh_sign * sign)
+                              for m_prime, sign in data._h_levis.items()])
 
 
 def _orbits(size: int, step: Callable[[int], Iterable[int]]
@@ -876,7 +872,7 @@ def verify_coset_representatives(data: SplitData) -> bool:
     res = data.res
     if not _one_per_double_coset(res, data._d_h_ix, data.h_simples, ()):
         return False
-    for levi in levi_g_all(res):
+    for levi, _ in res._levis:
         if not _memo(res._cache, ("factor", levi.simples),
                      lambda: _one_per_double_coset(
                          res, _min_reps(res, levi.simples), levi.simples, ())):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from arthurcalc.charspace import SignVector, MULT, pair, s_psi
-from arthurcalc.errors import DomainError, OrderViolation, UnresolvedZeta
+from arthurcalc.errors import (DomainError, OrderViolation, SupportMismatch,
+                               UnresolvedZeta)
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
                                JordanBlock, classify, dominate,
@@ -13,8 +14,9 @@ from arthurcalc.params import (MINUS, PLUS, ArthurParameter, BlockOrder,
 from arthurcalc.signs import (PairSet, aubert_flip, beta_sign, eps_m_mw_ddr,
                               eps_m_mw_elementary, eps_m_mw_general, eps_m_w,
                               eps_mw_w, s_ratio, theta_ratio_mw_w, z_mw_w)
-from arthurcalc.testing import (random_ddr_parameter, random_elementary,
-                                random_p_order, random_pure_parameter)
+from arthurcalc.testing import (_keyed, random_ddr_parameter,
+                                random_elementary, random_p_order,
+                                random_pure_parameter)
 
 from block_orders import all_p_orders
 
@@ -347,6 +349,18 @@ def test_s_ratio_matches_flip_pairing():
         assert lhs == expected
         rounds += 1
     assert rounds == 300
+
+
+def test_keyed_refuses_a_vector_of_another_length():
+    # criterion 6 keys a sign vector by the blocks of an elementary
+    # parameter: a vector of another length is refused, not truncated
+    psi = make_parameter([elementary_block(RHO, 1, PLUS),
+                          elementary_block(RHO, 3, MINUS)])
+    assert _keyed(psi, SignVector(MULT, (1, -1))) == {("rho", 1): 1,
+                                                      ("rho", 3): -1}
+    for signs in [(1,), (1, -1, 1)]:
+        with pytest.raises(SupportMismatch):
+            _keyed(psi, SignVector(MULT, signs))
 
 
 def test_z_mw_w_with_multiplicity():

@@ -462,6 +462,39 @@ def test_a_count_matches_direct_count():
                     assert W.a_count(data, levi, m_prime) == direct[m_prime]
 
 
+def test_alternating_sum_refuses_an_unstable_levi(monkeypatch):
+    # a tally landing on a subset of the centralizer base that the Galois
+    # twist moves must be refused, not dropped from the rows
+    data = next(d for datum in W.datum_catalog()
+                for d in W.catalog_split_data(datum)
+                if d.split.galois is not None
+                and len(W.levi_h_all(d)) < 2 ** len(d.h_simples))
+    stable = set(W.levi_h_all(data))
+    unstable = next(s for r in range(len(data.h_simples) + 1)
+                    for s in itertools.combinations(data.h_simples, r)
+                    if s not in stable)
+    assert W.verify_alternating_sum(data).all_pass()
+    monkeypatch.setattr(W, "_m_prime_tally",
+                        lambda data, levi: Counter({unstable: 1}))
+    with pytest.raises(DomainError, match="unstable Levi"):
+        W.verify_alternating_sum(data)
+
+
+def test_levi_lists_are_fresh_copies():
+    datum = W.RootDatum(W.TYPE_B, 3)
+    res = W.restricted_roots(datum)
+    data = next(d for d in W.catalog_split_data(datum, res)
+                if d.split.galois is not None)
+    for read, arg in [(W.levi_g_all, res), (W.levi_h_all, data)]:
+        first = read(arg)
+        expect = list(first)
+        first.pop()
+        first.append("tampered")
+        first.reverse()
+        assert read(arg) == expect
+    assert W.verify_alternating_sum(data).all_pass()
+
+
 def test_shared_splits_across_threads():
     datum = W.RootDatum(W.TYPE_B, 3)
     names = ["verify_alternating_sum", "verify_identity_A",
