@@ -37,13 +37,13 @@ def _load_raw(spec: str) -> dict:
     text = spec
     if not spec.lstrip().startswith(("{", "[")):
         try:
-            with open(spec) as fh:
+            with open(spec, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise UsageError(f"cannot read input file: {e}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or too long an int literal
         raise UsageError(f"malformed JSON: {e}")
     except RecursionError:
         raise UsageError("malformed JSON: nested too deeply")

@@ -1,14 +1,17 @@
 """Elliptic and twisted elliptic endoscopic data from (psi, s).
 
-An element s of the centralizer partitions the blocks by sign; the two
-sides assemble into a pair of smaller classical groups with parameters,
-with quadratic-character twists read off from formal determinants.
+An element s of the centralizer partitions the blocks by sign.  One role
+table decides, for each case, the group kind and the quadratic character
+eta of each side, read off from formal determinants; one rule turns a
+side into its parameter: a symplectic side twists its labels by eta, an
+orthogonal side carries eta on its group.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .charspace import SignVector, in_element_space, pair
 from .errors import BadDimensionSplit, DomainError, NotApplicable
@@ -38,104 +41,95 @@ def eta_block(block: JordanBlock) -> QuadCharacter:
     return block.rho.det_char ** (block.a * block.b)
 
 
-def _partition(psi: ArthurParameter, s: SignVector
-               ) -> Tuple[List[Instance], List[Instance]]:
-    """The instances where s is +1 and where it is -1; s has passed
-    in_element_space, which checks it against psi."""
+def _twist(blocks: Iterable[JordanBlock], eta: QuadCharacter
+           ) -> List[JordanBlock]:
+    if eta.is_trivial():
+        return list(blocks)
+    return [replace(blk, rho=blk.rho.twist(eta)) for blk in blocks]
+
+
+class _Side(NamedTuple):
+    """One side of s: its instances, the kind of its group and its eta."""
+
+    insts: List[Instance]
+    kind: str
+    eta: QuadCharacter
+
+    def label_eta(self) -> QuadCharacter:
+        """The side rule: a symplectic side twists its labels by eta; an
+        orthogonal side carries eta on its group, and GroupForm keeps it
+        only on an even orthogonal one."""
+        return self.eta if self.kind == SP else QuadCharacter.trivial()
+
+    def parameter(self) -> ArthurParameter:
+        blocks = _twist((blk for blk, _ in self.insts), self.label_eta())
+        N = sum(blk.dim for blk in blocks)
+        return ArthurParameter(GroupForm.of_dim(self.kind, N, self.eta),
+                               tuple(blocks))
+
+
+# case of (psi, s) -> group kinds of side one and side two
+_KINDS = {SP: (SP, SO_EVEN), SO_ODD: (SO_ODD, SO_ODD),
+          SO_EVEN: (SO_EVEN, SO_EVEN), "twisted": (SP, SP)}
+
+
+def _eta_of(insts: List[Instance]) -> QuadCharacter:
+    return math.prod((eta_block(blk) for blk, _ in insts),
+                     start=QuadCharacter.trivial())
+
+
+def _roles(psi: ArthurParameter, s: SignVector, twisted: bool
+           ) -> Tuple[_Side, _Side, bool]:
+    """Side one, side two, and whether the sides of s were exchanged: the
+    side where s is +1 comes first unless Sp needs the other one there."""
+    if twisted and psi.group.kind != SO_EVEN:
+        raise NotApplicable("twisted data exist for even orthogonal groups")
+    if not is_parity_pure(psi):
+        raise DomainError("endoscopic data are built from the parity part")
+    if in_element_space(s, psi) == twisted:
+        raise NotApplicable("s satisfies the determinant condition" if twisted
+                            else "s fails the determinant condition; "
+                                 "use the twisted construction")
     insts = psi.instances()
     plus = [inst for inst, sg in zip(insts, s.signs) if sg == 1]
     minus = [inst for inst, sg in zip(insts, s.signs) if sg == -1]
-    return plus, minus
+    plus_odd = sum(blk.dim for blk, _ in plus) % 2 == 1
+    case = "twisted" if twisted else psi.group.kind
+    swapped = case == SP and not plus_odd
+    if swapped:
+        plus, minus = minus, plus
+    if case == SP:  # both sides take eta of the even orthogonal side
+        etas = (_eta_of(minus),) * 2
+    elif case == SO_ODD:
+        if plus_odd:  # N is even, so the two sides are odd together
+            raise BadDimensionSplit("both sides must be even-dimensional")
+        etas = (QuadCharacter.trivial(),) * 2
+    else:  # each side takes its own; as N is even and s meets the
+        # determinant condition iff its -1 side is even, the sides are even
+        # when elliptic and odd when twisted, as their kinds need
+        etas = _eta_of(plus), _eta_of(minus)
+    kind_one, kind_two = _KINDS[case]
+    return (_Side(plus, kind_one, etas[0]), _Side(minus, kind_two, etas[1]),
+            swapped)
 
 
-def _regroup(insts: List[Instance]) -> Tuple[JordanBlock, ...]:
-    return tuple(blk for blk, _ in insts)
-
-
-def _eta_product(insts: List[Instance]) -> QuadCharacter:
-    out = QuadCharacter.trivial()
-    for blk, _ in insts:
-        out = out * eta_block(blk)
-    return out
-
-
-def _dim(insts: List[Instance]) -> int:
-    return sum(blk.dim for blk, _ in insts)
+def _datum(psi: ArthurParameter, s: SignVector, twisted: bool
+           ) -> EndoscopicDatum:
+    one, two, swapped = _roles(psi, s, twisted)
+    return EndoscopicDatum(one.eta, two.eta, one.parameter(), two.parameter(),
+                           twisted, swapped)
 
 
 def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
     """The elliptic endoscopic pair attached to an element of the
     centralizer satisfying the determinant condition."""
-    if not is_parity_pure(psi):
-        raise DomainError("endoscopic data are built from the parity part")
-    if not in_element_space(s, psi):
-        raise NotApplicable("s fails the determinant condition; "
-                            "use the twisted construction")
-    plus, minus = _partition(psi, s)
-    swapped = False
-    n_plus, n_minus = _dim(plus), _dim(minus)
-    kind = psi.group.kind
-    triv = QuadCharacter.trivial()
-
-    if kind == SP:
-        # the odd-dimensional side plays the symplectic role
-        if n_plus % 2 == 0:
-            plus, minus = minus, plus
-            n_plus, n_minus = n_minus, n_plus
-            swapped = True
-        eta = _eta_product(minus)
-        g_one = GroupForm.of_dim(SP, n_plus, triv)
-        g_two = GroupForm.of_dim(SO_EVEN, n_minus, eta)
-        blocks_one = tuple(replace(blk, rho=blk.rho.twist(eta))
-                           for blk in _regroup(plus))
-        psi_one = ArthurParameter(g_one, blocks_one)
-        psi_two = ArthurParameter(g_two, _regroup(minus))
-        return EndoscopicDatum(eta, eta, psi_one, psi_two, twisted=False,
-                               swapped=swapped)
-
-    if kind == SO_ODD:
-        if n_plus % 2 or n_minus % 2:
-            raise BadDimensionSplit("both sides must be even-dimensional")
-        g_one = GroupForm.of_dim(SO_ODD, n_plus, triv)
-        g_two = GroupForm.of_dim(SO_ODD, n_minus, triv)
-        return EndoscopicDatum(
-            triv, triv, ArthurParameter(g_one, _regroup(plus)),
-            ArthurParameter(g_two, _regroup(minus)), twisted=False)
-
-    # even orthogonal: the determinant condition forces even sides
-    if n_plus % 2 or n_minus % 2:
-        raise BadDimensionSplit(
-            "determinant condition violated")  # pragma: no cover
-    eta_one, eta_two = _eta_product(plus), _eta_product(minus)
-    g_one = GroupForm.of_dim(SO_EVEN, n_plus, eta_one)
-    g_two = GroupForm.of_dim(SO_EVEN, n_minus, eta_two)
-    return EndoscopicDatum(
-        eta_one, eta_two, ArthurParameter(g_one, _regroup(plus)),
-        ArthurParameter(g_two, _regroup(minus)), twisted=False)
+    return _datum(psi, s, twisted=False)
 
 
 def twisted_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
     """The twisted pair for an even orthogonal group and an element
     violating the determinant condition: two symplectic factors."""
-    if psi.group.kind != SO_EVEN:
-        raise NotApplicable("twisted data exist for even orthogonal groups")
-    if in_element_space(s, psi):
-        raise NotApplicable("s satisfies the determinant condition")
-    plus, minus = _partition(psi, s)
-    n_plus, n_minus = _dim(plus), _dim(minus)
-    if n_plus % 2 == 0 or n_minus % 2 == 0:
-        raise BadDimensionSplit(
-            "both sides must be odd-dimensional")  # pragma: no cover
-    eta_one, eta_two = _eta_product(plus), _eta_product(minus)
-    g_one = GroupForm.of_dim(SP, n_plus, QuadCharacter.trivial())
-    g_two = GroupForm.of_dim(SP, n_minus, QuadCharacter.trivial())
-    blocks_one = tuple(replace(blk, rho=blk.rho.twist(eta_one))
-                       for blk in _regroup(plus))
-    blocks_two = tuple(replace(blk, rho=blk.rho.twist(eta_two))
-                       for blk in _regroup(minus))
-    return EndoscopicDatum(
-        eta_one, eta_two, ArthurParameter(g_one, blocks_one),
-        ArthurParameter(g_two, blocks_two), twisted=True)
+    return _datum(psi, s, twisted=True)
 
 
 def induced_order(order: BlockOrder, side: List[Instance],
@@ -146,9 +140,7 @@ def induced_order(order: BlockOrder, side: List[Instance],
     canonical instance list (labels possibly twisted by eta).
     """
     chosen = [inst[0] for inst in order.sequence if inst in side]
-    if not eta.is_trivial():
-        chosen = [replace(blk, rho=blk.rho.twist(eta)) for blk in chosen]
-    return BlockOrder(number_copies(chosen))
+    return BlockOrder(number_copies(_twist(chosen, eta)))
 
 
 def sign_transfer_check(psi: ArthurParameter, s: SignVector,
@@ -159,16 +151,11 @@ def sign_transfer_check(psi: ArthurParameter, s: SignVector,
     the normalization ratios of the two endoscopic parameters and of psi
     itself, each evaluated independently from its own pair set.
     """
-    datum = elliptic_datum(psi, s)
-    plus, minus = _partition(psi, s)
-    if datum.swapped:
-        plus, minus = minus, plus
-    eta_plus = datum.eta_one if psi.group.kind == SP else \
-        QuadCharacter.trivial()
-    order_one = induced_order(order, plus, eta_plus)
-    order_two = induced_order(order, minus, QuadCharacter.trivial())
+    one, two, _ = _roles(psi, s, twisted=False)
     lhs = pair(eps_mw_w(psi, order), s)
-    rhs = (theta_ratio_mw_w(datum.psi_one, order_one)
-           * theta_ratio_mw_w(datum.psi_two, order_two)
-           * theta_ratio_mw_w(psi, order))
+    rhs = theta_ratio_mw_w(psi, order)
+    for side in (one, two):
+        rhs *= theta_ratio_mw_w(
+            side.parameter(),
+            induced_order(order, side.insts, side.label_eta()))
     return lhs == rhs

@@ -386,25 +386,13 @@ class ArthurParameter:
             seen.setdefault(blk.rho.id, blk.rho)
         return [seen[i] for i in sorted(seen)]
 
-    def resolve_zeta(self, convention: int = PLUS,
-                     overrides: Optional[Dict[tuple, int]] = None
-                     ) -> "ArthurParameter":
-        """Resolve zeta on all a == b blocks.
-
-        overrides maps (rho id, a, b) to a sign; everything else gets the
-        global convention sign.
-        """
+    def resolve_zeta(self, convention: int = PLUS) -> "ArthurParameter":
+        """Give every a == b block of unresolved zeta the convention sign."""
         if all(blk.zeta is not None for blk in self.blocks):
             return self
-        new = []
-        for blk in self.blocks:
-            if blk.zeta is None:
-                z = convention
-                if overrides:
-                    z = overrides.get((blk.rho.id, blk.a, blk.b), convention)
-                blk = blk.with_zeta(z)
-            new.append(blk)
-        return ArthurParameter(self.group, tuple(new))
+        return ArthurParameter(self.group, tuple(
+            blk if blk.zeta is not None else blk.with_zeta(convention)
+            for blk in self.blocks))
 
     def __str__(self) -> str:
         inner = " + ".join(str(b) for b in self.blocks) or "0"

@@ -44,11 +44,16 @@ _RHO_POOL = [
 ]
 
 
+def _even_sum(rho: RhoLabel, orthogonal_side: bool) -> bool:
+    """Whether a block of rho on this side has a + b even: its type is
+    orthogonal iff (rho orthogonal) == (a + b even)."""
+    return (rho.self_dual_type == ORTHOGONAL) == orthogonal_side
+
+
 def _block_for(rng: random.Random, rho: RhoLabel, want_orthogonal: bool,
                max_ab: int) -> JordanBlock:
     """A block of the requested parity type for this rho."""
-    # type is orthogonal iff (rho orthogonal) == (a+b even)
-    want_even_sum = (rho.self_dual_type == ORTHOGONAL) == want_orthogonal
+    want_even_sum = _even_sum(rho, want_orthogonal)
     while True:
         a = rng.randint(1, max_ab)
         b = rng.randint(1, max_ab)
@@ -89,12 +94,10 @@ def random_ddr_parameter(rng: random.Random, max_blocks: int = 5,
     orthogonal_side = rng.random() < 0.7
     blocks = []
     for rho in rhos:
-        # per rho, stack disjoint [B, A] segments of the right parity
-        want_even_sum = (rho.self_dual_type == ORTHOGONAL) == orthogonal_side
-        # a+b = 2A+2: even sum always; parity of block type is decided by
-        # A-B (integer) versus half-integers: choose grid accordingly
-        twice_base = 0 if want_even_sum else 1
-        cursor = twice_base + rng.randint(0, 2) * 2
+        # per rho, stack disjoint [B, A] segments of the right parity:
+        # a + b = 2A + 2 is even iff A and B are integers
+        cursor = (0 if _even_sum(rho, orthogonal_side) else 1) \
+            + rng.randint(0, 2) * 2
         for _ in range(rng.randint(0, max_blocks)):
             width = rng.randint(0, 2) * 2
             tb, ta = cursor, cursor + width
@@ -105,13 +108,10 @@ def random_ddr_parameter(rng: random.Random, max_blocks: int = 5,
             cursor = ta + 2 + rng.randint(0, 2) * 2
     if not blocks:
         rho = rhos[0]
-        tb = 0 if (rho.self_dual_type == ORTHOGONAL) == orthogonal_side else 1
+        tb = 0 if _even_sum(rho, orthogonal_side) else 1
         blocks = [from_AB(rho, HalfInt(tb), HalfInt(tb),
                           rng.choice((PLUS, MINUS)))]
-    kept = [b for b in blocks
-            if ((b.a + b.b) % 2 == 0) == (
-                (b.rho.self_dual_type == ORTHOGONAL) == orthogonal_side)]
-    psi = make_parameter(kept or blocks)
+    psi = make_parameter(blocks)
     assert "discrete_diag_restriction" in classify(psi)
     return psi
 
@@ -123,9 +123,8 @@ def random_elementary(rng: random.Random, max_blocks: int = 5,
     orthogonal_side = rng.random() < 0.7
     blocks = []
     for rho in rhos:
-        want_even_sum = (rho.self_dual_type == ORTHOGONAL) == orthogonal_side
-        # elementary blocks have a+b = alpha+1
-        parity = 1 if want_even_sum else 0  # alpha odd gives a+b even
+        # elementary blocks have a + b = alpha + 1: alpha odd for an even sum
+        parity = int(_even_sum(rho, orthogonal_side))
         alphas = [al for al in range(1, max_alpha + 1) if al % 2 == parity]
         rng.shuffle(alphas)
         take = alphas[:rng.randint(0, min(max_blocks, len(alphas)))]
@@ -133,10 +132,8 @@ def random_elementary(rng: random.Random, max_blocks: int = 5,
             blocks.append(elementary_block(rho, al, rng.choice((PLUS, MINUS))))
     if not blocks:
         rho = rhos[0]
-        parity = 1 if (rho.self_dual_type == ORTHOGONAL) == orthogonal_side \
-            else 0
-        blocks = [elementary_block(rho, 1 if parity else 2,
-                                   rng.choice((PLUS, MINUS)))]
+        blocks = [elementary_block(rho, 1 if _even_sum(rho, orthogonal_side)
+                                   else 2, rng.choice((PLUS, MINUS)))]
     psi = make_parameter(blocks)
     assert "elementary" in classify(psi)
     return psi
@@ -150,8 +147,7 @@ def random_discrete_pair(rng: random.Random, max_blocks: int = 5,
     orthogonal_side = rng.random() < 0.7
     blocks = []
     for rho in rhos:
-        want_even_sum = (rho.self_dual_type == ORTHOGONAL) == orthogonal_side
-        parity = 1 if want_even_sum else 0
+        parity = int(_even_sum(rho, orthogonal_side))
         sizes = [a for a in range(1, max_a + 1) if a % 2 == parity]
         rng.shuffle(sizes)
         take = sizes[:rng.randint(0, min(max_blocks, len(sizes)))]
@@ -159,9 +155,8 @@ def random_discrete_pair(rng: random.Random, max_blocks: int = 5,
             blocks.append(JordanBlock(rho, a, 1))
     if not blocks:
         rho = rhos[0]
-        parity = 1 if (rho.self_dual_type == ORTHOGONAL) == orthogonal_side \
-            else 0
-        blocks = [JordanBlock(rho, 1 if parity else 2, 1)]
+        blocks = [JordanBlock(rho, 1 if _even_sum(rho, orthogonal_side)
+                              else 2, 1)]
     phi = make_parameter(blocks)
     signs = [rng.choice((1, -1)) for _ in phi.blocks]
     if math.prod(signs) != 1:

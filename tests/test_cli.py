@@ -234,6 +234,21 @@ def test_deeply_nested_json_usage_error(tmp_path, from_file):
     assert err == "usage error: malformed JSON: nested too deeply\n"
 
 
+
+def test_input_file_not_utf8_usage_error(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe\x00\x81")
+    rc, out, err = run_cli_err(["classify", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: cannot read input file: ")
+
+
+def test_int_literal_past_the_digit_limit_usage_error():
+    # CPython refuses to convert an int literal of more than 4 300 digits
+    rc, out, err = run_cli_err(["classify", "[" + "1" * 4301 + "]"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: malformed JSON: ")
+
 @pytest.mark.parametrize("field,value", [
     ("zeta", 5), ("zeta", "up"), ("zeta", ["+"]), ("zeta", None),
     ("type", 5), ("type", "weird"), ("type", {"t": 1})])

@@ -5,6 +5,8 @@ traceback."""
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -108,8 +110,15 @@ def _int_text(lo, hi):
 
 @st.composite
 def _input(draw):
-    """An input argument and its number of blocks, if it has any."""
-    kind = draw(_weighted(("parameter",), ("junk", "text")))
+    """An input argument and its number of blocks, if it has any; bytes
+    stand for an input file with those contents."""
+    kind = draw(st.sampled_from(
+        ("parameter",) * 6 + ("junk", "text", "file", "digits")))
+    if kind == "file":
+        return draw(st.binary(max_size=8)), 0
+    if kind == "digits":
+        # about CPython's limit of 4 300 digits for an int literal
+        return "[" + "1" * draw(st.integers(4290, 4310)) + "]", 0
     if kind == "parameter":
         param = draw(parameters())
         blocks = param.get("blocks")
@@ -197,8 +206,15 @@ _EMPTY_FACTOR_REPRODUCER = ["classify", json.dumps(
 @given(argvs())
 def test_cli_main_has_three_outcomes(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, arg in enumerate(argv):
+            if isinstance(arg, bytes):
+                argv[i] = os.path.join(tmp, "input")
+                with open(argv[i], "wb") as fh:
+                    fh.write(arg)
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
     assert rc in (0, 1, 2)
     if rc == 1 and build_parser().parse_args(argv).format == "json":
         payload = json.loads(out.getvalue())

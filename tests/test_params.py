@@ -550,3 +550,42 @@ def test_split_p_np_reassembly():
     assert rebuilt == original
     total_np = sum(b.mult * b.dim for b in psi_np)
     assert psi_p.group.N + 2 * total_np == psi.group.N
+
+
+def _generator_fingerprint():
+    """SHA-256 over seeded draws of each random generator of
+    arthurcalc.testing, each followed by the generator's next float, so
+    that how much of the stream a draw consumes is pinned too."""
+    import hashlib
+    from arthurcalc.testing import (random_ddr_parameter, random_discrete_pair,
+                                    random_elementary)
+    draws = [
+        random_pure_parameter,
+        lambda rng: random_pure_parameter(rng, max_blocks=3, max_ab=4,
+                                          max_rhos=2, orthogonal_side=False),
+        lambda rng: random_pure_parameter(rng, orthogonal_side=True),
+        lambda rng: (lambda psi: (psi, random_p_order(rng, psi)))(
+            random_pure_parameter(rng, max_blocks=4)),
+        random_ddr_parameter,
+        lambda rng: random_ddr_parameter(rng, max_blocks=2, max_level=2),
+        random_elementary,
+        lambda rng: random_elementary(rng, max_blocks=2, max_alpha=4),
+        random_discrete_pair,
+        lambda rng: random_discrete_pair(rng, max_blocks=2, max_a=3),
+    ]
+    digest = hashlib.sha256()
+    for seed, draw in enumerate(draws):
+        rng = random.Random(seed)
+        for _ in range(200):
+            digest.update(repr(draw(rng)).encode())
+            digest.update(repr(rng.random()).encode())
+    return digest.hexdigest()
+
+
+# computed before the generators shared one parity rule
+GENERATOR_FINGERPRINT = \
+    "71068c7173bde34996002bdc39aa8bc97ba7d9ed72a00f7c80a7ddf9e90cb3d7"
+
+
+def test_generator_fingerprint():
+    assert _generator_fingerprint() == GENERATOR_FINGERPRINT

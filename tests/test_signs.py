@@ -445,7 +445,7 @@ def test_beta_endoscopy_comparison_identity():
     partition together through one identity.
     """
     from arthurcalc.charspace import enumerate_elements
-    from arthurcalc.endoscopy import elliptic_datum
+    from arthurcalc.endoscopy import _roles, elliptic_datum
     rng = random.Random(111)
     rounds = 0
     for _ in range(250):
@@ -467,10 +467,9 @@ def test_beta_endoscopy_comparison_identity():
 
         for s in enumerate_elements(psi):
             datum = elliptic_datum(psi, s)
-            rho_one = rho.twist(datum.eta_one) \
-                if psi.group.kind == "Sp" else rho
-            lhs = beta_sign(datum.psi_one, rho_one, x0) \
-                * beta_sign(datum.psi_two, rho, x0) \
+            one, two, _ = _roles(psi, s, twisted=False)
+            lhs = beta_sign(datum.psi_one, rho.twist(one.label_eta()), x0) \
+                * beta_sign(datum.psi_two, rho.twist(two.label_eta()), x0) \
                 * beta_sign(psi, rho, x0)
             rhs = 1
             for (blk, _), sg in zip(psi.instances(), s.signs):
