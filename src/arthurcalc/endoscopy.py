@@ -15,11 +15,12 @@ from typing import Iterable, List, NamedTuple, Tuple
 
 from .charspace import SignVector, in_element_space, pair
 from .errors import BadDimensionSplit, DomainError, NotApplicable
+from .halfint import sign_pow
 from .labels import QuadCharacter
 from .params import (SO_EVEN, SO_ODD, SP, ArthurParameter, BlockOrder,
                      GroupForm, Instance, JordanBlock, is_parity_pure,
                      number_copies)
-from .signs import eps_mw_w, theta_ratio_mw_w
+from .signs import eps_of_pairs, theta_ratio_mw_w, z_mw_w
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,11 @@ def sign_transfer_check(psi: ArthurParameter, s: SignVector,
     itself, each evaluated independently from its own pair set.
     """
     one, two, _ = _roles(psi, s, twisted=False)
-    lhs = pair(eps_mw_w(psi, order), s)
-    rhs = theta_ratio_mw_w(psi, order)
+    # _roles refuses a psi that is not its own parity part, so one pair
+    # set of psi gives both its character and its ratio
+    zs = z_mw_w(psi, order)
+    lhs = pair(eps_of_pairs(zs), s)
+    rhs = sign_pow(len(zs))
     for side in (one, two):
         rhs *= theta_ratio_mw_w(
             side.parameter(),

@@ -151,7 +151,7 @@ def _require_compound(blk: JordanBlock) -> Tuple[HalfInt, HalfInt, int]:
     A, B = blk.A, blk.B
     if A == B:
         raise NoCompoundBlock(f"{blk} has A == B")
-    return A, B, blk.zeta_resolved() if blk.a == blk.b else blk.zeta
+    return A, B, blk.zeta_resolved()
 
 
 def _step(core: CoreLabel, i: int) -> Dict[BasisTerm, int]:

@@ -98,9 +98,10 @@ class _Derived:
     fields on first read (or by _trusted), where later reads find it
     before this descriptor.
 
-    This is how every derived value without a key is kept; keyed ones go
-    in the value's own weyl._memo.  No lock is taken, so a race between
-    threads only stores an equal value twice."""
+    This is how every derived value without a key is kept; keyed ones
+    are read through the decorator weyl._memo, which stores f(owner,
+    *key) in the owner's _cache under (f, *key).  No lock is taken, so a
+    race between threads only stores an equal value twice."""
 
     def __init__(self, derive: Callable):
         self.derive = derive
@@ -602,8 +603,8 @@ def dominate(psi: ArthurParameter, order: BlockOrder,
         if t == 0:
             new_seq.append(blk)
             continue
-        zeta = blk.zeta_resolved() if blk.a == blk.b else blk.zeta
-        new_seq.append(from_AB(blk.rho, blk.A + t, blk.B + t, zeta))
+        new_seq.append(from_AB(blk.rho, blk.A + t, blk.B + t,
+                               blk.zeta_resolved()))
 
     psi_gg = psi.with_blocks(new_seq)
     order_gg = BlockOrder(number_copies(new_seq))

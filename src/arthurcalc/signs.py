@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .charspace import MULT, SignVector
-from .errors import (DomainError, MixedParity, NotDDR, NotElementary,
-                     UnresolvedZeta)
+from .errors import DomainError, MixedParity, NotDDR, NotElementary
 from .halfint import sign_pow
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
@@ -46,12 +45,6 @@ class PairSet:
         return len(self.pairs)
 
 
-def _zeta(blk: JordanBlock) -> int:
-    if blk.zeta is None:
-        raise UnresolvedZeta(f"{blk} needs zeta resolved for the case tests")
-    return blk.zeta
-
-
 def _pair_in_z_mw_w(x: JordanBlock, y: JordanBlock, x_above_y: bool) -> bool:
     """Case analysis for one unordered pair, x in the even-b role.
 
@@ -60,7 +53,7 @@ def _pair_in_z_mw_w(x: JordanBlock, y: JordanBlock, x_above_y: bool) -> bool:
     every cell of the definition is visibly covered.
     """
     a, b, a2, b2 = x.a, x.b, y.a, y.b
-    zx, zy = _zeta(x), _zeta(y)
+    zx, zy = x.zeta_resolved(), y.zeta_resolved()
 
     if a % 2 == 0 and b % 2 == 0 and a2 % 2 == 1 and b2 % 2 == 1:
         # pattern one: x fully even against y fully odd
@@ -163,10 +156,10 @@ def _eps_m_mw_at(blk: JordanBlock, others: List[Tuple[JordanBlock, bool, bool]]
     # the odd blocks strictly above it
     m = sum(1 for o, above, _ in others
             if o.a % 2 == 1 and o.b % 2 == 1 and above
-            and _zeta(o) == MINUS)
+            and o.zeta_resolved() == MINUS)
     n = sum(1 for o, _, below in others
             if o.a % 2 == 1 and o.b % 2 == 1 and below)
-    return sign_pow(m) if _zeta(blk) == PLUS else sign_pow(m + n)
+    return sign_pow(m) if blk.zeta_resolved() == PLUS else sign_pow(m + n)
 
 
 def _eps_m_mw_by_height(insts: Sequence[Instance],

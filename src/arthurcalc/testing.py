@@ -503,7 +503,8 @@ def _weyl_catalog(rng: random.Random, size: Size) -> Tuple[int, int]:
     return checks, failures
 
 
-def _per_levi(verify: Callable[[W.SplitData, W.LeviG], bool]) -> Family:
+def _per_levi(verify: Callable[[W.SplitData, Tuple[W.Vec, ...]], bool]
+              ) -> Family:
     """The family checking verify on every catalogued split and Levi."""
     def family(rng: random.Random, size: Size) -> Tuple[int, int]:
         checks = failures = 0

@@ -11,6 +11,7 @@ group-ring identities and the alternating double-coset sum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,16 +41,19 @@ def _neg(u: Vec) -> Vec:
 T = TypeVar("T")
 
 
-def _memo(cache: Dict[Hashable, T], key: Hashable,
-          build: Callable[[], T]) -> T:
-    """The value stored under a tuple key in the cache of one value,
-    built on first use: what _Derived is for a value derived with a key.
-    No lock is taken, so a race between threads only stores an equal
-    value twice."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build()
-    return value
+def _memo(derive: Callable[..., T]) -> Callable[..., T]:
+    """derive(owner, *key), stored in owner._cache under (derive, *key)
+    on first read: what _Derived is for a value derived with a key.  No
+    lock is taken, so a race between threads only stores an equal value
+    twice."""
+    @functools.wraps(derive)
+    def read(owner, *key):
+        cache, entry = owner._cache, (derive, *key)
+        value = cache.get(entry)
+        if value is None:
+            value = cache[entry] = derive(owner, *key)
+        return value
+    return read
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ class RestrictedData:
     datum: RootDatum
     positives: Tuple[Vec, ...]
     simples: Tuple[Vec, ...]
-    # keyed entries: tables and sets per root, element or set of roots
+    # the values of the @_memo functions of a root, element or Levi
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -254,12 +258,12 @@ class RestrictedData:
         return _supports(self.positives, self.simples)
 
     @_Derived
-    def _levis(self) -> Tuple[Tuple[LeviG, int], ...]:
-        """Each standard Levi, one per subset S of the simple roots, with
-        its sign (-1)^|S|."""
-        return tuple((LeviG(tuple(sorted(combo))), -1 if r % 2 else 1)
-                     for r in range(len(self.simples) + 1)
-                     for combo in itertools.combinations(self.simples, r))
+    def _levis(self) -> Dict[Tuple[Vec, ...], int]:
+        """Each standard Levi, as its sorted tuple S of simple roots, with
+        its sign (-1)^|S|; read only."""
+        return {tuple(sorted(combo)): -1 if r % 2 else 1
+                for r in range(len(self.simples) + 1)
+                for combo in itertools.combinations(self.simples, r)}
 
 
 def restricted_roots(datum: RootDatum) -> RestrictedData:
@@ -371,7 +375,7 @@ class SplitData:
     h_simples: Tuple[Vec, ...]
     d_h: FrozenSet[SignedPerm]
     mh_simples: Tuple[Vec, ...]   # ambient-standard Levi cut out by a_H
-    # keyed entries: sets and tallies per Levi or set of simple roots
+    # the values of the @_memo functions of a Levi or a bit mask
     _cache: Dict[Hashable, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -502,13 +506,13 @@ def _supported_on(roots: Sequence[Vec], supports: Sequence[int],
     return tuple(b for b, s in zip(roots, supports) if not s & ~mask)
 
 
+@_memo
 def _span_positions(res: RestrictedData,
                     simples: Tuple[Vec, ...]) -> Tuple[int, ...]:
     """The indices in res.positives of the roots in the span of the given
     restricted simple roots."""
-    simples = tuple(simples)
-    return _memo(res._cache, ("span", simples), lambda: _supported_on(
-        range(len(res.positives)), res._supports, res.simples, simples))
+    return _supported_on(range(len(res.positives)), res._supports,
+                         res.simples, simples)
 
 
 def _root_span(res: RestrictedData,
@@ -520,9 +524,10 @@ def _root_span(res: RestrictedData,
         tuple(res.roots[k + n] for k in pos)
 
 
+@_memo
 def _reflection_in(res: RestrictedData, beta: Vec) -> SignedPerm:
     """The reflection in a restricted root, built once per datum."""
-    return _memo(res._cache, ("refl", beta), lambda: _reflection(beta))
+    return _reflection(beta)
 
 
 @dataclass(frozen=True)
@@ -574,19 +579,17 @@ def _product(group: _Group, x: int, y: int) -> int:
     return group.by_images[tuple([p[k] for k in group.images[y]])]
 
 
+@_memo
 def _mult_table(res: RestrictedData, g: int, left: bool) -> Tuple[int, ...]:
     """Index of g * x (left) or x * g (right) for each element x: the
     images of the simple roots are read off a column at a time."""
-    def build():
-        group = res._group
-        if left:  # g(x(a)) for each simple root a
-            columns = [map(group.perms[g].__getitem__, map(
-                itemgetter(i), group.images)) for i in range(len(res.simples))]
-        else:  # x(g(a))
-            columns = [map(itemgetter(k), group.perms)
-                       for k in group.images[g]]
-        return tuple(map(group.by_images.__getitem__, zip(*columns)))
-    return _memo(res._cache, ("mult", g, left), build)
+    group = res._group
+    if left:  # g(x(a)) for each simple root a
+        columns = [map(group.perms[g].__getitem__, map(
+            itemgetter(i), group.images)) for i in range(len(res.simples))]
+    else:  # x(g(a))
+        columns = [map(itemgetter(k), group.perms) for k in group.images[g]]
+    return tuple(map(group.by_images.__getitem__, zip(*columns)))
 
 
 def _reflection_table(res: RestrictedData, beta: Vec,
@@ -597,6 +600,7 @@ def _reflection_table(res: RestrictedData, beta: Vec,
                        left)
 
 
+@_memo
 def _min_reps(res: RestrictedData,
               simples: Tuple[Vec, ...]) -> FrozenSet[int]:
     """The elements w with w^-1 positive on each given root: when the
@@ -604,78 +608,64 @@ def _min_reps(res: RestrictedData,
     W_S w, so that W = W_S * D_S (Bjorner-Brenti, 2.4).  These are the w
     whose inversion set N(w^-1) misses the given roots, which must
     therefore be positive."""
-    def build():
-        where, n = res._where, len(res.positives)
-        if not all(where.get(b, n) < n for b in simples):
-            raise DomainError("coset representatives need positive roots")
-        mask = sum(1 << where[b] for b in set(simples))
-        return frozenset([x for x, inv in enumerate(res._inversions)
-                          if not inv & mask])
-    return _memo(res._cache, ("reps", simples), build)
+    if not all(_positive_in(res, b) for b in simples):
+        raise DomainError("coset representatives need positive roots")
+    mask = sum(1 << res._where[b] for b in set(simples))
+    return frozenset([x for x, inv in enumerate(res._inversions)
+                      if not inv & mask])
 
 
+@_memo
 def _reflection_group(res: RestrictedData,
                       roots: Tuple[Vec, ...]) -> FrozenSet[int]:
     """The subgroup generated by the reflections in the given roots: the
     coset of the identity."""
-    def build():
-        label, _ = _cosets(res, roots)
-        one = label[res._group.one]
-        return frozenset(x for x, k in enumerate(label) if k == one)
-    return _memo(res._cache, ("subgroup", roots), build)
+    label, _ = _cosets(res, roots)
+    one = label[res._group.one]
+    return frozenset(x for x, k in enumerate(label) if k == one)
 
 
+@_memo
 def _levi_longest(res: RestrictedData, simples: Tuple[Vec, ...]) -> int:
     """The element of W_S sending every positive root of S to a negative
     one."""
-    def build():
-        n, perms = len(res.positives), res._group.perms
-        return next(x for x in _reflection_group(res, simples)
-                    if all(perms[x][k] >= n for k in _span_positions(
-                        res, simples)))
-    return _memo(res._cache, ("longest", simples), build)
+    n, perms = len(res.positives), res._group.perms
+    return next(x for x in _reflection_group(res, simples)
+                if all(perms[x][k] >= n
+                       for k in _span_positions(res, simples)))
 
 
 # -- Levi subgroups of the ambient group --------------------------------------
+# A theta-stable standard Levi is given by its sorted tuple of restricted
+# simple roots.
 
-@dataclass(frozen=True)
-class LeviG:
-    """A theta-stable standard Levi, given by a subset of the restricted
-    simple roots."""
-
-    simples: Tuple[Vec, ...]
+def levi_g_all(res: RestrictedData) -> List[Tuple[Vec, ...]]:
+    return list(res._levis)
 
 
-def levi_g_all(res: RestrictedData) -> List[LeviG]:
-    return [levi for levi, _ in res._levis]
-
-
-def _d_m_tilde(res: RestrictedData, levi: LeviG,
-               data: SplitData) -> FrozenSet[int]:
+@_memo
+def _d_m_tilde(data: SplitData, simples: Tuple[Vec, ...]) -> FrozenSet[int]:
     """The w in D_M with w^-1(S_M) inside a_H = Fix(g).  That is, w g w^-1
     fixes the centre S_M of M pointwise.  W^theta is the full group of
     signed permutations for every datum here, so it holds g, and the
     pointwise stabilizer of S_M in it is W_M (Humphreys, Reflection Groups
     and Coxeter Groups, 1.12(c)): the condition is w g w^-1 in W_M."""
-    def build():
-        g, d_m = data.split.galois, _min_reps(res, levi.simples)
-        if g is None:
-            return d_m
-        label, _ = _cosets(res, levi.simples)
-        wg = _mult_table(res, res._group.index[g], False)
-        # w g w^-1 lies in W_M exactly when w g lies in the coset W_M w
-        return frozenset([w for w in d_m if label[wg[w]] == label[w]])
-    return _memo(data._cache, ("tilde", levi.simples), build)
+    res, g = data.res, data.split.galois
+    d_m = _min_reps(res, simples)
+    if g is None:
+        return d_m
+    label, _ = _cosets(res, simples)
+    wg = _mult_table(res, res._group.index[g], False)
+    # w g w^-1 lies in W_M exactly when w g lies in the coset W_M w
+    return frozenset([w for w in d_m if label[wg[w]] == label[w]])
 
 
-def _d_h_m(res: RestrictedData, levi: LeviG,
-           data: SplitData, tilde: bool) -> FrozenSet[int]:
-    def build():
-        dm = _d_m_tilde(res, levi, data) if tilde else \
-            _min_reps(res, levi.simples)
-        inv = res._inverses  # D_H is the smaller set
-        return frozenset([w for w in data._d_h_ix if inv[w] in dm])
-    return _memo(data._cache, ("d_h_m", levi.simples, tilde), build)
+@_memo
+def _d_h_m(data: SplitData, simples: Tuple[Vec, ...],
+           tilde: bool) -> FrozenSet[int]:
+    dm = _d_m_tilde(data, simples) if tilde else _min_reps(data.res, simples)
+    inv = data.res._inverses  # D_H is the smaller set
+    return frozenset([w for w in data._d_h_ix if inv[w] in dm])
 
 
 def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
@@ -683,43 +673,44 @@ def levi_h_all(data: SplitData) -> List[Tuple[Vec, ...]]:
     return list(data._h_levis)
 
 
-def _m_prime_tally(data: SplitData, levi: LeviG) -> Counter:
+@_memo
+def _base_and_span(data: SplitData, s: int) -> Tuple[Tuple[Vec, ...], int]:
+    """The centralizer simple roots in the bit mask s over
+    data.h_positives, and the mask of their span."""
+    pos = data.h_positives
+    base = tuple(b for k, b in enumerate(pos) if s >> k & 1)
+    return base, sum(1 << k for k in _supported_on(
+        range(len(pos)), data._h_supports, data.h_simples, base))
+
+
+@_memo
+def _m_prime_tally(data: SplitData, simples: Tuple[Vec, ...]) -> Counter:
     """How many admissible double cosets attach each centralizer Levi.
 
     The Levi attached to w has the centralizer roots F inside w of the
     Levi's restricted roots, a bit mask over data.h_positives.  It is
     standard exactly when F is the span of the centralizer simple roots S
     it holds, which are then its base."""
-    def base_and_span(s: int) -> Tuple[Tuple[Vec, ...], int]:
-        pos = data.h_positives
-        base = tuple(b for k, b in enumerate(pos) if s >> k & 1)
-        return base, sum(1 << k for k in _supported_on(
-            range(len(pos)), data._h_supports, data.h_simples, base))
-
-    def build():
-        res = data.res
-        (bits, simple), perms = data._h_bits, res._group.perms
-        span = _span_positions(res, levi.simples)
-        # distinct positive roots have distinct images up to sign, so the
-        # sum of their bits is the union
-        masks = Counter(sum([bits[perms[w][k]] for k in span])
-                        for w in _d_h_m(res, levi, data, tilde=True))
-        tally: Counter = Counter()
-        for mask, count in masks.items():
-            s = mask & simple
-            base, spanned = _memo(data._cache, ("span_mask", s),
-                                  lambda: base_and_span(s))
-            if mask != spanned:
-                raise DomainError("double-coset Levi is not standard")
-            tally[base] += count
-        return tally
-    return _memo(data._cache, ("tally", levi.simples), build)
+    res = data.res
+    (bits, simple), perms = data._h_bits, res._group.perms
+    span = _span_positions(res, simples)
+    # distinct positive roots have distinct images up to sign, so the sum
+    # of their bits is the union
+    masks = Counter(sum([bits[perms[w][k]] for k in span])
+                    for w in _d_h_m(data, simples, True))
+    tally: Counter = Counter()
+    for mask, count in masks.items():
+        base, spanned = _base_and_span(data, mask & simple)
+        if mask != spanned:
+            raise DomainError("double-coset Levi is not standard")
+        tally[base] += count
+    return tally
 
 
-def a_count(data: SplitData, levi: LeviG,
+def a_count(data: SplitData, simples: Tuple[Vec, ...],
             m_prime: Tuple[Vec, ...]) -> int:
     """Number of admissible double cosets whose attached Levi is m_prime."""
-    return _m_prime_tally(data, levi)[tuple(sorted(m_prime))]
+    return _m_prime_tally(data, simples)[tuple(sorted(m_prime))]
 
 
 # -- group ring and the identities --------------------------------------------
@@ -756,9 +747,8 @@ def _signed_sum(terms: Iterable[Tuple[int, Iterable[int]]]) -> Ring:
 
 def verify_identity_A(data: SplitData) -> bool:
     """Alternating sum of tilde coset sums against the long double flip."""
-    res = data.res
-    total = _signed_sum((sign, _d_m_tilde(res, levi, data))
-                        for levi, sign in res._levis)
+    total = _signed_sum((sign, _d_m_tilde(data, simples))
+                        for simples, sign in data.res._levis.items())
     sign = -1 if len(data.mh_simples) % 2 else 1
     return total == Counter({data._long_double_flip: sign})
 
@@ -773,18 +763,19 @@ def verify_identity_B(data: SplitData) -> bool:
     return total == target
 
 
-def verify_algebraic_identity(data: SplitData, levi: LeviG) -> bool:
+def verify_algebraic_identity(data: SplitData,
+                              simples: Tuple[Vec, ...]) -> bool:
     """Truncated product of coset sums against the double-coset counts."""
     res = data.res
     lhs = _truncate_h(_ring_mul(
-        res, Counter(data._d_h_ix), Counter(_d_m_tilde(res, levi, data))),
+        res, Counter(data._d_h_ix), Counter(_d_m_tilde(data, simples))),
         data)
     rhs: Ring = Counter()
-    for simples in levi_h_all(data):
-        count = a_count(data, levi, simples)
+    for m_prime in levi_h_all(data):
+        count = a_count(data, simples, m_prime)
         if count:
             rhs.update(_truncate_h(
-                dict.fromkeys(_min_reps(res, simples), count), data))
+                dict.fromkeys(_min_reps(res, m_prime), count), data))
     return lhs == rhs
 
 
@@ -802,9 +793,9 @@ def verify_alternating_sum(data: SplitData) -> AlternatingReport:
     the standard Levis M of (-1)^|S_M| a_count(M, M'), read off one signed
     sum of the tallies."""
     total: Counter = Counter()
-    for levi, sign in data.res._levis:
+    for simples, sign in data.res._levis.items():
         (total.update if sign > 0 else total.subtract)(
-            _m_prime_tally(data, levi))
+            _m_prime_tally(data, simples))
     # every admissible double coset must land on a Galois-stable Levi
     if not total.keys() <= data._h_levis.keys():
         raise DomainError("admissible coset lands on an unstable Levi")
@@ -833,15 +824,14 @@ def _orbits(size: int, step: Callable[[int], Iterable[int]]
     return label, first
 
 
+@_memo
 def _cosets(res: RestrictedData, left: Tuple[Vec, ...]
             ) -> Tuple[List[int], List[int]]:
     """The label of each element's coset W_left x, and the first element
     of each coset."""
-    def build():
-        tables = [_reflection_table(res, b, True) for b in left]
-        return _orbits(len(res._group.elements),
-                       lambda x: [t[x] for t in tables])
-    return _memo(res._cache, ("cosets", left), build)
+    tables = [_reflection_table(res, b, True) for b in left]
+    return _orbits(len(res._group.elements),
+                   lambda x: [t[x] for t in tables])
 
 
 def _double_cosets(res: RestrictedData, left: Sequence[Vec],
@@ -867,32 +857,37 @@ def _one_per_double_coset(res: RestrictedData, reps: Iterable[int],
     return hits == list(range(max(orbit) + 1))
 
 
+@_memo
+def _factorizes(res: RestrictedData, simples: Tuple[Vec, ...]) -> bool:
+    """Whether W = W_S * D_S with unique factorization."""
+    return _one_per_double_coset(res, _min_reps(res, simples), simples, ())
+
+
 def verify_coset_representatives(data: SplitData) -> bool:
     """Unique factorization through the minimal representative sets."""
     res = data.res
     if not _one_per_double_coset(res, data._d_h_ix, data.h_simples, ()):
         return False
-    for levi, _ in res._levis:
-        if not _memo(res._cache, ("factor", levi.simples),
-                     lambda: _one_per_double_coset(
-                         res, _min_reps(res, levi.simples), levi.simples, ())):
+    for simples in res._levis:
+        if not _factorizes(res, simples):
             return False
-        if not _one_per_double_coset(res, _d_h_m(res, levi, data, tilde=False),
-                                     data.h_simples, levi.simples):
+        if not _one_per_double_coset(res, _d_h_m(data, simples, False),
+                                     data.h_simples, simples):
             return False
     return True
 
 
-def verify_intersection_prop(data: SplitData, levi: LeviG) -> bool:
+def verify_intersection_prop(data: SplitData,
+                             simples: Tuple[Vec, ...]) -> bool:
     """The one-point intersection description of translated coset sets."""
     res = data.res
     group, inv, d_h = res._group, res._inverses, data._d_h_ix
-    d_m_inv = [inv[d] for d in _min_reps(res, levi.simples)]
-    d_h_m = _d_h_m(res, levi, data, tilde=False)
+    d_m_inv = [inv[d] for d in _min_reps(res, simples)]
+    d_h_m = _d_h_m(data, simples, False)
     # y lies in w W_M, or in W_H w W_M, when it carries the label of w;
     # with left empty, each element is its own coset
-    coset = _double_cosets(res, (), levi.simples)[1]
-    label, double = _double_cosets(res, data.h_simples, levi.simples)
+    coset = _double_cosets(res, (), simples)[1]
+    label, double = _double_cosets(res, data.h_simples, simples)
     for x in range(len(group.elements)):
         ys = [_product(group, x, d) for d in d_m_inv]  # x D_M^-1
         for k in d_h_m:

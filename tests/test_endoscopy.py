@@ -165,6 +165,31 @@ def test_sign_transfer_when_s_splits_the_copies_of_a_block():
                 count += 1
     assert count == 320
 
+
+def test_sign_transfer_builds_each_pair_set_once(monkeypatch):
+    # one pair set for psi and one for each endoscopic side
+    import arthurcalc.endoscopy as E
+    import arthurcalc.signs as S
+    real, calls = S.z_mw_w, []
+
+    def counted(psi, order):
+        calls.append(psi)
+        return real(psi, order)
+
+    monkeypatch.setattr(S, "z_mw_w", counted)
+    monkeypatch.setattr(E, "z_mw_w", counted)
+    psi = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
+                          JordanBlock(RHO, 1, 1, 1, PLUS)])
+    checks = 0
+    for order in all_p_orders(psi):
+        for s in enumerate_elements(psi):
+            calls.clear()
+            assert sign_transfer_check(psi, s, order)
+            assert len(calls) == 3 and calls[0] is psi
+            checks += 1
+    assert checks == 8
+
+
 def test_cross_pair_counting_identity():
     # |Z(psi)| - |Z(psi_I)| - |Z(psi_II)| counts the straddling pairs
     from arthurcalc.signs import z_mw_w

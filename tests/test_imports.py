@@ -53,6 +53,28 @@ def test_no_cached_property_under_src():
     assert found == []
 
 
+def test_keyed_values_use_the_memo_decorator():
+    """Keyed derived values are kept by weyl._memo used as a decorator
+    alone, so that no hand-written key or build closure comes back."""
+    modules = sorted(ROOT.glob("src/**/*.py"))
+    assert modules
+    decorated, found = 0, []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        decorators = {id(d) for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      for d in node.decorator_list}
+        for node in ast.walk(tree):
+            if (node.id if isinstance(node, ast.Name) else
+                    getattr(node, "attr", None)) != "_memo":
+                continue
+            if id(node) in decorators:
+                decorated += 1
+            else:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == [] and decorated
+
+
 def test_no_unused_imports():
     modules = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
     assert len(modules) > 20

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import sys
 import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -200,8 +202,8 @@ def test_levi_counts_divide():
     datum = W.RootDatum(W.TYPE_B, 3)
     res = W.restricted_roots(datum)
     for levi in W.levi_g_all(res):
-        wm = W._reflection_group(res, levi.simples)
-        dm = W._min_reps(res, levi.simples)
+        wm = W._reflection_group(res, levi)
+        dm = W._min_reps(res, levi)
         assert len(wm) * len(dm) == len(res.weyl)
 
 
@@ -211,9 +213,9 @@ def test_a_count_identity_cases():
     data = W.build_split_data(datum, res, W.EndoscopicSplit((1, 1)))
     # H = G and M' = M: exactly the identity double coset
     for levi in W.levi_g_all(res):
-        assert W.a_count(data, levi, levi.simples) == 1
+        assert W.a_count(data, levi, levi) == 1
     # a Levi that never arises
-    assert W.a_count(data, W.LeviG((res.simples[0],)),
+    assert W.a_count(data, (res.simples[0],),
                      (res.simples[1],)) == 0
 
 
@@ -253,8 +255,8 @@ def test_tilde_characterization_via_levi_of_invariants():
         mh_pos = [b for b in W._root_span(res, data.mh_simples)
                   if b in set(res.positives)]
         for levi in W.levi_g_all(res):
-            tilde = W._d_m_tilde(res, levi, data)
-            levi_pos = [b for b in W._root_span(res, levi.simples)
+            tilde = W._d_m_tilde(data, levi)
+            levi_pos = [b for b in W._root_span(res, levi)
                         if b in set(res.positives)]
             for w in fixed:
                 in_tilde = index[w] in tilde
@@ -293,9 +295,9 @@ def coset_reps(data, levi):
     res = data.res
     elts = res._group.elements
     return (data.d_h,) + tuple(frozenset(elts[x] for x in s) for s in (
-        W._min_reps(res, levi.simples), W._d_m_tilde(res, levi, data),
-        W._d_h_m(res, levi, data, tilde=False),
-        W._d_h_m(res, levi, data, tilde=True)))
+        W._min_reps(res, levi), W._d_m_tilde(data, levi),
+        W._d_h_m(data, levi, False),
+        W._d_h_m(data, levi, True)))
 
 
 def test_coset_reps_tuple():
@@ -305,7 +307,7 @@ def test_coset_reps_tuple():
     for levi in W.levi_g_all(res):
         d_h, d_m, d_m_t, d_hm, d_hm_t = coset_reps(data, levi)
         assert len(d_h) * len(_w_h(data)) == len(res.weyl)
-        assert len(d_m) * len(W._reflection_group(res, levi.simples)) == \
+        assert len(d_m) * len(W._reflection_group(res, levi)) == \
             len(res.weyl)
         assert d_m_t <= d_m
         assert d_hm_t <= d_hm
@@ -438,7 +440,7 @@ def _m_prime_of(data, levi, w):
     res = data.res
     perm, where = res._group.perms[w], res._where
     moved = {res.roots[perm[where[b]]]
-             for b in W._root_span(res, levi.simples)}
+             for b in W._root_span(res, levi)}
     inter = [b for b in data.h_positives if b in moved]
     simples = W._simples_of(inter)
     if not set(simples) <= set(data.h_simples):
@@ -455,7 +457,7 @@ def test_a_count_matches_direct_count():
         res = W.restricted_roots(datum)
         for data in W.catalog_split_data(datum, res):
             for levi in W.levi_g_all(res):
-                reps = W._d_h_m(res, levi, data, tilde=True)
+                reps = W._d_h_m(data, levi, True)
                 direct = Counter(_m_prime_of(data, levi, w) for w in reps)
                 assert W._m_prime_tally(data, levi) == direct
                 for m_prime in W.levi_h_all(data):
@@ -475,7 +477,7 @@ def test_alternating_sum_refuses_an_unstable_levi(monkeypatch):
                     if s not in stable)
     assert W.verify_alternating_sum(data).all_pass()
     monkeypatch.setattr(W, "_m_prime_tally",
-                        lambda data, levi: Counter({unstable: 1}))
+                        lambda data, simples: Counter({unstable: 1}))
     with pytest.raises(DomainError, match="unstable Levi"):
         W.verify_alternating_sum(data)
 
@@ -493,6 +495,28 @@ def test_levi_lists_are_fresh_copies():
         first.reverse()
         assert read(arg) == expect
     assert W.verify_alternating_sum(data).all_pass()
+
+
+def test_keyed_values_live_in_their_owners_cache():
+    # a module-level cache would hand a fresh datum the values of an old
+    # one, and keep every datum it saw alive
+    datum = W.RootDatum(W.TYPE_B, 3)
+    res = W.restricted_roots(datum)
+    assert res._cache == {}
+    splits = W.catalog_split_data(datum, res)
+    for data in splits:
+        assert W.verify_alternating_sum(data).all_pass()
+        assert W.verify_coset_representatives(data)
+    simples = res.simples[:2]
+    for read, owner in [(W._min_reps, res), (W._cosets, res),
+                        (W._m_prime_tally, splits[-1])]:
+        first = read(owner, simples)
+        assert read(owner, simples) is first
+    assert W.restricted_roots(datum)._cache == {}
+    refs = [weakref.ref(x) for x in [res, *splits]]
+    del res, splits, data, owner
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_shared_splits_across_threads():
@@ -616,16 +640,14 @@ def test_double_cosets_match_product_search():
         elts = res._group.elements
         for data in W.catalog_split_data(datum, res):
             for levi in W.levi_g_all(res):
-                coset, orbit = W._double_cosets(res, data.h_simples,
-                                                levi.simples)
+                coset, orbit = W._double_cosets(res, data.h_simples, levi)
                 label = [orbit[k] for k in coset]
                 parts = {}
                 for w, k in zip(elts, label):
                     parts.setdefault(k, set()).add(w)
                 assert sorted(parts) == list(range(len(parts)))
                 assert {frozenset(p) for p in parts.values()} == \
-                    _double_cosets_by_products(res.weyl, data.h_simples,
-                                               levi.simples)
+                    _double_cosets_by_products(res.weyl, data.h_simples, levi)
 
 
 def _frontier_data():
@@ -639,7 +661,7 @@ def test_min_reps_from_inversion_sets_match_positivity_filter():
     for datum in _frontier_data():
         res = W.restricted_roots(datum)
         elts = res._group.elements
-        bases = [levi.simples for levi in W.levi_g_all(res)] + \
+        bases = W.levi_g_all(res) + \
             [data.h_simples for data in W.catalog_split_data(datum, res)]
         for simples in bases:
             direct = frozenset(
@@ -921,7 +943,7 @@ def test_signed_perm_products_only_build_tables(monkeypatch):
             for levi in W.levi_g_all(res):
                 assert W.verify_intersection_prop(data, levi)
                 assert W.verify_algebraic_identity(data, levi)
-                gens.update(levi.simples)
+                gens.update(levi)
             gens.update(data.h_simples)
             twists.add(data.split.galois)
         twists.discard(None)
@@ -999,9 +1021,9 @@ def test_invariant_torus_matches_fixed_subspace_reference():
             assert orthogonal == set(W._root_span(res, data.mh_simples))
             inv = res._inverses
             for levi in W.levi_g_all(res):
-                s_m = _kernel_q(levi.simples, m)
-                assert W._d_m_tilde(res, levi, data) == frozenset(
-                    w for w in W._min_reps(res, levi.simples)
+                s_m = _kernel_q(levi, m)
+                assert W._d_m_tilde(data, levi) == frozenset(
+                    w for w in W._min_reps(res, levi)
                     if inside([_apply_q(elts[inv[w]], v) for v in s_m]))
             checked += 1
     assert checked
