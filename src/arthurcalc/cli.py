@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from . import io_json as js
-from .charspace import CLASS, MULT, SignVector, in_element_space
+from .charspace import CLASS, MULT, SignVector
 from .elementary import ConstructionNode, construction_trace
 from .errors import DomainError, TooLarge
 from .formal import ddr_recursion_expand, packet_recursion_expand
@@ -150,10 +150,7 @@ def cmd_signs(args) -> dict:
 def cmd_endoscopy(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
     s = _parse_signs(args.s, psi.instance_count())
-    if in_element_space(s, psi):
-        datum = endo.elliptic_datum(psi, s)
-    else:
-        datum = endo.twisted_datum(psi, s)
+    datum = endo.endoscopic_datum(psi, s)
     return {
         "twisted": datum.twisted,
         "swapped": datum.swapped,
@@ -332,7 +329,7 @@ def _shared_parser() -> argparse.ArgumentParser:
                       choices=("+", "-"), default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn):
         p = sub.add_parser(name, parents=[late])
         p.set_defaults(fn=fn)
         return p

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .charspace import SignVector, in_element_space, pair
 from .errors import BadDimensionSplit, DomainError, NotApplicable
@@ -79,15 +79,19 @@ def _eta_of(insts: List[Instance]) -> QuadCharacter:
                      start=QuadCharacter.trivial())
 
 
-def _roles(psi: ArthurParameter, s: SignVector, twisted: bool
+def _roles(psi: ArthurParameter, s: SignVector, twisted: Optional[bool]
            ) -> Tuple[_Side, _Side, bool]:
     """Side one, side two, and whether the sides of s were exchanged: the
-    side where s is +1 comes first unless Sp needs the other one there."""
+    side where s is +1 comes first unless Sp needs the other one there.
+    With twisted None, the determinant condition on s picks the case."""
     if twisted and psi.group.kind != SO_EVEN:
         raise NotApplicable("twisted data exist for even orthogonal groups")
     if not is_parity_pure(psi):
         raise DomainError("endoscopic data are built from the parity part")
-    if in_element_space(s, psi) == twisted:
+    elliptic = in_element_space(s, psi)
+    if twisted is None:
+        twisted = not elliptic
+    elif elliptic == twisted:
         raise NotApplicable("s satisfies the determinant condition" if twisted
                             else "s fails the determinant condition; "
                                  "use the twisted construction")
@@ -114,11 +118,18 @@ def _roles(psi: ArthurParameter, s: SignVector, twisted: bool
             swapped)
 
 
-def _datum(psi: ArthurParameter, s: SignVector, twisted: bool
+def _datum(psi: ArthurParameter, s: SignVector, twisted: Optional[bool]
            ) -> EndoscopicDatum:
     one, two, swapped = _roles(psi, s, twisted)
+    # only the twisted case has two symplectic sides
     return EndoscopicDatum(one.eta, two.eta, one.parameter(), two.parameter(),
-                           twisted, swapped)
+                           one.kind == two.kind == SP, swapped)
+
+
+def endoscopic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
+    """The elliptic datum of s when s satisfies the determinant condition,
+    the twisted one otherwise."""
+    return _datum(psi, s, twisted=None)
 
 
 def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:

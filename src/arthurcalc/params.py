@@ -118,57 +118,9 @@ class _Derived:
         return value
 
 
-def _merge_facts(blk: "JordanBlock") -> tuple:
-    """(sort_key, total_dim), which a parameter reads to merge and count
-    its blocks, stored on the block."""
-    rho, a, b = blk.rho, blk.a, blk.b
-    key = (rho.id, rho.dim, rho.self_dual_type, a, b, _ZETA_CHAR[blk.zeta])
-    total = blk.mult * a * b * rho.dim
-    _store(blk, "sort_key", key)
-    _store(blk, "total_dim", total)
-    return key, total
-
-
-def _class_facts(blk: "JordanBlock") -> tuple:
-    """(parity, segment), which classification reads, stored on the
-    block."""
-    rho, a, b = blk.rho, blk.a, blk.b
-    rho_type = rho.self_dual_type
-    if rho_type == NOT_SELF_DUAL:
-        parity = None
-    else:
-        even = (a + b) % 2 == 0
-        parity = ORTHOGONAL if even == (rho_type == ORTHOGONAL) else SYMPLECTIC
-    segment = (rho.id, abs(a - b), a + b - 2)
-    _store(blk, "parity", parity)
-    _store(blk, "segment", segment)
-    return parity, segment
-
-
-class _Fact:
-    """The value at index in what derive(block) returns, after derive has
-    stored all of it on the block; read like a _Derived value.
-
-    Each read of a value not stored yet costs a Python-level call, so
-    the facts that one reader needs are derived together, and those it
-    does not need wait for a reader that does: a block that is only
-    built into a parameter and never classified derives no parity."""
-
-    def __init__(self, derive: Callable, index: int, doc: str):
-        self.derive = derive
-        self.index = index
-        self.__doc__ = doc
-
-    def __get__(self, blk, owner=None):
-        if blk is None:
-            return self
-        return self.derive(blk)[self.index]
-
-
 def _derived_names_shared(cls):
-    """Enter the names of the _Derived and _Fact values of cls in the
-    table of attribute names that CPython shares among the instances of
-    a class.
+    """Enter the names of the _Derived values of cls in the table of
+    attribute names that CPython shares among the instances of a class.
 
     CPython stops adding names to that table once a few dozen instances
     exist.  An instance that stores a name first seen after that gets a
@@ -178,7 +130,7 @@ def _derived_names_shared(cls):
     instance exists."""
     proto = object.__new__(cls)
     for name, attr in vars(cls).items():
-        if isinstance(attr, (_Derived, _Fact)):
+        if isinstance(attr, _Derived):
             _store(proto, name, None)
     return cls
 
@@ -235,15 +187,33 @@ class JordanBlock:
 
     # The block's facts, derived once per block object; they are no
     # fields, so equality, hashing, repr and replace ignore them.
-    sort_key = _Fact(_merge_facts, 0, "(rho id, rho dim, self-dual type, a, "
-                     "b, zeta): the order blocks sort in, and the key "
-                     "that tells blocks apart up to multiplicity.")
-    total_dim = _Fact(_merge_facts, 1,
-                      "Dimension of all copies, mult*a*b*d_rho.")
-    parity = _Fact(_class_facts, 0, "Orthogonal/symplectic type of the "
-                   "block, None when rho is not self-dual.")
-    segment = _Fact(_class_facts, 1,
-                    "(rho id, 2B, 2A) = (rho id, |a - b|, a + b - 2).")
+    @_Derived
+    def sort_key(self) -> tuple:
+        """(rho id, rho dim, self-dual type, a, b, zeta): the order blocks
+        sort in, and the key that tells blocks apart up to multiplicity."""
+        rho = self.rho
+        return (rho.id, rho.dim, rho.self_dual_type, self.a, self.b,
+                _ZETA_CHAR[self.zeta])
+
+    @_Derived
+    def total_dim(self) -> int:
+        """Dimension of all copies, mult*a*b*d_rho."""
+        return self.mult * self.a * self.b * self.rho.dim
+
+    @_Derived
+    def parity(self) -> Optional[str]:
+        """Orthogonal/symplectic type of the block, None when rho is not
+        self-dual."""
+        rho_type = self.rho.self_dual_type
+        if rho_type == NOT_SELF_DUAL:
+            return None
+        even = (self.a + self.b) % 2 == 0
+        return ORTHOGONAL if even == (rho_type == ORTHOGONAL) else SYMPLECTIC
+
+    @_Derived
+    def segment(self) -> tuple:
+        """(rho id, 2B, 2A) = (rho id, |a - b|, a + b - 2)."""
+        return self.rho.id, abs(self.a - self.b), self.a + self.b - 2
 
     @_Derived
     def alpha(self) -> int:
@@ -255,7 +225,7 @@ class JordanBlock:
         """The elementary block (rho, alpha, -delta) that the sign flip
         puts in place of this one."""
         return elementary_block(self.rho, elementary_alpha(self),
-                                -elementary_delta(self))
+                                -self.zeta_resolved())
 
     def __str__(self) -> str:
         z = _ZETA_CHAR[self.zeta]
@@ -415,40 +385,6 @@ def make_parameter(blocks: Sequence[JordanBlock],
         kind = SO_ODD
     group = GroupForm.of_dim(kind, total, eta or QuadCharacter.trivial())
     return ArthurParameter(group, tuple(blocks))
-
-
-def split_p_np(psi: ArthurParameter
-               ) -> Tuple[ArthurParameter, Tuple[JordanBlock, ...]]:
-    """Split psi = psi_np + psi_p + psi_np^dual.
-
-    psi_p keeps the blocks whose parity matches the dual group; the rest
-    must pair off under duality (a self-dual block of the wrong parity is
-    its own partner and needs even multiplicity).
-    """
-    target = psi.group.dual_parity
-    p_blocks, rest = [], []
-    for blk in psi.blocks:
-        if blk.parity == target:
-            p_blocks.append(blk)
-        else:
-            rest.append(blk)
-
-    np_half: List[JordanBlock] = []
-    pool: Dict[tuple, JordanBlock] = {(b.rho.id, b.a, b.b): b for b in rest}
-    for key in sorted(pool):
-        blk = pool[key]
-        if blk.rho.is_self_dual():
-            if blk.mult % 2 != 0:
-                raise OddLeftover(f"self-dual block {blk} of odd multiplicity "
-                                  "outside the parity part")
-            np_half.append(replace(blk, mult=blk.mult // 2))
-        else:
-            dual_key = (blk.rho.dual().id, blk.a, blk.b)
-            if dual_key not in pool:
-                raise OddLeftover(f"block {blk} has no dual partner")
-            if key < dual_key:
-                np_half.append(blk)
-    return psi.with_blocks(p_blocks), tuple(np_half)
 
 
 def is_parity_pure(psi: ArthurParameter) -> bool:
@@ -649,11 +585,6 @@ def elementary_alpha(blk: JordanBlock) -> int:
     if min(blk.a, blk.b) != 1:
         raise DomainError(f"block {blk} is not elementary")
     return max(blk.a, blk.b)
-
-
-def elementary_delta(blk: JordanBlock) -> int:
-    """delta = zeta seen through the (rho, alpha, delta) dictionary."""
-    return blk.zeta_resolved()
 
 
 def elementary_block(rho: RhoLabel, alpha: int, delta: int) -> JordanBlock:

@@ -22,8 +22,7 @@ from .halfint import sign_pow
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
                      JordanBlock, _sort_key, _trusted, classify,
-                     elementary_alpha, elementary_delta, is_elementary,
-                     is_parity_pure, split_p_np)
+                     elementary_alpha, is_elementary, is_parity_pure)
 
 
 @dataclass(frozen=True)
@@ -132,13 +131,8 @@ def eps_of_pairs(zs: PairSet) -> SignVector:
 
 
 def theta_ratio_mw_w(psi: ArthurParameter, order: BlockOrder) -> int:
-    """(-1)**|Z_MW/W|, the ratio of the two normalized twisted actions.
-
-    For a parameter with a nontrivial non-parity part the set is computed
-    on the parity part, on which the order must live.
-    """
-    if not is_parity_pure(psi):
-        psi = split_p_np(psi)[0]
+    """(-1)**|Z_MW/W|, the ratio of the two normalized twisted actions,
+    for a parameter that is its own parity part."""
     return sign_pow(len(z_mw_w(psi, order)))
 
 
@@ -209,9 +203,9 @@ def eps_m_mw_elementary(psi: ArthurParameter) -> SignVector:
                 if o.rho.id == blk.rho.id
                 and o.sort_key != blk.sort_key]
         m = sum(1 for o in same
-                if elementary_alpha(o) > alpha and elementary_delta(o) == MINUS)
+                if elementary_alpha(o) > alpha and o.zeta_resolved() == MINUS)
         n = sum(1 for o in same if elementary_alpha(o) < alpha)
-        d = elementary_delta(blk)
+        d = blk.zeta_resolved()
         values.append(sign_pow(m) if d == PLUS else sign_pow(m + n))
     return SignVector(MULT, tuple(values))
 

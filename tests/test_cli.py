@@ -201,6 +201,43 @@ def test_sign_string_of_two_minus_signs():
     assert json.loads(out)["psi_one"]["blocks"] == []
 
 
+@pytest.mark.parametrize("name,twisted", [("endoscopy_sp4", False),
+                                          ("endoscopy_so4_twisted", True)])
+def test_endoscopy_checks_the_determinant_condition_once(monkeypatch, name,
+                                                          twisted):
+    calls = []
+    for module in (cli, cli.endo):
+        real = getattr(module, "in_element_space", None)
+        if real is not None:
+            def counted(s, psi, real=real):
+                calls.append(s)
+                return real(s, psi)
+            monkeypatch.setattr(module, "in_element_space", counted)
+    rc, out = run_cli(_fix_paths(dict(_invocations())[name]))
+    assert rc == 0 and json.loads(out)["twisted"] is twisted
+    assert len(calls) == 1
+
+
+def test_weyl_verify_split_prints_one_row():
+    argv = ["weyl-verify", "--type", "B", "--rank", "2"]
+    rc, out = run_cli(argv)
+    assert rc == 0
+    rows = json.loads(out)["splits"]
+    assert len(rows) == 5
+    rc, out = run_cli(argv + ["--split", "0"])
+    assert rc == 0
+    assert json.loads(out) == {"type": "B", "rank": 2, "splits": rows[:1],
+                               "all_pass": True}
+
+
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_weyl_verify_split_out_of_range_usage(index):
+    rc, out, err = run_cli_err(["weyl-verify", "--type", "B", "--rank", "2",
+                                "--split", index])
+    assert (rc, out) == (2, "")
+    assert "split index out of range 0..4" in err
+
+
 @pytest.mark.parametrize("group,block", [
     ({"kind": "Sp", "n": 2}, _block(mult=1.5)),
     ({"kind": "Sp", "n": 2}, _block(a=True)),

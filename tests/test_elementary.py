@@ -12,8 +12,8 @@ from arthurcalc.errors import (AmbiguousChoice, NotACharacter,
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
                                diagonal_restriction, elementary_alpha,
-                               elementary_block, elementary_delta,
-                               is_elementary, make_parameter)
+                               elementary_block, is_elementary,
+                               make_parameter)
 from arthurcalc.segments import (EpsMap, check_character, cuspidal_support,
                                  supercuspidal_test)
 from arthurcalc.signs import aubert_flip
@@ -58,7 +58,7 @@ def aubert_chain(psi):
     out = []
     for blk in sorted(psi.blocks, key=lambda b: (b.rho.id,
                                                  elementary_alpha(b))):
-        if elementary_delta(blk) == MINUS:
+        if blk.zeta_resolved() == MINUS:
             alpha = elementary_alpha(blk)
             out.append((blk.rho, alpha, False))
             out.append((blk.rho, alpha, True))

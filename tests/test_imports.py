@@ -18,6 +18,13 @@ UNREAD_CONSTANTS = {}
 UNREAD_FUNCTIONS = {
     "main": "cli.main is the arthurcalc console script that pyproject.toml "
             "declares",
+    "elliptic_datum": "the elliptic construction alone, which refuses an s "
+                      "that fails the determinant condition; cli reaches "
+                      "it through endoscopy.endoscopic_datum, which checks "
+                      "the condition once",
+    "twisted_datum": "the twisted construction alone, which refuses an s "
+                     "that meets the determinant condition; cli reaches it "
+                     "through endoscopy.endoscopic_datum",
 }
 # methods and properties of classes under src/ kept although nothing
 # under src/ or bench/ reads them, each with its reason
@@ -51,6 +58,20 @@ def test_no_cached_property_under_src():
              for k, line in enumerate(path.read_text().splitlines(), 1)
              if "cached_property" in line]
     assert found == []
+
+
+def test_derived_is_the_only_descriptor_under_src():
+    """Keyless derived values are kept by params._Derived alone: no other
+    class under src/ defines __get__."""
+    modules = sorted(ROOT.glob("src/**/*.py"))
+    assert modules
+    found = [f"{path.relative_to(ROOT)}:{node.name}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef)
+                     and item.name == "__get__" for item in node.body)]
+    assert found == ["src/arthurcalc/params.py:_Derived"]
 
 
 def test_keyed_values_use_the_memo_decorator():

@@ -15,7 +15,7 @@ from arthurcalc.params import (MAX_DIAG_SIZE, MINUS, PLUS, ArthurParameter,
                                BlockOrder, GroupForm, JordanBlock, classify,
                                diagonal_restriction, dominate, from_AB,
                                make_parameter, natural_order, number_copies,
-                               split_p_np, SP, SO_EVEN, SO_ODD)
+                               SP, SO_EVEN, SO_ODD)
 from arthurcalc.testing import (COMPACT, FAMILIES, random_pure_parameter,
                                 random_p_order)
 
@@ -123,29 +123,6 @@ def test_block_facts_are_derived_once_outside_the_fields():
             double = replace(fresh, mult=2 * fresh.mult)
             assert "total_dim" not in vars(double)
             assert double.total_dim == 2 * fresh.total_dim
-
-
-def test_split_p_np_identity():
-    psi = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
-                          JordanBlock(RHO, 1, 1, 1, PLUS)])
-    assert psi.group == GroupForm(SP, 2)
-    psi_p, psi_np = split_p_np(psi)
-    assert psi_p == psi and psi_np == ()
-
-
-def test_split_p_np_pairs():
-    # a symplectic-parity block on a symplectic dual group must pair off
-    bad = JordanBlock(RHO, 2, 1, 2)   # a+b odd, rho orthogonal: symplectic
-    good = JordanBlock(RHO, 5, 1)
-    psi = ArthurParameter(GroupForm(SP, 4), (bad, good))
-    psi_p, psi_np = split_p_np(psi)
-    assert [b.a for b in psi_p.blocks] == [5]
-    assert len(psi_np) == 1 and psi_np[0].mult == 1
-
-    odd = ArthurParameter(GroupForm(SP, 3), (JordanBlock(RHO, 2, 1, 1),
-                                             JordanBlock(RHO, 5, 1)))
-    with pytest.raises(OddLeftover):
-        split_p_np(odd)
 
 
 def test_dual_pair_validation():
@@ -526,30 +503,6 @@ def test_classify_stable_under_relabeling():
                                  b.rho.self_dual_type, b.rho.det_char),
                         b.a, b.b, b.mult, b.zeta) for b in psi.blocks))
         assert classify(psi) == classify(renamed)
-
-
-def test_split_p_np_reassembly():
-    # the two halves and the dual of the second recover the input
-    tau = RhoLabel("tau", 1, NOT_SELF_DUAL)
-    wrong_parity = JordanBlock(RHO, 2, 1, 2)   # self-dual, symplectic type
-    pure = JordanBlock(RHO, 5, 1)
-    pair_a = JordanBlock(tau, 2, 1)
-    pair_b = JordanBlock(tau.dual(), 2, 1)
-    psi = ArthurParameter(GroupForm(SP, 6),
-                          (wrong_parity, pure, pair_a, pair_b))
-    psi_p, psi_np = split_p_np(psi)
-    rebuilt = {}
-    for blk in list(psi_p.blocks):
-        key = _block_key(blk)
-        rebuilt[key] = rebuilt.get(key, 0) + blk.mult
-    for blk in psi_np:
-        for one in (blk, JordanBlock(blk.rho.dual(), blk.a, blk.b)):
-            key = _block_key(one)
-            rebuilt[key] = rebuilt.get(key, 0) + blk.mult
-    original = {_block_key(b): b.mult for b in psi.blocks}
-    assert rebuilt == original
-    total_np = sum(b.mult * b.dim for b in psi_np)
-    assert psi_p.group.N + 2 * total_np == psi.group.N
 
 
 def _generator_fingerprint():
