@@ -167,10 +167,12 @@ def cmd_packet(args) -> dict:
     psi = _load_parameter(args.input, args.zeta)
     eps = _parse_signs(args.eps, psi.instance_count())
     classes = packet_constituents(psi, eps)
+    # each class prints its representative, the pair with the first eta
+    # choice at every block
     return {"classes": [
-        {"l": list(c.representative.l),
-         "eta": list(c.representative.eta),
-         "size": len(c.members),
+        {"l": list(c.l),
+         "eta": [choices[0] for choices in c.eta],
+         "size": c.size,
          "status": c.status} for c in classes]}
 
 

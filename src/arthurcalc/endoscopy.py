@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .charspace import SignVector, in_element_space, pair
 from .errors import BadDimensionSplit, DomainError, NotApplicable
@@ -79,22 +79,18 @@ def _eta_of(insts: List[Instance]) -> QuadCharacter:
                      start=QuadCharacter.trivial())
 
 
-def _roles(psi: ArthurParameter, s: SignVector, twisted: Optional[bool]
+def _roles(psi: ArthurParameter, s: SignVector, elliptic_only: bool = False
            ) -> Tuple[_Side, _Side, bool]:
     """Side one, side two, and whether the sides of s were exchanged: the
     side where s is +1 comes first unless Sp needs the other one there.
-    With twisted None, the determinant condition on s picks the case."""
-    if twisted and psi.group.kind != SO_EVEN:
-        raise NotApplicable("twisted data exist for even orthogonal groups")
+    The determinant condition on s picks the case: elliptic when s meets
+    it, twisted otherwise, which elliptic_only refuses."""
     if not is_parity_pure(psi):
         raise DomainError("endoscopic data are built from the parity part")
-    elliptic = in_element_space(s, psi)
-    if twisted is None:
-        twisted = not elliptic
-    elif elliptic == twisted:
-        raise NotApplicable("s satisfies the determinant condition" if twisted
-                            else "s fails the determinant condition; "
-                                 "use the twisted construction")
+    twisted = not in_element_space(s, psi)
+    if twisted and elliptic_only:
+        raise NotApplicable("s fails the determinant condition; "
+                            "use the twisted construction")
     insts = psi.instances()
     plus = [inst for inst, sg in zip(insts, s.signs) if sg == 1]
     minus = [inst for inst, sg in zip(insts, s.signs) if sg == -1]
@@ -118,30 +114,14 @@ def _roles(psi: ArthurParameter, s: SignVector, twisted: Optional[bool]
             swapped)
 
 
-def _datum(psi: ArthurParameter, s: SignVector, twisted: Optional[bool]
-           ) -> EndoscopicDatum:
-    one, two, swapped = _roles(psi, s, twisted)
+def endoscopic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
+    """The elliptic endoscopic datum of s when s satisfies the determinant
+    condition; otherwise, for an even orthogonal group, the twisted one,
+    with two symplectic factors."""
+    one, two, swapped = _roles(psi, s)
     # only the twisted case has two symplectic sides
     return EndoscopicDatum(one.eta, two.eta, one.parameter(), two.parameter(),
                            one.kind == two.kind == SP, swapped)
-
-
-def endoscopic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
-    """The elliptic datum of s when s satisfies the determinant condition,
-    the twisted one otherwise."""
-    return _datum(psi, s, twisted=None)
-
-
-def elliptic_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
-    """The elliptic endoscopic pair attached to an element of the
-    centralizer satisfying the determinant condition."""
-    return _datum(psi, s, twisted=False)
-
-
-def twisted_datum(psi: ArthurParameter, s: SignVector) -> EndoscopicDatum:
-    """The twisted pair for an even orthogonal group and an element
-    violating the determinant condition: two symplectic factors."""
-    return _datum(psi, s, twisted=True)
 
 
 def induced_order(order: BlockOrder, side: List[Instance],
@@ -163,7 +143,7 @@ def sign_transfer_check(psi: ArthurParameter, s: SignVector,
     the normalization ratios of the two endoscopic parameters and of psi
     itself, each evaluated independently from its own pair set.
     """
-    one, two, _ = _roles(psi, s, twisted=False)
+    one, two, _ = _roles(psi, s, elliptic_only=True)
     # _roles refuses a psi that is not its own parity part, so one pair
     # set of psi gives both its character and its ratio
     zs = z_mw_w(psi, order)

@@ -3,7 +3,8 @@
 Constituents of a packet are labelled by a pair of functions (l, eta) on
 the blocks, subject to a per-block range bound.  The attached character,
 the classes of pairs that label one constituent, and the translation
-between the M- and W-side labellings all live here.
+between the M- and W-side labellings all live here.  A class is listed
+in closed form, by its l and its eta choices, without its pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .charspace import (CLASS, SignVector, check_vector, in_character_space,
                         per_class)
-from .errors import DomainError, NotACharacter, OutOfRange, TooLarge
+from .errors import NotACharacter, OutOfRange, TooLarge
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
 from .params import ArthurParameter, BlockOrder, _trusted, classify
 from .signs import eps_m_w
@@ -28,21 +29,6 @@ from .signs import eps_m_w
 # bound that has at most two classes at each block.
 ENUM_BOUND = 14
 MAX_CLASSES = 2 ** ENUM_BOUND
-
-
-@dataclass(frozen=True)
-class LEtaPair:
-    """Functions l (segment count) and eta (sign) on the block instances."""
-
-    l: Tuple[int, ...]
-    eta: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.l) != len(self.eta):
-            raise DomainError("l and eta must share a domain")
-        eta = self.eta
-        if eta.count(1) + eta.count(-1) != len(eta):
-            raise DomainError("eta values must be +-1")
 
 
 def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
@@ -112,9 +98,15 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class ConstituentClass:
-    representative: LEtaPair
-    members: Tuple[LEtaPair, ...]
+    """One class of (l, eta) pairs, which label one packet member: the l
+    of every pair in it, its eta choices at each block instance, one eta
+    or (1, -1) where 2l = A - B + 1, its status, and its size, the product
+    of the choice counts."""
+
+    l: Tuple[int, ...]
+    eta: Tuple[Tuple[int, ...], ...]
     status: str
+    size: int
 
 
 def packet_constituents(psi: ArthurParameter, eps: SignVector
@@ -136,19 +128,16 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
         raise TooLarge(f"{count} constituent classes exceeds bound "
                        f"{MAX_CLASSES}")
     # a class of psi picks a class at every block, in product order, which
-    # keeps the classes in first-seen order; its members share its l and
+    # keeps the classes in first-seen order; its pairs share its l and
     # pick one of its etas at each block, two only where 2l = gap
     rows = list(map(_block_classes, gaps, eps.signs))
     ls, etas = zip(*rows) if rows else ((), ())
-    classes = []
-    for l, choices in zip(itertools.product(*ls), itertools.product(*etas)):
-        # l and eta = +-1 of one length, from _block_classes, status one
-        # of the two: the pairs and the class check nothing
-        members = tuple(_trusted(LEtaPair, l=l, eta=eta)
-                        for eta in itertools.product(*choices))
-        classes.append(_trusted(ConstituentClass, representative=members[0],
-                                members=members, status=status))
-    return classes
+    # whole as built: l and eta = +-1 of one length from _block_classes,
+    # status one of the two, size the product of the choice counts
+    return [_trusted(ConstituentClass, l=l, eta=eta, status=status,
+                     size=math.prod(map(len, eta)))
+            for l, eta in zip(itertools.product(*ls),
+                              itertools.product(*etas))]
 
 
 def translate_m_w(psi: ArthurParameter, eps: SignVector,

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 
-from .errors import DomainError, RankTooSmall
+from .errors import DomainError, RankTooSmall, TooLarge
 from .params import _Derived
 
 Vec = Tuple[int, ...]
@@ -266,8 +266,24 @@ class RestrictedData:
                 for combo in itertools.combinations(self.simples, r)}
 
 
+# The largest data whose roots are built: restricted rank 6 (B6, C6 and
+# twisted D7, |W^theta| = 46 080), and twisted A up to rank 8, as
+# _dedup_twisted_t walks all (rank + 1)! permutations.  B7 alone would
+# have 645 120 elements, and B9 185 794 560.
+MAX_RESTRICTED_RANK = 6
+MAX_TWISTED_A_RANK = 8
+
+
 def restricted_roots(datum: RootDatum) -> RestrictedData:
-    """Restricted root data plus the theta-fixed Weyl group."""
+    """Restricted root data plus the theta-fixed Weyl group, refused
+    before anything is built past the size ceiling."""
+    rank = datum.restricted_dim()
+    if rank > MAX_RESTRICTED_RANK:
+        raise TooLarge(f"restricted rank {rank} exceeds bound "
+                       f"{MAX_RESTRICTED_RANK}")
+    if datum.gtype == TYPE_A and datum.rank > MAX_TWISTED_A_RANK:
+        raise TooLarge(f"type A rank {datum.rank} exceeds bound "
+                       f"{MAX_TWISTED_A_RANK}")
     pos, simple = _ambient_roots(datum.gtype, datum.rank)
     rpos = tuple(dict.fromkeys(r for r in map(datum.restrict, pos) if any(r)))
     rsimple = tuple(dict.fromkeys(map(datum.restrict, simple)))

@@ -9,8 +9,7 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector, cont, constant,
                                   eps_zero, ext, in_character_space,
                                   in_element_space, pair, s_psi, value_at)
 from arthurcalc.elementary import construction_trace
-from arthurcalc.endoscopy import (elliptic_datum, sign_transfer_check,
-                                  twisted_datum)
+from arthurcalc.endoscopy import endoscopic_datum, sign_transfer_check
 from arthurcalc.errors import DomainError, NotACharacter, SupportMismatch
 from arthurcalc.formal import (CoreLabel, ddr_recursion_expand,
                                endoscopic_sign_bookkeeping,
@@ -220,9 +219,11 @@ TAKES_A_VECTOR = {
         _ddr, MULT, (1, 1), lambda psi, s:
         endoscopic_sign_bookkeeping(psi, s, _compound(psi)), SupportMismatch),
     "CoreLabel.of": (_so4, MULT, (1, 1), CoreLabel.of, SupportMismatch),
-    "elliptic_datum": (_so4, MULT, (1, 1), elliptic_datum, SupportMismatch),
-    # a lone -1 on an odd-dimensional block breaks the determinant condition
-    "twisted_datum": (_so4, MULT, (-1, 1), twisted_datum, SupportMismatch),
+    # the elliptic and the twisted datum, both built by endoscopic_datum: a
+    # lone -1 on an odd-dimensional block breaks the determinant condition
+    "elliptic_datum": (_so4, MULT, (1, 1), endoscopic_datum,
+                       SupportMismatch),
+    "twisted_datum": (_so4, MULT, (-1, 1), endoscopic_datum, SupportMismatch),
     "sign_transfer_check": (_so4, MULT, (1, 1), lambda psi, s:
                             sign_transfer_check(psi, s, natural_order(psi)),
                             SupportMismatch),

@@ -238,6 +238,52 @@ def test_weyl_verify_split_out_of_range_usage(index):
     assert "split index out of range 0..4" in err
 
 
+@pytest.mark.parametrize("gtype,rank,error", [
+    ("B", 9, "restricted rank 9 exceeds bound 6"),
+    ("B", 7, "restricted rank 7 exceeds bound 6"),
+    ("C", 7, "restricted rank 7 exceeds bound 6"),
+    ("D", 8, "restricted rank 7 exceeds bound 6"),
+    ("A", 9, "type A rank 9 exceeds bound 8"),
+    ("A", 13, "restricted rank 7 exceeds bound 6"),
+])
+def test_weyl_verify_past_the_size_ceiling_is_refused(monkeypatch, gtype,
+                                                      rank, error):
+    """A datum past the ceiling is refused with TooLarge before any root
+    is built, whatever --rank-bound allows: B9 alone would have
+    185 794 560 elements."""
+    from arthurcalc import weyl
+
+    def no_roots(*args):
+        raise AssertionError("root data built past the ceiling")
+
+    monkeypatch.setattr(weyl, "_ambient_roots", no_roots)
+    start = time.perf_counter()
+    rc, out = run_cli(["weyl-verify", "--type", gtype, "--rank", str(rank),
+                       "--rank-bound", str(rank)])
+    assert time.perf_counter() - start < 0.5
+    assert (rc, json.loads(out)) == (1, {"error": error, "type": "TooLarge"})
+
+
+def test_weyl_size_ceiling_admits_the_rank_six_frontier(monkeypatch):
+    """B6, C6 and twisted D7 (restricted rank 6, |W^theta| = 46 080) and
+    twisted A8 pass the ceiling: building their roots starts, and is
+    stopped here at its first step."""
+    from arthurcalc import weyl
+
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(weyl, "_ambient_roots", started)
+    for datum in (weyl.RootDatum("B", 6), weyl.RootDatum("C", 6),
+                  weyl.RootDatum("D", 7, twisted=True),
+                  weyl.RootDatum("A", 8, twisted=True)):
+        with pytest.raises(Started):
+            weyl.restricted_roots(datum)
+
+
 @pytest.mark.parametrize("group,block", [
     ({"kind": "Sp", "n": 2}, _block(mult=1.5)),
     ({"kind": "Sp", "n": 2}, _block(a=True)),

@@ -155,6 +155,10 @@ OPTIONS = {
 }
 
 
+# the least rank of each type past the weyl-verify size ceiling
+_PAST_CEILING = {"A": 9, "B": 7, "C": 7, "D": 8}
+
+
 @st.composite
 def argvs(draw):
     argv = []
@@ -165,13 +169,21 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(OPTIONS) + ["weyl-verify"]))
     argv.append(command)
     if command == "weyl-verify":
-        # the rank bound stays explicit and small, so no call builds the
-        # rank-4 data of the default bound
-        argv += draw(_option("--type", _weighted("ABCD", "E")))
-        argv += draw(_option("--rank", _int_text(-1, 4)))
+        # the rank bound stays explicit: small, so no call builds the
+        # rank-4 data of the default bound, or equal to a rank past the
+        # size ceiling, which is refused before any root is built
+        gtype = draw(_weighted("ABCD", "E"))
+        argv += draw(_option("--type", st.just(gtype)))
+        if draw(st.booleans()):
+            rank = str(draw(st.integers(_PAST_CEILING.get(gtype, 9), 40)))
+            argv += draw(_option("--rank", st.just(rank)))
+            bound = rank
+        else:
+            argv += draw(_option("--rank", _int_text(-1, 4)))
+            bound = str(draw(st.integers(-1, 3)))
         if draw(st.booleans()):
             argv += draw(_option("--split", _int_text(-2, 8)))
-        argv += ["--rank-bound", str(draw(st.integers(-1, 3)))]
+        argv += ["--rank-bound", bound]
     else:
         text, size = draw(_input())
         argv.append(text)
@@ -199,10 +211,16 @@ _EMPTY_FACTOR_REPRODUCER = ["classify", json.dumps(
                  "a": 1, "b": 1, "mult": 2}]})]
 
 
+# a group of 2**9 * 9! = 185 794 560 elements, unless refused first
+_PAST_CEILING_REPRODUCER = ["weyl-verify", "--type", "B", "--rank", "9",
+                            "--rank-bound", "9"]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @example(_ETA_REPRODUCER)
 @example(_EMPTY_FACTOR_REPRODUCER)
 @example(_RHO_ID_REPRODUCER)
+@example(_PAST_CEILING_REPRODUCER)
 @given(argvs())
 def test_cli_main_has_three_outcomes(argv):
     out, err = io.StringIO(), io.StringIO()

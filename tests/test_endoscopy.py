@@ -4,14 +4,14 @@ import pytest
 
 from arthurcalc.charspace import (MULT, SignVector, enumerate_elements,
                                   in_element_space)
-from arthurcalc.endoscopy import (elliptic_datum, eta_block,
-                                  sign_transfer_check, twisted_datum)
+from arthurcalc.endoscopy import (_roles, endoscopic_datum, eta_block,
+                                  sign_transfer_check)
 from arthurcalc.errors import (BadDimensionSplit, DomainError, NotApplicable,
                                SupportMismatch)
 from arthurcalc.labels import ORTHOGONAL, SYMPLECTIC, QuadCharacter, RhoLabel
 from arthurcalc.params import (MINUS, PLUS, ArthurParameter, GroupForm,
                                JordanBlock, SO_EVEN, SO_ODD, SP,
-                               make_parameter)
+                               make_parameter, min_p_order)
 from arthurcalc.testing import random_p_order, random_pure_parameter
 
 from block_orders import all_p_orders
@@ -33,7 +33,8 @@ def test_elliptic_symplectic_spec_example():
     assert psi.group.kind == SP
     # canonical instances: (1,1) first; s = +1 on (1,1), -1 on (2,2)
     s = SignVector(MULT, (1, -1))
-    datum = elliptic_datum(psi, s)
+    datum = endoscopic_datum(psi, s)
+    assert not datum.twisted
     assert datum.psi_one.group.kind == SP and datum.psi_one.group.n == 0
     assert datum.psi_two.group.kind == SO_EVEN and datum.psi_two.group.n == 2
     assert datum.eta_two == eta_block(JordanBlock(RHO, 2, 2, 1, PLUS))
@@ -47,7 +48,8 @@ def test_elliptic_trivial_s():
     psi = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
                           JordanBlock(RHO, 1, 1, 1, PLUS)])
     s = SignVector(MULT, (1, 1))
-    datum = elliptic_datum(psi, s)
+    datum = endoscopic_datum(psi, s)
+    assert not datum.twisted
     assert datum.psi_two.group.N == 0
     assert datum.psi_one.blocks == psi.blocks  # trivial twist, same labels
 
@@ -56,8 +58,8 @@ def test_elliptic_swap_normalization():
     psi = make_parameter([JordanBlock(RHO, 2, 2, 1, PLUS),
                           JordanBlock(RHO, 1, 1, 1, PLUS)])
     s = SignVector(MULT, (-1, 1))  # odd side carries -1: gets swapped
-    datum = elliptic_datum(psi, s)
-    assert datum.swapped
+    datum = endoscopic_datum(psi, s)
+    assert not datum.twisted and datum.swapped
     assert datum.psi_one.group.kind == SP
 
 
@@ -68,16 +70,17 @@ def test_elliptic_so_odd_bad_split():
                           JordanBlock(rho1, 3, 1)])
     assert psi.group.kind == SO_ODD
     with pytest.raises(BadDimensionSplit):
-        elliptic_datum(psi, SignVector(MULT, (-1, 1)))
+        endoscopic_datum(psi, SignVector(MULT, (-1, 1)))
 
     rho2 = RhoLabel("sig", 2, SYMPLECTIC)
     psi2 = make_parameter([JordanBlock(rho2, 1, 1, 1, PLUS),
                            JordanBlock(rho2, 3, 1)])
     assert psi2.group.kind == SO_ODD
-    ok = elliptic_datum(psi2, SignVector(MULT, (-1, 1)))
+    ok = endoscopic_datum(psi2, SignVector(MULT, (-1, 1)))
+    assert not ok.twisted
     assert ok.psi_one.group.kind == SO_ODD and ok.psi_two.group.kind == SO_ODD
     assert ok.eta_one.is_trivial() and ok.eta_two.is_trivial()
-    ok2 = elliptic_datum(psi2, SignVector(MULT, (1, 1)))
+    ok2 = endoscopic_datum(psi2, SignVector(MULT, (1, 1)))
     assert ok2.psi_two.group.N == 0
 
 
@@ -88,17 +91,21 @@ def test_twisted_datum_spec_examples():
     assert psi.group.kind == SO_EVEN
     s = SignVector(MULT, (1, -1))  # fails the determinant condition
     assert not in_element_space(s, psi)
-    datum = twisted_datum(psi, s)
+    datum = endoscopic_datum(psi, s)
     assert datum.twisted
     assert {datum.psi_one.group.kind, datum.psi_two.group.kind} == {SP}
     assert datum.psi_one.group.N % 2 == 1 and datum.psi_two.group.N % 2 == 1
     assert datum.psi_one.group.N + datum.psi_two.group.N == psi.group.N
 
     good = SignVector(MULT, (1, 1))
-    with pytest.raises(NotApplicable):
-        twisted_datum(psi, good)
-    with pytest.raises(NotApplicable):
-        elliptic_datum(psi, s)
+    assert not endoscopic_datum(psi, good).twisted
+    # the transfer check is elliptic only, and refuses the twisted s
+    refusal = "^s fails the determinant condition; use the twisted " \
+        "construction$"
+    with pytest.raises(NotApplicable, match=refusal):
+        _roles(psi, s, elliptic_only=True)
+    with pytest.raises(NotApplicable, match=refusal):
+        sign_transfer_check(psi, s, min_p_order(psi))
 
 
 def test_twisted_single_block_split():
@@ -106,7 +113,8 @@ def test_twisted_single_block_split():
                           JordanBlock(RHO, 1, 1, 1, PLUS)],
                          eta=QuadCharacter.of("e"))
     s = SignVector(MULT, (-1, 1))
-    datum = twisted_datum(psi, s)
+    datum = endoscopic_datum(psi, s)
+    assert datum.twisted
     assert {datum.psi_one.group.N, datum.psi_two.group.N} == {1, 3}
 
 
@@ -193,15 +201,16 @@ def test_sign_transfer_builds_each_pair_set_once(monkeypatch):
 def test_cross_pair_counting_identity():
     # |Z(psi)| - |Z(psi_I)| - |Z(psi_II)| counts the straddling pairs
     from arthurcalc.signs import z_mw_w
-    from arthurcalc.endoscopy import induced_order, _roles
+    from arthurcalc.endoscopy import induced_order
     rng = random.Random(91)
     for _ in range(50):
         psi = random_pure_parameter(rng, max_blocks=4, max_ab=6)
         order = random_p_order(rng, psi)
         ss = enumerate_elements(psi)
         s = ss[rng.randrange(len(ss))]
-        datum = elliptic_datum(psi, s)
-        one, two, _ = _roles(psi, s, twisted=False)
+        datum = endoscopic_datum(psi, s)
+        assert not datum.twisted
+        one, two, _ = _roles(psi, s, elliptic_only=True)
         o1 = induced_order(order, one.insts, one.label_eta())
         o2 = induced_order(order, two.insts, two.label_eta())
         full = z_mw_w(psi, order)
@@ -213,9 +222,16 @@ def test_cross_pair_counting_identity():
         assert (len(full) - part) % 2 == straddle % 2
 
 
-@pytest.mark.parametrize("build,signs", [(elliptic_datum, (-1,)),
-                                         (twisted_datum, (1, 1, 1))],
-                         ids=["elliptic-short", "twisted-long"])
+def _transfer_at_min_order(psi, s):
+    return sign_transfer_check(psi, s, min_p_order(psi))
+
+
+# the elliptic and the twisted construction, both reached through
+# endoscopic_datum, and the elliptic-only transfer check
+@pytest.mark.parametrize("build,signs", [
+    (endoscopic_datum, (-1,)), (endoscopic_datum, (1, 1, 1)),
+    (_transfer_at_min_order, (-1,)), (_transfer_at_min_order, (1, 1, 1))],
+    ids=["elliptic-short", "twisted-long", "transfer-short", "transfer-long"])
 def test_s_checked_before_the_determinant_condition(build, signs):
     # SO(4,e) = (rho,1,1,+) + (rho,3,1,+) has two block instances
     psi = make_parameter([JordanBlock(RHO_TRIV, 1, 1, 1, PLUS),
@@ -280,18 +296,22 @@ def test_endoscopy_fingerprint():
     assert _endoscopy_fingerprint() == ENDOSCOPY_FINGERPRINT
 
 
-@pytest.mark.parametrize("build,signs", [(elliptic_datum, (1, 1, -1, 1)),
-                                         (twisted_datum, (-1, 1, 1, 1))],
-                         ids=["elliptic", "twisted"])
+@pytest.mark.parametrize("build,signs", [
+    (endoscopic_datum, (1, 1, -1, 1)), (endoscopic_datum, (-1, 1, 1, 1)),
+    (_transfer_at_min_order, (1, 1, -1, 1))],
+    ids=["elliptic", "twisted", "transfer"])
 def test_both_constructors_refuse_a_parameter_beyond_its_parity_part(
         build, signs):
+    """The elliptic and the twisted construction, which endoscopic_datum
+    picks between by the determinant condition, and the transfer check
+    all refuse a parameter that is not its own parity part."""
     # SO(8): (r,1,1,+) + (r,2,1,+) x 2 + (r,3,1,+); the two copies of
     # (r,2,1) are of symplectic type
     psi = ArthurParameter(GroupForm(SO_EVEN, 4), (
         JordanBlock(RHO_TRIV, 1, 1, 1, PLUS), JordanBlock(RHO_TRIV, 2, 1, 2),
         JordanBlock(RHO_TRIV, 3, 1)))
     s = SignVector(MULT, signs)
-    assert in_element_space(s, psi) == (build is elliptic_datum)
+    assert in_element_space(s, psi) == (signs != (-1, 1, 1, 1))
     with pytest.raises(DomainError,
                        match="^endoscopic data are built from the parity "
                              "part$"):

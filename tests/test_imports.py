@@ -18,13 +18,6 @@ UNREAD_CONSTANTS = {}
 UNREAD_FUNCTIONS = {
     "main": "cli.main is the arthurcalc console script that pyproject.toml "
             "declares",
-    "elliptic_datum": "the elliptic construction alone, which refuses an s "
-                      "that fails the determinant condition; cli reaches "
-                      "it through endoscopy.endoscopic_datum, which checks "
-                      "the condition once",
-    "twisted_datum": "the twisted construction alone, which refuses an s "
-                     "that meets the determinant condition; cli reaches it "
-                     "through endoscopy.endoscopic_datum",
 }
 # methods and properties of classes under src/ kept although nothing
 # under src/ or bench/ reads them, each with its reason

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import random
 import re
+from typing import Tuple
 
 import pytest
 
@@ -9,8 +11,9 @@ from arthurcalc.charspace import (CLASS, MULT, SignVector, constant,
 from arthurcalc.errors import DomainError, SupportMismatch, TooLarge
 from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
+from arthurcalc import packets
 from arthurcalc.packets import (GUARANTEED, UNDECIDED, ConstituentClass,
-                                LEtaPair, _block_classes, _class_count,
+                                _block_classes, _class_count,
                                 eta_constraint_check,
                                 packet_constituents, translate_m_w)
 from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
@@ -19,6 +22,31 @@ from arthurcalc.testing import (_ddr_grid, random_ddr_parameter,
                                 random_p_order, random_pure_parameter)
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
+
+
+@dataclasses.dataclass(frozen=True)
+class LEtaPair:
+    """Functions l (segment count) and eta (sign) on the block instances:
+    one pair of a constituent class, built with its checks."""
+
+    l: Tuple[int, ...]
+    eta: Tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.l) != len(self.eta):
+            raise DomainError("l and eta must share a domain")
+        eta = self.eta
+        if eta.count(1) + eta.count(-1) != len(eta):
+            raise DomainError("eta values must be +-1")
+
+
+def _expanded(cls):
+    """A listed class as (representative, pairs, status): its pairs share
+    its l and pick one of its eta choices at each block, in product
+    order, each built through the checked constructor."""
+    pairs = tuple(LEtaPair(cls.l, eta)
+                  for eta in itertools.product(*cls.eta))
+    return pairs[0], pairs, cls.status
 
 
 def _single(ta, tb, zeta=PLUS):
@@ -332,8 +360,7 @@ def _assert_constituents_match_reference(psi):
     n = len(psi.instances())
     for signs in itertools.product((1, -1), repeat=n):
         eps = SignVector(MULT, signs)
-        got = [(c.representative, c.members, c.status)
-               for c in packet_constituents(psi, eps)]
+        got = [_expanded(c) for c in packet_constituents(psi, eps)]
         assert got == _reference_constituents(psi, eps), (psi, signs)
         merged += sum(len(members) > 1 for _, members, _ in got)
     return merged
@@ -366,9 +393,10 @@ def test_packet_constituents_match_reference_off_ddr():
 
 
 def test_constituents_equal_their_checked_rebuilds():
-    """packet_constituents builds its classes and pairs without their
-    constructors' checks; each equals, field for field, the value that
-    the checked constructors build from its fields."""
+    """packet_constituents builds its classes without their constructor;
+    each equals, field for field, the value that the constructor builds
+    from its fields, its eta choices expand into pairs that the checked
+    pair constructor accepts, and its size counts those pairs."""
     rng = random.Random(24)
     ddr = set()
     classes = 0
@@ -380,13 +408,32 @@ def test_constituents_equal_their_checked_rebuilds():
         ddr.add("discrete_diag_restriction" in classify(psi))
         for signs in itertools.product((1, -1), repeat=n):
             for got in packet_constituents(psi, SignVector(MULT, signs)):
-                members = tuple(LEtaPair(p.l, p.eta) for p in got.members)
-                want = ConstituentClass(members[0], members, got.status)
+                want = ConstituentClass(got.l, got.eta, got.status, got.size)
                 assert vars(got) == vars(want)
-                assert [vars(p) for p in got.members] == \
-                    [vars(p) for p in members]
+                _, pairs, _ = _expanded(got)
+                assert got.size == len(pairs)
                 classes += 1
     assert ddr == {True, False} and classes > 1000
+
+
+def test_listing_builds_no_pair_object():
+    """A class is listed by its l, eta choices, status and size, which are
+    plain ints, strs and tuples of them: the module defines no pair type,
+    and no row holds an object of one."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return all(map(plain, value))
+        return type(value) in (int, str)
+
+    assert [name for name, value in vars(packets).items()
+            if dataclasses.is_dataclass(value)
+            and value.__module__ == packets.__name__] == ["ConstituentClass"]
+    psi = make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS),
+                          JordanBlock(RHO, 2, 2, 2, PLUS)])
+    rows = [c for signs in itertools.product((1, -1), repeat=3)
+            for c in packet_constituents(psi, SignVector(MULT, signs))]
+    assert any(c.size > 1 for c in rows)
+    assert all(plain(tuple(vars(c).values())) for c in rows)
 
 
 def test_gaps_are_a_minus_b_plus_one_on_instances():
@@ -404,7 +451,7 @@ def _census_fingerprint():
     """SHA-256 over packet_constituents on seeded DDR and off-DDR
     parameters, multiplicities among them, and on two parameters at or
     above the class bound, at every sign vector; each row holds every
-    class's representative, members and status as repr, or the error's
+    class's representative, pairs and status as repr, or the error's
     class and message."""
     import hashlib
     rng = random.Random(2929)
@@ -428,7 +475,7 @@ def _census_fingerprint():
         for signs in itertools.product((1, -1),
                                        repeat=psi.instance_count()):
             try:
-                rows.append([(c.representative, c.members, c.status) for c in
+                rows.append([_expanded(c) for c in
                              packet_constituents(psi, SignVector(MULT, signs))])
             except DomainError as e:
                 rows.append((type(e).__name__, str(e)))

@@ -104,6 +104,100 @@ def test_theta_ratio_empty():
     assert theta_ratio_mw_w(empty, BlockOrder(())) == 1
 
 
+# One case per parity pattern, (zeta_x, zeta_y) cell of _pair_in_z_mw_w and
+# relative order: x in the even-b role, y in the odd-b role, as (a, b, zeta)
+# with zeta written only where a == b, and whether the pair is in Z_MW/W.
+# Pattern one has x with a, b even against y with a, b odd; pattern two x
+# with a odd, b even against y with a even, b odd.  No two blocks are
+# nested under (P), so both orders are admissible; a cell that does not
+# read the order keeps one parameter and one value at both.
+_Z_MW_W_CELLS = [
+    # pattern one, (-,-): x above y and a > a'
+    ("one", "--", True, (2, 2, MINUS), (1, 1, MINUS), True),
+    ("one", "--", False, (2, 2, MINUS), (1, 1, MINUS), False),
+    # pattern one, (-,+): a > a', at either order
+    ("one", "-+", True, (2, 2, MINUS), (1, 1, PLUS), True),
+    ("one", "-+", False, (2, 2, MINUS), (1, 1, PLUS), True),
+    # pattern one, (+,+): a' > a and b > b' above, a > a' and b > b' below
+    ("one", "++", True, (2, 2, PLUS), (3, 1, None), True),
+    ("one", "++", False, (4, 2, None), (3, 1, None), True),
+    # pattern one, (+,-): never
+    ("one", "+-", True, (2, 2, PLUS), (1, 3, None), False),
+    ("one", "+-", False, (2, 2, PLUS), (1, 3, None), False),
+    # pattern two, (-,-): x above y and a < a'
+    ("two", "--", True, (1, 2, None), (2, 3, None), True),
+    ("two", "--", False, (1, 2, None), (2, 3, None), False),
+    # pattern two, (-,+): a < a' above, a > a' below
+    ("two", "-+", True, (1, 2, None), (2, 1, None), True),
+    ("two", "-+", False, (3, 4, None), (2, 1, None), True),
+    # pattern two, (+,+): a < a' and b > b' above, a > a' and b > b' below
+    ("two", "++", True, (3, 2, None), (4, 1, None), True),
+    ("two", "++", False, (5, 2, None), (4, 1, None), True),
+    # pattern two, (+,-): never
+    ("two", "+-", True, (3, 2, None), (2, 3, None), False),
+    ("two", "+-", False, (3, 2, None), (2, 3, None), False),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern,cell,x_above,x,y,inside", _Z_MW_W_CELLS,
+    ids=[f"{p}-{c}-{'above' if up else 'below'}"
+         for p, c, up, *_ in _Z_MW_W_CELLS])
+def test_z_mw_w_case_table_cell(pattern, cell, x_above, x, y, inside):
+    """Each case of the Z_MW/W table on one two-block parameter.
+
+    The expected values are read off the case table as it stands, for
+    want of the paper's text: they stop silent drift in any one cell, and
+    do not prove the table right."""
+    bx = JordanBlock(RHO, x[0], x[1], 1, x[2])
+    by = JordanBlock(RHO, y[0], y[1], 1, y[2])
+    assert (bx.a % 2, bx.b % 2, by.a % 2, by.b % 2) == \
+        ((0, 0, 1, 1) if pattern == "one" else (1, 0, 0, 1))
+    assert (bx.zeta, by.zeta) == tuple(PLUS if c == "+" else MINUS
+                                       for c in cell)
+    psi = make_parameter([bx, by])
+    insts = psi.instances()
+    ix = next(inst for inst in insts if inst[0] == bx)
+    iy = next(inst for inst in insts if inst[0] == by)
+    order = BlockOrder((iy, ix) if x_above else (ix, iy))
+    expected = frozenset({(0, 1)} if inside else ())
+    assert z_mw_w(psi, order).pairs == expected
+    assert theta_ratio_mw_w(psi, order) == (-1 if inside else 1)
+
+
+def _z_mw_w_fingerprint():
+    """SHA-256 over z_mw_w and theta_ratio_mw_w for seeded
+    random_pure_parameter draws, each at min_p_order, max_p_order and one
+    random p-order: the sorted pairs and the ratio, or the error's class
+    and message.  The values are those of the case table as it stands:
+    the digest stops silent drift, it does not prove the table right."""
+    import hashlib
+    from arthurcalc.params import max_p_order, min_p_order
+    rng = random.Random(1515)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        psi = random_pure_parameter(rng, max_blocks=5, max_ab=6)
+        rows = [repr(psi)]
+        for order in (min_p_order(psi), max_p_order(psi),
+                      random_p_order(rng, psi)):
+            try:
+                rows.append((sorted(z_mw_w(psi, order).pairs),
+                             theta_ratio_mw_w(psi, order)))
+            except DomainError as e:
+                rows.append((type(e).__name__, str(e)))
+        digest.update(repr(rows).encode())
+    return digest.hexdigest()
+
+
+# computed from the case table before the packet classes became rows
+Z_MW_W_FINGERPRINT = \
+    "7801df60ad75fbef55e39d8b3105474e16aa895c3ea1df2c55d7810888227ec3"
+
+
+def test_z_mw_w_fingerprint():
+    assert _z_mw_w_fingerprint() == Z_MW_W_FINGERPRINT
+
+
 def test_z_u_spec_examples():
     psi = _psi_22_11()
     assert len(z_u(psi)) == 1
@@ -445,7 +539,7 @@ def test_beta_endoscopy_comparison_identity():
     partition together through one identity.
     """
     from arthurcalc.charspace import enumerate_elements
-    from arthurcalc.endoscopy import _roles, elliptic_datum
+    from arthurcalc.endoscopy import _roles, endoscopic_datum
     rng = random.Random(111)
     rounds = 0
     for _ in range(250):
@@ -466,8 +560,9 @@ def test_beta_endoscopy_comparison_identity():
             comparison[k] *= v
 
         for s in enumerate_elements(psi):
-            datum = elliptic_datum(psi, s)
-            one, two, _ = _roles(psi, s, twisted=False)
+            datum = endoscopic_datum(psi, s)
+            assert not datum.twisted
+            one, two, _ = _roles(psi, s, elliptic_only=True)
             lhs = beta_sign(datum.psi_one, rho.twist(one.label_eta()), x0) \
                 * beta_sign(datum.psi_two, rho.twist(two.label_eta()), x0) \
                 * beta_sign(psi, rho, x0)

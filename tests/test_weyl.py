@@ -650,6 +650,27 @@ def test_double_cosets_match_product_search():
                     _double_cosets_by_products(res.weyl, data.h_simples, levi)
 
 
+@pytest.mark.parametrize("gtype,rank,twisted", [
+    (W.TYPE_B, 2, False), (W.TYPE_B, 3, False), (W.TYPE_B, 4, False),
+    (W.TYPE_C, 3, False), (W.TYPE_C, 4, False), (W.TYPE_A, 3, True),
+    (W.TYPE_A, 5, True), (W.TYPE_D, 4, True), (W.TYPE_D, 5, True)])
+def test_double_coset_counts_satisfy_solomons_identity(gtype, rank, twisted):
+    """Solomon's identity, independent of the twisted theory: the
+    alternating sum over J of the induced characters 1_{W_J}^W is the
+    sign character, so, paired with 1_{W_K}^W, the sum over the subsets J
+    of the simple roots of (-1)^|J| |W_J \\ W / W_K| is 1 when K is empty
+    and 0 otherwise (L. Solomon, "A decomposition of the group algebra of
+    a finite Coxeter group", J. Algebra 9, 1968)."""
+    res = W.restricted_roots(W.RootDatum(gtype, rank, twisted))
+    subsets = [combo for r in range(len(res.simples) + 1)
+               for combo in itertools.combinations(res.simples, r)]
+    for right in subsets:
+        total = sum((-1) ** len(left)
+                    * (max(W._double_cosets(res, left, right)[1]) + 1)
+                    for left in subsets)
+        assert total == (0 if right else 1), right
+
+
 def _frontier_data():
     """The catalog plus the rank-four frontier."""
     return W.datum_catalog() + [W.RootDatum(W.TYPE_B, 4),
