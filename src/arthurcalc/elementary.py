@@ -42,10 +42,11 @@ def _check_elementary(psi: ArthurParameter) -> None:
         raise NotElementary("construction requires an elementary parameter")
 
 
-def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap
+def _cuspidal_bound(rho_id: str, sizes: Tuple[int, ...],
+                    deltas: Tuple[int, ...], eps: EpsMap
                     ) -> Tuple[int, Optional[int], Optional[int]]:
-    """Largest prefix bound b of one rho's alpha -> delta chain, and the
-    first size a > b with its delta (None, None when no size exceeds b).
+    """Largest prefix bound b of one rho's ascending sizes and deltas, and
+    the first size a > b with its delta (None, None when none exceeds b).
 
     b is the largest size (or zero) such that the sizes up to b form a
     gapless alternating chain with the bottom even size carrying -1: the
@@ -53,22 +54,11 @@ def _cuspidal_bound(rho_id: str, jord: Dict[int, int], eps: EpsMap
     """
     sign = lambda al: eps[(rho_id, al)]
     b = 0
-    for al in sorted(jord):
-        if not extends_cuspidal_chain(al, jord, sign):
-            return b, al, jord[al]
+    for al, delta in zip(sizes, deltas):
+        if not extends_cuspidal_chain(al, sizes, sign):
+            return b, al, delta
         b = al
     return b, None, None
-
-
-def _chains(psi: ArthurParameter
-            ) -> Dict[str, Tuple[RhoLabel, Dict[int, int]]]:
-    """Per rho id, its label and its alpha -> delta chain, read off the
-    blocks of an elementary parameter in one pass."""
-    chains: Dict[str, Tuple[RhoLabel, Dict[int, int]]] = {}
-    for blk in psi.blocks:
-        _, jord = chains.setdefault(blk.rho.id, (blk.rho, {}))
-        jord[blk.alpha] = blk.zeta_resolved()
-    return chains
 
 
 @dataclass(frozen=True)
@@ -150,6 +140,8 @@ def construction_trace(psi: ArthurParameter, eps: EpsMap,
     if total > MAX_TRACE_SIZE:
         raise TooLarge(f"sizes max(a, b) sum to {total}, above the trace "
                        f"bound {MAX_TRACE_SIZE}")
+    for blk in psi.blocks:  # a child's new blocks all carry their zeta
+        blk.zeta_resolved()
     return _trace(psi, eps, case3ci_branch, {})
 
 
@@ -170,10 +162,8 @@ def _trace(psi: ArthurParameter, eps: EpsMap, case3ci_branch: Optional[int],
 def _node(psi: ArthurParameter, eps: EpsMap, case3ci_branch: Optional[int],
           built: Dict[tuple, ConstructionNode]) -> ConstructionNode:
     # the first rho, by id, whose sizes are not all cuspidal
-    chains = _chains(psi)
-    for rho_id in sorted(chains):
-        rho, jord = chains[rho_id]
-        b, a, delta = _cuspidal_bound(rho_id, jord, eps)
+    for rho_id, (rho, sizes, deltas) in psi._labels.items():
+        b, a, delta = _cuspidal_bound(rho_id, sizes, deltas, eps)
         if a is not None:
             break
     else:
@@ -182,8 +172,6 @@ def _node(psi: ArthurParameter, eps: EpsMap, case3ci_branch: Optional[int],
                 "fully cuspidal pair fails the supercuspidal conditions"
             )  # pragma: no cover
         return ConstructionNode(psi, eps, SUPERCUSPIDAL_BASE)
-
-    sizes = sorted(jord)
 
     if a > b + 2 or b == 0:
         # lower the first non-cuspidal size by two
@@ -230,19 +218,18 @@ def _node(psi: ArthurParameter, eps: EpsMap, case3ci_branch: Optional[int],
     psi_prime = _with_sizes(psi, rho, {3: None, 1: None})
     vals_p = eps.without((rho.id, 3), (rho.id, 1))
     child = _trace(psi_prime, EpsMap(vals_p), case3ci_branch, built)
-    delta3 = jord[3]
-    a_next = next((al for al in sizes if al > 3), None)
-    if a_next is None:
+    if len(sizes) == 2:  # the sizes start 1, 3
         if case3ci_branch is None:
             raise AmbiguousChoice(
                 "two-size case needs an explicit labelling branch")
-        zeta = eps[(rho.id, 3)] * delta3 * case3ci_branch
+        zeta = eps[(rho.id, 3)] * delta * case3ci_branch
         tag, notes = CASE3C_I, (("choice", "+" if case3ci_branch == PLUS
                                  else "-"),)
     else:
-        zeta = eps[(rho.id, a_next)] * jord[a_next] * eps[(rho.id, 3)] * delta3
+        a_next = sizes[2]
+        zeta = eps[(rho.id, a_next)] * deltas[2] * eps[(rho.id, 3)] * delta
         tag, notes = CASE3C_II, (("a_next", str(a_next)),)
-    segs = (_seg(rho, 2 * delta3, 2 * delta3), _seg(rho, 0, 0))
+    segs = (_seg(rho, 2 * delta, 2 * delta), _seg(rho, 0, 0))
     return ConstructionNode(
         psi, eps, tag, rho.id, segs,
         notes + (("branch", "+" if zeta == PLUS else "-"),), (child,))

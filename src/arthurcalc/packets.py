@@ -18,7 +18,8 @@ from .charspace import (CLASS, SignVector, check_vector, in_character_space,
                         per_class)
 from .errors import NotACharacter, OutOfRange, TooLarge
 from .halfint import HalfInt, bracket_sign, hrange, sign_pow
-from .params import ArthurParameter, BlockOrder, _trusted, classify
+from .params import (ArthurParameter, BlockOrder, _block_classes,
+                     _class_count, _trusted, classify)
 from .signs import eps_m_w
 
 # Most block instances, and most constituent classes, that
@@ -54,42 +55,6 @@ def eta_constraint_check(A: HalfInt, B: HalfInt, l: int) -> bool:
         if lhs != rhs:
             return False
     return True
-
-
-def _class_count(gap: int, sign: int) -> int:
-    """How many classes _block_classes(gap, sign) lists, without
-    building them."""
-    if gap % 2:
-        return gap // 2 + 1
-    half = gap // 2
-    return 2 * (half // 2) + 1 if sign == 1 else 2 * ((half + 1) // 2)
-
-
-def _block_classes(gap: int, sign: int
-                   ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-    """The classes of the (l, eta), 0 <= l <= [gap/2], whose character
-    value eta**gap * (-1)**([gap/2] + l) at a block with A - B + 1 = gap
-    is sign: the l of each class and the etas of each class, l ascending
-    and eta = +1 first.
-
-    Two pairs label one constituent exactly when they have the same l,
-    and the same eta unless 2l = gap.  An odd gap fixes eta at each l.
-    An even gap drops eta from the value, which then fixes the parity
-    of l; each such l gives two classes, one per eta, except l = gap/2,
-    whose two etas are one class."""
-    half = gap // 2
-    minus = sign != 1  # (-1)**minus == sign
-    if gap % 2:
-        return (tuple(range(half + 1)),
-                tuple((sign_pow(half + l + minus),) for l in range(half + 1)))
-    ls, etas = [], []
-    for l in range((half + minus) % 2, half, 2):
-        ls += [l, l]
-        etas += [(1,), (-1,)]
-    if not minus:
-        ls.append(half)
-        etas.append((1, -1))
-    return tuple(ls), tuple(etas)
 
 
 GUARANTEED = "guaranteed"
@@ -130,9 +95,11 @@ def packet_constituents(psi: ArthurParameter, eps: SignVector
     # a class of psi picks a class at every block, in product order, which
     # keeps the classes in first-seen order; its pairs share its l and
     # pick one of its etas at each block, two only where 2l = gap
-    rows = list(map(_block_classes, gaps, eps.signs))
+    table = psi._class_rows
+    rows = [table.get(key) or table.setdefault(key, _block_classes(*key))
+            for key in zip(gaps, eps.signs)]
     ls, etas = zip(*rows) if rows else ((), ())
-    # whole as built: l and eta = +-1 of one length from _block_classes,
+    # whole as built: l and eta = +-1 of one length from the class rows,
     # status one of the two, size the product of the choice counts
     return [_trusted(ConstituentClass, l=l, eta=eta, status=status,
                      size=math.prod(map(len, eta)))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (BadBlock, BadGroup, DomainError, NotDDR, NotDominating,
                      OddLeftover, OrderViolation, TooLarge, UnresolvedZeta)
-from .halfint import HalfInt, hrange
+from .halfint import HalfInt, hrange, sign_pow
 from .labels import (NOT_SELF_DUAL, ORTHOGONAL, SYMPLECTIC, QuadCharacter,
                      RhoLabel)
 
@@ -99,9 +99,9 @@ class _Derived:
     before this descriptor.
 
     This is how every derived value without a key is kept; keyed ones
-    are read through the decorator weyl._memo, which stores f(owner,
-    *key) in the owner's _cache under (f, *key).  No lock is taken, so a
-    race between threads only stores an equal value twice."""
+    go through the decorator weyl._memo, into the owner's _cache under
+    (f, *key), or, for class rows, into ArthurParameter._class_rows.  No
+    lock is taken, so a race only stores an equal value twice."""
 
     def __init__(self, derive: Callable):
         self.derive = derive
@@ -244,6 +244,7 @@ def from_AB(rho: RhoLabel, A: HalfInt, B: HalfInt, zeta: int,
 
 
 _sort_key = attrgetter("sort_key")
+_first = itemgetter(0)
 
 
 def _first_clash(blocks: Sequence[JordanBlock]) -> str:
@@ -254,6 +255,43 @@ def _first_clash(blocks: Sequence[JordanBlock]) -> str:
     for blk in blocks:
         if first.setdefault(blk.sort_key, blk.rho) != blk.rho:
             return blk.rho.id
+
+
+def _class_count(gap: int, sign: int) -> int:
+    """How many classes _block_classes(gap, sign) lists, without
+    building them."""
+    if gap % 2:
+        return gap // 2 + 1
+    half = gap // 2
+    return 2 * (half // 2) + 1 if sign == 1 else 2 * ((half + 1) // 2)
+
+
+def _block_classes(gap: int, sign: int
+                   ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """The classes of the (l, eta), 0 <= l <= [gap/2], whose character
+    value eta**gap * (-1)**([gap/2] + l) at a block with A - B + 1 = gap
+    is sign: the l of each class and the etas of each class, l ascending
+    and eta = +1 first.
+
+    Two pairs label one constituent exactly when they have the same l,
+    and the same eta unless 2l = gap.  An odd gap fixes eta at each l.
+    An even gap drops eta from the value, which then fixes the parity
+    of l; each such l gives two classes, one per eta, except l = gap/2,
+    whose two etas are one class."""
+    half = gap // 2
+    minus = sign != 1  # (-1)**minus == sign
+    if gap % 2:
+        eta = sign_pow(half + minus)  # at l = 0; each step of l negates it
+        return (tuple(range(half + 1)),
+                (((eta,), (-eta,)) * (half // 2 + 1))[:half + 1])
+    ls, etas = [], []
+    for l in range((half + minus) % 2, half, 2):
+        ls += [l, l]
+        etas += [(1,), (-1,)]
+    if not minus:
+        ls.append(half)
+        etas.append((1, -1))
+    return tuple(ls), tuple(etas)
 
 
 @_derived_names_shared
@@ -351,11 +389,28 @@ class ArthurParameter:
         return tuple(gap for blk in self.blocks
                      for gap in [min(blk.a, blk.b)] * blk.mult)
 
+    @_Derived
+    def _class_rows(self) -> Dict[Tuple[int, int], tuple]:
+        """_block_classes(gap, sign) keyed (gap, sign), each built on its
+        first read by packet_constituents, past its class-count bound."""
+        return {}
+
+    @_Derived
+    def _labels(self) -> Dict[str, tuple]:
+        """A read-only table: per rho id, ascending, its label, the sizes
+        alpha = max(a, b) of its blocks ascending, and their zetas."""
+        rows: Dict[str, tuple] = {}
+        for blk in self.blocks:  # they sort by rho id first
+            a, b = blk.a, blk.b
+            rows.setdefault(blk.rho.id, (blk.rho, []))[1].append(
+                (a if a > b else b, blk.zeta))
+        for rid, (rho, sizes) in rows.items():
+            sizes.sort(key=_first)
+            rows[rid] = (rho, *zip(*sizes))
+        return rows
+
     def rho_labels(self) -> List[RhoLabel]:
-        seen = {}
-        for blk in self.blocks:
-            seen.setdefault(blk.rho.id, blk.rho)
-        return [seen[i] for i in sorted(seen)]
+        return [rho for rho, _, _ in self._labels.values()]
 
     def resolve_zeta(self, convention: int = PLUS) -> "ArthurParameter":
         """Give every a == b block of unresolved zeta the convention sign."""

@@ -46,15 +46,6 @@ def _require_discrete(phi: ArthurParameter) -> None:
         raise NotDiscrete("operation requires a tempered discrete parameter")
 
 
-def _rho_sizes(phi: ArthurParameter) -> List[Tuple[RhoLabel, List[int]]]:
-    """Per rho, by id, its label and its ascending sizes, in one pass over
-    the blocks of a discrete parameter, which sort by rho id, then a."""
-    out: Dict[str, Tuple[RhoLabel, List[int]]] = {}
-    for b in phi.blocks:
-        out.setdefault(b.rho.id, (b.rho, []))[1].append(b.a)
-    return list(out.values())
-
-
 @dataclass(frozen=True)
 class EpsMap:
     """A character keyed by (rho id, alpha), which is (rho id, a) on a
@@ -114,7 +105,7 @@ def extends_cuspidal_chain(size: int, sizes: Container[int],
 def cuspidal_chains(phi: ArthurParameter, eps: EpsMap) -> bool:
     """Whether per rho the sizes of a checked discrete pair (phi, eps)
     form a cuspidal chain."""
-    for rho, sizes in _rho_sizes(phi):
+    for rho, sizes, _ in phi._labels.values():
         sign = lambda a, rid=rho.id: eps[(rid, a)]
         if not all(extends_cuspidal_chain(a, sizes, sign) for a in sizes):
             return False
@@ -159,10 +150,10 @@ def _reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
     equal value, or moves one block and its value down a gap of its
     parity, so the pair it returns passes the checks too.
     """
-    chains = _rho_sizes(phi)
+    chains = phi._labels.values()  # per rho, by id; a = alpha as b = 1
 
     # even bottom with positive sign peels off entirely
-    for rho, sizes in chains:
+    for rho, sizes, _ in chains:
         a_min = sizes[0]
         if a_min % 2 == 0 and eps[(rho.id, a_min)] == 1:
             seg = Segment(rho, HalfInt(a_min - 1), HalfInt(1))
@@ -171,7 +162,7 @@ def _reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
             return ReductionStep(EVEN_MIN, (seg,), phi2, eps2)
 
     # adjacent sizes with equal signs drop together
-    for rho, sizes in chains:
+    for rho, sizes, _ in chains:
         for i in range(len(sizes) - 1, 0, -1):
             a, a_minus = sizes[i], sizes[i - 1]
             if eps[(rho.id, a)] == eps[(rho.id, a_minus)]:
@@ -182,7 +173,7 @@ def _reduce_step(phi: ArthurParameter, eps: EpsMap) -> ReductionStep:
 
     # the signs of adjacent sizes now alternate, and a gap below a size
     # closes by two; below the least size sits 0 or -1 by parity
-    for rho, sizes in chains:
+    for rho, sizes, _ in chains:
         for i in range(len(sizes) - 1, -1, -1):
             a = sizes[i]
             a_minus = sizes[i - 1] if i else -(a % 2)

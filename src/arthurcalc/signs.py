@@ -13,6 +13,7 @@ list the parameter's instances exactly once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ from .halfint import sign_pow
 from .labels import RhoLabel
 from .params import (MINUS, PLUS, ArthurParameter, BlockOrder, Instance,
                      JordanBlock, _sort_key, _trusted, classify,
-                     elementary_alpha, is_elementary, is_parity_pure)
+                     is_elementary, is_parity_pure)
 
 
 @dataclass(frozen=True)
@@ -192,21 +193,19 @@ def eps_m_mw_elementary(psi: ArthurParameter) -> SignVector:
     """Elementary form in the (rho, alpha, delta) dictionary."""
     if not is_elementary(psi):
         raise NotElementary("elementary form needs an elementary parameter")
-    insts = psi.instances()
+    labels = psi._labels
     values = []
-    for blk, _ in insts:
-        alpha = elementary_alpha(blk)
+    # multiplicity one and distinct sizes per rho: the blocks are the
+    # instances, and the other blocks of rho those of the other sizes
+    for blk in psi.blocks:
+        alpha = blk.alpha
         if alpha % 2 == 0:
             values.append(1)
             continue
-        same = [o for o, _ in insts
-                if o.rho.id == blk.rho.id
-                and o.sort_key != blk.sort_key]
-        m = sum(1 for o in same
-                if elementary_alpha(o) > alpha and o.zeta_resolved() == MINUS)
-        n = sum(1 for o in same if elementary_alpha(o) < alpha)
-        d = blk.zeta_resolved()
-        values.append(sign_pow(m) if d == PLUS else sign_pow(m + n))
+        _, alphas, zetas = labels[blk.rho.id]
+        n = bisect_left(alphas, alpha)
+        m = zetas[n + 1:].count(MINUS)
+        values.append(sign_pow(m if blk.zeta_resolved() == PLUS else m + n))
     return SignVector(MULT, tuple(values))
 
 
@@ -225,30 +224,31 @@ _ELEMENTARY_TEMPERED = _ELEMENTARY | {"tempered", "discrete"}
 def aubert_flip(psi: ArthurParameter, rho: RhoLabel, x0: int,
                 strict: bool = True) -> ArthurParameter:
     """Flip delta on the rho-blocks with alpha < x0 (or <= x0)."""
-    if not is_elementary(psi):
+    if "elementary" not in psi._flags:
         raise NotElementary("the flip is defined on elementary parameters")
+    rid = rho.id
     top = x0 if strict else x0 + 1
-    blocks = tuple(sorted([
-        blk.flip_partner if blk.rho.id == rho.id and blk.alpha < top
-        else blk for blk in psi.blocks], key=_sort_key))
+    blocks, tempered = [], True
+    for blk in psi.blocks:
+        if blk.alpha < top and blk.rho.id == rid:
+            blk = blk.flip_partner
+        tempered = tempered and blk.b == 1
+        blocks.append(blk)
+    blocks.sort(key=_sort_key)
     # flip partners keep rho, parity, dim and segment: elementary, no merges
-    flags = _ELEMENTARY_TEMPERED if all(blk.b == 1 for blk in blocks) \
-        else _ELEMENTARY
-    return _trusted(ArthurParameter, group=psi.group, blocks=blocks,
-                    _flags=flags)
+    return _trusted(ArthurParameter, group=psi.group, blocks=tuple(blocks),
+                    _flags=_ELEMENTARY_TEMPERED if tempered else _ELEMENTARY)
 
 
 def beta_sign(psi: ArthurParameter, rho: RhoLabel, x0: int) -> int:
     """The sign relating the flipped normalized action to its target."""
     if not is_elementary(psi):
         raise NotElementary("beta is defined on elementary parameters")
-    alphas = [b.alpha for b in psi.blocks if b.rho.id == rho.id]
+    _, alphas, _ = psi._labels.get(rho.id, (rho, (), ()))
     if any((alpha - alphas[0]) % 2 for alpha in alphas):
         raise MixedParity(f"rho {rho.id} mixes odd and even sizes")
-    below = [alpha for alpha in alphas if alpha < x0]
-    if not below:
-        return 1
-    if below[0] % 2:
+    below = alphas[:bisect_left(alphas, x0)]
+    if below and below[0] % 2:
         k = len(below)
         return sign_pow(k * (k - 1) // 2
                         + sum((alpha - 1) // 2 for alpha in below))

@@ -4,7 +4,7 @@ import pytest
 
 from arthurcalc.charspace import CLASS, MULT, SignVector
 from arthurcalc.elementary import (CASE2_SHIFT, CASE3A, CASE3B, CASE3C_I,
-                                   CASE3C_II, SUPERCUSPIDAL_BASE, _chains,
+                                   CASE3C_II, SUPERCUSPIDAL_BASE,
                                    _check_elementary, _cuspidal_bound,
                                    construction_trace)
 from arthurcalc.errors import (AmbiguousChoice, NotACharacter,
@@ -33,10 +33,10 @@ def _eps(values, rho=RHO):
 
 def rho_cuspidal_bound(psi, eps, rho):
     """The cuspidal bound (b, a, delta) of one rho, as construction_trace
-    reads it off the chains of an elementary parameter."""
+    reads it off the per-label table of an elementary parameter."""
     _check_elementary(psi)
-    _, jord = _chains(psi).get(rho.id, (rho, {}))
-    return _cuspidal_bound(rho.id, jord, eps)
+    _, sizes, deltas = psi._labels.get(rho.id, (rho, (), ()))
+    return _cuspidal_bound(rho.id, sizes, deltas, eps)
 
 
 def leaves(node):

@@ -53,6 +53,36 @@ def test_no_cached_property_under_src():
     assert found == []
 
 
+def test_no_function_cache_under_src():
+    """Derived values are kept by params._Derived or weyl._memo, whose
+    lifetime is the value's own; a functools.cache or lru_cache would
+    keep its keys alive for the life of the process.  The one use is the
+    shared command-line parser, which takes no argument."""
+    modules = sorted(ROOT.glob("src/**/*.py"))
+    assert modules
+    allowed, found = [], []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = {id(d) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and path.name == "cli.py" and node.name == "_shared_parser"
+                  for d in node.decorator_list}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "functools":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "functools":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"cache", "lru_cache"}.intersection(names):
+                (allowed if id(node) in exempt else found).append(
+                    f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == [] and len(allowed) == 1
+
+
 def test_derived_is_the_only_descriptor_under_src():
     """Keyless derived values are kept by params._Derived alone: no other
     class under src/ defines __get__."""

@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import random
 import re
+import sys
+import threading
+from collections import Counter
 from typing import Tuple
 
 import pytest
@@ -13,10 +16,11 @@ from arthurcalc.halfint import HalfInt
 from arthurcalc.labels import ORTHOGONAL, QuadCharacter, RhoLabel
 from arthurcalc import packets
 from arthurcalc.packets import (GUARANTEED, UNDECIDED, ConstituentClass,
-                                _block_classes, _class_count,
                                 eta_constraint_check,
                                 packet_constituents, translate_m_w)
-from arthurcalc.params import (PLUS, JordanBlock, classify, from_AB,
+from arthurcalc.params import (MINUS, PLUS, ArthurParameter, JordanBlock,
+                               _block_classes,
+                               _class_count, classify, from_AB,
                                make_parameter)
 from arthurcalc.testing import (_ddr_grid, random_ddr_parameter,
                                 random_p_order, random_pure_parameter)
@@ -235,6 +239,67 @@ def test_block_classes_closed_form_matches_the_filter():
                        for l, etas in zip(*_block_classes(gap, sign))]
             assert classes == _filtered_block_classes(gap, sign), (gap, sign)
             assert _class_count(gap, sign) == len(classes) > 0
+
+
+def test_class_counts_of_both_signs_sum_to_gap_plus_one():
+    """The 2([gap/2] + 1) pairs (l, eta) at a block fall into gap + 1
+    classes, the two pairs with 2l = gap making one, split between the
+    two signs; so the counts of the two signs sum to gap + 1."""
+    for gap in range(1, 41):
+        assert _class_count(gap, 1) + _class_count(gap, -1) == gap + 1, gap
+
+
+def test_class_rows_are_built_at_most_twice_per_gap(monkeypatch):
+    """Over every sign vector of one parameter, the class rows of each
+    distinct gap are built once per sign at most, not once per block and
+    call."""
+    real, built = packets._block_classes, []
+    monkeypatch.setattr(packets, "_block_classes",
+                        lambda gap, sign: built.append(gap) or
+                        real(gap, sign))
+    psi = make_parameter([from_AB(RHO, HalfInt(2), HalfInt(0), PLUS),
+                          from_AB(RHO, HalfInt(6), HalfInt(4), MINUS),
+                          from_AB(RHO, HalfInt(12), HalfInt(8), PLUS)])
+    assert psi._gaps == (2, 2, 3)
+    listed = sum(len(packet_constituents(psi, SignVector(MULT, signs)))
+                 for signs in itertools.product((1, -1), repeat=3))
+    assert listed == 3 * 3 * 4  # gap + 1 classes a block, both signs
+    assert set(built) == {2, 3} and max(Counter(built).values()) <= 2
+
+
+def test_class_rows_under_racing_threads():
+    """Threads that list the constituents of the same parameters at once
+    fill each parameter's class rows together; each gets the listing
+    that a fresh copy of the parameter gives on its own."""
+    rng = random.Random(68)
+    params = [random_pure_parameter(rng, max_blocks=3, max_ab=5)
+              for _ in range(80)]
+    vectors = [[SignVector(MULT, signs) for signs in itertools.product(
+        (1, -1), repeat=psi.instance_count())] for psi in params]
+    expected = [[packet_constituents(ArthurParameter(psi.group, psi.blocks),
+                                     v) for v in vs]
+                for psi, vs in zip(params, vectors)]
+    start = threading.Barrier(6)
+    results = [None] * 6
+
+    def work(k):
+        start.wait()
+        results[k] = [[packet_constituents(psi, v) for v in vs]
+                      for psi, vs in zip(params, vectors)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == expected for got in results)
+    assert sum(map(len, vectors)) > 250
 
 
 @pytest.mark.parametrize("l,eta,error", [

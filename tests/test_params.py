@@ -16,8 +16,8 @@ from arthurcalc.params import (MAX_DIAG_SIZE, MINUS, PLUS, ArthurParameter,
                                diagonal_restriction, dominate, from_AB,
                                make_parameter, natural_order, number_copies,
                                SP, SO_EVEN, SO_ODD)
-from arthurcalc.testing import (COMPACT, FAMILIES, random_pure_parameter,
-                                random_p_order)
+from arthurcalc.testing import (COMPACT, FAMILIES, random_elementary,
+                                random_pure_parameter, random_p_order)
 
 RHO = RhoLabel("rho", 1, ORTHOGONAL)
 RHO2 = RhoLabel("sigma", 2, SYMPLECTIC)
@@ -381,6 +381,31 @@ def test_flags_cache_under_racing_threads():
     assert not any(t.is_alive() for t in threads)
     assert all(got == expected for got in results)
     assert [classify(psi) for psi in params] == expected
+
+
+def _reference_labels(psi):
+    """Per rho id, ascending: its label, the sizes max(a, b) of its
+    blocks ascending, and their zetas, read block by block."""
+    table = {}
+    for rid in sorted({blk.rho.id for blk in psi.blocks}):
+        mine = sorted((blk for blk in psi.blocks if blk.rho.id == rid),
+                      key=lambda blk: max(blk.a, blk.b))
+        table[rid] = (mine[0].rho, tuple(max(b.a, b.b) for b in mine),
+                      tuple(b.zeta for b in mine))
+    return table
+
+
+def test_label_table_matches_its_definition():
+    rng = random.Random(66)
+    labels = sizes = 0
+    for k in range(300):
+        psi = (random_elementary if k % 2 else random_pure_parameter)(rng)
+        want = _reference_labels(psi)
+        assert psi._labels == want, psi
+        assert psi.rho_labels() == [rho for rho, _, _ in want.values()]
+        labels = max(labels, len(want))
+        sizes = max(sizes, *(len(alphas) for _, alphas, _ in want.values()))
+    assert labels >= 3 and sizes >= 4
 
 
 def test_natural_order():

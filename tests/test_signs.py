@@ -354,6 +354,29 @@ def test_double_flip_derives_no_flags(monkeypatch):
         assert calls == []
 
 
+def test_flips_are_computed_afresh():
+    """No flip is kept: each call builds a new value, so the double-flip
+    checks compare two computed parameters, and a flipped value's label
+    table is the one the checked constructor's value derives."""
+    rng = random.Random(67)
+    flips = 0
+    for _ in range(60):
+        psi = random_elementary(rng)
+        top = max(blk.alpha for blk in psi.blocks)
+        for rho in psi.rho_labels():
+            for x0 in range(top + 2):
+                for strict in (True, False):
+                    once = aubert_flip(psi, rho, x0, strict)
+                    again = aubert_flip(psi, rho, x0, strict)
+                    assert once is not again and once == again
+                    back = aubert_flip(once, rho, x0, strict)
+                    assert back is not psi and back == psi
+                    rebuilt = ArthurParameter(once.group, once.blocks)
+                    assert once._labels == rebuilt._labels
+                    flips += once != psi
+    assert flips > 100
+
+
 def test_flip_partner_is_an_involution_the_value_ignores():
     rng = random.Random(63)
     for _ in range(100):
